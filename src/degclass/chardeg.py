@@ -126,19 +126,18 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
 
     a[i][j][k] is computed by fixing the representative z_k of class k and,
     for every group element x (in class i), locating the class j of
-    x^-1 * z_k.
+    x^-1 * z_k: one table gather per k, counted by (i, j) pair.
     """
-    group._require_cache()
     r = len(classes)
     coeff: dict[tuple[int, int, int], int] = {}
     reps = [group.index_of(c.representative) for c in classes.classes]
-    class_of = classes.class_index
+    class_of = np.array(classes.class_index, dtype=np.int64)
+    inv = group.inverses
     for k, zk in enumerate(reps):
-        for x in range(group.order):
-            i = class_of[x]
-            j = class_of[group.i_mul(group.i_inv(x), zk)]
-            key = (i, j, k)
-            coeff[key] = coeff.get(key, 0) + 1
+        pairs, counts = np.unique(class_of * r + class_of[group.mul(inv, zk)], return_counts=True)
+        for pair, count in zip(pairs.tolist(), counts.tolist()):
+            i, j = divmod(pair, r)
+            coeff[(i, j, k)] = count
     exponent = math.lcm(*(group.element_order(x) for x in range(group.order)))
     return ClassAlgebraData(r, coeff, exponent, least_admissible_prime(group.order, exponent))
 

@@ -26,6 +26,10 @@ from .families import standard_group
 from .group import DEFAULT_ENUMERATION_CAP, Group, build_group, direct_product
 from .perm import format_cycles, parse_cycles
 
+#: largest accepted stanza degree; each generator of a stanza is held as
+#: ``degree`` integers, so an unchecked degree could exhaust memory
+MAX_DEGREE = 10**5
+
 
 class CorpusError(ValueError):
     """A corpus file problem; carries the 1-based line number when known."""
@@ -60,7 +64,7 @@ def parse_corpus(
     """Parse corpus text into built GroupRecords.
 
     Raises CorpusError with a line number for syntax errors, bad cycles,
-    points beyond the degree, or duplicate names.
+    points beyond the degree, a degree above MAX_DEGREE, or duplicate names.
     """
     records: list[GroupRecord] = []
     seen: set[str] = set()
@@ -97,6 +101,8 @@ def parse_corpus(
                 raise CorpusError(f"bad degree {rest!r}", lineno) from None
             if degree < 1:
                 raise CorpusError(f"degree must be >= 1, got {degree}", lineno)
+            if degree > MAX_DEGREE:
+                raise CorpusError(f"degree {degree} exceeds the maximum {MAX_DEGREE}", lineno)
         elif keyword == "gen":
             if name is None or degree is None:
                 raise CorpusError("gen before group/degree", lineno)

@@ -15,9 +15,12 @@ points, orbits are explored in FIFO order with generators applied in input
 order, so rebuilding a group from the same generator sequence reproduces the
 identical BSGS byte for byte.
 
-Groups are immutable after construction; all derived data (element index,
-inverses, element orders) is precomputed here so concurrent readers never
-race.
+Groups are immutable after construction.  The element index, inverses and
+element orders are computed here; the Cayley table ``table[i, j]`` (the index
+of ``elements[i] * elements[j]``) is built on first use, because it costs
+n^2 * 2 bytes for order n < 2^15 (n^2 * 4 above) and only the structure
+oracles and the class algebra need it.  Two readers racing to build it build
+identical tables, and either one may be kept.
 """
 
 from __future__ import annotations
@@ -25,15 +28,26 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .perm import Permutation, identity
 
 DEFAULT_ENUMERATION_CAP = 20000
+
+#: largest Cayley table a group may allocate; an int16 table at the
+#: enumeration cap takes exactly this much
+TABLE_MAX_BYTES = 800 * 10**6
 
 _RawPerm = tuple[int, ...]
 
 
 class GroupTooLargeError(RuntimeError):
-    """The operation needs the element cache but the group exceeds its cap."""
+    """The operation needs the element cache or the Cayley table, but the
+    group exceeds the enumeration cap or the table budget."""
+
+
+def _index_dtype(n: int) -> type:
+    return np.int16 if n < 2**15 else np.int32
 
 
 class _Level:
@@ -167,11 +181,12 @@ class Group:
         "enumeration_cap",
         "elements",
         "_levels",
+        "inverses",
         "_raw",
         "_index",
-        "_inverse_index",
         "_element_orders",
         "_generator_indices",
+        "_table",
     )
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...], *, enumeration_cap: int):
@@ -185,6 +200,7 @@ class Group:
         self.strong_generators = tuple(Permutation(g) for g in strong)
         self._levels = levels
         self.order = order
+        self._table = None
 
         if order <= enumeration_cap:
             raw = _closure(degree, raw_gens)
@@ -195,14 +211,15 @@ class Group:
             self._raw = tuple(raw)
             self.elements = tuple(Permutation(t) for t in raw)
             self._index = {t: i for i, t in enumerate(raw)}
-            self._inverse_index = tuple(self._index[_inv(t)] for t in raw)
+            self.inverses = np.array([self._index[_inv(t)] for t in raw], dtype=_index_dtype(order))
+            self.inverses.flags.writeable = False
             self._element_orders = tuple(p.order() for p in self.elements)
             self._generator_indices = tuple(self._index[g] for g in dict.fromkeys(raw_gens))
         else:
             self._raw = None
             self.elements = None
             self._index = None
-            self._inverse_index = None
+            self.inverses = None
             self._element_orders = None
             self._generator_indices = None
 
@@ -239,22 +256,57 @@ class Group:
         except KeyError:
             raise ValueError(f"{p!r} is not an element of this group") from None
 
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only Cayley table: table[i, j] is the index of elements[i] * elements[j]."""
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
+
+    def _build_table(self) -> np.ndarray:
+        self._require_cache()
+        n = self.order
+        dtype = _index_dtype(n)
+        size = n * n * np.dtype(dtype).itemsize
+        if size > TABLE_MAX_BYTES:
+            raise GroupTooLargeError(
+                f"group too large: Cayley table of order {n} needs {size} bytes, "
+                f"above the table budget of {TABLE_MAX_BYTES}"
+            )
+        # breadth-first from the identity by left multiplication: when
+        # e_c = g * e_k, row c is left_g[row k], where left_g is the index map
+        # of left multiplication by the generator g
+        table = np.empty((n, n), dtype=dtype)
+        table[0] = np.arange(n)
+        lefts = []
+        for gi in self._generator_indices:
+            g = self._raw[gi]
+            left = [self._index[tuple(e[x] for x in g)] for e in self._raw]
+            lefts.append(np.array(left, dtype=dtype))
+        done = np.zeros(n, dtype=bool)
+        done[0] = True
+        queue = [0]
+        for k in queue:
+            for left in lefts:
+                c = int(left[k])
+                if not done[c]:
+                    done[c] = True
+                    np.take(left, table[k], out=table[c])
+                    queue.append(c)
+        table.flags.writeable = False
+        return table
+
+    def mul(self, a, b) -> np.ndarray:
+        """Indices of elements[a] * elements[b] for index arrays a and b,
+        broadcast against each other."""
+        return self.table.ravel().take(np.asarray(a, dtype=np.intp) * self.order + b)
+
     def i_mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (left-to-right composition)."""
-        a = self._raw[i]
-        b = self._raw[j]
-        return self._index[tuple(b[x] for x in a)]
+        return int(self.table[i, j])
 
     def i_inv(self, i: int) -> int:
-        return self._inverse_index[i]
-
-    def i_conj(self, i: int, g: int) -> int:
-        """Index of elements[g]^-1 * elements[i] * elements[g]."""
-        return self.i_mul(self.i_mul(self.i_inv(g), i), g)
-
-    def i_comm(self, i: int, j: int) -> int:
-        """Index of the commutator elements[i]^-1 elements[j]^-1 elements[i] elements[j]."""
-        return self.i_mul(self.i_mul(self.i_inv(i), self.i_inv(j)), self.i_mul(i, j))
+        return int(self.inverses[i])
 
     def element_order(self, i: int) -> int:
         return self._element_orders[i]

@@ -75,10 +75,6 @@ def solve_right(b: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     return r[:d, d:].copy()
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
-
-
 # --- polynomials over GF(p) --------------------------------------------------
 
 

@@ -100,16 +100,6 @@ def inverse(p: Permutation) -> Permutation:
     return p.inverse()
 
 
-def conjugate(x: Permutation, g: Permutation) -> Permutation:
-    """g^-1 * x * g under left-to-right composition."""
-    return compose(compose(g.inverse(), x), g)
-
-
-def commutator(x: Permutation, y: Permutation) -> Permutation:
-    """x^-1 * y^-1 * x * y."""
-    return compose(compose(compose(x.inverse(), y.inverse()), x), y)
-
-
 # --- 1-based cycle text format ----------------------------------------------
 
 

@@ -1,11 +1,13 @@
 """Conjugacy classes and brute-force structural oracles.
 
 Everything in this module works over the full element enumeration of the
-group, so it requires the element cache and fails with GroupTooLargeError
-above the cap.  Oracles are deliberately exhaustive: correctness and
-auditability beat asymptotics at the intended scale, and normality checks
-conjugate members explicitly instead of trusting theory, so theorem
-verification stays genuinely two-sided.
+group through its Cayley table, so it requires the element cache and the
+table budget and fails with GroupTooLargeError beyond them.  Oracles are
+deliberately exhaustive: every all-pairs definition (commutators,
+centralizers, normalizers, the hypercentre step, product closure of the
+pi-elements) is still evaluated on every pair, now as array gathers on the
+table, and normality checks conjugate members explicitly instead of trusting
+theory, so theorem verification stays genuinely two-sided.
 
 Subgroups are plain index sets into the parent enumeration; equality of
 subgroups is equality of those sets.
@@ -14,11 +16,65 @@ subgroups is equality of those sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .arith import PrimeSet, is_prime, prime_set, valuation
 from .group import Group
 from .perm import Permutation
+
+#: cells per block of an all-pairs step; apart from the table itself no
+#: temporary grows beyond a few arrays of this many cells
+BLOCK_CELLS = 1 << 13
+
+
+def _blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``rows``; a slice by ``width`` columns spans at
+    most BLOCK_CELLS cells."""
+    step = max(1, BLOCK_CELLS // max(1, width))
+    for start in range(0, len(rows), step):
+        yield rows[start : start + step]
+
+
+def _array(indices: Iterable[int]) -> np.ndarray:
+    """The indices as a sorted index array."""
+    return np.sort(np.fromiter(indices, dtype=np.intp))
+
+
+def _mask(group: Group, indices: Iterable[int]) -> np.ndarray:
+    """The indices as a boolean membership mask over the enumeration."""
+    mask = np.zeros(group.order, dtype=bool)
+    mask[np.fromiter(indices, dtype=np.intp)] = True
+    return mask
+
+
+def _commutators(
+    group: Group, xs: np.ndarray, ys: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of xs with their commutators [x, y] = x^-1 y^-1 x y, one row
+    per x in the block and one column per y in ys."""
+    inv = group.inverses
+    inv_ys = inv[ys]
+    for xb in _blocks(xs, len(ys)):
+        col = xb[:, None]
+        yield xb, group.mul(group.mul(inv[col], inv_ys), group.mul(col, ys))
+
+
+def _commute(
+    group: Group, xs: np.ndarray, ys: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of xs with a row per x of whether x commutes with each y in ys."""
+    for xb, comms in _commutators(group, xs, ys):
+        yield xb, comms == group.identity_index
+
+
+def _commutator_closure(group: Group, xs: np.ndarray, ys: np.ndarray) -> frozenset[int]:
+    """Subgroup generated by every commutator [x, y], x in xs, y in ys."""
+    seen = np.zeros(group.order, dtype=bool)
+    for _, comms in _commutators(group, xs, ys):
+        seen[comms] = True
+    return _closure(group, np.flatnonzero(seen).tolist())
 
 
 @dataclass(frozen=True)
@@ -36,31 +92,22 @@ class ConjugacyClassSet:
     """
 
     def __init__(self, group: Group):
-        group._require_cache()
         self.group = group
-        n = group.order
-        gen_idx = group.generator_indices
-        class_index = [-1] * n
+        everyone = np.arange(group.order)
+        inv = group.inverses
+        class_index = np.full(group.order, -1, dtype=np.intp)
         classes: list[ConjugacyClass] = []
-        for start in range(n):
+        for start in range(group.order):
             if class_index[start] >= 0:
                 continue
-            cid = len(classes)
-            orbit = [start]
-            class_index[start] = cid
-            queue = [start]
-            while queue:
-                x = queue.pop(0)
-                for g in gen_idx:
-                    y = group.i_conj(x, g)
-                    if class_index[y] < 0:
-                        class_index[y] = cid
-                        orbit.append(y)
-                        queue.append(y)
+            # the class of x is {g^-1 x g : g in G}, one gather over all g
+            orbit = np.unique(group.mul(group.mul(inv, start), everyone))
+            class_index[orbit] = len(classes)
             classes.append(
-                ConjugacyClass(group.elements[start], len(orbit), frozenset(orbit))
+                ConjugacyClass(group.elements[start], len(orbit), frozenset(orbit.tolist()))
             )
         self.classes = tuple(classes)
+        class_index = class_index.tolist()
         self.class_index = tuple(class_index)
         self.inverse_pairing = tuple(
             class_index[group.i_inv(group.index_of(c.representative))] for c in classes
@@ -95,47 +142,60 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def contains(self, other: "Subgroup") -> bool:
-        return other.member_indices <= self.member_indices
-
     def perms(self) -> list[Permutation]:
         return [self.parent.elements[i] for i in sorted(self.member_indices)]
 
     def is_abelian(self) -> bool:
-        members = sorted(self.member_indices)
-        g = self.parent
-        return all(
-            g.i_mul(a, b) == g.i_mul(b, a) for a in members for b in members if b > a
-        )
+        members = _array(self.member_indices)
+        return all(commute.all() for _, commute in _commute(self.parent, members, members))
 
     def is_normal(self) -> bool:
         """Explicit check: conjugate every member by every parent generator."""
         g = self.parent
-        return all(
-            g.i_conj(m, x) in self.member_indices
-            for m in self.member_indices
-            for x in g.generator_indices
-        )
+        gens = np.array(g.generator_indices, dtype=np.intp)[:, None]
+        conj = g.mul(g.mul(g.inverses[gens], _array(self.member_indices)), gens)
+        return bool(_mask(g, self.member_indices)[conj].all())
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
 def _closure(group: Group, seed: Iterable[int]) -> frozenset[int]:
-    """Subgroup generated by the seed indices (identity always included)."""
-    seeds = sorted(set(seed))
-    members = {group.identity_index, *seeds}
-    frontier = sorted(members)
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for s in seeds:
-                k = group.i_mul(m, s)
-                if k not in members:
-                    members.add(k)
-                    fresh.append(k)
-        frontier = fresh
-    return frozenset(members)
+    """Subgroup generated by the seed indices (identity always included).
+
+    Dimino's algorithm: seeds are taken in increasing order and adjoined only
+    when not yet members.  The first one gives its cyclic group, power by
+    power; each later seed s extends H = <gens> to <H, s> as a union of right
+    cosets Hw, found by multiplying every coset representative w by every
+    generator.  Each new coset is one table gather.
+    """
+    e = group.identity_index
+    inside = np.zeros(group.order, dtype=bool)
+    inside[e] = True
+    members = np.array([e], dtype=np.intp)
+    gens: list[int] = []
+    for s in sorted(set(seed)):
+        if inside[s]:
+            continue
+        gens.append(s)
+        if len(gens) == 1:
+            powers = [e, s]
+            while (w := group.i_mul(powers[-1], s)) != e:
+                powers.append(w)
+            members = np.array(powers, dtype=np.intp)
+            inside[members] = True
+            continue
+        cosets = [members, group.mul(members, s)]
+        inside[cosets[-1]] = True
+        reps = [s]
+        for w in reps:
+            for wg in group.mul(w, np.array(gens)).tolist():
+                if not inside[wg]:
+                    cosets.append(group.mul(members, wg))
+                    inside[cosets[-1]] = True
+                    reps.append(wg)
+        members = np.concatenate(cosets)
+    return frozenset(np.flatnonzero(inside).tolist())
 
 
 def subgroup_from_indices(group: Group, indices: Iterable[int]) -> Subgroup:
@@ -154,14 +214,11 @@ def full_subgroup(group: Group) -> Subgroup:
 
 def centralizer(group: Group, perms: Iterable[Permutation]) -> Subgroup:
     """Elements commuting with every permutation in ``perms`` (all must be members)."""
-    group._require_cache()
-    targets = [group.index_of(p) for p in perms]
-    members = frozenset(
-        i
-        for i in range(group.order)
-        if all(group.i_mul(i, t) == group.i_mul(t, i) for t in targets)
-    )
-    return Subgroup(group, members)
+    targets = _array(group.index_of(p) for p in perms)
+    keep = np.zeros(group.order, dtype=bool)
+    for xb, commute in _commute(group, np.arange(group.order), targets):
+        keep[xb] = commute.all(axis=1)
+    return Subgroup(group, frozenset(np.flatnonzero(keep).tolist()))
 
 
 def centre(group: Group) -> Subgroup:
@@ -171,28 +228,26 @@ def centre(group: Group) -> Subgroup:
 def normalizer(group: Group, sub: Subgroup) -> Subgroup:
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
-    members = frozenset(
-        g
-        for g in range(group.order)
-        if all(group.i_conj(m, g) in sub.member_indices for m in sub.member_indices)
-    )
-    return Subgroup(group, members)
+    members = _array(sub.member_indices)
+    inside = _mask(group, sub.member_indices)
+    keep = np.zeros(group.order, dtype=bool)
+    for gb in _blocks(np.arange(group.order), len(members)):
+        col = gb[:, None]
+        conj = group.mul(group.mul(group.inverses[col], members), col)  # g^-1 m g
+        keep[gb] = inside[conj].all(axis=1)
+    return Subgroup(group, frozenset(np.flatnonzero(keep).tolist()))
 
 
 def derived_subgroup(group: Group) -> Subgroup:
     """Closure of all commutators [x, y] over the whole enumeration."""
-    group._require_cache()
-    n = group.order
-    comms = {group.i_comm(i, j) for i in range(n) for j in range(n)}
-    return Subgroup(group, _closure(group, comms))
+    everyone = np.arange(group.order)
+    return Subgroup(group, _commutator_closure(group, everyone, everyone))
 
 
 def derived_of(sub: Subgroup) -> Subgroup:
     """Derived subgroup of a subgroup, as a subgroup of the same parent."""
-    g = sub.parent
-    members = sorted(sub.member_indices)
-    comms = {g.i_comm(i, j) for i in members for j in members}
-    return Subgroup(g, _closure(g, comms))
+    members = _array(sub.member_indices)
+    return Subgroup(sub.parent, _commutator_closure(sub.parent, members, members))
 
 
 def commutator_subgroup_of(sub: Subgroup, group: Group) -> Subgroup:
@@ -201,19 +256,16 @@ def commutator_subgroup_of(sub: Subgroup, group: Group) -> Subgroup:
         raise ValueError("subgroup does not belong to this group")
     if not sub.is_normal():
         raise ValueError("subgroup is not normal in its parent")
-    comms = {
-        group.i_comm(x, y) for x in sub.member_indices for y in range(group.order)
-    }
-    return Subgroup(group, _closure(group, comms))
+    members = _array(sub.member_indices)
+    return Subgroup(group, _commutator_closure(group, members, np.arange(group.order)))
 
 
 def lower_central_last(group: Group) -> Subgroup:
     """Stable term of the lower central series K_{i+1} = [K_i, G]."""
-    group._require_cache()
-    current = frozenset(range(group.order))
+    everyone = np.arange(group.order)
+    current = frozenset(everyone.tolist())
     while True:
-        comms = {group.i_comm(x, y) for x in current for y in range(group.order)}
-        nxt = _closure(group, comms)
+        nxt = _commutator_closure(group, _array(current), everyone)
         if nxt == current:
             return Subgroup(group, current)
         current = nxt
@@ -225,13 +277,14 @@ def hypercentre(group: Group) -> Subgroup:
     Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, iterated until the
     set stops growing.
     """
-    group._require_cache()
     current = centre(group).member_indices
-    everyone = range(group.order)
+    everyone = np.arange(group.order)
     while True:
-        nxt = frozenset(
-            x for x in everyone if all(group.i_comm(x, g) in current for g in everyone)
-        )
+        inside = _mask(group, current)
+        keep = np.zeros(group.order, dtype=bool)
+        for xb, comms in _commutators(group, everyone, everyone):
+            keep[xb] = inside[comms].all(axis=1)
+        nxt = frozenset(np.flatnonzero(keep).tolist())
         if nxt == current:
             return Subgroup(group, current)
         current = nxt
@@ -307,13 +360,15 @@ def _pi_elements_closure(
     """Like pi_elements_subgroup but also reports the first closure failure."""
     ps = prime_set(pi)
     group._require_cache()
-    members = [i for i in range(group.order) if _is_pi_number(group.element_order(i), ps)]
-    mset = frozenset(members)
-    for a in members:
-        for b in members:
-            if group.i_mul(a, b) not in mset:
-                return None, (a, b)
-    return Subgroup(group, mset), None
+    members = _array(i for i in range(group.order) if _is_pi_number(group.element_order(i), ps))
+    inside = _mask(group, members)
+    for ab in _blocks(members, len(members)):
+        outside = ~inside[group.mul(ab[:, None], members)]
+        if outside.any():
+            # argmax finds the first failing pair in row-major order
+            a, b = divmod(int(np.argmax(outside)), len(members))
+            return None, (int(ab[a]), int(members[b]))
+    return Subgroup(group, frozenset(members.tolist())), None
 
 
 @dataclass(frozen=True)
@@ -377,8 +432,7 @@ def q_r_elements_commute(group: Group, p: int) -> bool:
     }
     for qi, q in enumerate(others):
         for r in others[qi + 1 :]:
-            for a in by_prime[q]:
-                for b in by_prime[r]:
-                    if group.i_mul(a, b) != group.i_mul(b, a):
-                        return False
+            blocks = _commute(group, _array(by_prime[q]), _array(by_prime[r]))
+            if not all(commute.all() for _, commute in blocks):
+                return False
     return True

@@ -2,10 +2,12 @@
 
 Everything here works on raw image tuples and never calls into the package
 machinery it is checking, so a bug in the library cannot hide behind the
-same bug in the tests.
+same bug in the tests.  :class:`Reference` keeps the scalar tuple versions of
+the library's table-backed structure oracles as the reference they are
+compared against.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 
 def mul(a, b):
@@ -89,3 +91,205 @@ def degree_multisets(order, class_count, linear_count):
 
     search(0, slots, remaining, [])
     return found
+
+
+def _prime_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_pi_number(n, pi):
+    for p in pi:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class Reference:
+    """Scalar tuple versions of the structure oracles over one enumeration.
+
+    ``elements`` are image tuples in the library's enumeration order, so every
+    result is an index set comparable with the library's.  Each product is one
+    tuple composition and one dict lookup, and every oracle is the plain
+    definition evaluated pair by pair.
+    """
+
+    def __init__(self, elements, generators):
+        self.elements = [tuple(e) for e in elements]
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.n = len(self.elements)
+        self.identity = self.index[tuple(range(len(self.elements[0])))]
+        self.generators = [self.index[tuple(g)] for g in dict.fromkeys(map(tuple, generators))]
+        self.orders = [self._order(e) for e in self.elements]
+        self.everyone = range(self.n)
+
+    def _order(self, e):
+        k, x, ident = 1, e, tuple(range(len(e)))
+        while x != ident:
+            x, k = mul(x, e), k + 1
+        return k
+
+    def mul(self, i, j):
+        return self.index[mul(self.elements[i], self.elements[j])]
+
+    def inv(self, i):
+        return self.index[inv(self.elements[i])]
+
+    def conj(self, i, g):
+        """g^-1 i g."""
+        return self.mul(self.mul(self.inv(g), i), g)
+
+    def comm(self, i, j):
+        """i^-1 j^-1 i j."""
+        return self.mul(self.mul(self.inv(i), self.inv(j)), self.mul(i, j))
+
+    def closure(self, seed):
+        """Breadth-first: multiply every member by every seed until closed."""
+        seeds = sorted(set(seed))
+        members = {self.identity, *seeds}
+        frontier = sorted(members)
+        while frontier:
+            fresh = []
+            for m in frontier:
+                for s in seeds:
+                    k = self.mul(m, s)
+                    if k not in members:
+                        members.add(k)
+                        fresh.append(k)
+            frontier = fresh
+        return frozenset(members)
+
+    def classes(self):
+        """(class index of every element, member sets ordered by least member)."""
+        class_index = [-1] * self.n
+        classes = []
+        for start in self.everyone:
+            if class_index[start] >= 0:
+                continue
+            orbit = {start}
+            queue = [start]
+            while queue:
+                x = queue.pop(0)
+                for g in self.generators:
+                    y = self.conj(x, g)
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+            for y in orbit:
+                class_index[y] = len(classes)
+            classes.append(frozenset(orbit))
+        return class_index, classes
+
+    def class_algebra(self):
+        """a[i, j, k]: x in class i with x^-1 z_k in class j, z_k the least member of class k."""
+        class_index, classes = self.classes()
+        coeff = {}
+        for k, cls in enumerate(classes):
+            zk = min(cls)
+            for x in self.everyone:
+                key = (class_index[x], class_index[self.mul(self.inv(x), zk)], k)
+                coeff[key] = coeff.get(key, 0) + 1
+        return coeff
+
+    def centralizer(self, targets):
+        return frozenset(
+            i for i in self.everyone if all(self.mul(i, t) == self.mul(t, i) for t in targets)
+        )
+
+    def centre(self):
+        return self.centralizer(self.generators)
+
+    def normalizer(self, members):
+        return frozenset(
+            g for g in self.everyone if all(self.conj(m, g) in members for m in members)
+        )
+
+    def is_normal(self, members):
+        return all(self.conj(m, x) in members for m in members for x in self.generators)
+
+    def is_abelian(self, members):
+        return all(self.mul(a, b) == self.mul(b, a) for a in members for b in members)
+
+    def commutator_closure(self, xs, ys):
+        return self.closure({self.comm(x, y) for x in xs for y in ys})
+
+    def derived(self):
+        return self.commutator_closure(self.everyone, self.everyone)
+
+    def lower_central_last(self):
+        current = frozenset(self.everyone)
+        while True:
+            nxt = self.commutator_closure(current, self.everyone)
+            if nxt == current:
+                return current
+            current = nxt
+
+    def hypercentre(self):
+        current = self.centre()
+        while True:
+            nxt = frozenset(
+                x for x in self.everyone if all(self.comm(x, g) in current for g in self.everyone)
+            )
+            if nxt == current:
+                return current
+            current = nxt
+
+    def p_residual(self, p):
+        return self.closure(i for i in self.everyone if self.orders[i] % p != 0)
+
+    def p_prime_residual(self, p):
+        return self.closure(i for i in self.everyone if _is_pi_number(self.orders[i], (p,)))
+
+    def sylow(self, p):
+        """Grown from 1 by the least p-element of N(P) outside P, as the library does."""
+        target = 1
+        while self.n % (target * p) == 0:
+            target *= p
+        members = frozenset({self.identity})
+        while len(members) < target:
+            norm = self.normalizer(members)
+            candidate = min(
+                i for i in norm if i not in members and _is_pi_number(self.orders[i], (p,))
+            )
+            members = self.closure(set(members) | {candidate})
+        return members
+
+    def pi_elements_closure(self, pi):
+        """(the pi-elements if product-closed else None, first failing pair in row-major order)."""
+        members = [i for i in self.everyone if _is_pi_number(self.orders[i], pi)]
+        mset = frozenset(members)
+        for a in members:
+            for b in members:
+                if self.mul(a, b) not in mset:
+                    return None, (a, b)
+        return mset, None
+
+    def direct_product_failure(self, p):
+        """The failure string of the G = P x H test, None when it holds."""
+        p_side, fail = self.pi_elements_closure((p,))
+        if p_side is None:
+            return f"{p}-elements not closed at pair ({fail[0]},{fail[1]})"
+        h_side, fail = self.pi_elements_closure(tuple(q for q in _prime_factors(self.n) if q != p))
+        if h_side is None:
+            return f"{p}'-elements not closed at pair ({fail[0]},{fail[1]})"
+        return None
+
+    def q_r_elements_commute(self, p):
+        others = [q for q in _prime_factors(self.n) if q != p]
+        by_prime = {
+            q: [i for i in self.everyone if _is_pi_number(self.orders[i], (q,))] for q in others
+        }
+        return all(
+            self.mul(a, b) == self.mul(b, a)
+            for q, r in combinations(others, 2)
+            for a in by_prime[q]
+            for b in by_prime[r]
+        )

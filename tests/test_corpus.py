@@ -51,6 +51,12 @@ def test_degree_overflow_rejected():
         parse_corpus(text)
 
 
+def test_huge_degree_rejected_before_parsing_generators():
+    text = "group big\ndegree 1000000000000\ngen (1,2)\nend\n"
+    with pytest.raises(CorpusError, match="line 2: degree 1000000000000 exceeds the maximum"):
+        parse_corpus(text)
+
+
 def test_duplicate_name_rejected():
     text = S3_STANZA + "\n" + S3_STANZA
     with pytest.raises(CorpusError, match="duplicate group name"):

@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from degclass import group as group_module
 from degclass.group import (
     GroupTooLargeError,
     build_group,
@@ -122,6 +123,18 @@ def test_cap_exceeded_is_loud():
     assert not g.has_element_cache
     with pytest.raises(GroupTooLargeError, match="group too large"):
         enumerate_elements(g)
+
+
+def test_table_budget_is_checked_before_allocating(monkeypatch):
+    from degclass.structure import derived_subgroup
+
+    g = standard_group("symmetric", 4)
+    monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", g.order * g.order * 2 - 1)
+    with pytest.raises(GroupTooLargeError, match="above the table budget"):
+        derived_subgroup(g)
+    assert g._table is None
+    monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", g.order * g.order * 2)
+    assert derived_subgroup(g).order == 12
 
 
 def test_deterministic_bsgs():

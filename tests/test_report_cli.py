@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import degclass.group
 from degclass.cli import main
 from degclass.corpus import parse_corpus
 from degclass.report import Report, run_report
@@ -20,6 +22,18 @@ degree 6
 gen (1,2,3,4,5,6)
 end
 """
+
+S4_STANZA = """\
+group S4
+degree 4
+gen (1,2,3,4)
+gen (1,2)
+end
+"""
+
+# sha256 of the `degclass verify --builtin` report; a change to the report
+# bytes has to update it deliberately
+BUILTIN_REPORT_SHA256 = "50e614070e9556f349133aaef50315675dad0fce411d92db6b387e876808db93"
 
 
 def test_report_deterministic(corpus, builtin_report):
@@ -67,6 +81,25 @@ def test_oversized_group_is_skipped_not_fatal():
     assert report.document["summary"]["skipped"] == "1"
 
 
+def test_table_budget_hit_is_skipped_not_fatal(monkeypatch, tmp_path, capsys):
+    # S4 needs a 24 x 24 table of 2-byte entries; C6 stays under the budget
+    monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 24 * 2 - 1)
+    report = run_report(parse_corpus(S4_STANZA + "\n" + C6_STANZA))
+    blocks = {b["name"]: b for b in report.document["groups"]}
+    assert blocks["S4"]["skipped"] == (
+        "group too large: Cayley table of order 24 needs 1152 bytes, above the table budget of 1151"
+    )
+    assert "verdicts" not in blocks["S4"]
+    assert blocks["C6"]["skipped"] is None
+    assert report.document["summary"]["skipped"] == "1"
+
+    path = tmp_path / "corpus.txt"
+    path.write_text(S4_STANZA)
+    assert main(["verify", "--corpus", str(path)]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert "above the table budget" in doc["groups"][0]["skipped"]
+
+
 def test_abelian_corpus_all_agree():
     report = run_report(parse_corpus(C6_STANZA))
     assert report.exit_code == 0
@@ -91,6 +124,12 @@ def test_cli_verify_builtin_to_file(tmp_path, capsys):
     assert doc["summary"]["disagreements"] == "0"
     err = capsys.readouterr().err
     assert "disagreements" in err
+
+
+def test_cli_verify_builtin_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--builtin", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_REPORT_SHA256
 
 
 def test_cli_verify_byte_identical_runs(tmp_path):
@@ -121,6 +160,13 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["verify", "--corpus", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["verify", "--corpus", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_cli_huge_degree_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("group big\ndegree 1000000000000\ngen (1,2)\nend\n")
+    assert main(["verify", "--corpus", str(path)]) == 2
+    assert "line 2: degree 1000000000000 exceeds the maximum 100000" in capsys.readouterr().err
 
 
 def test_cli_empty_corpus_warns_but_succeeds(tmp_path, capsys):

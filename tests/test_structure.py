@@ -1,12 +1,17 @@
+import itertools
+
+import numpy as np
 import pytest
 
 import oracles
 from degclass.arith import primes_of, valuation
+from degclass.chardeg import class_algebra
 from degclass.families import standard_group
 from degclass.group import build_group, direct_product
 from degclass.perm import parse_cycles
 from degclass.structure import (
     Subgroup,
+    _pi_elements_closure,
     centralizer,
     centre,
     commutator_subgroup_of,
@@ -238,11 +243,15 @@ def test_sylow_order_and_conjugate_cover(corpus):
         for p in primes_of(g.order):
             syl = sylow_subgroup(g, p)
             assert syl.order == p ** valuation(g.order, p)
+            elements = [e.images for e in g.elements]
             covered = set()
-            for x in range(g.order):
-                covered |= {g.i_conj(m, x) for m in syl.member_indices}
+            for x in elements:
+                covered |= {
+                    oracles.mul(oracles.mul(oracles.inv(x), elements[m]), x)
+                    for m in syl.member_indices
+                }
             p_elements = {
-                i for i in range(g.order)
+                elements[i] for i in range(g.order)
                 if p ** valuation(g.element_order(i), p) == g.element_order(i)
             }
             assert covered == p_elements
@@ -345,8 +354,9 @@ def test_subgroup_equality_is_set_equality():
 def _assert_is_subgroup(g, sub):
     members = sub.member_indices
     assert g.identity_index in members
-    assert all(g.i_mul(a, b) in members for a in members for b in members)
-    assert all(g.i_inv(a) in members for a in members)
+    tuples = {g.elements[i].images for i in members}
+    assert all(oracles.mul(a, b) in tuples for a in tuples for b in tuples)
+    assert all(oracles.inv(a) in tuples for a in tuples)
     assert g.order % sub.order == 0  # Lagrange
 
 
@@ -359,3 +369,111 @@ def test_set_built_subgroups_are_actual_subgroups():
         _assert_is_subgroup(g, hypercentre(g))
         _assert_is_subgroup(g, centralizer(g, [g.elements[1]]))
         _assert_is_subgroup(g, normalizer(g, sylow_subgroup(g, 2)))
+
+
+# --- the Cayley table against the scalar tuple reference ----------------------
+
+# generators as in the benchmark's nonabelian corpus
+REFERENCE_GROUPS = {
+    "S5": (5, ["(1,2,3,4,5)", "(1,2)"]),
+    # GL(2,3) on the 8 nonzero vectors of F_3^2
+    "GL(2,3)": (8, ["(1,4,7)(2,8,5)", "(1,6,2,3)(4,7,8,5)", "(3,6)(4,7)(5,8)"]),
+    # Hol(C13): x -> x+1 and x -> 2x on Z/13
+    "Hol(C13)": (13, ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(2,3,5,9,4,7,13,12,10,6,11,8)"]),
+    # PSL(2,7) = GL(3,2) on 7 points
+    "PSL(2,7)": (7, ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REFERENCE_GROUPS))
+def with_reference(request):
+    degree, cycles = REFERENCE_GROUPS[request.param]
+    g = build_group(degree, [parse_cycles(c, degree) for c in cycles])
+    ref = oracles.Reference([e.images for e in g.elements], [p.images for p in g.generators])
+    return g, ref
+
+
+def _assert_table_matches_products(g):
+    elements = [e.images for e in g.elements]
+    index = {e: i for i, e in enumerate(elements)}
+    expected = [[index[oracles.mul(a, b)] for b in elements] for a in elements]
+    assert g.table.tolist() == expected
+    assert g.inverses.tolist() == [index[oracles.inv(a)] for a in elements]
+
+
+def test_table_matches_tuple_products_on_builtin_groups(corpus):
+    for rec in corpus:
+        _assert_table_matches_products(rec.group)
+
+
+def test_table_matches_tuple_products(with_reference):
+    g, _ = with_reference
+    _assert_table_matches_products(g)
+    assert g.table.dtype == np.int16 and not g.table.flags.writeable
+
+
+def test_classes_and_class_algebra_match_reference(with_reference):
+    g, ref = with_reference
+    cs = conjugacy_classes(g)
+    class_index, classes = ref.classes()
+    assert list(cs.class_index) == class_index
+    assert [c.member_indices for c in cs.classes] == classes
+    assert [g.index_of(c.representative) for c in cs.classes] == [min(c) for c in classes]
+    assert class_algebra(g, cs).coefficients == ref.class_algebra()
+
+
+def test_series_and_centre_match_reference(with_reference):
+    g, ref = with_reference
+    assert centre(g).member_indices == ref.centre()
+    assert derived_subgroup(g).member_indices == ref.derived()
+    assert lower_central_last(g).member_indices == ref.lower_central_last()
+    assert hypercentre(g).member_indices == ref.hypercentre()
+
+
+def test_prime_oracles_match_reference(with_reference):
+    g, ref = with_reference
+    for p in primes_of(g.order):
+        syl = sylow_subgroup(g, p)
+        assert syl.member_indices == ref.sylow(p)
+        assert normalizer(g, syl).member_indices == ref.normalizer(syl.member_indices)
+        assert centralizer(g, syl.perms()).member_indices == ref.centralizer(syl.member_indices)
+        assert p_residual(g, p).member_indices == ref.p_residual(p)
+        assert p_prime_residual(g, p).member_indices == ref.p_prime_residual(p)
+        assert q_r_elements_commute(g, p) == ref.q_r_elements_commute(p)
+        witness = is_direct_product_p(g, p)
+        assert witness.failure == ref.direct_product_failure(p)
+        assert witness.holds == (witness.failure is None)
+
+
+def test_pi_oracles_match_reference(with_reference):
+    g, ref = with_reference
+    z = ref.centre()
+    for size in range(3):
+        for pi in itertools.combinations(primes_of(g.order), size):
+            sub, pair = _pi_elements_closure(g, pi)
+            members, expected_pair = ref.pi_elements_closure(pi)
+            assert pair == expected_pair
+            assert (None if sub is None else sub.member_indices) == members
+            assert has_central_hall(g, pi) == (members is not None and members <= z)
+            assert has_normal_abelian_hall(g, pi) == (
+                members is not None and ref.is_abelian(members)
+            )
+
+
+def test_subgroup_predicates_match_reference(with_reference):
+    g, ref = with_reference
+    subs = [derived_subgroup(g), centre(g), full_subgroup(g), trivial_subgroup(g)]
+    subs += [sylow_subgroup(g, p) for p in primes_of(g.order)]
+    seeds = ([1], [2, 5], [3, 7, 11], g.generator_indices[:1])
+    subs += [subgroup_from_indices(g, seed) for seed in seeds]
+    for sub in subs:
+        members = sub.member_indices
+        assert sub.is_normal() == ref.is_normal(members)
+        assert sub.is_abelian() == ref.is_abelian(members)
+        assert derived_of(sub).member_indices == ref.commutator_closure(members, members)
+        if ref.is_normal(members):
+            assert commutator_subgroup_of(sub, g).member_indices == ref.commutator_closure(
+                members, ref.everyone
+            )
+    for seed in ([1], [2, 5], [3, 7, 11], range(0, g.order, 17)):
+        assert subgroup_from_indices(g, seed).member_indices == ref.closure(seed)
