@@ -60,7 +60,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .arith import PrimeSet, prime_set, primes_of
-from .chardeg import DegreeFrequency, character_degrees
+from .chardeg import DegreeFrequency
 from .group import Group
 from .metrics import (
     ClassSizeFrequency,
@@ -70,7 +70,7 @@ from .metrics import (
     s_pi_size,
     u_pi,
 )
-from . import structure
+from . import chardeg, structure
 from .structure import (
     ConjugacyClassSet,
     DirectProductWitness,
@@ -135,7 +135,8 @@ class GroupData:
 
     @cached_property
     def degree_frequency(self) -> DegreeFrequency:
-        return character_degrees(self.group)
+        algebra = chardeg.class_algebra(self.group, self.classes)
+        return chardeg.degrees_from_class_algebra(self.group, self.classes, algebra)
 
     @cached_property
     def size_frequency(self) -> ClassSizeFrequency:

@@ -1,9 +1,10 @@
 """Exact linear algebra over a prime field, on int64 numpy arrays.
 
-The modulus stays well below 2**31 (it is bounded by the dixon prime search
-bound), so products of two residues and row sums of matrix products fit in
-int64 without overflow.  Polynomials are coefficient lists, constant term
-first, always reduced mod p and trimmed.
+Nothing here bounds the modulus: a caller must keep n * p**2 < 2**63 for the
+n-term row sums of its matrix products (int64 would wrap silently), and
+``poly_roots`` allocates an array of length p.  ``chardeg`` enforces this by
+rejecting any dixon prime above its search bound.  Polynomials are
+coefficient lists, constant term first, always reduced mod p and trimmed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ def inv_mod(a: int, p: int) -> int:
 
 
 def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (R, pivot_columns)."""
+    """Reduced row echelon form over GF(p); returns (R, pivot_columns).
+
+    Each pivot clears its column in the other rows that have an entry there
+    with one outer product.
+    """
     a = np.array(matrix, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -29,19 +34,18 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(a[r:, c])
+        if len(nz) == 0:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * inv_mod(int(a[r, c]), p) % p
-        nz = [i for i in range(rows) if i != r and a[i, c]]
-        for i in nz:
-            a[i] = (a[i] - a[i, c] * a[r]) % p
+        # rows r.. are zero left of column c, so only columns c.. change
+        a[r, c:] = a[r, c:] * inv_mod(int(a[r, c]), p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        rest = np.flatnonzero(col)
+        a[rest, c:] = (a[rest, c:] - np.outer(col[rest], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots

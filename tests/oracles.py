@@ -3,11 +3,13 @@
 Everything here works on raw image tuples and never calls into the package
 machinery it is checking, so a bug in the library cannot hide behind the
 same bug in the tests.  :class:`Reference` keeps the scalar tuple versions of
-the library's table-backed structure oracles as the reference they are
-compared against.
+the library's table-backed structure oracles, and the row-by-row modular
+``rref``, as the references they are compared against.
 """
 
 from itertools import combinations, product
+
+import numpy as np
 
 
 def mul(a, b):
@@ -130,6 +132,34 @@ class Reference:
         self.generators = [self.index[tuple(g)] for g in dict.fromkeys(map(tuple, generators))]
         self.orders = [self._order(e) for e in self.elements]
         self.everyone = range(self.n)
+
+    @staticmethod
+    def rref(matrix, p):
+        """Reduced row echelon form over GF(p), one row operation at a time;
+        returns (R, pivot_columns) like ``modmat.rref``."""
+        a = np.array(matrix, dtype=np.int64) % p
+        rows, cols = a.shape
+        pivots = []
+        r = 0
+        for c in range(cols):
+            if r == rows:
+                break
+            piv = None
+            for i in range(r, rows):
+                if a[i, c]:
+                    piv = i
+                    break
+            if piv is None:
+                continue
+            if piv != r:
+                a[[r, piv]] = a[[piv, r]]
+            a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+            nz = [i for i in range(rows) if i != r and a[i, c]]
+            for i in nz:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+            pivots.append(c)
+            r += 1
+        return a, pivots
 
     def _order(self, e):
         k, x, ident = 1, e, tuple(range(len(e)))

@@ -1,9 +1,14 @@
+from time import perf_counter
+
+import numpy as np
 import pytest
 
 import oracles
+from degclass import chardeg
 from degclass.chardeg import (
     DegreeFrequency,
     DixonPrimeSearchError,
+    EigensplitError,
     admissible_primes,
     character_degrees,
     class_algebra,
@@ -154,6 +159,13 @@ def test_next_admissible_prime_gives_identical_frequency(corpus):
         assert base == again
 
 
+def test_prime_override_above_search_bound_rejected():
+    # 1000003 is prime and = 1 (mod 6): only the bound 100 * |S3| rejects it
+    g = standard_group("symmetric", 3)
+    with pytest.raises(ValueError, match="above the search bound"):
+        character_degrees(g, dixon_prime=1000003)
+
+
 def test_inadmissible_prime_override_rejected():
     g = standard_group("symmetric", 3)
     with pytest.raises(ValueError, match="admissible"):
@@ -229,6 +241,94 @@ def test_eigensplit_stall_aborts_loudly():
     )
     with pytest.raises(EigensplitError, match="stalled"):
         _simultaneous_eigenvectors(fake, 5)
+
+
+# --- the two split paths ------------------------------------------------------
+
+
+def _elementary_abelian(p, n):
+    g = c = standard_group("cyclic", p)
+    for _ in range(n - 1):
+        g = direct_product(g, c)
+    return g
+
+
+def _split_groups():
+    from degclass.corpus import builtin_corpus
+
+    for rec in builtin_corpus():
+        yield pytest.param(rec.group, id=rec.name)
+    for n in range(2, 13):
+        yield pytest.param(standard_group("cyclic", n), id=f"cyclic-{n}")
+    yield pytest.param(standard_group("holomorph_cyclic_prime", 23), id="Hol(C23)")
+    yield pytest.param(standard_group("dihedral", 100), id="dihedral-100")
+
+
+@pytest.mark.parametrize("g", _split_groups())
+def test_generator_and_refinement_paths_agree(g):
+    # the degree frequency is a function of the sorted vectors, so equal
+    # vectors give the same frequency on both paths
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    primes = admissible_primes(g.order, data.exponent)
+    frequencies = []
+    for ell in (next(primes), next(primes)):
+        vectors = chardeg._simultaneous_eigenvectors(data, ell)
+        refined = sorted(chardeg._refine(data, ell, list(range(len(cs)))), key=lambda v: v.tolist())
+        assert [v.tolist() for v in vectors] == [v.tolist() for v in refined], ell
+        frequencies.append(degrees_from_class_algebra(g, cs, data, dixon_prime=ell))
+    assert frequencies[0] == frequencies[1]
+
+
+def _path_spy(monkeypatch):
+    used = []
+    for path in ("_split_by_generator", "_refine"):
+        original = getattr(chardeg, path)
+
+        def spy(*args, _original=original, _path=path):
+            used.append(_path)
+            return _original(*args)
+
+        monkeypatch.setattr(chardeg, path, spy)
+    return used
+
+
+def test_cyclic_group_splits_from_one_generator(monkeypatch):
+    used = _path_spy(monkeypatch)
+    assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
+    assert used == ["_split_by_generator"]
+
+
+def test_elementary_abelian_group_falls_back_to_refinement(monkeypatch):
+    # every class sum of C2^7 has at most 2 eigenvalues, so none generates
+    used = _path_spy(monkeypatch)
+    assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
+    assert used == ["_refine"]
+
+
+def test_c200_splits_within_seconds():
+    start = perf_counter()
+    assert character_degrees(standard_group("cyclic", 200)).as_dict() == {1: 200}
+    assert perf_counter() - start < 10
+
+
+def test_non_central_vector_is_rejected():
+    g = standard_group("symmetric", 3)
+    data = class_algebra(g, conjugacy_classes(g))
+    vectors = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
+    chardeg._check_central_characters(data, vectors, data.dixon_prime)
+    broken = vectors[:-1] + [(vectors[-1] + np.eye(3, dtype=np.int64)[1]) % data.dixon_prime]
+    with pytest.raises(EigensplitError, match="not a central character"):
+        chardeg._check_central_characters(data, broken, data.dixon_prime)
+
+
+def test_class_matrix_matches_coefficients():
+    g = standard_group("symmetric", 4)
+    data = class_algebra(g, conjugacy_classes(g))
+    r = data.class_count
+    for i in range(r):
+        want = [[data.coefficient(i, j, k) for k in range(r)] for j in range(r)]
+        assert data.matrix(i).tolist() == want
 
 
 def test_degree_frequency_accessors():

@@ -61,6 +61,24 @@ def q8c3():
     return GroupData(g, "Q8xC3")
 
 
+def test_group_data_computes_classes_once(monkeypatch):
+    from degclass import criteria, structure
+
+    calls = []
+    original = structure.conjugacy_classes
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(structure, "conjugacy_classes", counted)
+    monkeypatch.setattr(criteria, "conjugacy_classes", counted)
+    data = data_for("symmetric", 4)
+    assert data.degree_frequency.as_dict() == {1: 2, 2: 1, 3: 2}
+    assert data.size_frequency.as_dict() == {1: 1, 3: 1, 6: 2, 8: 1}
+    assert len(calls) == 1
+
+
 def only(verdicts, criterion):
     matches = [v for v in verdicts if v.criterion == criterion]
     assert len(matches) == 1, f"{criterion}: {len(matches)} matches"
