@@ -7,6 +7,7 @@ round.  Trial division is plenty at the scales this package targets
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 PrimeSet = tuple[int, ...]
@@ -77,3 +78,10 @@ def prime_set(primes: Iterable[int]) -> PrimeSet:
     return tuple(out)
 
 
+def pi_sets(primes: Iterable[int], bound: int) -> list[PrimeSet]:
+    """Every subset of the primes with at most bound members, by size and
+    then lexicographically.  Raises ValueError if bound < 0."""
+    if bound < 0:
+        raise ValueError(f"the pi-set bound must be >= 0, got {bound}")
+    ps = prime_set(primes)
+    return [pi for size in range(min(bound, len(ps)) + 1) for pi in itertools.combinations(ps, size)]

@@ -8,13 +8,12 @@ stderr so the report stream stays byte-deterministic.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
-from .arith import factorization
+from .arith import factorization, pi_sets
 from .corpus import CorpusError, GroupRecord, builtin_corpus, parse_corpus
-from .criteria import GroupData
+from .criteria import CATALOG, GroupData
 from .group import GroupTooLargeError
 from .metrics import s_pi_size, u_pi
 from .report import ReportOptions, run_report
@@ -72,13 +71,9 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     print("degrees m:", "  ".join(f"{d} x{m}" for d, m in data.degree_frequency.entries))
     print("class sizes w:", "  ".join(f"{n} x{c}" for n, c in data.size_frequency.entries))
     print(f"{'pi':<12} {'u_pi':>12} {'|S_pi|':>12}")
-    for size in range(0, min(args.pi_bound, len(data.primes)) + 1):
-        for ps in itertools.combinations(data.primes, size):
-            label = "{" + ",".join(str(p) for p in ps) + "}"
-            print(
-                f"{label:<12} {u_pi(data.degree_frequency, ps):>12} "
-                f"{s_pi_size(data.classes, ps):>12}"
-            )
+    for ps in pi_sets(data.primes, args.pi_bound):
+        label = "{" + ",".join(str(p) for p in ps) + "}"
+        print(f"{label:<12} {u_pi(data.degree_frequency, ps):>12} {s_pi_size(data.classes, ps):>12}")
     return EXIT_OK
 
 
@@ -87,6 +82,21 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
     data = GroupData(rec.group, rec.name)
     print("  ".join(f"{d} x{m}" for d, m in data.degree_frequency.entries))
     return EXIT_OK
+
+
+def _cmd_criteria(args: argparse.Namespace) -> int:
+    width = max(len(row.id) for row in CATALOG)
+    print(f"{'id':<{width}}  {'kind':<12}  {'scope':<10}  {'experimental':<12}  statement")
+    for row in CATALOG:
+        print(f"{row.id:<{width}}  {row.kind:<12}  {row.scope:<10}  {row.experimental:<12}  {row.statement}")
+    return EXIT_OK
+
+
+def non_negative_int(text: str) -> int:
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {bound}")
+    return bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="evaluate every criterion over a corpus")
     verify.add_argument("--corpus", help="corpus file in stanza format")
     verify.add_argument("--builtin", action="store_true", help="use the built-in corpus (default)")
-    verify.add_argument("--pi-bound", type=int, default=2, dest="pi_bound",
+    verify.add_argument("--pi-bound", type=non_negative_int, default=2, dest="pi_bound",
                         help="largest prime-set size for pi-parameterized checks (default 2)")
     verify.add_argument("--out", help="write the report here instead of stdout")
     verify.set_defaults(func=_cmd_verify)
@@ -108,13 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
     invariants = sub.add_parser("invariants", help="print m, w, u_pi and |S_pi| for one group")
     invariants.add_argument("--group", required=True)
     invariants.add_argument("--corpus", help="corpus file (default: built-in corpus)")
-    invariants.add_argument("--pi-bound", type=int, default=2, dest="pi_bound")
+    invariants.add_argument("--pi-bound", type=non_negative_int, default=2, dest="pi_bound")
     invariants.set_defaults(func=_cmd_invariants, builtin=False)
 
     degrees = sub.add_parser("degrees", help="print the character degree frequency of one group")
     degrees.add_argument("--group", required=True)
     degrees.add_argument("--corpus", help="corpus file (default: built-in corpus)")
     degrees.set_defaults(func=_cmd_degrees, builtin=False)
+
+    criteria = sub.add_parser("criteria", help="list every criterion of the catalog")
+    criteria.set_defaults(func=_cmd_criteria)
 
     return parser
 

@@ -9,18 +9,15 @@ budget, are recorded as skipped with a reason and do not abort the run.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 from . import __version__
-from .arith import factorization
+from .arith import factorization, pi_sets
 from .corpus import GroupRecord, corpus_digest
-from .criteria import CriterionVerdict, GroupData, run_all_criteria
+from .criteria import EQUIVALENCE, CriterionVerdict, GroupData, run_all_criteria
 from .group import GroupTooLargeError
 from .metrics import s_pi_size, u_pi
-
-_EQUIVALENCE_KIND = "equivalence"
 
 
 @dataclass(frozen=True)
@@ -94,18 +91,14 @@ def _group_block(rec: GroupRecord, options: ReportOptions) -> tuple[dict, list[C
     block["degree_frequency"] = [[_s(d), _s(m)] for d, m in data.degree_frequency.entries]
     block["class_size_frequency"] = [[_s(n), _s(c)] for n, c in data.size_frequency.entries]
 
-    tables = []
-    primes = data.primes
-    for size in range(0, min(options.pi_bound, len(primes)) + 1):
-        for ps in itertools.combinations(primes, size):
-            tables.append(
-                {
-                    "pi": [_s(p) for p in ps],
-                    "u_pi": _s(u_pi(data.degree_frequency, ps)),
-                    "s_pi": _s(s_pi_size(data.classes, ps)),
-                }
-            )
-    block["invariant_tables"] = tables
+    block["invariant_tables"] = [
+        {
+            "pi": [_s(p) for p in ps],
+            "u_pi": _s(u_pi(data.degree_frequency, ps)),
+            "s_pi": _s(s_pi_size(data.classes, ps)),
+        }
+        for ps in pi_sets(data.primes, options.pi_bound)
+    ]
 
     verdicts = run_all_criteria(data, rec.name, pi_bound=options.pi_bound)
     block["verdicts"] = [_verdict_block(v) for v in verdicts]
@@ -131,7 +124,7 @@ def run_report(records: list[GroupRecord], options: ReportOptions = ReportOption
 
     witnesses: dict[str, dict[str, list[str]]] = {}
     for v in all_verdicts:
-        if v.kind != _EQUIVALENCE_KIND or v.experimental:
+        if v.kind != EQUIVALENCE or v.experimental:
             continue
         entry = witnesses.setdefault(v.criterion, {"both_true": [], "both_false": []})
         tag = f"{v.group_name}@{','.join(str(p) for p in v.primes)}"

@@ -1,24 +1,10 @@
 import pytest
 
 from degclass.criteria import (
+    CATALOG,
+    PER_PRIME,
     GroupData,
-    check_centre_class_sizes,
-    check_central_sylow_centres_pi,
-    check_chm,
-    check_complement_commutator_by_u,
-    check_cossey_hawkes,
-    check_direct_product_by_s,
-    check_direct_product_by_u,
-    check_direct_product_necessity,
-    check_direct_product_with_commuting,
-    check_huppert,
-    check_isaacs,
-    check_isaacs_pi,
-    check_ito_michler,
-    check_k_infty_product,
-    check_pi_divisibilities,
-    check_s_part_bound,
-    check_u_part_bounds,
+    evaluate,
     run_all_criteria,
 )
 from degclass.families import standard_group
@@ -79,10 +65,21 @@ def test_group_data_computes_classes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def only(verdicts, criterion):
-    matches = [v for v in verdicts if v.criterion == criterion]
-    assert len(matches) == 1, f"{criterion}: {len(matches)} matches"
-    return matches[0]
+def test_group_data_memoizes_oracles_looked_up_at_call_time(monkeypatch):
+    from degclass import structure
+
+    data = data_for("symmetric", 4)
+    calls = []
+    original = structure.sylow_subgroup
+
+    def counted(g, p):
+        calls.append(p)
+        return original(g, p)
+
+    monkeypatch.setattr(structure, "sylow_subgroup", counted)
+    assert data.sylow(2).order == 8 and data.sylow(2).order == 8
+    assert data.sylow(3).order == 3
+    assert calls == [2, 3]
 
 
 def sides(verdict):
@@ -93,11 +90,11 @@ def sides(verdict):
 
 
 def test_ito_michler(hol7, s3, c6):
-    v = only(check_ito_michler(hol7, (7,)), "ito_michler")
+    v = evaluate(hol7, "ito_michler", (7,))
     assert sides(v) == (True, True) and v.agrees
-    v = only(check_ito_michler(s3, (2,)), "ito_michler")
+    v = evaluate(s3, "ito_michler", (2,))
     assert sides(v) == (False, False) and v.agrees
-    v = only(check_ito_michler(c6, (2, 3)), "ito_michler")
+    v = evaluate(c6, "ito_michler", (2, 3))
     assert sides(v) == (True, True) and v.agrees
 
 
@@ -105,20 +102,18 @@ def test_ito_michler(hol7, s3, c6):
 
 
 def test_isaacs_s3(s3):
-    verdicts = check_isaacs(s3, 2)
-    div = only(verdicts, "isaacs_divisibility")
+    div = evaluate(s3, "isaacs_divisibility", (2,))
     assert div.agrees  # |G:G'|_2 = 2 divides u_2'(S3) = 2
-    eq = only(verdicts, "isaacs_p_nilpotent")
+    eq = evaluate(s3, "isaacs_p_nilpotent", (2,))
     assert sides(eq) == (True, True) and eq.agrees  # A3 is the normal 2-complement
 
-    verdicts = check_isaacs(s3, 3)
-    eq = only(verdicts, "isaacs_p_nilpotent")
+    eq = evaluate(s3, "isaacs_p_nilpotent", (3,))
     # u_3'(S3) = 6, 6_3 = 3 != 1 = |G:G'|_3; no normal subgroup of order 2
     assert sides(eq) == (False, False) and eq.agrees
 
 
 def test_isaacs_holomorph(hol7):
-    eq = only(check_isaacs(hol7, 7), "isaacs_p_nilpotent")
+    eq = evaluate(hol7, "isaacs_p_nilpotent", (7,))
     # u_7'(G) = 42, 42_7 = 7 != 1; no normal 7-complement
     assert sides(eq) == (False, False) and eq.agrees
     nums = dict(eq.invariant_side.numbers)
@@ -127,30 +122,28 @@ def test_isaacs_holomorph(hol7):
 
 def test_isaacs_requires_dividing_prime(s3):
     with pytest.raises(ValueError, match="does not divide"):
-        check_isaacs(s3, 5)
+        evaluate(s3, "isaacs_p_nilpotent", (5,))
 
 
 # --- Cossey-Hawkes ------------------------------------------------------------
 
 
 def test_cossey_hawkes_a4(a4):
-    verdicts = check_cossey_hawkes(a4, 3)
-    ident = only(verdicts, "cossey_hawkes_residual_index")
+    ident = evaluate(a4, "cossey_hawkes_residual_index", (3,))
     assert ident.agrees
     assert dict(ident.invariant_side.numbers) == {"u_p_p": 3, "residual_index": 3}
-    eq = only(verdicts, "cossey_hawkes_p_nilpotent")
+    eq = evaluate(a4, "cossey_hawkes_p_nilpotent", (3,))
     assert sides(eq) == (True, True) and eq.agrees  # V4 is the normal 3-complement
 
-    verdicts = check_cossey_hawkes(a4, 2)
-    ident = only(verdicts, "cossey_hawkes_residual_index")
+    ident = evaluate(a4, "cossey_hawkes_residual_index", (2,))
     assert ident.agrees
     assert dict(ident.invariant_side.numbers) == {"u_p_p": 1, "residual_index": 1}
-    eq = only(verdicts, "cossey_hawkes_p_nilpotent")
+    eq = evaluate(a4, "cossey_hawkes_p_nilpotent", (2,))
     assert sides(eq) == (False, False) and eq.agrees
 
 
 def test_cossey_hawkes_s3(s3):
-    eq = only(check_cossey_hawkes(s3, 2), "cossey_hawkes_p_nilpotent")
+    eq = evaluate(s3, "cossey_hawkes_p_nilpotent", (2,))
     assert sides(eq) == (True, True) and eq.agrees
 
 
@@ -158,12 +151,12 @@ def test_cossey_hawkes_s3(s3):
 
 
 def test_k_infty_product(a4, s3, c6):
-    v = only(check_k_infty_product(a4), "nilpotent_residual_index_product")
+    v = evaluate(a4, "nilpotent_residual_index_product")
     assert v.agrees
     assert dict(v.invariant_side.numbers) == {"u_part_product": 3, "residual_index": 3}
-    v = only(check_k_infty_product(s3), "nilpotent_residual_index_product")
+    v = evaluate(s3, "nilpotent_residual_index_product")
     assert dict(v.invariant_side.numbers) == {"u_part_product": 2, "residual_index": 2}
-    v = only(check_k_infty_product(c6), "nilpotent_residual_index_product")
+    v = evaluate(c6, "nilpotent_residual_index_product")
     assert dict(v.invariant_side.numbers) == {"u_part_product": 6, "residual_index": 6}
 
 
@@ -171,20 +164,20 @@ def test_k_infty_product(a4, s3, c6):
 
 
 def test_direct_product_by_u(c6, s3, hol7):
-    v = only(check_direct_product_by_u(c6, 2), "direct_product_by_u_pprime")
+    v = evaluate(c6, "direct_product_by_u_pprime", (2,))
     assert sides(v) == (True, True) and v.agrees  # 6 = 3 * 2
-    v = only(check_direct_product_by_u(s3, 2), "direct_product_by_u_pprime")
+    v = evaluate(s3, "direct_product_by_u_pprime", (2,))
     assert sides(v) == (False, False) and v.agrees  # u_2' = 2 != 6
-    v = only(check_direct_product_by_u(hol7, 7), "direct_product_by_u_pprime")
+    v = evaluate(hol7, "direct_product_by_u_pprime", (7,))
     assert sides(v) == (False, False) and v.agrees  # 42 != 6 * 1
 
 
 def test_direct_product_by_s(q8, s3, c6):
-    v = only(check_direct_product_by_s(q8, 2), "direct_product_by_s_pprime")
+    v = evaluate(q8, "direct_product_by_s_pprime", (2,))
     assert sides(v) == (True, True) and v.agrees  # 2 = 1 * 2
-    v = only(check_direct_product_by_s(s3, 2), "direct_product_by_s_pprime")
+    v = evaluate(s3, "direct_product_by_s_pprime", (2,))
     assert sides(v) == (False, False) and v.agrees  # 4 != 3 * 1
-    v = only(check_direct_product_by_s(c6, 2), "direct_product_by_s_pprime")
+    v = evaluate(c6, "direct_product_by_s_pprime", (2,))
     assert sides(v) == (True, True) and v.agrees  # 6 = 3 * 2
 
 
@@ -192,16 +185,16 @@ def test_direct_product_by_s(q8, s3, c6):
 
 
 def test_complement_commutator(hol7, a4, q8c3):
-    v = only(check_complement_commutator_by_u(hol7, 2), "complement_commutator_by_u_p")
+    v = evaluate(hol7, "complement_commutator_by_u_p", (2,))
     assert sides(v) == (True, True) and v.agrees  # u_2 = 6 = 2*3; [N,G] = N' = C7
     nums = dict(v.structure_side.numbers)
     assert nums["complement_order"] == 21
     assert nums["commutator_with_group"] == 7 == nums["complement_derived"]
 
-    v = only(check_complement_commutator_by_u(a4, 3), "complement_commutator_by_u_p")
+    v = evaluate(a4, "complement_commutator_by_u_p", (3,))
     assert sides(v) == (False, False) and v.agrees  # [V4, A4] = V4 != 1 = N'
 
-    v = only(check_complement_commutator_by_u(q8c3, 2), "complement_commutator_by_u_p")
+    v = evaluate(q8c3, "complement_commutator_by_u_p", (2,))
     assert sides(v) == (True, True) and v.agrees  # N = C3 central, [N,G] = 1 = N'
 
 
@@ -209,19 +202,19 @@ def test_complement_commutator(hol7, a4, q8c3):
 
 
 def test_direct_product_with_commuting(q8c3, hol7, a4):
-    v = only(check_direct_product_with_commuting(q8c3, 2), "direct_product_by_u_p_commuting")
+    v = evaluate(q8c3, "direct_product_by_u_p_commuting", (2,))
     assert v.invariant_side.holds and v.structure_side.holds and v.agrees
 
     # Hol(C7) at p = 2: the u_2 condition holds but 3- and 7-elements do not
     # commute, so the hypothesis fails and the implication is vacuous
-    v = only(check_direct_product_with_commuting(hol7, 2), "direct_product_by_u_p_commuting")
+    v = evaluate(hol7, "direct_product_by_u_p_commuting", (2,))
     assert not v.invariant_side.holds
     assert dict(v.invariant_side.numbers)["u_condition"] == 1
     assert dict(v.invariant_side.numbers)["qr_commute"] == 0
     assert v.agrees
 
     # u_p condition fails: vacuously true
-    v = only(check_direct_product_with_commuting(a4, 2), "direct_product_by_u_p_commuting")
+    v = evaluate(a4, "direct_product_by_u_p_commuting", (2,))
     assert not v.invariant_side.holds and v.agrees
 
 
@@ -229,25 +222,25 @@ def test_direct_product_with_commuting(q8c3, hol7, a4):
 
 
 def test_u_part_bounds(s3, a4, c6):
-    verdicts = check_u_part_bounds(s3, 2)
-    a = only(verdicts, "u_pprime_part_bound")
+    a = evaluate(s3, "u_pprime_part_bound", (2,))
     assert a.invariant_side.holds and a.structure_side.holds and a.agrees  # 1 <= 3
-    b = only(verdicts, "u_p_part_divisibility")
+    b = evaluate(s3, "u_p_part_divisibility", (2,))
     assert b.invariant_side.holds and b.structure_side.holds and b.agrees  # 1 | 3
 
-    b = only(check_u_part_bounds(a4, 3), "u_p_part_divisibility")
+    b = evaluate(a4, "u_p_part_divisibility", (3,))
     assert b.invariant_side.holds and b.structure_side.holds and b.agrees  # 1 | 4
 
-    for v in check_u_part_bounds(c6, 2):
+    for criterion in ("u_pprime_part_bound", "u_p_part_divisibility"):
+        v = evaluate(c6, criterion, (2,))
         assert v.invariant_side.holds and v.structure_side.holds and v.agrees
 
 
 def test_s_part_bound(q8, c6, s3):
-    v = only(check_s_part_bound(q8, 2), "s_pprime_part_bound")
+    v = evaluate(q8, "s_pprime_part_bound", (2,))
     assert v.invariant_side.holds and v.structure_side.holds and v.agrees  # 2 <= 1*2
-    v = only(check_s_part_bound(c6, 2), "s_pprime_part_bound")
+    v = evaluate(c6, "s_pprime_part_bound", (2,))
     assert v.invariant_side.holds and v.structure_side.holds and v.agrees  # 6 <= 3*2
-    v = only(check_s_part_bound(s3, 2), "s_pprime_part_bound")
+    v = evaluate(s3, "s_pprime_part_bound", (2,))
     assert not v.invariant_side.holds and v.agrees  # hypothesis fails: 4_2 != 1
 
 
@@ -255,13 +248,13 @@ def test_s_part_bound(q8, c6, s3):
 
 
 def test_huppert(q8, c6, q8c3):
-    v = only(check_huppert(q8, (2,)), "huppert_central_hall")
+    v = evaluate(q8, "huppert_central_hall", (2,))
     assert sides(v) == (False, False) and v.agrees and not v.experimental
-    v = only(check_huppert(c6, (2,)), "huppert_central_hall")
+    v = evaluate(c6, "huppert_central_hall", (2,))
     assert sides(v) == (True, True) and v.agrees
-    v = only(check_huppert(q8c3, (3,)), "huppert_central_hall")
+    v = evaluate(q8c3, "huppert_central_hall", (3,))
     assert sides(v) == (True, True) and v.agrees  # sizes 1, 2 are all 3'-numbers
-    v = only(check_huppert(q8c3, (2, 3)), "huppert_central_hall")
+    v = evaluate(q8c3, "huppert_central_hall", (2, 3))
     assert v.experimental
 
 
@@ -269,21 +262,18 @@ def test_huppert(q8, c6, q8c3):
 
 
 def test_chm(s3, a4, q8):
-    verdicts = check_chm(s3, 2)
-    ident = only(verdicts, "chm_hypercentre_part")
+    ident = evaluate(s3, "chm_hypercentre_part", (2,))
     assert ident.agrees
     assert dict(ident.invariant_side.numbers) == {"s_p_p": 1, "hypercentre_p": 1}
-    part = only(verdicts, "chm_direct_product_part")
+    part = evaluate(s3, "chm_direct_product_part", (2,))
     assert sides(part) == (False, False) and part.agrees  # |S_2|_2 = 1 != 2
 
-    verdicts = check_chm(a4, 2)
-    ident = only(verdicts, "chm_hypercentre_part")
+    ident = evaluate(a4, "chm_hypercentre_part", (2,))
     assert dict(ident.invariant_side.numbers) == {"s_p_p": 1, "hypercentre_p": 1}  # |S_2| = 9
 
-    verdicts = check_chm(q8, 2)
-    part = only(verdicts, "chm_direct_product_part")
+    part = evaluate(q8, "chm_direct_product_part", (2,))
     assert sides(part) == (True, True) and part.agrees  # p-group: trivially direct
-    full = only(verdicts, "chm_direct_product_full")
+    full = evaluate(q8, "chm_direct_product_full", (2,))
     assert sides(full) == (True, True) and full.agrees  # 8 = 8 * 1
 
 
@@ -291,18 +281,16 @@ def test_chm(s3, a4, q8):
 
 
 def test_centre_class_sizes(s3, a4, q8):
-    verdicts = check_centre_class_sizes(s3, 2)
-    assert only(verdicts, "centre_divides_s_pprime").agrees  # 1 divides 4
-    strong = only(verdicts, "centralizer_of_residual_divides_s_pprime")
+    assert evaluate(s3, "centre_divides_s_pprime", (2,)).agrees  # 1 divides 4
+    strong = evaluate(s3, "centralizer_of_residual_divides_s_pprime", (2,))
     assert strong.agrees
-    eq = only(verdicts, "central_sylow_centre_by_s_pprime")
+    eq = evaluate(s3, "central_sylow_centre_by_s_pprime", (2,))
     assert sides(eq) == (False, False) and eq.agrees  # 4_2 = 4 != 1; Z(P) not central
 
-    eq = only(check_centre_class_sizes(a4, 3), "central_sylow_centre_by_s_pprime")
+    eq = evaluate(a4, "central_sylow_centre_by_s_pprime", (3,))
     assert sides(eq) == (False, False) and eq.agrees  # 9_3 = 9 != 1
 
-    verdicts = check_centre_class_sizes(q8, 2)
-    eq = only(verdicts, "central_sylow_centre_by_s_pprime")
+    eq = evaluate(q8, "central_sylow_centre_by_s_pprime", (2,))
     assert sides(eq) == (True, True) and eq.agrees  # Z(Q8) = Z(P)
     assert dict(eq.invariant_side.numbers) == {"s_p_prime_p": 2, "w1_p": 2}
 
@@ -310,12 +298,16 @@ def test_centre_class_sizes(s3, a4, q8):
 # --- pi-necessity -----------------------------------------------------------------
 
 
+NECESSITY = ("direct_product_necessity_u", "direct_product_necessity_s")
+PI_DIVISIBILITIES = ("index_pi_divides_u_piprime", "centre_divides_s_piprime")
+
+
 def test_direct_product_necessity(c6, q8c3, s3):
-    for v in check_direct_product_necessity(c6, (2,)):
+    for v in (evaluate(c6, criterion, (2,)) for criterion in NECESSITY):
         assert v.invariant_side.holds and v.structure_side.holds and v.agrees
-    for v in check_direct_product_necessity(q8c3, (2,)):
+    for v in (evaluate(q8c3, criterion, (2,)) for criterion in NECESSITY):
         assert v.invariant_side.holds and v.structure_side.holds and v.agrees
-    for v in check_direct_product_necessity(s3, (2,)):
+    for v in (evaluate(s3, criterion, (2,)) for criterion in NECESSITY):
         assert not v.invariant_side.holds and v.agrees  # vacuous
 
 
@@ -324,8 +316,8 @@ def test_direct_product_necessity(c6, q8c3, s3):
 
 def test_pi_divisibilities(hol7):
     for pi in ((), (2,), (7,), (2, 3), (3, 7)):
-        for v in check_pi_divisibilities(hol7, pi):
-            assert v.agrees
+        for criterion in PI_DIVISIBILITIES:
+            assert evaluate(hol7, criterion, pi).agrees
 
 
 # --- experimental pi versions --------------------------------------------------
@@ -336,18 +328,18 @@ def test_isaacs_pi_experimental_disagreement(hol7):
     # structure side: the 3-elements do not form a subgroup, so no normal
     # Hall {3}-subgroup exists.  The p-version equivalence genuinely fails
     # to generalize, exactly as the class-size remark anticipates.
-    v = only(check_isaacs_pi(hol7, (2, 7)), "isaacs_pi_nilpotent")
+    v = evaluate(hol7, "isaacs_pi_nilpotent", (2, 7))
     assert v.experimental
     assert sides(v) == (True, False)
     assert not v.agrees
 
     # while for pi = {2,3} the experiment happens to agree
-    v = only(check_isaacs_pi(hol7, (2, 3)), "isaacs_pi_nilpotent")
+    v = evaluate(hol7, "isaacs_pi_nilpotent", (2, 3))
     assert sides(v) == (True, True) and v.agrees
 
 
 def test_central_sylow_centres_pi_is_experimental(s3):
-    v = only(check_central_sylow_centres_pi(s3, (2, 3)), "central_sylow_centres_by_s_piprime")
+    v = evaluate(s3, "central_sylow_centres_by_s_piprime", (2, 3))
     assert v.experimental
     assert sides(v) == (True, False) and not v.agrees
 
@@ -408,3 +400,26 @@ def test_group_safe_to_share_across_threads():
         results = list(pool.map(lambda _: run_all_criteria(GroupData(g, "S4"), "S4"), range(4)))
     for verdicts in results:
         assert verdicts == serial
+
+
+# --- the catalog -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("criterion", [row.id for row in CATALOG if row.scope == PER_PRIME])
+def test_per_prime_rows_require_dividing_prime(s3, criterion):
+    with pytest.raises(ValueError, match="does not divide"):
+        evaluate(s3, criterion, (5,))
+    with pytest.raises(ValueError, match="takes one prime"):
+        evaluate(s3, criterion, (2, 3))
+
+
+def test_catalog_matches_builtin_report(builtin_report):
+    kinds = {
+        v["criterion"]: v["kind"]
+        for block in builtin_report.document["groups"]
+        for v in block.get("verdicts", [])
+    }
+    assert set(kinds) == {row.id for row in CATALOG}
+    assert len(CATALOG) == 26
+    for row in CATALOG:
+        assert kinds[row.id] == row.kind

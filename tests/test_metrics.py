@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from degclass.arith import primes_of
+from degclass.arith import pi_sets, primes_of
 from degclass.chardeg import character_degrees
 from degclass.families import standard_group
 from degclass.metrics import (
@@ -45,6 +45,21 @@ def test_pi_times_complement_is_n():
             for pi in itertools.combinations(ps, size):
                 comp = pi_complement(pi, n)
                 assert pi_part(n, pi) * pi_part(n, comp) == n
+
+
+def test_pi_sets_by_size_then_lexicographic():
+    assert pi_sets((2, 3, 5), 2) == [(), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5)]
+    assert pi_sets((5, 2, 3), 1) == [(), (2,), (3,), (5,)]
+    assert pi_sets((2, 3, 5), 0) == [()]
+    assert pi_sets((), 0) == [()]
+    assert pi_sets((2, 3), 7) == [(), (2,), (3,), (2, 3)]
+
+
+def test_pi_sets_rejects_negative_bound():
+    with pytest.raises(ValueError, match=">= 0"):
+        pi_sets((2, 3), -1)
+    with pytest.raises(ValueError, match=">= 0"):
+        pi_sets((), -1)
 
 
 @given(st.integers(1, 10**6), st.integers(1, 10**6), st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])))

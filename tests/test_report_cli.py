@@ -3,10 +3,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import degclass.group
 from degclass.cli import main
 from degclass.corpus import parse_corpus
-from degclass.report import Report, run_report
+from degclass.criteria import CATALOG
+from degclass.report import Report, ReportOptions, run_report
 
 S8_STANZA = """\
 group S8
@@ -212,6 +215,28 @@ def test_cli_pi_bound_flag(capsys):
     for block in doc["groups"]:
         for v in block["verdicts"]:
             assert len(v["primes"]) <= 1 or v["criterion"] == "nilpotent_residual_index_product"
+
+
+@pytest.mark.parametrize("command", [["verify", "--builtin"], ["invariants", "--group", "S3"]])
+def test_cli_rejects_negative_pi_bound(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--pi-bound", "-1"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_report_rejects_negative_pi_bound(corpus):
+    with pytest.raises(ValueError, match=">= 0"):
+        run_report(corpus[:1], ReportOptions(pi_bound=-1))
+
+
+def test_cli_criteria_lists_each_row_once(capsys):
+    assert main(["criteria"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ids = [line.split()[0] for line in lines[1:]]
+    assert ids == [row.id for row in CATALOG]
+    for line, row in zip(lines[1:], CATALOG):
+        assert row.kind in line and row.scope in line and line.endswith(row.statement)
 
 
 def test_verify_byte_identical_across_processes(tmp_path):
