@@ -16,10 +16,15 @@ the group exponent e and l > 2*sqrt(|G|):
    eigenvalues, and C^-1, which writes every K_j as a polynomial in K;
    evaluating those polynomials at the roots (one Vandermonde product)
    gives every common eigenvector at once, in O(r^3).  When no class sum
-   generates, the full space is refined into the common one-dimensional
-   eigenspaces, one nullspace per eigenvalue, taking the class matrices
-   with the longest chains first (class order breaks ties).  Both are
-   deterministic: no random linear combinations;
+   generates (always when r > l), the identity is split into the
+   primitive idempotents of the algebra instead: each class sum, longest
+   chain first (class order breaks ties), multiplies every idempotent
+   found so far by its Lagrange idempotents E_lambda = prod over mu !=
+   lambda of (K - mu) / (lambda - mu), and the nonzero products are the
+   next idempotents.  A primitive idempotent e gives the central character
+   w_j = |K_j| * e_{j*} / e_0.  Both paths read the class matrices through a
+   sparse action on the coefficients and are deterministic: no random
+   linear combinations;
 3. each common eigenvector, normalized to 1 at the identity class, is the
    row of central-character values w_j = |K_j| * chi(g_j) / chi(1) mod l;
    every row is checked against all coefficients,
@@ -35,6 +40,7 @@ are kept; the character values are internal scaffolding and are discarded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +65,10 @@ SQRT_SCAN_LIMIT = 10**4
 #: the coefficient check handles this many (character, coefficient) cells at
 #: a time, so no array of r * nnz cells is ever built
 CHECK_BLOCK_CELLS = 1 << 13
+
+#: the sparse class action and the idempotent split handle this many cells at
+#: a time, so no array of r * nnz_g or r^3 cells is ever built
+SPLIT_BLOCK_CELLS = 1 << 16
 
 
 class DixonPrimeSearchError(RuntimeError):
@@ -111,13 +121,50 @@ class ClassAlgebraData:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The coefficients as arrays (i, j, k, value) sorted by (i, j, k),
         plus ``start`` with the entries of class i at start[i]:start[i + 1]."""
+        # one array of n codes (i * r + j) * r + k is sorted and split in place
+        r, n = self.class_count, len(self.coefficients)
+        keys = np.fromiter(itertools.chain.from_iterable(self.coefficients), np.int64, 3 * n)
+        code = keys.reshape(n, 3) @ np.array([r * r, r, 1])
+        del keys
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        values = np.fromiter(self.coefficients.values(), np.int64, n)[order]
+        del order
+        k = code % r
+        code //= r
+        j = code % r
+        code //= r
+        return code, j, k, values, np.searchsorted(code, np.arange(r + 1))
+
+    @cached_property
+    def actions(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per class g, its coefficients grouped by k for ``act``: (j, value,
+        ks, starts) sorted by (k, j), the entries of column ks[t] of the class
+        matrix at starts[t]:starts[t + 1]."""
         r = self.class_count
-        keys = np.array(list(self.coefficients), dtype=np.int64).reshape(-1, 3)
-        values = np.array(list(self.coefficients.values()), dtype=np.int64)
-        order = np.argsort((keys[:, 0] * r + keys[:, 1]) * r + keys[:, 2], kind="stable")
-        i, j, k = keys[order].T
-        start = np.searchsorted(i, np.arange(r + 1))
-        return i, j, k, values[order], start
+        i, j, k, values, start = self.arrays
+        order = np.argsort((i * r + k) * r + j, kind="stable")
+        # i leads both orders, so the class slices keep their bounds
+        j, k, values = j[order], k[order], values[order]
+        first = np.flatnonzero(np.r_[True, (i[1:] != i[:-1]) | (k[1:] != k[:-1])])
+        bounds = np.searchsorted(first, start)
+        return [
+            (j[lo:hi], values[lo:hi], k[first[a:b]], first[a:b] - lo)
+            for lo, hi, a, b in zip(start[:-1], start[1:], bounds[:-1], bounds[1:])
+        ]
+
+    def act(self, g: int, x: np.ndarray, ell: int) -> np.ndarray:
+        """x @ M_g mod ell for rows x reduced mod ell: row t of the result is
+        the coordinate row of (row t of x) * K_g.  Costs len(x) * nnz_g cells,
+        a block of rows at a time; each sum has at most r terms below ell^2."""
+        j, values, ks, starts = self.actions[g]
+        values = values % ell
+        out = np.zeros_like(x)
+        step = max(1, SPLIT_BLOCK_CELLS // max(1, len(j)))
+        for lo in range(0, len(x), step):
+            block = x[lo : lo + step, j] * values
+            out[lo : lo + step, ks] = np.add.reduceat(block, starts, axis=1) % ell
+        return out
 
     def matrix(self, i: int) -> np.ndarray:
         r = self.class_count
@@ -208,11 +255,11 @@ def sqrt_mod(a: int, p: int) -> int:
 
 def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> list[np.ndarray]:
     """Central-character vectors over GF(ell), sorted: from one generating
-    class sum when there is one, else by eigenspace refinement."""
+    class sum when there is one, else by idempotent refinement."""
     r = data.class_count
     lengths = []
     for g in range(r):
-        powers, dependent = _identity_chain(data.matrix(g) % ell, ell)
+        powers, dependent = _identity_chain(data, g, ell)
         if len(powers) == r:
             vectors = _split_by_generator(powers, dependent, ell)
             break
@@ -222,16 +269,15 @@ def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> list[np.ndar
     return sorted(vectors, key=lambda v: tuple(int(x) for x in v))
 
 
-def _identity_chain(m: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Krylov chain 1, K, K^2, ... of the class sum K with class matrix m.
+def _identity_chain(data: ClassAlgebraData, g: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Krylov chain 1, K, K^2, ... of the class sum K = K_g.
 
     Returns the independent powers as rows (their number is the number of
     distinct eigenvalues of K) and the first power that depends on them.
     Each power is reduced against the earlier ones, kept in reduced echelon
-    form, so testing it costs one vector-matrix product.
+    form, so testing it costs one sparse action and one vector-matrix product.
     """
-    r = m.shape[0]
-    mt = np.ascontiguousarray(m.T)
+    r = data.class_count
     echelon = np.zeros((r, r), dtype=np.int64)
     pivots: list[int] = []
     powers = []
@@ -249,7 +295,7 @@ def _identity_chain(m: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
         echelon[k] = rest
         pivots.append(c)
         powers.append(x)
-        x = mt @ x % ell
+        x = data.act(g, x[None], ell)[0]
 
 
 def _split_by_generator(powers: np.ndarray, dependent: np.ndarray, ell: int) -> list[np.ndarray]:
@@ -281,63 +327,81 @@ def _split_by_generator(powers: np.ndarray, dependent: np.ndarray, ell: int) -> 
     return list(vandermonde @ inverse % ell)
 
 
+def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray:
+    """L with E_lambda = sum_t L[t, lambda] K^t, the Lagrange idempotents of
+    the class sum K whose identity chain is (powers, dependent).
+
+    One elimination of [C | K^n] gives K's minimal polynomial f, which must
+    have n distinct roots in GF(ell).  Then E_lambda = f(K) / ((K - lambda)
+    * f'(lambda)); the quotients f / (x - lambda) come by synthetic division,
+    and L is the inverse of the Vandermonde matrix of the roots.
+    """
+    n = len(powers)
+    # the powers are independent and the dependent power lies in their span
+    reduced, _ = modmat.rref(np.concatenate([powers.T, dependent[:, None]], axis=1), ell)
+    f = [(-int(c)) % ell for c in reduced[:n, n]] + [1]
+    roots = modmat.poly_roots(f, ell)
+    if len(roots) != n:
+        raise EigensplitError(
+            f"minimal polynomial of degree {n} of a class sum has {len(roots)} distinct roots in GF({ell})"
+        )
+    lam = np.array(roots, dtype=np.int64)
+    quotients = np.zeros((n, n), dtype=np.int64)
+    quotients[n - 1] = 1
+    for t in range(n - 1, 0, -1):
+        quotients[t - 1] = (f[t] + lam * quotients[t]) % ell
+    derivative = np.zeros(n, dtype=np.int64)
+    for t in range(n - 1, -1, -1):
+        derivative = (derivative * lam + quotients[t]) % ell
+    scale = np.array([modmat.inv_mod(int(d), ell) for d in derivative], dtype=np.int64)
+    return quotients * scale % ell
+
+
 def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> list[np.ndarray]:
-    """Common one-dimensional eigenspaces, refining by the class matrices in ``order``."""
+    """Central characters from the primitive idempotents of the class algebra
+    over GF(ell), refining by the class sums in ``order``.
+
+    ``rows`` holds orthogonal idempotents summing to 1, as coordinate rows
+    over the class sums, starting from the identity.  A class sum K replaces
+    each row e by the nonzero rows e * E_lambda over its Lagrange idempotents.
+    Afterwards e * K = lambda * e, so once every class sum is used each row
+    spans a one-dimensional ideal: one pass suffices, and it stops at r rows.
+    """
     r = data.class_count
-    spaces: list[np.ndarray] = [np.eye(r, dtype=np.int64)]
-
-    def split_all() -> bool:
-        return all(s.shape[1] == 1 for s in spaces)
-
-    # one full pass leaves every space inside a common eigenspace intersection,
-    # which is one-dimensional for a split semisimple class algebra; the second
-    # pass is purely defensive
-    for _ in range(2):
-        if split_all():
+    rows = np.zeros((1, r), dtype=np.int64)
+    rows[0, 0] = 1
+    for g in order:
+        if len(rows) >= r:
             break
-        for i in order:
-            if split_all():
-                break
-            m = data.matrix(i)
-            refined: list[np.ndarray] = []
-            for basis in spaces:
-                d = basis.shape[1]
-                if d == 1:
-                    refined.append(basis)
-                    continue
-                try:
-                    action = modmat.solve_right(basis, (m @ basis) % ell, ell)
-                except ValueError as exc:
-                    raise EigensplitError(f"subspace not invariant under class matrix {i}: {exc}")
-                eigs = modmat.eigenvalues(action, ell)
-                if len(eigs) <= 1:
-                    refined.append(basis)
-                    continue
-                total = 0
-                for lam in eigs:
-                    shifted = (action - lam * np.eye(d, dtype=np.int64)) % ell
-                    kernel = modmat.nullspace(shifted, ell)
-                    if kernel.shape[1] == 0:
-                        raise EigensplitError(f"eigenvalue {lam} of class matrix {i} has empty kernel")
-                    total += kernel.shape[1]
-                    refined.append((basis @ kernel) % ell)
-                if total != d:
-                    raise EigensplitError(
-                        f"class matrix {i} is not semisimple on a subspace: {total} != {d}"
-                    )
-            spaces = refined
-    if not split_all():
-        raise EigensplitError(f"refinement stalled with {len(spaces)} spaces for {r} classes")
-    if len(spaces) != r:
-        raise EigensplitError(f"found {len(spaces)} one-dimensional spaces, expected {r}")
+        powers, dependent = _identity_chain(data, g, ell)
+        n = len(powers)
+        if n == 1:  # a scalar splits nothing
+            continue
+        lagrange = _lagrange(powers, dependent, ell)
+        refined = []
+        step = max(1, SPLIT_BLOCK_CELLS // (n * r))
+        for lo in range(0, len(rows), step):
+            chain = [rows[lo : lo + step]]
+            for _ in range(n - 1):
+                chain.append(data.act(g, chain[-1], ell))
+            # each sum has n <= r terms below ell^2
+            split = (np.tensordot(lagrange.T, np.stack(chain), axes=1) % ell).reshape(-1, r)
+            refined.append(split[split.any(axis=1)])
+        rows = np.concatenate(refined)
+    if len(rows) < r:
+        raise EigensplitError(f"refinement stalled with {len(rows)} idempotents for {r} classes")
+    if len(rows) != r:
+        raise EigensplitError(f"found {len(rows)} primitive idempotents, expected {r}")
 
-    vectors = []
-    for s in spaces:
-        v = s[:, 0] % ell
-        if v[0] == 0:
-            raise EigensplitError("eigenvector vanishes at the identity class")
-        vectors.append(v * modmat.inv_mod(int(v[0]), ell) % ell)
-    return vectors
+    if not rows[:, 0].all():
+        raise EigensplitError("idempotent vanishes at the identity class")
+    # w_j = |K_j| * e_{j*} / e_0: a[j][i][0] is |K_j| for i = j* and 0 otherwise
+    i, j, k, values, _ = data.arrays
+    unit = k == 0
+    omega = np.zeros_like(rows)
+    omega[:, i[unit]] = rows[:, j[unit]] * (values[unit] % ell) % ell
+    inverse = np.array([modmat.inv_mod(int(e), ell) for e in rows[:, 0]], dtype=np.int64)
+    return list(omega * inverse[:, None] % ell)
 
 
 def _check_central_characters(data: ClassAlgebraData, vectors: list[np.ndarray], ell: int) -> None:

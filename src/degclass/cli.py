@@ -11,11 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import metrics
 from .arith import factorization, pi_sets
 from .corpus import CorpusError, GroupRecord, builtin_corpus, parse_corpus
 from .criteria import CATALOG, GroupData
 from .group import GroupTooLargeError
-from .metrics import s_pi_size, u_pi
 from .report import ReportOptions, run_report
 
 EXIT_OK = 0
@@ -73,7 +73,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     print(f"{'pi':<12} {'u_pi':>12} {'|S_pi|':>12}")
     for ps in pi_sets(data.primes, args.pi_bound):
         label = "{" + ",".join(str(p) for p in ps) + "}"
-        print(f"{label:<12} {u_pi(data.degree_frequency, ps):>12} {s_pi_size(data.classes, ps):>12}")
+        print(f"{label:<12} {metrics.u_pi(data.degree_frequency, ps):>12} {metrics.s_pi_size(data.classes, ps):>12}")
     return EXIT_OK
 
 

@@ -39,15 +39,8 @@ from typing import Callable, Iterable, Optional
 from .arith import PrimeSet, pi_sets, prime_set, primes_of
 from .chardeg import DegreeFrequency
 from .group import Group
-from .metrics import (
-    ClassSizeFrequency,
-    class_size_frequency,
-    pi_complement,
-    pi_part,
-    s_pi_size,
-    u_pi,
-)
-from . import chardeg, structure
+from .metrics import ClassSizeFrequency, class_size_frequency, pi_complement, pi_part
+from . import chardeg, metrics, structure
 from .structure import ConjugacyClassSet, Subgroup, conjugacy_classes
 
 EQUIVALENCE = "equivalence"
@@ -146,11 +139,11 @@ class GroupData:
 
     @_memoized
     def u(self, pi: PrimeSet) -> int:
-        return u_pi(self.degree_frequency, pi)
+        return metrics.u_pi(self.degree_frequency, pi)
 
     @_memoized
     def s(self, pi: PrimeSet) -> int:
-        return s_pi_size(self.classes, pi)
+        return metrics.s_pi_size(self.classes, pi)
 
     @_memoized
     def complement(self, pi: PrimeSet) -> PrimeSet:

@@ -1,5 +1,12 @@
 """Exact linear algebra over a prime field, on int64 numpy arrays.
 
+``chardeg`` uses ``rref`` and ``poly_roots``: one elimination of a Krylov
+chain gives a class sum's minimal polynomial, and a scan of the field its
+roots.  ``nullspace``, ``solve_right`` and ``minimal_polynomial`` (with the
+polynomial helpers it needs) have no caller in the package; they stay
+because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name,
+and ``tests/test_modmat.py`` checks them by definition.
+
 Nothing here bounds the modulus: a caller must keep n * p**2 < 2**63 for the
 n-term row sums of its matrix products (int64 would wrap silently), and
 ``poly_roots`` allocates an array of length p.  ``chardeg`` enforces this by
@@ -196,7 +203,3 @@ def minimal_polynomial(a: np.ndarray, p: int) -> Poly:
                 break
     return m
 
-
-def eigenvalues(a: np.ndarray, p: int) -> list[int]:
-    """Sorted eigenvalues of A in GF(p) (roots of the minimal polynomial)."""
-    return sorted(poly_roots(minimal_polynomial(a, p), p))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from degclass import chardeg
+from degclass import chardeg, modmat
 from degclass.chardeg import (
+    ClassAlgebraData,
     DegreeFrequency,
     DixonPrimeSearchError,
     EigensplitError,
@@ -312,6 +313,53 @@ def test_c200_splits_within_seconds():
     assert perf_counter() - start < 10
 
 
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_elementary_abelian_refines_within_seconds(p, n):
+    # 256 and 243 classes, more than the dixon prime 37
+    start = perf_counter()
+    assert character_degrees(_elementary_abelian(p, n)).as_dict() == {1: p**n}
+    assert perf_counter() - start < 10
+
+
+def test_refinement_with_more_classes_than_the_prime():
+    g = direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3))
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    assert len(cs) == 40 > data.dixon_prime == 17
+    primes = admissible_primes(g.order, data.exponent)
+    first, second = (degrees_from_class_algebra(g, cs, data, dixon_prime=next(primes)) for _ in range(2))
+    assert first.as_dict() == {1: 32, 2: 8}
+    assert first == second
+
+
+@pytest.mark.parametrize("square", [2, 0])
+def test_class_sum_whose_minimal_polynomial_does_not_split_is_rejected(square):
+    # K_1^2 = square * 1: x^2 - 2 has no root in GF(5), x^2 a double one
+    coefficients = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    if square:
+        coefficients[(1, 1, 0)] = square
+    fake = ClassAlgebraData(class_count=2, coefficients=coefficients, exponent=1, dixon_prime=5)
+    with pytest.raises(EigensplitError, match="distinct roots"):
+        chardeg._refine(fake, 5, [1, 0])
+
+
+def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
+    g = _elementary_abelian(2, 7)
+    data = class_algebra(g, conjugacy_classes(g))
+    called = []
+
+    def spy(name):
+        return lambda *args, **kwargs: called.append(name)
+
+    monkeypatch.setattr(ClassAlgebraData, "matrix", spy("matrix"))
+    for name in ("nullspace", "solve_right", "minimal_polynomial"):
+        monkeypatch.setattr(modmat, name, spy(name))
+    vectors = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
+    chardeg._check_central_characters(data, vectors, data.dixon_prime)
+    assert character_degrees(g).as_dict() == {1: 128}
+    assert called == []
+
+
 def test_non_central_vector_is_rejected():
     g = standard_group("symmetric", 3)
     data = class_algebra(g, conjugacy_classes(g))
@@ -329,6 +377,17 @@ def test_class_matrix_matches_coefficients():
     for i in range(r):
         want = [[data.coefficient(i, j, k) for k in range(r)] for j in range(r)]
         assert data.matrix(i).tolist() == want
+
+
+@pytest.mark.parametrize("block", [chardeg.SPLIT_BLOCK_CELLS, 7])
+def test_sparse_action_matches_class_matrix(monkeypatch, block):
+    monkeypatch.setattr(chardeg, "SPLIT_BLOCK_CELLS", block)
+    g = standard_group("symmetric", 4)
+    data = class_algebra(g, conjugacy_classes(g))
+    ell = data.dixon_prime
+    x = np.random.default_rng(0).integers(0, ell, (6, data.class_count))
+    for i in range(data.class_count):
+        assert np.array_equal(data.act(i, x, ell), x @ data.matrix(i) % ell)
 
 
 def test_degree_frequency_accessors():
