@@ -8,27 +8,37 @@ the group exponent e and l > 2*sqrt(|G|):
    y in class j);
 2. the r matrices M_i with (M_i)[j][k] = a[i][j][k] commute and are
    simultaneously diagonalizable over GF(l).  Following Dixon and
-   Schneider, the class sums K_0, K_1, ... are scanned in class order for
-   one that generates the algebra: its Krylov chain 1, K, K^2, ... (the
-   coordinates of K*x are M.T @ x) has r independent powers exactly when K
-   has r distinct eigenvalues.  Then one elimination of the Krylov matrix C
-   yields both the minimal polynomial of K, whose r roots are the
-   eigenvalues, and C^-1, which writes every K_j as a polynomial in K;
-   evaluating those polynomials at the roots (one Vandermonde product)
-   gives every common eigenvector at once, in O(r^3).  When no class sum
-   generates (always when r > l), the identity is split into the
-   primitive idempotents of the algebra instead: each class sum, longest
-   chain first (class order breaks ties), multiplies every idempotent
-   found so far by its Lagrange idempotents E_lambda = prod over mu !=
+   Schneider, the class sums of the group's generators are tried for one
+   that generates the algebra (only when r <= l: a class sum has at most l
+   eigenvalues in GF(l)): its Krylov chain 1, K, K^2, ... (the coordinates
+   of x*K are x @ M) has r independent powers exactly when K has r distinct
+   eigenvalues.  Then one elimination of the Krylov matrix C yields both the
+   minimal polynomial of K, whose r roots are the eigenvalues, and C^-1,
+   which writes every K_j as a polynomial in K; evaluating those
+   polynomials at the roots (one Vandermonde product) gives every common
+   eigenvector at once, in O(r^3).  When no generator's class sum
+   generates, the identity is split into the primitive idempotents of the
+   algebra instead: the class sums are visited generators' classes first,
+   then in class order, and one sparse action tells whether a class sum
+   acts as a scalar on every idempotent found so far; if not, it multiplies
+   each of them by its Lagrange idempotents E_lambda = prod over mu !=
    lambda of (K - mu) / (lambda - mu), and the nonzero products are the
    next idempotents.  A primitive idempotent e gives the central character
    w_j = |K_j| * e_{j*} / e_0.  Both paths read the class matrices through a
    sparse action on the coefficients and are deterministic: no random
    linear combinations;
-3. each common eigenvector, normalized to 1 at the identity class, is the
-   row of central-character values w_j = |K_j| * chi(g_j) / chi(1) mod l;
-   every row is checked against all coefficients,
-   w_i * w_j = sum_k a[i][j][k] * w_k;
+3. the vectors are certified on the set S of class sums the split used
+   (the generating one, or those that split an idempotent): there are r of
+   them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
+   every j, and no two agree on all of S.  The set A of elements a with
+   w(a * x) = w(a) * w(x) for all x is a subalgebra containing S, so each w
+   is multiplicative on the algebra generated by S; r distinct
+   homomorphisms there are linearly independent (Dedekind), so that algebra
+   is the whole class algebra and every w is a central character.  The
+   argument needs an associative table, which a table counted from a group
+   is; the coefficients themselves are checked against the counting
+   identities sum_j a[i][j][k] = |K_i| and a[i][j][0] = |K_i| exactly when
+   j = i*;
 4. chi(1)^2 = |G| * (sum_j w_j * w_{j*} / |K_j|)^(-1) mod l, and the degree
    is the unique square root in (0, sqrt(|G|)] - unique because
    l > 2*sqrt(|G|).
@@ -48,9 +58,10 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from . import group as groups
 from . import modmat
 from .arith import is_prime
-from .group import Group
+from .group import Group, GroupTooLargeError
 
 if TYPE_CHECKING:
     from .structure import ConjugacyClassSet
@@ -62,12 +73,9 @@ PRIME_SEARCH_FACTOR = 100
 #: below this modulus the modular square root is a plain scan
 SQRT_SCAN_LIMIT = 10**4
 
-#: the coefficient check handles this many (character, coefficient) cells at
-#: a time, so no array of r * nnz cells is ever built
-CHECK_BLOCK_CELLS = 1 << 13
-
-#: the sparse class action and the idempotent split handle this many cells at
-#: a time, so no array of r * nnz_g or r^3 cells is ever built
+#: the sparse class action, the idempotent split and the certificate handle
+#: this many cells at a time, so no array of r * nnz_g or r^3 cells is ever
+#: built
 SPLIT_BLOCK_CELLS = 1 << 16
 
 
@@ -113,6 +121,9 @@ class ClassAlgebraData:
     coefficients: dict[tuple[int, int, int], int]
     exponent: int
     dixon_prime: int
+    #: the classes of the group's generators in generator order, each once
+    #: and the identity class left out: the split tries these class sums first
+    generator_classes: tuple[int, ...] = ()
 
     def coefficient(self, i: int, j: int, k: int) -> int:
         return self.coefficients.get((i, j, k), 0)
@@ -197,14 +208,35 @@ def least_admissible_prime(order: int, exponent: int, bound: int | None = None) 
     return next(admissible_primes(order, exponent, bound))
 
 
+def _check_degree_budget(order: int, class_count: int) -> None:
+    """Raise GroupTooLargeError when the degree layer would outgrow the table
+    budget: the r x (2r + 1) int64 elimination of the generator path, or the
+    at most r * min(r^2, |G|) coefficients as int64 (for each class k, one
+    per (i, j) pair, and at most one pair per group element)."""
+    r = class_count
+    for what, cells in (
+        ("elimination block", r * (2 * r + 1)),
+        ("class algebra coefficients", r * min(r * r, order)),
+    ):
+        size = 8 * cells
+        if size > groups.TABLE_MAX_BYTES:
+            raise GroupTooLargeError(
+                f"group too large: the {what} of {r} classes needs {size} bytes, "
+                f"above the table budget of {groups.TABLE_MAX_BYTES}"
+            )
+
+
 def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraData:
     """Structure constants of the class algebra plus exponent and dixon prime.
 
     a[i][j][k] is computed by fixing the representative z_k of class k and,
     for every group element x (in class i), locating the class j of
-    x^-1 * z_k: one table gather per k, counted by (i, j) pair.
+    x^-1 * z_k: one table gather per k, counted by (i, j) pair.  Raises
+    GroupTooLargeError, before anything is allocated, when the degree layer
+    would exceed the table budget.
     """
     r = len(classes)
+    _check_degree_budget(group.order, r)
     coeff: dict[tuple[int, int, int], int] = {}
     reps = [group.index_of(c.representative) for c in classes.classes]
     class_of = np.array(classes.class_index, dtype=np.int64)
@@ -215,7 +247,11 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
             i, j = divmod(pair, r)
             coeff[(i, j, k)] = count
     exponent = math.lcm(*(group.element_order(x) for x in range(group.order)))
-    return ClassAlgebraData(r, coeff, exponent, least_admissible_prime(group.order, exponent))
+    generator_classes = dict.fromkeys(classes.class_index[x] for x in group.generator_indices)
+    generator_classes.pop(0, None)
+    return ClassAlgebraData(
+        r, coeff, exponent, least_admissible_prime(group.order, exponent), tuple(generator_classes)
+    )
 
 
 def sqrt_mod(a: int, p: int) -> int:
@@ -253,20 +289,23 @@ def sqrt_mod(a: int, p: int) -> int:
     return x
 
 
-def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> list[np.ndarray]:
-    """Central-character vectors over GF(ell), sorted: from one generating
-    class sum when there is one, else by idempotent refinement."""
+def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
+    """Central-character vectors over GF(ell) as the rows of an array, sorted,
+    and the class sums the split used: one generator's class sum when it has
+    r distinct eigenvalues, else the class sums that split an idempotent."""
     r = data.class_count
-    lengths = []
-    for g in range(r):
-        powers, dependent = _identity_chain(data, g, ell)
-        if len(powers) == r:
-            vectors = _split_by_generator(powers, dependent, ell)
-            break
-        lengths.append(len(powers))
-    else:
-        vectors = _refine(data, ell, sorted(range(r), key=lambda i: (-lengths[i], i)))
-    return sorted(vectors, key=lambda v: tuple(int(x) for x in v))
+    first = data.generator_classes
+    vectors, used = None, []
+    if r <= ell:  # a class sum has at most ell eigenvalues in GF(ell)
+        for g in first:
+            powers, dependent = _identity_chain(data, g, ell)
+            if len(powers) == r:
+                vectors, used = _split_by_generator(powers, dependent, ell), [g]
+                break
+    if vectors is None:
+        tried = set(first)
+        vectors, used = _refine(data, ell, [*first, *(g for g in range(1, r) if g not in tried)])
+    return vectors[np.lexsort(vectors.T[::-1])], used
 
 
 def _identity_chain(data: ClassAlgebraData, g: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +363,7 @@ def _split_by_generator(powers: np.ndarray, dependent: np.ndarray, ell: int) -> 
     lam = np.array(roots, dtype=np.int64)
     for t in range(1, r):
         vandermonde[:, t] = vandermonde[:, t - 1] * lam % ell
-    return list(vandermonde @ inverse % ell)
+    return vandermonde @ inverse % ell
 
 
 def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray:
@@ -357,37 +396,44 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
     return quotients * scale % ell
 
 
-def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> list[np.ndarray]:
+def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
     """Central characters from the primitive idempotents of the class algebra
-    over GF(ell), refining by the class sums in ``order``.
+    over GF(ell), refining by the class sums in ``order``; also returns the
+    class sums that split an idempotent.
 
     ``rows`` holds orthogonal idempotents summing to 1, as coordinate rows
-    over the class sums, starting from the identity.  A class sum K replaces
-    each row e by the nonzero rows e * E_lambda over its Lagrange idempotents.
-    Afterwards e * K = lambda * e, so once every class sum is used each row
-    spans a one-dimensional ideal: one pass suffices, and it stops at r rows.
+    over the class sums, starting from the identity.  One action tells
+    whether a class sum K acts on every row as a scalar, e * K = lambda * e;
+    such a class sum splits nothing and is skipped.  Otherwise K replaces
+    each row e by the nonzero rows e * E_lambda over its Lagrange
+    idempotents.  Afterwards e * K = lambda * e, so once every class sum is
+    used each row spans a one-dimensional ideal: one pass suffices, and it
+    stops at r rows.
     """
     r = data.class_count
     rows = np.zeros((1, r), dtype=np.int64)
     rows[0, 0] = 1
+    used = []
     for g in order:
         if len(rows) >= r:
             break
+        image = data.act(g, rows, ell)
+        if _all_eigenvectors(rows, image, ell):
+            continue
         powers, dependent = _identity_chain(data, g, ell)
         n = len(powers)
-        if n == 1:  # a scalar splits nothing
-            continue
         lagrange = _lagrange(powers, dependent, ell)
         refined = []
         step = max(1, SPLIT_BLOCK_CELLS // (n * r))
         for lo in range(0, len(rows), step):
-            chain = [rows[lo : lo + step]]
-            for _ in range(n - 1):
+            chain = [rows[lo : lo + step], image[lo : lo + step]]
+            for _ in range(n - 2):
                 chain.append(data.act(g, chain[-1], ell))
             # each sum has n <= r terms below ell^2
             split = (np.tensordot(lagrange.T, np.stack(chain), axes=1) % ell).reshape(-1, r)
             refined.append(split[split.any(axis=1)])
         rows = np.concatenate(refined)
+        used.append(g)
     if len(rows) < r:
         raise EigensplitError(f"refinement stalled with {len(rows)} idempotents for {r} classes")
     if len(rows) != r:
@@ -401,29 +447,74 @@ def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> list[np.ndarr
     omega = np.zeros_like(rows)
     omega[:, i[unit]] = rows[:, j[unit]] * (values[unit] % ell) % ell
     inverse = np.array([modmat.inv_mod(int(e), ell) for e in rows[:, 0]], dtype=np.int64)
-    return list(omega * inverse[:, None] % ell)
+    return omega * inverse[:, None] % ell, used
 
 
-def _check_central_characters(data: ClassAlgebraData, vectors: list[np.ndarray], ell: int) -> None:
-    """Raise unless every w satisfies w_i * w_j = sum_k a[i][j][k] * w_k mod ell.
+def _all_eigenvectors(rows: np.ndarray, image: np.ndarray, ell: int) -> bool:
+    """Whether every image row is a multiple of its row: y = lambda * e iff
+    y_j * e_p = y_p * e_j for all j, at a coordinate p where e_p != 0."""
+    at = np.arange(len(rows))
+    p = (rows != 0).argmax(axis=1)
+    cross = image * rows[at, p][:, None] - rows * image[at, p][:, None]
+    return not (cross % ell).any()
 
-    Checked for all r^2 pairs (i, j) on a block of characters at a time.
+
+def _certify(
+    data: ClassAlgebraData,
+    vectors: np.ndarray,
+    used: list[int],
+    sizes: list[int],
+    star: tuple[int, ...],
+    ell: int,
+) -> None:
+    """Raise unless ``vectors`` are the r central characters of the class
+    algebra, checked on the class sums ``used`` (see step 3 above).
+
+    The coefficients are checked first, in O(nnz): every pair (i, j) occurs,
+    sum_j a[i][j][k] = |K_i| for every k, and a[i][j][0] = |K_i| exactly
+    when j = i*.  Then (a) there are r vectors with w_0 = 1; (b) for every g
+    in ``used`` and every j, sum_k a[g][j][k] * w_k = w_g * w_j, at
+    r * nnz_g cells; (c) no two vectors agree on every class in ``used``.
     """
     r = data.class_count
-    i, j, k, values, _ = data.arrays
+    i, j, k, values, start = data.arrays
     pair = i * r + j
-    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-    if len(first) != r * r:
-        raise EigensplitError(f"coefficients cover {len(first)} class pairs, expected {r * r}")
-    values = values % ell
-    omega = np.array(vectors, dtype=np.int64).reshape(-1, r)
-    step = max(1, CHECK_BLOCK_CELLS // max(len(values), r * r))
-    for lo in range(0, len(omega), step):
-        w = omega[lo : lo + step]
-        # each sum has at most r terms below ell^2
-        sums = np.add.reduceat(np.take(w, k, axis=1) * values, first, axis=1) % ell
-        if not np.array_equal(sums, (w[:, :, None] * w[:, None, :] % ell).reshape(len(w), r * r)):
-            raise EigensplitError("a split vector is not a central character of the class algebra")
+    pairs = np.count_nonzero(np.r_[True, pair[1:] != pair[:-1]])
+    if pairs != r * r:
+        raise EigensplitError(f"coefficients cover {pairs} class pairs, expected {r * r}")
+    sizes = np.array(sizes, dtype=np.int64)
+    column_sums = np.zeros(r * r, dtype=np.int64)
+    np.add.at(column_sums, i * r + k, values)
+    if not (column_sums.reshape(r, r) == sizes[:, None]).all():
+        raise EigensplitError("coefficients: some sum over j of a[i][j][k] differs from |K_i|")
+    unit = (k == 0) & (values != 0)
+    if not (
+        np.array_equal(i[unit], np.arange(r))
+        and np.array_equal(j[unit], star)
+        and np.array_equal(values[unit], sizes)
+    ):
+        raise EigensplitError("coefficients: a[i][j][0] is not |K_i| exactly at j = i*")
+
+    if vectors.shape != (r, r):
+        raise EigensplitError(f"found {len(vectors)} vectors, expected {r}")
+    if not (vectors[:, 0] == 1).all():
+        raise EigensplitError("a split vector is not 1 at the identity class")
+    for g in used:
+        lo, hi = start[g], start[g + 1]
+        ks, coefficients = k[lo:hi], values[lo:hi] % ell
+        # every pair occurs, so the slice holds the r rows j of M_g in order
+        rows = np.flatnonzero(np.r_[True, j[lo + 1 : hi] != j[lo : hi - 1]])
+        step = max(1, SPLIT_BLOCK_CELLS // (hi - lo))
+        for t in range(0, r, step):
+            w = vectors[t : t + step]
+            # each sum has at most r terms below ell^2
+            sums = np.add.reduceat(w[:, ks] * coefficients, rows, axis=1) % ell
+            if not np.array_equal(sums, w[:, g : g + 1] * w % ell):
+                raise EigensplitError(
+                    f"a split vector is not a central character on class sum {g}"
+                )
+    if r > 1 and (not used or len(np.unique(vectors[:, used], axis=0)) != r):
+        raise EigensplitError("two split vectors agree on every class sum used")
 
 
 def _degree_of_vector(
@@ -459,8 +550,8 @@ def degrees_from_class_algebra(
             )
         if not is_prime(ell) or ell % data.exponent != (1 % data.exponent) or ell * ell <= 4 * group.order:
             raise ValueError(f"{ell} is not an admissible dixon prime for this group")
-    vectors = _simultaneous_eigenvectors(data, ell)
-    _check_central_characters(data, vectors, ell)
+    vectors, used = _simultaneous_eigenvectors(data, ell)
+    _certify(data, vectors, used, classes.sizes(), classes.inverse_pairing, ell)
     star = np.array(classes.inverse_pairing, dtype=np.intp)
     inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in classes.sizes()], dtype=np.int64)
     counts: dict[int, int] = {}

@@ -194,6 +194,7 @@ class GroupData:
     def direct_product_witness(self, p: int) -> structure.DirectProductWitness:
         return structure.is_direct_product_p(self.group, p)
 
+    @_memoized
     def sylow_centre_is_central(self, p: int) -> bool:
         zp = structure.centralizer(self.group, self.sylow(p).perms())
         zp_members = zp.member_indices & self.sylow(p).member_indices

@@ -3,8 +3,9 @@
 The report is a single JSON document with stable key order and every number
 serialized as a decimal string, so unbounded integers survive a round trip
 exactly and two runs over the same corpus are byte-identical.  Groups whose
-order exceeds the enumeration cap, or whose Cayley table exceeds the table
-budget, are recorded as skipped with a reason and do not abort the run.
+order exceeds the enumeration cap, or whose Cayley table or degree layer
+exceeds the table budget, are recorded as skipped with a reason and do not
+abort the run.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ def _group_block(rec: GroupRecord, options: ReportOptions) -> tuple[dict, list[C
     data = GroupData(group, rec.name)
     try:
         classes = data.classes
+        degrees = data.degree_frequency
     except GroupTooLargeError as exc:
         block["skipped"] = str(exc)
         return block, []
     block["skipped"] = None
     block["class_count"] = _s(len(classes))
-    block["degree_frequency"] = [[_s(d), _s(m)] for d, m in data.degree_frequency.entries]
+    block["degree_frequency"] = [[_s(d), _s(m)] for d, m in degrees.entries]
     block["class_size_frequency"] = [[_s(n), _s(c)] for n, c in data.size_frequency.entries]
 
     block["invariant_tables"] = [

@@ -3,8 +3,9 @@
 Everything here works on raw image tuples and never calls into the package
 machinery it is checking, so a bug in the library cannot hide behind the
 same bug in the tests.  :class:`Reference` keeps the scalar tuple versions of
-the library's table-backed structure oracles, and the row-by-row modular
-``rref``, as the references they are compared against.
+the library's table-backed structure oracles, the row-by-row modular
+``rref`` and the all-pairs central-character check, as the references they
+are compared against.
 """
 
 from itertools import combinations, product
@@ -160,6 +161,26 @@ class Reference:
             pivots.append(c)
             r += 1
         return a, pivots
+
+    @staticmethod
+    def check_central_characters(coefficients, class_count, vectors, p):
+        """Raise EigensplitError unless every vector w satisfies
+        w_i * w_j = sum_k a[i][j][k] * w_k mod p for all r^2 pairs (i, j),
+        read straight from the coefficient dict {(i, j, k): a[i][j][k]}."""
+        from degclass.chardeg import EigensplitError
+
+        r = class_count
+        keys = np.array(list(coefficients), dtype=np.int64).reshape(-1, 3)
+        values = np.array(list(coefficients.values()), dtype=np.int64) % p
+        pairs = keys[:, 0] * r + keys[:, 1]
+        covered = len(set(pairs.tolist()))
+        if covered != r * r:
+            raise EigensplitError(f"coefficients cover {covered} class pairs, expected {r * r}")
+        for w in np.asarray(vectors, dtype=np.int64).reshape(-1, r):
+            sums = np.zeros(r * r, dtype=np.int64)
+            np.add.at(sums, pairs, w[keys[:, 2]] * values)
+            if not np.array_equal(sums % p, np.outer(w, w).ravel() % p):
+                raise EigensplitError("a split vector is not a central character of the class algebra")
 
     def _order(self, e):
         k, x, ident = 1, e, tuple(range(len(e)))

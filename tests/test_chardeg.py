@@ -274,8 +274,8 @@ def test_generator_and_refinement_paths_agree(g):
     primes = admissible_primes(g.order, data.exponent)
     frequencies = []
     for ell in (next(primes), next(primes)):
-        vectors = chardeg._simultaneous_eigenvectors(data, ell)
-        refined = sorted(chardeg._refine(data, ell, list(range(len(cs)))), key=lambda v: v.tolist())
+        vectors, _ = chardeg._simultaneous_eigenvectors(data, ell)
+        refined = sorted(chardeg._refine(data, ell, list(range(len(cs))))[0], key=lambda v: v.tolist())
         assert [v.tolist() for v in vectors] == [v.tolist() for v in refined], ell
         frequencies.append(degrees_from_class_algebra(g, cs, data, dixon_prime=ell))
     assert frequencies[0] == frequencies[1]
@@ -354,20 +354,148 @@ def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
     monkeypatch.setattr(ClassAlgebraData, "matrix", spy("matrix"))
     for name in ("nullspace", "solve_right", "minimal_polynomial"):
         monkeypatch.setattr(modmat, name, spy(name))
-    vectors = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
-    chardeg._check_central_characters(data, vectors, data.dixon_prime)
+    vectors, _ = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
+    oracles.Reference.check_central_characters(data.coefficients, data.class_count, vectors, data.dixon_prime)
     assert character_degrees(g).as_dict() == {1: 128}
     assert called == []
 
 
 def test_non_central_vector_is_rejected():
     g = standard_group("symmetric", 3)
-    data = class_algebra(g, conjugacy_classes(g))
-    vectors = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
-    chardeg._check_central_characters(data, vectors, data.dixon_prime)
-    broken = vectors[:-1] + [(vectors[-1] + np.eye(3, dtype=np.int64)[1]) % data.dixon_prime]
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    ell = data.dixon_prime
+    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
+    oracles.Reference.check_central_characters(data.coefficients, 3, vectors, ell)
+    broken = vectors.copy()
+    broken[-1] = (broken[-1] + np.eye(3, dtype=np.int64)[1]) % ell
     with pytest.raises(EigensplitError, match="not a central character"):
-        chardeg._check_central_characters(data, broken, data.dixon_prime)
+        oracles.Reference.check_central_characters(data.coefficients, 3, broken, ell)
+    with pytest.raises(EigensplitError, match="not a central character"):
+        chardeg._certify(data, broken, used, cs.sizes(), cs.inverse_pairing, ell)
+
+
+def _certificate_groups():
+    from degclass.corpus import builtin_corpus
+
+    for rec in builtin_corpus():
+        yield pytest.param(rec.group, id=rec.name)
+    yield pytest.param(standard_group("cyclic", 96), id="C96")
+    yield pytest.param(_elementary_abelian(2, 7), id="C2^7")
+    yield pytest.param(direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3)), id="D8xC2^3")
+
+
+@pytest.mark.parametrize("g", _certificate_groups())
+def test_certified_vectors_pass_the_all_pairs_check(g):
+    # the certificate reads only the class sums the split used; the oracle
+    # checks every vector against all r^2 coefficient pairs
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    ell = data.dixon_prime
+    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
+    chardeg._certify(data, vectors, used, cs.sizes(), cs.inverse_pairing, ell)
+    oracles.Reference.check_central_characters(data.coefficients, len(cs), vectors, ell)
+
+
+def _certified_s4():
+    g = standard_group("symmetric", 4)
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
+    return data, vectors, used, cs
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda v: np.concatenate([v[:-1], v[:1]]), "agree on every class sum used"),
+        (lambda v: np.concatenate([v[:, :1] * 2, v[:, 1:]], axis=1), "not 1 at the identity class"),
+        (lambda v: v[:-1], "found 4 vectors, expected 5"),
+    ],
+    ids=["duplicate", "w0-not-1", "r-minus-1"],
+)
+def test_certificate_rejects_corrupted_vectors(corrupt, message):
+    data, vectors, used, cs = _certified_s4()
+    chardeg._certify(data, vectors, used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
+    with pytest.raises(EigensplitError, match=message):
+        chardeg._certify(data, corrupt(vectors), used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
+
+
+def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
+    data, vectors, used, cs = _certified_s4()
+    (i, j, k), value = next((key, v) for key, v in data.coefficients.items() if key[2] != 0)
+    broken = ClassAlgebraData(
+        data.class_count,
+        {**data.coefficients, (i, j, k): value + 1},
+        data.exponent,
+        data.dixon_prime,
+        data.generator_classes,
+    )
+    with pytest.raises(EigensplitError, match="differs from"):
+        chardeg._certify(broken, vectors, used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
+
+
+def test_generator_classes_are_recorded_without_the_identity():
+    g = _elementary_abelian(2, 3)
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    assert data.generator_classes == tuple(cs.class_of(x) for x in g.generator_indices)
+    assert len(data.generator_classes) == 3 and 0 not in data.generator_classes
+
+
+def _call_counter(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(chardeg, name)
+
+        def spy(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(chardeg, name, spy)
+    return calls
+
+
+def test_c2_7_refines_by_its_seven_generator_classes_only(monkeypatch):
+    calls = _call_counter(monkeypatch, "_identity_chain", "_lagrange")
+    assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
+    assert calls == {"_identity_chain": 7, "_lagrange": 7}
+
+
+def test_c2_9_skips_the_class_sums_that_split_nothing(monkeypatch):
+    # in class order the ninth independent generator is class 256; every class
+    # sum before it is a product of earlier ones and acts on each row as a scalar
+    g = _elementary_abelian(2, 9)
+    data = class_algebra(g, conjugacy_classes(g))
+    calls = _call_counter(monkeypatch, "_lagrange")
+    _, used = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
+    assert calls["_lagrange"] == len(used) <= 9
+    assert character_degrees(g).as_dict() == {1: 512}
+    assert calls["_lagrange"] <= 18
+
+
+def test_c96_runs_one_identity_chain(monkeypatch):
+    calls = _call_counter(monkeypatch, "_identity_chain")
+    assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
+    assert calls["_identity_chain"] == 1
+
+
+def test_degree_budget_skips_before_allocating(monkeypatch):
+    from degclass import group as groups
+    from degclass.corpus import parse_corpus
+    from degclass.report import run_report
+
+    # the int16 table of C12 takes 288 bytes, its 12 x 25 int64 block 2400
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
+    [block] = run_report(parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")).document["groups"]
+    assert "elimination block of 12 classes needs 2400 bytes" in block["skipped"]
+    assert "verdicts" not in block
+    g = standard_group("cyclic", 12)
+    cs = conjugacy_classes(g)
+    assert g.table.nbytes == 288
+    monkeypatch.setattr(groups.Group, "mul", lambda *args: pytest.fail("class_algebra gathered products"))
+    with pytest.raises(groups.GroupTooLargeError, match="above the table budget of 1000"):
+        class_algebra(g, cs)
 
 
 def test_class_matrix_matches_coefficients():

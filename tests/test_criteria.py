@@ -81,6 +81,12 @@ def test_group_data_memoizes_oracles_looked_up_at_call_time(monkeypatch):
     assert data.sylow(3).order == 3
     assert calls == [2, 3]
 
+    data.centre
+    centralizer = structure.centralizer
+    monkeypatch.setattr(structure, "centralizer", lambda g, xs: calls.append("C") or centralizer(g, xs))
+    assert data.sylow_centre_is_central(2) == data.sylow_centre_is_central(2)
+    assert calls == [2, 3, "C"]
+
 
 def sides(verdict):
     return verdict.invariant_side.holds, verdict.structure_side.holds
