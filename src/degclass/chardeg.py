@@ -238,16 +238,15 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     r = len(classes)
     _check_degree_budget(group.order, r)
     coeff: dict[tuple[int, int, int], int] = {}
-    reps = [group.index_of(c.representative) for c in classes.classes]
-    class_of = np.array(classes.class_index, dtype=np.int64)
+    class_of = classes.class_index
     inv = group.inverses
-    for k, zk in enumerate(reps):
+    for k, zk in enumerate(c.members[0] for c in classes.classes):
         pairs, counts = np.unique(class_of * r + class_of[group.mul(inv, zk)], return_counts=True)
         for pair, count in zip(pairs.tolist(), counts.tolist()):
             i, j = divmod(pair, r)
             coeff[(i, j, k)] = count
-    exponent = math.lcm(*(group.element_order(x) for x in range(group.order)))
-    generator_classes = dict.fromkeys(classes.class_index[x] for x in group.generator_indices)
+    exponent = int(np.lcm.reduce(group.element_orders))
+    generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
     return ClassAlgebraData(
         r, coeff, exponent, least_admissible_prime(group.order, exponent), tuple(generator_classes)
@@ -295,16 +294,17 @@ def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.nda
     r distinct eigenvalues, else the class sums that split an idempotent."""
     r = data.class_count
     first = data.generator_classes
-    vectors, used = None, []
+    vectors, used, chains = None, [], {}
     if r <= ell:  # a class sum has at most ell eigenvalues in GF(ell)
         for g in first:
-            powers, dependent = _identity_chain(data, g, ell)
+            chains[g] = powers, dependent = _identity_chain(data, g, ell)
             if len(powers) == r:
                 vectors, used = _split_by_generator(powers, dependent, ell), [g]
                 break
     if vectors is None:
         tried = set(first)
-        vectors, used = _refine(data, ell, [*first, *(g for g in range(1, r) if g not in tried)])
+        order = [*first, *(g for g in range(1, r) if g not in tried)]
+        vectors, used = _refine(data, ell, order, chains)
     return vectors[np.lexsort(vectors.T[::-1])], used
 
 
@@ -396,10 +396,13 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
     return quotients * scale % ell
 
 
-def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
+def _refine(
+    data: ClassAlgebraData, ell: int, order: list[int], chains: dict[int, tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, list[int]]:
     """Central characters from the primitive idempotents of the class algebra
     over GF(ell), refining by the class sums in ``order``; also returns the
-    class sums that split an idempotent.
+    class sums that split an idempotent.  ``chains`` holds identity chains
+    already computed, by class sum; the others are computed here.
 
     ``rows`` holds orthogonal idempotents summing to 1, as coordinate rows
     over the class sums, starting from the identity.  One action tells
@@ -420,7 +423,7 @@ def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndar
         image = data.act(g, rows, ell)
         if _all_eigenvectors(rows, image, ell):
             continue
-        powers, dependent = _identity_chain(data, g, ell)
+        powers, dependent = chains[g] if g in chains else _identity_chain(data, g, ell)
         n = len(powers)
         lagrange = _lagrange(powers, dependent, ell)
         refined = []

@@ -196,9 +196,10 @@ class GroupData:
 
     @_memoized
     def sylow_centre_is_central(self, p: int) -> bool:
-        zp = structure.centralizer(self.group, self.sylow(p).perms())
-        zp_members = zp.member_indices & self.sylow(p).member_indices
-        return zp_members <= self.centre.member_indices
+        sylow = self.sylow(p)
+        # Z(P) is the part of P inside C_G(P)
+        zp = sylow.members[structure.centralizer(self.group, sylow.members).mask()[sylow.members]]
+        return bool(self.centre.mask()[zp].all())
 
 
 def _data(g: Group | GroupData, name: str = "G") -> GroupData:
@@ -314,7 +315,7 @@ def _commutator_is_derived(d: GroupData, ps: PrimeSet) -> SideResult:
     ng = structure.commutator_subgroup_of(n, d.group)
     nder = structure.derived_of(n)
     nums = _nums(complement_order=n.order, commutator_with_group=ng.order, complement_derived=nder.order)
-    return SideResult(ng.member_indices == nder.member_indices, nums)
+    return SideResult(ng == nder, nums)
 
 
 # --- the catalog -----------------------------------------------------------
@@ -409,7 +410,7 @@ CATALOG = (
         "|C_G(O^p'(G))| divides |S_p'(G)|",
         lambda d, ps: _divisible(_nums(
             s_p_prime=d.s_prime(ps),
-            centralizer_order=structure.centralizer(d.group, d.prime_residual(ps[0]).perms()).order)),
+            centralizer_order=structure.centralizer(d.group, d.prime_residual(ps[0]).members).order)),
         lambda d, ps: _info(_nums(prime_residual_order=d.prime_residual(ps[0]).order))),
     Criterion(
         "central_sylow_centre_by_s_pprime", EQUIVALENCE, PER_PRIME, NEVER,
@@ -432,12 +433,12 @@ CATALOG = (
         "ito_michler", EQUIVALENCE, PER_PI, NEVER,
         "u_pi'(G) = |G|  <->  normal abelian Hall pi-subgroup",
         lambda d, ps: _equal(_nums(u_pi_prime=d.u_prime(ps), order=d.order, u_pi=d.u(ps), m1=d.m1)),
-        lambda d, ps: _hall(d, ps, structure.has_normal_abelian_hall(d.group, ps))),
+        lambda d, ps: _hall(d, ps, structure.has_normal_abelian_hall(d.pi_subgroup(ps)))),
     Criterion(
         "huppert_central_hall", EQUIVALENCE, PER_PI, WIDE_PI,
         "|S_pi'(G)| = |G|  <->  central Hall pi-subgroup",
         lambda d, ps: _equal(_nums(s_pi_prime=d.s_prime(ps), order=d.order)),
-        lambda d, ps: _hall(d, ps, structure.has_central_hall(d.group, ps))),
+        lambda d, ps: _hall(d, ps, structure.has_central_hall(d.pi_subgroup(ps), d.centre))),
     Criterion(
         "index_pi_divides_u_piprime", DIVISIBILITY, PER_PI, NEVER, "|G:G'|_pi divides u_pi'(G)",
         lambda d, ps: _divisible(_nums(

@@ -15,12 +15,13 @@ points, orbits are explored in FIFO order with generators applied in input
 order, so rebuilding a group from the same generator sequence reproduces the
 identical BSGS byte for byte.
 
-Groups are immutable after construction.  The element index, inverses and
-element orders are computed here; the Cayley table ``table[i, j]`` (the index
-of ``elements[i] * elements[j]``) is built on first use, because it costs
-n^2 * 2 bytes for order n < 2^15 (n^2 * 4 above) and only the structure
-oracles and the class algebra need it.  Two readers racing to build it build
-identical tables, and either one may be kept.
+Groups are immutable after construction.  The element index and, as
+read-only arrays, the inverses and element orders are computed here; the
+Cayley table ``table[i, j]`` (the index of ``elements[i] * elements[j]``) is
+built on first use, because it costs n^2 * 2 bytes for order n < 2^15
+(n^2 * 4 above) and only the structure oracles and the class algebra need
+it.  Two readers racing to build it build identical tables, and either one
+may be kept.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ class Group:
         "inverses",
         "_raw",
         "_index",
-        "_element_orders",
+        "element_orders",
         "_generator_indices",
         "_table",
     )
@@ -213,14 +214,17 @@ class Group:
             self._index = {t: i for i, t in enumerate(raw)}
             self.inverses = np.array([self._index[_inv(t)] for t in raw], dtype=_index_dtype(order))
             self.inverses.flags.writeable = False
-            self._element_orders = tuple(p.order() for p in self.elements)
-            self._generator_indices = tuple(self._index[g] for g in dict.fromkeys(raw_gens))
+            self.element_orders = np.array([p.order() for p in self.elements], dtype=np.int64)
+            self.element_orders.flags.writeable = False
+            gens = [self._index[g] for g in dict.fromkeys(raw_gens)]
+            self._generator_indices = np.array(gens, dtype=np.intp)
+            self._generator_indices.flags.writeable = False
         else:
             self._raw = None
             self.elements = None
             self._index = None
             self.inverses = None
-            self._element_orders = None
+            self.element_orders = None
             self._generator_indices = None
 
     # -- membership ----------------------------------------------------
@@ -309,7 +313,7 @@ class Group:
         return int(self.inverses[i])
 
     def element_order(self, i: int) -> int:
-        return self._element_orders[i]
+        return int(self.element_orders[i])
 
     @property
     def identity_index(self) -> int:
@@ -317,7 +321,8 @@ class Group:
         return 0
 
     @property
-    def generator_indices(self) -> tuple[int, ...]:
+    def generator_indices(self) -> np.ndarray:
+        """The distinct generators' indices in generator order, read-only."""
         self._require_cache()
         return self._generator_indices
 

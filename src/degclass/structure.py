@@ -9,18 +9,20 @@ pi-elements) is still evaluated on every pair, now as array gathers on the
 table, and normality checks conjugate members explicitly instead of trusting
 theory, so theorem verification stays genuinely two-sided.
 
-Subgroups are plain index sets into the parent enumeration; equality of
-subgroups is equality of those sets.
+Every subset of the group - a subgroup, a conjugacy class, a set of
+pi-elements - is a sorted, read-only ``np.intp`` index array into the parent
+enumeration; equality of subgroups is equality of those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .arith import PrimeSet, is_prime, prime_set, valuation
+from .arith import is_prime, prime_set, primes_of, valuation
 from .group import Group
 from .perm import Permutation
 
@@ -35,18 +37,6 @@ def _blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
     step = max(1, BLOCK_CELLS // max(1, width))
     for start in range(0, len(rows), step):
         yield rows[start : start + step]
-
-
-def _array(indices: Iterable[int]) -> np.ndarray:
-    """The indices as a sorted index array."""
-    return np.sort(np.fromiter(indices, dtype=np.intp))
-
-
-def _mask(group: Group, indices: Iterable[int]) -> np.ndarray:
-    """The indices as a boolean membership mask over the enumeration."""
-    mask = np.zeros(group.order, dtype=bool)
-    mask[np.fromiter(indices, dtype=np.intp)] = True
-    return mask
 
 
 def _commutators(
@@ -69,26 +59,32 @@ def _commute(
         yield xb, comms == group.identity_index
 
 
-def _commutator_closure(group: Group, xs: np.ndarray, ys: np.ndarray) -> frozenset[int]:
+def _commutator_closure(group: Group, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Subgroup generated by every commutator [x, y], x in xs, y in ys."""
     seen = np.zeros(group.order, dtype=bool)
     for _, comms in _commutators(group, xs, ys):
         seen[comms] = True
-    return _closure(group, np.flatnonzero(seen).tolist())
+    return _closure(group, np.flatnonzero(seen))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyClass:
+    """A class as a sorted index array; its first member is the representative."""
+
     representative: Permutation
-    size: int
-    member_indices: frozenset[int]
+    members: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 class ConjugacyClassSet:
     """The conjugacy classes of a group, ordered by smallest member index.
 
-    ``class_index[i]`` is the class of element i; ``inverse_pairing[c]`` is
-    the class holding the inverses of class c.
+    ``class_index`` is a read-only array whose entry i is the class of
+    element i; ``inverse_pairing[c]`` is the class holding the inverses of
+    class c.
     """
 
     def __init__(self, group: Group):
@@ -101,17 +97,14 @@ class ConjugacyClassSet:
             if class_index[start] >= 0:
                 continue
             # the class of x is {g^-1 x g : g in G}, one gather over all g
-            orbit = np.unique(group.mul(group.mul(inv, start), everyone))
+            orbit = np.unique(group.mul(group.mul(inv, start), everyone)).astype(np.intp)
+            orbit.flags.writeable = False
             class_index[orbit] = len(classes)
-            classes.append(
-                ConjugacyClass(group.elements[start], len(orbit), frozenset(orbit.tolist()))
-            )
+            classes.append(ConjugacyClass(group.elements[start], orbit))
+        class_index.flags.writeable = False
         self.classes = tuple(classes)
-        class_index = class_index.tolist()
-        self.class_index = tuple(class_index)
-        self.inverse_pairing = tuple(
-            class_index[group.i_inv(group.index_of(c.representative))] for c in classes
-        )
+        self.class_index = class_index
+        self.inverse_pairing = tuple(class_index[inv[[c.members[0] for c in classes]]].tolist())
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -120,48 +113,62 @@ class ConjugacyClassSet:
         return [c.size for c in self.classes]
 
     def class_of(self, element_index: int) -> int:
-        return self.class_index[element_index]
+        return int(self.class_index[element_index])
 
 
 def conjugacy_classes(group: Group) -> ConjugacyClassSet:
     return ConjugacyClassSet(group)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup as an index set into the parent's element enumeration."""
+    """A subgroup as a sorted index array into the parent's element
+    enumeration; the array is made read-only."""
 
     parent: Group
-    member_indices: frozenset[int]
+    members: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.members.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Subgroup)
+            and other.parent is self.parent
+            and np.array_equal(other.members, self.members)
+        )
 
     @property
     def order(self) -> int:
-        return len(self.member_indices)
+        return len(self.members)
 
     @property
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def perms(self) -> list[Permutation]:
-        return [self.parent.elements[i] for i in sorted(self.member_indices)]
+    def mask(self) -> np.ndarray:
+        """Membership as a boolean mask over the parent's enumeration."""
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[self.members] = True
+        return inside
 
     def is_abelian(self) -> bool:
-        members = _array(self.member_indices)
+        members = self.members
         return all(commute.all() for _, commute in _commute(self.parent, members, members))
 
     def is_normal(self) -> bool:
         """Explicit check: conjugate every member by every parent generator."""
         g = self.parent
-        gens = np.array(g.generator_indices, dtype=np.intp)[:, None]
-        conj = g.mul(g.mul(g.inverses[gens], _array(self.member_indices)), gens)
-        return bool(_mask(g, self.member_indices)[conj].all())
+        gens = g.generator_indices[:, None]
+        conj = g.mul(g.mul(g.inverses[gens], self.members), gens)
+        return bool(self.mask()[conj].all())
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
-def _closure(group: Group, seed: Iterable[int]) -> frozenset[int]:
-    """Subgroup generated by the seed indices (identity always included).
+def _closure(group: Group, seed: np.ndarray) -> np.ndarray:
+    """Subgroup generated by the seed index array (identity always included).
 
     Dimino's algorithm: seeds are taken in increasing order and adjoined only
     when not yet members.  The first one gives its cyclic group, power by
@@ -174,7 +181,7 @@ def _closure(group: Group, seed: Iterable[int]) -> frozenset[int]:
     inside[e] = True
     members = np.array([e], dtype=np.intp)
     gens: list[int] = []
-    for s in sorted(set(seed)):
+    for s in np.unique(seed).tolist():
         if inside[s]:
             continue
         gens.append(s)
@@ -195,47 +202,45 @@ def _closure(group: Group, seed: Iterable[int]) -> frozenset[int]:
                     inside[cosets[-1]] = True
                     reps.append(wg)
         members = np.concatenate(cosets)
-    return frozenset(np.flatnonzero(inside).tolist())
+    return np.flatnonzero(inside)
 
 
-def subgroup_from_indices(group: Group, indices: Iterable[int]) -> Subgroup:
+def subgroup_from_indices(group: Group, indices: np.ndarray) -> Subgroup:
     return Subgroup(group, _closure(group, indices))
 
 
 def trivial_subgroup(group: Group) -> Subgroup:
     group._require_cache()
-    return Subgroup(group, frozenset({group.identity_index}))
+    return Subgroup(group, np.array([group.identity_index], dtype=np.intp))
 
 
 def full_subgroup(group: Group) -> Subgroup:
     group._require_cache()
-    return Subgroup(group, frozenset(range(group.order)))
+    return Subgroup(group, np.arange(group.order))
 
 
-def centralizer(group: Group, perms: Iterable[Permutation]) -> Subgroup:
-    """Elements commuting with every permutation in ``perms`` (all must be members)."""
-    targets = _array(group.index_of(p) for p in perms)
+def centralizer(group: Group, indices: np.ndarray) -> Subgroup:
+    """Elements commuting with every element of the index array."""
     keep = np.zeros(group.order, dtype=bool)
-    for xb, commute in _commute(group, np.arange(group.order), targets):
+    for xb, commute in _commute(group, np.arange(group.order), indices):
         keep[xb] = commute.all(axis=1)
-    return Subgroup(group, frozenset(np.flatnonzero(keep).tolist()))
+    return Subgroup(group, np.flatnonzero(keep))
 
 
 def centre(group: Group) -> Subgroup:
-    return centralizer(group, group.generators)
+    return centralizer(group, group.generator_indices)
 
 
 def normalizer(group: Group, sub: Subgroup) -> Subgroup:
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
-    members = _array(sub.member_indices)
-    inside = _mask(group, sub.member_indices)
+    members, inside = sub.members, sub.mask()
     keep = np.zeros(group.order, dtype=bool)
     for gb in _blocks(np.arange(group.order), len(members)):
         col = gb[:, None]
         conj = group.mul(group.mul(group.inverses[col], members), col)  # g^-1 m g
         keep[gb] = inside[conj].all(axis=1)
-    return Subgroup(group, frozenset(np.flatnonzero(keep).tolist()))
+    return Subgroup(group, np.flatnonzero(keep))
 
 
 def derived_subgroup(group: Group) -> Subgroup:
@@ -246,8 +251,7 @@ def derived_subgroup(group: Group) -> Subgroup:
 
 def derived_of(sub: Subgroup) -> Subgroup:
     """Derived subgroup of a subgroup, as a subgroup of the same parent."""
-    members = _array(sub.member_indices)
-    return Subgroup(sub.parent, _commutator_closure(sub.parent, members, members))
+    return Subgroup(sub.parent, _commutator_closure(sub.parent, sub.members, sub.members))
 
 
 def commutator_subgroup_of(sub: Subgroup, group: Group) -> Subgroup:
@@ -256,17 +260,16 @@ def commutator_subgroup_of(sub: Subgroup, group: Group) -> Subgroup:
         raise ValueError("subgroup does not belong to this group")
     if not sub.is_normal():
         raise ValueError("subgroup is not normal in its parent")
-    members = _array(sub.member_indices)
-    return Subgroup(group, _commutator_closure(group, members, np.arange(group.order)))
+    return Subgroup(group, _commutator_closure(group, sub.members, np.arange(group.order)))
 
 
 def lower_central_last(group: Group) -> Subgroup:
     """Stable term of the lower central series K_{i+1} = [K_i, G]."""
     everyone = np.arange(group.order)
-    current = frozenset(everyone.tolist())
+    current = everyone
     while True:
-        nxt = _commutator_closure(group, _array(current), everyone)
-        if nxt == current:
+        nxt = _commutator_closure(group, current, everyone)
+        if np.array_equal(nxt, current):
             return Subgroup(group, current)
         current = nxt
 
@@ -277,16 +280,16 @@ def hypercentre(group: Group) -> Subgroup:
     Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, iterated until the
     set stops growing.
     """
-    current = centre(group).member_indices
+    current = centre(group)
     everyone = np.arange(group.order)
     while True:
-        inside = _mask(group, current)
+        inside = current.mask()
         keep = np.zeros(group.order, dtype=bool)
         for xb, comms in _commutators(group, everyone, everyone):
             keep[xb] = inside[comms].all(axis=1)
-        nxt = frozenset(np.flatnonzero(keep).tolist())
+        nxt = Subgroup(group, np.flatnonzero(keep))
         if nxt == current:
-            return Subgroup(group, current)
+            return current
         current = nxt
 
 
@@ -295,30 +298,25 @@ def p_residual(group: Group, p: int) -> Subgroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     group._require_cache()
-    seed = [i for i in range(group.order) if group.element_order(i) % p != 0]
-    return Subgroup(group, _closure(group, seed))
+    return Subgroup(group, _closure(group, np.flatnonzero(group.element_orders % p != 0)))
 
 
 def p_prime_residual(group: Group, p: int) -> Subgroup:
     """Smallest normal subgroup with p'-group quotient: closure of all p-elements."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return Subgroup(group, _closure(group, np.flatnonzero(_pi_mask(group, (p,)))))
+
+
+def _pi_mask(group: Group, pi: Iterable[int]) -> np.ndarray:
+    """Whether each element's order is a pi-number: every prime of pi is
+    divided out of all the orders at once, and what is left must be 1."""
     group._require_cache()
-    seed = [i for i in range(group.order) if _is_p_power(group.element_order(i), p)]
-    return Subgroup(group, _closure(group, seed))
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _is_pi_number(n: int, pi: PrimeSet) -> bool:
-    for p in pi:
-        while n % p == 0:
-            n //= p
-    return n == 1
+    rest = group.element_orders.copy()
+    for p in prime_set(pi):
+        while (divisible := rest % p == 0).any():
+            rest[divisible] //= p
+    return rest == 1
 
 
 def sylow_subgroup(group: Group, p: int) -> Subgroup:
@@ -331,18 +329,14 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    group._require_cache()
+    p_elements = _pi_mask(group, (p,))
     target = p ** valuation(group.order, p)
-    members = frozenset({group.identity_index})
-    while len(members) < target:
-        norm = normalizer(group, Subgroup(group, members))
-        candidate = min(
-            i
-            for i in sorted(norm.member_indices)
-            if i not in members and _is_p_power(group.element_order(i), p)
-        )
-        members = _closure(group, set(members) | {candidate})
-    return Subgroup(group, members)
+    sub = trivial_subgroup(group)
+    while sub.order < target:
+        candidates = normalizer(group, sub).mask() & p_elements
+        candidates[sub.members] = False
+        sub = Subgroup(group, _closure(group, np.append(sub.members, np.argmax(candidates))))
+    return sub
 
 
 def pi_elements_subgroup(group: Group, pi: Iterable[int]) -> Optional[Subgroup]:
@@ -358,17 +352,15 @@ def _pi_elements_closure(
     group: Group, pi: Iterable[int]
 ) -> tuple[Optional[Subgroup], Optional[tuple[int, int]]]:
     """Like pi_elements_subgroup but also reports the first closure failure."""
-    ps = prime_set(pi)
-    group._require_cache()
-    members = _array(i for i in range(group.order) if _is_pi_number(group.element_order(i), ps))
-    inside = _mask(group, members)
+    inside = _pi_mask(group, pi)
+    members = np.flatnonzero(inside)
     for ab in _blocks(members, len(members)):
         outside = ~inside[group.mul(ab[:, None], members)]
         if outside.any():
             # argmax finds the first failing pair in row-major order
             a, b = divmod(int(np.argmax(outside)), len(members))
             return None, (int(ab[a]), int(members[b]))
-    return Subgroup(group, frozenset(members.tolist())), None
+    return Subgroup(group, members), None
 
 
 @dataclass(frozen=True)
@@ -389,8 +381,6 @@ def is_direct_product_p(group: Group, p: int) -> DirectProductWitness:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    from .arith import primes_of
-
     p_side, p_fail = _pi_elements_closure(group, (p,))
     if p_side is None:
         a, b = p_fail
@@ -405,16 +395,16 @@ def is_direct_product_p(group: Group, p: int) -> DirectProductWitness:
     return DirectProductWitness(True, p_side, h_side, None)
 
 
-def has_central_hall(group: Group, pi: Iterable[int]) -> bool:
-    """The pi-elements form a subgroup lying inside the centre."""
-    sub = pi_elements_subgroup(group, pi)
-    return sub is not None and sub.member_indices <= centre(group).member_indices
+def has_central_hall(hall: Optional[Subgroup], centre: Subgroup) -> bool:
+    """The pi-elements form a subgroup lying inside the centre, given the
+    pi_elements_subgroup result ``hall`` and the centre."""
+    return hall is not None and bool(centre.mask()[hall.members].all())
 
 
-def has_normal_abelian_hall(group: Group, pi: Iterable[int]) -> bool:
-    """The pi-elements form an abelian subgroup (necessarily a normal Hall one)."""
-    sub = pi_elements_subgroup(group, pi)
-    return sub is not None and sub.is_abelian()
+def has_normal_abelian_hall(hall: Optional[Subgroup]) -> bool:
+    """The pi-elements form an abelian subgroup (necessarily a normal Hall
+    one), given the pi_elements_subgroup result ``hall``."""
+    return hall is not None and hall.is_abelian()
 
 
 def q_r_elements_commute(group: Group, p: int) -> bool:
@@ -422,17 +412,10 @@ def q_r_elements_commute(group: Group, p: int) -> bool:
     commutes with every r-element (exhaustive test)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    from .arith import primes_of
-
-    group._require_cache()
     others = [q for q in primes_of(group.order) if q != p]
-    by_prime = {
-        q: [i for i in range(group.order) if _is_p_power(group.element_order(i), q)]
-        for q in others
-    }
-    for qi, q in enumerate(others):
-        for r in others[qi + 1 :]:
-            blocks = _commute(group, _array(by_prime[q]), _array(by_prime[r]))
-            if not all(commute.all() for _, commute in blocks):
-                return False
+    by_prime = {q: np.flatnonzero(_pi_mask(group, (q,))) for q in others}
+    for q, r in combinations(others, 2):
+        blocks = _commute(group, by_prime[q], by_prime[r])
+        if not all(commute.all() for _, commute in blocks):
+            return False
     return True

@@ -120,7 +120,8 @@ class Reference:
     """Scalar tuple versions of the structure oracles over one enumeration.
 
     ``elements`` are image tuples in the library's enumeration order, so every
-    result is an index set comparable with the library's.  Each product is one
+    result is a frozenset of indices, equal to the set of a library index
+    array when the two oracles agree.  Each product is one
     tuple composition and one dict lookup, and every oracle is the plain
     definition evaluated pair by pair.
     """

@@ -129,7 +129,7 @@ def test_criterion_4_divisibility_suite(group_data):
             for p in ps:
                 comp = pi_complement((p,), g.order)
                 s_comp = s_pi_size(data.classes, comp)
-                strong = centralizer(g, p_prime_residual(g, p).perms())
+                strong = centralizer(g, p_prime_residual(g, p).members)
                 assert s_comp % strong.order == 0, (data.name, p)
                 # conditional part relations on u and s
                 u_comp = u_pi(freq, comp)

@@ -275,7 +275,7 @@ def test_generator_and_refinement_paths_agree(g):
     frequencies = []
     for ell in (next(primes), next(primes)):
         vectors, _ = chardeg._simultaneous_eigenvectors(data, ell)
-        refined = sorted(chardeg._refine(data, ell, list(range(len(cs))))[0], key=lambda v: v.tolist())
+        refined = sorted(chardeg._refine(data, ell, list(range(len(cs))), {})[0], key=lambda v: v.tolist())
         assert [v.tolist() for v in vectors] == [v.tolist() for v in refined], ell
         frequencies.append(degrees_from_class_algebra(g, cs, data, dixon_prime=ell))
     assert frequencies[0] == frequencies[1]
@@ -340,7 +340,7 @@ def test_class_sum_whose_minimal_polynomial_does_not_split_is_rejected(square):
         coefficients[(1, 1, 0)] = square
     fake = ClassAlgebraData(class_count=2, coefficients=coefficients, exponent=1, dixon_prime=5)
     with pytest.raises(EigensplitError, match="distinct roots"):
-        chardeg._refine(fake, 5, [1, 0])
+        chardeg._refine(fake, 5, [1, 0], {})
 
 
 def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
@@ -354,7 +354,7 @@ def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
     monkeypatch.setattr(ClassAlgebraData, "matrix", spy("matrix"))
     for name in ("nullspace", "solve_right", "minimal_polynomial"):
         monkeypatch.setattr(modmat, name, spy(name))
-    vectors, _ = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
+    vectors, _ = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)), {})
     oracles.Reference.check_central_characters(data.coefficients, data.class_count, vectors, data.dixon_prime)
     assert character_degrees(g).as_dict() == {1: 128}
     assert called == []
@@ -468,7 +468,7 @@ def test_c2_9_skips_the_class_sums_that_split_nothing(monkeypatch):
     g = _elementary_abelian(2, 9)
     data = class_algebra(g, conjugacy_classes(g))
     calls = _call_counter(monkeypatch, "_lagrange")
-    _, used = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
+    _, used = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)), {})
     assert calls["_lagrange"] == len(used) <= 9
     assert character_degrees(g).as_dict() == {1: 512}
     assert calls["_lagrange"] <= 18
@@ -478,6 +478,18 @@ def test_c96_runs_one_identity_chain(monkeypatch):
     calls = _call_counter(monkeypatch, "_identity_chain")
     assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
     assert calls["_identity_chain"] == 1
+
+
+def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
+    # no class sum of D8 generates, so the refinement splits by generator
+    # classes whose chains the generator path has already built
+    chains = []
+    original = chardeg._identity_chain
+    monkeypatch.setattr(
+        chardeg, "_identity_chain", lambda data, g, ell: chains.append(g) or original(data, g, ell)
+    )
+    assert character_degrees(standard_group("dihedral", 4)).as_dict() == {1: 4, 2: 1}
+    assert len(chains) == len(set(chains)) >= 2
 
 
 def test_degree_budget_skips_before_allocating(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,11 @@ end
 # sha256 of the `degclass verify --builtin` report; a change to the report
 # bytes has to update it deliberately
 BUILTIN_REPORT_SHA256 = "50e614070e9556f349133aaef50315675dad0fce411d92db6b387e876808db93"
+
+# the same for `degclass verify --corpus` on the benchmark's nonabelian groups
+# (561 verdicts), where the structure oracles do nearly all the work
+NONABELIAN_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "nonabelian.txt"
+NONABELIAN_REPORT_SHA256 = "6987f4908afde54102cbc4460897ba482b47693513347c01c0cf01d33fd84954"
 
 
 def test_report_deterministic(corpus, builtin_report):
@@ -133,6 +139,12 @@ def test_cli_verify_builtin_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--builtin", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_REPORT_SHA256
+
+
+def test_cli_verify_nonabelian_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--corpus", str(NONABELIAN_CORPUS), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NONABELIAN_REPORT_SHA256
 
 
 def test_cli_verify_byte_identical_runs(tmp_path):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import oracles
-from degclass.arith import primes_of, valuation
+from degclass import structure
+from degclass.arith import pi_sets, primes_of, valuation
 from degclass.chardeg import class_algebra
 from degclass.families import standard_group
 from degclass.group import build_group, direct_product
+from degclass.metrics import is_pi_number
 from degclass.perm import parse_cycles
 from degclass.structure import (
     Subgroup,
     _pi_elements_closure,
+    _pi_mask,
     centralizer,
     centre,
     commutator_subgroup_of,
@@ -39,6 +42,14 @@ def hol_c7():
     return standard_group("holomorph_cyclic_prime", 7)
 
 
+def as_set(indices):
+    """An index array as the frozenset the reference oracles return, once it
+    is checked to be a sorted, duplicate-free, read-only intp array."""
+    assert indices.dtype == np.intp and not indices.flags.writeable
+    assert (np.diff(indices) > 0).all()
+    return frozenset(indices.tolist())
+
+
 # --- conjugacy classes -------------------------------------------------------
 
 
@@ -58,7 +69,7 @@ def test_class_sizes(family, parameter, sizes):
 @pytest.mark.parametrize("family,parameter", [("symmetric", 4), ("quaternion", 8), ("dihedral", 6)])
 def test_classes_match_independent_oracle(family, parameter):
     g = standard_group(family, parameter)
-    computed = {frozenset(g.elements[i].images for i in c.member_indices)
+    computed = {frozenset(g.elements[i].images for i in c.members)
                 for c in conjugacy_classes(g).classes}
     expected = set(oracles.class_partition([p.images for p in g.elements]))
     assert computed == expected
@@ -73,8 +84,8 @@ def test_class_invariants_over_corpus(corpus):
         # classes partition the enumeration
         seen = set()
         for c in cs.classes:
-            assert not (c.member_indices & seen)
-            seen |= c.member_indices
+            assert not (as_set(c.members) & seen)
+            seen |= as_set(c.members)
         assert len(seen) == g.order
         assert cs.classes[0].size == 1 and cs.classes[0].representative.is_identity()
         # inverse pairing is an involution with equal sizes
@@ -88,24 +99,24 @@ def test_class_invariants_over_corpus(corpus):
 
 def test_centralizer_examples():
     s3 = standard_group("symmetric", 3)
-    assert centralizer(s3, [s3.identity()]).order == 6
-    transposition = parse_cycles("(1,2)", 3)
+    assert centralizer(s3, [s3.identity_index]).order == 6
+    transposition = s3.index_of(parse_cycles("(1,2)", 3))
     assert centralizer(s3, [transposition]).order == 2  # class size 3, index 3
-    assert centralizer(s3, s3.generators).order == centre(s3).order == 1
+    assert centralizer(s3, s3.generator_indices).order == centre(s3).order == 1
 
 
 def test_centralizer_index_is_class_size():
     g = standard_group("symmetric", 4)
     cs = conjugacy_classes(g)
-    for i, p in enumerate(g.elements):
+    for i in range(g.order):
         size = cs.classes[cs.class_of(i)].size
-        assert g.order // centralizer(g, [p]).order == size
+        assert g.order // centralizer(g, [i]).order == size
 
 
 def test_centralizer_rejects_outsiders():
     c2 = build_group(3, [parse_cycles("(1,2)", 3)])
     with pytest.raises(ValueError, match="not an element"):
-        centralizer(c2, [parse_cycles("(1,2,3)", 3)])
+        centralizer(c2, [c2.index_of(parse_cycles("(1,2,3)", 3))])
 
 
 def test_centre_examples():
@@ -141,7 +152,7 @@ def test_derived_subgroup_matches_commutator_oracle():
     for family, parameter in [("symmetric", 3), ("alternating", 4), ("dihedral", 4)]:
         g = standard_group(family, parameter)
         expected = oracles.commutator_closure([p.images for p in g.elements], g.degree)
-        got = {p.images for p in derived_subgroup(g).perms()}
+        got = {g.elements[i].images for i in derived_subgroup(g).members}
         assert got == expected
 
 
@@ -149,7 +160,7 @@ def test_derived_s3_is_a3():
     g = standard_group("symmetric", 3)
     der = derived_subgroup(g)
     assert der.order == 3
-    assert all(g.elements[i].order() in (1, 3) for i in der.member_indices)
+    assert all(g.elements[i].order() in (1, 3) for i in der.members)
 
 
 def test_lower_central_last_a4():
@@ -181,7 +192,7 @@ def test_commutator_subgroup_of_examples():
     assert n is not None and n.order == 21
     ng = commutator_subgroup_of(n, g)
     assert ng.order == 7
-    assert ng.member_indices == derived_of(n).member_indices  # [N, G] = N'
+    assert as_set(ng.members) == as_set(derived_of(n).members)  # [N, G] = N'
 
     q8 = standard_group("quaternion", 8)
     assert commutator_subgroup_of(centre(q8), q8).order == 1  # [Z(G), G] = 1
@@ -189,7 +200,7 @@ def test_commutator_subgroup_of_examples():
 
 def test_commutator_subgroup_requires_normal():
     s3 = standard_group("symmetric", 3)
-    point_stab = Subgroup(s3, frozenset({0, s3.index_of(parse_cycles("(1,2)", 3))}))
+    point_stab = Subgroup(s3, np.array([0, s3.index_of(parse_cycles("(1,2)", 3))], dtype=np.intp))
     with pytest.raises(ValueError, match="not normal"):
         commutator_subgroup_of(point_stab, s3)
 
@@ -201,12 +212,12 @@ def test_nilpotent_residual_intersection_identity(corpus):
         g = rec.group
         k = lower_central_last(g)
         der = derived_subgroup(g)
-        assert k.member_indices <= der.member_indices
+        assert as_set(k.members) <= as_set(der.members)
         index_primes = primes_of(g.order // der.order)
         members = frozenset(range(g.order))
         for p in index_primes:
-            members &= p_residual(g, p).member_indices
-        assert k.member_indices == members
+            members &= as_set(p_residual(g, p).members)
+        assert as_set(k.members) == members
 
 
 # --- residuals, Sylow, pi-element subgroups ----------------------------------
@@ -248,7 +259,7 @@ def test_sylow_order_and_conjugate_cover(corpus):
             for x in elements:
                 covered |= {
                     oracles.mul(oracles.mul(oracles.inv(x), elements[m]), x)
-                    for m in syl.member_indices
+                    for m in syl.members
                 }
             p_elements = {
                 elements[i] for i in range(g.order)
@@ -285,13 +296,21 @@ def test_pi_elements_subgroup_is_normal_hall(corpus):
 
 def test_hall_predicates():
     c6 = standard_group("cyclic", 6)
-    assert has_central_hall(c6, (2,))
+    assert has_central_hall(pi_elements_subgroup(c6, (2,)), centre(c6))
     g = hol_c7()
-    assert has_normal_abelian_hall(g, (7,))
-    assert not has_normal_abelian_hall(standard_group("symmetric", 3), (2,))
+    assert has_normal_abelian_hall(pi_elements_subgroup(g, (7,)))
+    assert not has_normal_abelian_hall(pi_elements_subgroup(standard_group("symmetric", 3), (2,)))
     q8c3 = direct_product(standard_group("quaternion", 8), standard_group("cyclic", 3))
-    assert has_central_hall(q8c3, (3,))
-    assert not has_central_hall(q8c3, (2,))
+    assert has_central_hall(pi_elements_subgroup(q8c3, (3,)), centre(q8c3))
+    assert not has_central_hall(pi_elements_subgroup(q8c3, (2,)), centre(q8c3))
+
+
+def test_pi_mask_is_the_pi_number_test_on_every_element(corpus):
+    for rec in corpus:
+        g = rec.group
+        for pi in pi_sets(primes_of(g.order), 2):
+            expected = [is_pi_number(g.element_order(i), pi) for i in range(g.order)]
+            assert _pi_mask(g, pi).tolist() == expected, (rec.name, pi)
 
 
 def test_q_r_commuting():
@@ -347,12 +366,12 @@ def test_subgroup_equality_is_set_equality():
     g = standard_group("symmetric", 3)
     a = pi_elements_subgroup(g, (3,))
     b = p_residual(g, 2)
-    assert a.member_indices == b.member_indices
+    assert as_set(a.members) == as_set(b.members)
     assert a == b
 
 
 def _assert_is_subgroup(g, sub):
-    members = sub.member_indices
+    members = as_set(sub.members)
     assert g.identity_index in members
     tuples = {g.elements[i].images for i in members}
     assert all(oracles.mul(a, b) in tuples for a in tuples for b in tuples)
@@ -367,7 +386,7 @@ def test_set_built_subgroups_are_actual_subgroups():
         g = standard_group(family, parameter)
         _assert_is_subgroup(g, centre(g))
         _assert_is_subgroup(g, hypercentre(g))
-        _assert_is_subgroup(g, centralizer(g, [g.elements[1]]))
+        _assert_is_subgroup(g, centralizer(g, [1]))
         _assert_is_subgroup(g, normalizer(g, sylow_subgroup(g, 2)))
 
 
@@ -385,12 +404,22 @@ REFERENCE_GROUPS = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(REFERENCE_GROUPS))
+# each group once at the default block size and once at 7 cells, so that
+# every all-pairs step also runs one row per block, across block boundaries
+@pytest.fixture(
+    scope="module",
+    params=[(name, block) for name in sorted(REFERENCE_GROUPS) for block in (None, 7)],
+    ids=lambda param: param[0] if param[1] is None else f"{param[0]}-block{param[1]}",
+)
 def with_reference(request):
-    degree, cycles = REFERENCE_GROUPS[request.param]
+    name, block = request.param
+    degree, cycles = REFERENCE_GROUPS[name]
     g = build_group(degree, [parse_cycles(c, degree) for c in cycles])
     ref = oracles.Reference([e.images for e in g.elements], [p.images for p in g.generators])
-    return g, ref
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(structure, "BLOCK_CELLS", block)
+        yield g, ref
 
 
 def _assert_table_matches_products(g):
@@ -416,29 +445,30 @@ def test_classes_and_class_algebra_match_reference(with_reference):
     g, ref = with_reference
     cs = conjugacy_classes(g)
     class_index, classes = ref.classes()
-    assert list(cs.class_index) == class_index
-    assert [c.member_indices for c in cs.classes] == classes
+    assert cs.class_index.tolist() == class_index and not cs.class_index.flags.writeable
+    assert [as_set(c.members) for c in cs.classes] == classes
     assert [g.index_of(c.representative) for c in cs.classes] == [min(c) for c in classes]
+    assert [c.members[0] for c in cs.classes] == [min(c) for c in classes]
     assert class_algebra(g, cs).coefficients == ref.class_algebra()
 
 
 def test_series_and_centre_match_reference(with_reference):
     g, ref = with_reference
-    assert centre(g).member_indices == ref.centre()
-    assert derived_subgroup(g).member_indices == ref.derived()
-    assert lower_central_last(g).member_indices == ref.lower_central_last()
-    assert hypercentre(g).member_indices == ref.hypercentre()
+    assert as_set(centre(g).members) == ref.centre()
+    assert as_set(derived_subgroup(g).members) == ref.derived()
+    assert as_set(lower_central_last(g).members) == ref.lower_central_last()
+    assert as_set(hypercentre(g).members) == ref.hypercentre()
 
 
 def test_prime_oracles_match_reference(with_reference):
     g, ref = with_reference
     for p in primes_of(g.order):
         syl = sylow_subgroup(g, p)
-        assert syl.member_indices == ref.sylow(p)
-        assert normalizer(g, syl).member_indices == ref.normalizer(syl.member_indices)
-        assert centralizer(g, syl.perms()).member_indices == ref.centralizer(syl.member_indices)
-        assert p_residual(g, p).member_indices == ref.p_residual(p)
-        assert p_prime_residual(g, p).member_indices == ref.p_prime_residual(p)
+        assert as_set(syl.members) == ref.sylow(p)
+        assert as_set(normalizer(g, syl).members) == ref.normalizer(as_set(syl.members))
+        assert as_set(centralizer(g, syl.members).members) == ref.centralizer(as_set(syl.members))
+        assert as_set(p_residual(g, p).members) == ref.p_residual(p)
+        assert as_set(p_prime_residual(g, p).members) == ref.p_prime_residual(p)
         assert q_r_elements_commute(g, p) == ref.q_r_elements_commute(p)
         witness = is_direct_product_p(g, p)
         assert witness.failure == ref.direct_product_failure(p)
@@ -453,9 +483,9 @@ def test_pi_oracles_match_reference(with_reference):
             sub, pair = _pi_elements_closure(g, pi)
             members, expected_pair = ref.pi_elements_closure(pi)
             assert pair == expected_pair
-            assert (None if sub is None else sub.member_indices) == members
-            assert has_central_hall(g, pi) == (members is not None and members <= z)
-            assert has_normal_abelian_hall(g, pi) == (
+            assert (None if sub is None else as_set(sub.members)) == members
+            assert has_central_hall(sub, centre(g)) == (members is not None and members <= z)
+            assert has_normal_abelian_hall(sub) == (
                 members is not None and ref.is_abelian(members)
             )
 
@@ -467,13 +497,13 @@ def test_subgroup_predicates_match_reference(with_reference):
     seeds = ([1], [2, 5], [3, 7, 11], g.generator_indices[:1])
     subs += [subgroup_from_indices(g, seed) for seed in seeds]
     for sub in subs:
-        members = sub.member_indices
+        members = as_set(sub.members)
         assert sub.is_normal() == ref.is_normal(members)
         assert sub.is_abelian() == ref.is_abelian(members)
-        assert derived_of(sub).member_indices == ref.commutator_closure(members, members)
+        assert as_set(derived_of(sub).members) == ref.commutator_closure(members, members)
         if ref.is_normal(members):
-            assert commutator_subgroup_of(sub, g).member_indices == ref.commutator_closure(
+            assert as_set(commutator_subgroup_of(sub, g).members) == ref.commutator_closure(
                 members, ref.everyone
             )
     for seed in ([1], [2, 5], [3, 7, 11], range(0, g.order, 17)):
-        assert subgroup_from_indices(g, seed).member_indices == ref.closure(seed)
+        assert as_set(subgroup_from_indices(g, seed).members) == ref.closure(seed)
