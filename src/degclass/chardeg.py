@@ -7,28 +7,23 @@ the group exponent e and l > 2*sqrt(|G|):
    ways a fixed element of class k factors as x*y with x in class i and
    y in class j);
 2. the r matrices M_i with (M_i)[j][k] = a[i][j][k] commute and are
-   simultaneously diagonalizable over GF(l).  Following Dixon and
-   Schneider, the class sums of the group's generators are tried for one
-   that generates the algebra (only when r <= l: a class sum has at most l
-   eigenvalues in GF(l)): its Krylov chain 1, K, K^2, ... (the coordinates
-   of x*K are x @ M) has r independent powers exactly when K has r distinct
-   eigenvalues.  Then one elimination of the Krylov matrix C yields both the
-   minimal polynomial of K, whose r roots are the eigenvalues, and C^-1,
-   which writes every K_j as a polynomial in K; evaluating those
-   polynomials at the roots (one Vandermonde product) gives every common
-   eigenvector at once, in O(r^3).  When no generator's class sum
-   generates, the identity is split into the primitive idempotents of the
-   algebra instead: the class sums are visited generators' classes first,
-   then in class order, and one sparse action tells whether a class sum
-   acts as a scalar on every idempotent found so far; if not, it multiplies
-   each of them by its Lagrange idempotents E_lambda = prod over mu !=
-   lambda of (K - mu) / (lambda - mu), and the nonzero products are the
-   next idempotents.  A primitive idempotent e gives the central character
-   w_j = |K_j| * e_{j*} / e_0.  Both paths read the class matrices through a
-   sparse action on the coefficients and are deterministic: no random
-   linear combinations;
+   simultaneously diagonalizable over GF(l), so the identity splits into r
+   primitive idempotents.  The class sums are visited generators' classes
+   first (Dixon and Schneider split by a generator's class sum), then in
+   class order, and one sparse action (the coordinates of x*K are x @ M)
+   tells whether a class sum K acts as a scalar on every idempotent found so
+   far.  If not, the Krylov chain 1, K, K^2, ... gives K's minimal
+   polynomial, whose n distinct roots are its eigenvalues, and each
+   idempotent e is replaced by the nonzero products e * E_lambda with the
+   Lagrange idempotents E_lambda = prod over mu != lambda of (K - mu) /
+   (lambda - mu).  The identity's products are read off the chain itself,
+   so a class sum with r distinct eigenvalues (a generator of a cyclic
+   group) splits the whole algebra with one elimination, in O(r^3).  A
+   primitive idempotent e gives the central character
+   w_j = |K_j| * e_{j*} / e_0.  The split is deterministic: no random linear
+   combinations;
 3. the vectors are certified on the set S of class sums the split used
-   (the generating one, or those that split an idempotent): there are r of
+   (those that split an idempotent): there are r of
    them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
    every j, and no two agree on all of S.  The set A of elements a with
    w(a * x) = w(a) * w(x) for all x is a subalgebra containing S, so each w
@@ -50,7 +45,6 @@ are kept; the character values are internal scaffolding and are discarded.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,12 +112,22 @@ class ClassAlgebraData:
     """Class multiplication coefficients plus the data needed to split them."""
 
     class_count: int
-    coefficients: dict[tuple[int, int, int], int]
+    #: the nonzero coefficients a[i][j][k] as codes (i * r + j) * r + k in
+    #: ascending order, and their values
+    codes: np.ndarray
+    values: np.ndarray
     exponent: int
     dixon_prime: int
     #: the classes of the group's generators in generator order, each once
     #: and the identity class left out: the split tries these class sums first
     generator_classes: tuple[int, ...] = ()
+
+    @cached_property
+    def coefficients(self) -> dict[tuple[int, int, int], int]:
+        """The nonzero coefficients keyed by (i, j, k), built when first read;
+        the degree layer reads only the arrays."""
+        i, j, k, values, _ = self.arrays
+        return dict(zip(zip(i.tolist(), j.tolist(), k.tolist()), values.tolist()))
 
     def coefficient(self, i: int, j: int, k: int) -> int:
         return self.coefficients.get((i, j, k), 0)
@@ -132,20 +136,10 @@ class ClassAlgebraData:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The coefficients as arrays (i, j, k, value) sorted by (i, j, k),
         plus ``start`` with the entries of class i at start[i]:start[i + 1]."""
-        # one array of n codes (i * r + j) * r + k is sorted and split in place
-        r, n = self.class_count, len(self.coefficients)
-        keys = np.fromiter(itertools.chain.from_iterable(self.coefficients), np.int64, 3 * n)
-        code = keys.reshape(n, 3) @ np.array([r * r, r, 1])
-        del keys
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        values = np.fromiter(self.coefficients.values(), np.int64, n)[order]
-        del order
-        k = code % r
-        code //= r
-        j = code % r
-        code //= r
-        return code, j, k, values, np.searchsorted(code, np.arange(r + 1))
+        r = self.class_count
+        i, k = np.divmod(self.codes, r)
+        i, j = np.divmod(i, r)
+        return i, j, k, self.values, np.searchsorted(i, np.arange(r + 1))
 
     @cached_property
     def actions(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -210,12 +204,13 @@ def least_admissible_prime(order: int, exponent: int, bound: int | None = None) 
 
 def _check_degree_budget(order: int, class_count: int) -> None:
     """Raise GroupTooLargeError when the degree layer would outgrow the table
-    budget: the r x (2r + 1) int64 elimination of the generator path, or the
-    at most r * min(r^2, |G|) coefficients as int64 (for each class k, one
-    per (i, j) pair, and at most one pair per group element)."""
+    budget: the r x (r + 1) int64 elimination of a class sum's Krylov chain
+    in ``_lagrange``, or the at most r * min(r^2, |G|) coefficients as int64
+    (for each class k, one per (i, j) pair, and at most one pair per group
+    element)."""
     r = class_count
     for what, cells in (
-        ("elimination block", r * (2 * r + 1)),
+        ("elimination block", r * (r + 1)),
         ("class algebra coefficients", r * min(r * r, order)),
     ):
         size = 8 * cells
@@ -237,19 +232,25 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     """
     r = len(classes)
     _check_degree_budget(group.order, r)
-    coeff: dict[tuple[int, int, int], int] = {}
     class_of = classes.class_index
     inv = group.inverses
+    codes, counts = [], []
     for k, zk in enumerate(c.members[0] for c in classes.classes):
-        pairs, counts = np.unique(class_of * r + class_of[group.mul(inv, zk)], return_counts=True)
-        for pair, count in zip(pairs.tolist(), counts.tolist()):
-            i, j = divmod(pair, r)
-            coeff[(i, j, k)] = count
+        pairs, count = np.unique(class_of * r + class_of[group.mul(inv, zk)], return_counts=True)
+        codes.append(pairs * r + k)
+        counts.append(count)
+    codes = np.concatenate(codes)
+    order = np.argsort(codes)
     exponent = int(np.lcm.reduce(group.element_orders))
     generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
     return ClassAlgebraData(
-        r, coeff, exponent, least_admissible_prime(group.order, exponent), tuple(generator_classes)
+        r,
+        codes[order],
+        np.concatenate(counts)[order],
+        exponent,
+        least_admissible_prime(group.order, exponent),
+        tuple(generator_classes),
     )
 
 
@@ -290,21 +291,12 @@ def sqrt_mod(a: int, p: int) -> int:
 
 def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
     """Central-character vectors over GF(ell) as the rows of an array, sorted,
-    and the class sums the split used: one generator's class sum when it has
-    r distinct eigenvalues, else the class sums that split an idempotent."""
-    r = data.class_count
+    and the class sums that split an idempotent, visited generators' classes
+    first, then in class order."""
     first = data.generator_classes
-    vectors, used, chains = None, [], {}
-    if r <= ell:  # a class sum has at most ell eigenvalues in GF(ell)
-        for g in first:
-            chains[g] = powers, dependent = _identity_chain(data, g, ell)
-            if len(powers) == r:
-                vectors, used = _split_by_generator(powers, dependent, ell), [g]
-                break
-    if vectors is None:
-        tried = set(first)
-        order = [*first, *(g for g in range(1, r) if g not in tried)]
-        vectors, used = _refine(data, ell, order, chains)
+    tried = set(first)
+    order = [*first, *(g for g in range(1, data.class_count) if g not in tried)]
+    vectors, used = _refine(data, ell, order)
     return vectors[np.lexsort(vectors.T[::-1])], used
 
 
@@ -337,35 +329,6 @@ def _identity_chain(data: ClassAlgebraData, g: int, ell: int) -> tuple[np.ndarra
         x = data.act(g, x[None], ell)[0]
 
 
-def _split_by_generator(powers: np.ndarray, dependent: np.ndarray, ell: int) -> list[np.ndarray]:
-    """Every central character from a class sum K with r distinct eigenvalues.
-
-    ``powers`` holds K^0..K^{r-1} as rows, so C = powers.T is invertible and
-    one elimination of [C | I | K^r] gives C^-1 and the coefficients c of
-    K^r = sum_t c_t K^t.  Column j of C^-1 writes K_j as a polynomial in K,
-    so w(K_j) is that polynomial evaluated at w(K), a root of
-    x^r - sum_t c_t x^t.
-    """
-    r = len(powers)
-    augmented = np.concatenate(
-        [powers.T, np.eye(r, dtype=np.int64), dependent[:, None]], axis=1
-    )
-    reduced, pivots = modmat.rref(augmented, ell)
-    if pivots != list(range(r)):
-        raise EigensplitError("Krylov matrix of the generating class sum is singular")
-    inverse, tail = reduced[:, r : 2 * r], reduced[:, 2 * r]
-    roots = modmat.poly_roots([(-int(c)) % ell for c in tail] + [1], ell)
-    if len(roots) != r:
-        raise EigensplitError(
-            f"generating class sum has {len(roots)} eigenvalues in GF({ell}), expected {r}"
-        )
-    vandermonde = np.ones((r, r), dtype=np.int64)
-    lam = np.array(roots, dtype=np.int64)
-    for t in range(1, r):
-        vandermonde[:, t] = vandermonde[:, t - 1] * lam % ell
-    return vandermonde @ inverse % ell
-
-
 def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray:
     """L with E_lambda = sum_t L[t, lambda] K^t, the Lagrange idempotents of
     the class sum K whose identity chain is (powers, dependent).
@@ -396,22 +359,20 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
     return quotients * scale % ell
 
 
-def _refine(
-    data: ClassAlgebraData, ell: int, order: list[int], chains: dict[int, tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, list[int]]:
+def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
     """Central characters from the primitive idempotents of the class algebra
     over GF(ell), refining by the class sums in ``order``; also returns the
-    class sums that split an idempotent.  ``chains`` holds identity chains
-    already computed, by class sum; the others are computed here.
+    class sums that split an idempotent.
 
     ``rows`` holds orthogonal idempotents summing to 1, as coordinate rows
     over the class sums, starting from the identity.  One action tells
     whether a class sum K acts on every row as a scalar, e * K = lambda * e;
     such a class sum splits nothing and is skipped.  Otherwise K replaces
     each row e by the nonzero rows e * E_lambda over its Lagrange
-    idempotents.  Afterwards e * K = lambda * e, so once every class sum is
-    used each row spans a one-dimensional ideal: one pass suffices, and it
-    stops at r rows.
+    idempotents; while the only row is the identity, its chain e, e * K, ...
+    is K's identity chain and is not acted out again.  Afterwards
+    e * K = lambda * e, so once every class sum is used each row spans a
+    one-dimensional ideal: one pass suffices, and it stops at r rows.
     """
     r = data.class_count
     rows = np.zeros((1, r), dtype=np.int64)
@@ -423,19 +384,22 @@ def _refine(
         image = data.act(g, rows, ell)
         if _all_eigenvectors(rows, image, ell):
             continue
-        powers, dependent = chains[g] if g in chains else _identity_chain(data, g, ell)
+        powers, dependent = _identity_chain(data, g, ell)
         n = len(powers)
         lagrange = _lagrange(powers, dependent, ell)
-        refined = []
-        step = max(1, SPLIT_BLOCK_CELLS // (n * r))
-        for lo in range(0, len(rows), step):
-            chain = [rows[lo : lo + step], image[lo : lo + step]]
-            for _ in range(n - 2):
-                chain.append(data.act(g, chain[-1], ell))
-            # each sum has n <= r terms below ell^2
-            split = (np.tensordot(lagrange.T, np.stack(chain), axes=1) % ell).reshape(-1, r)
-            refined.append(split[split.any(axis=1)])
-        rows = np.concatenate(refined)
+        # each sum has n <= r terms below ell^2
+        if not used:
+            rows = lagrange.T @ powers % ell
+        else:
+            refined = []
+            step = max(1, SPLIT_BLOCK_CELLS // (n * r))
+            for lo in range(0, len(rows), step):
+                chain = [rows[lo : lo + step], image[lo : lo + step]]
+                for _ in range(n - 2):
+                    chain.append(data.act(g, chain[-1], ell))
+                split = (np.tensordot(lagrange.T, np.stack(chain), axes=1) % ell).reshape(-1, r)
+                refined.append(split[split.any(axis=1)])
+            rows = np.concatenate(refined)
         used.append(g)
     if len(rows) < r:
         raise EigensplitError(f"refinement stalled with {len(rows)} idempotents for {r} classes")

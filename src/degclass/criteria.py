@@ -168,7 +168,7 @@ class GroupData:
 
     @cached_property
     def hypercentre(self) -> Subgroup:
-        return structure.hypercentre(self.group)
+        return structure.hypercentre(self.group, self.centre)
 
     @cached_property
     def nilpotent_residual(self) -> Subgroup:

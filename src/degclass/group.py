@@ -309,9 +309,6 @@ class Group:
         """Index of elements[i] * elements[j] (left-to-right composition)."""
         return int(self.table[i, j])
 
-    def i_inv(self, i: int) -> int:
-        return int(self.inverses[i])
-
     def element_order(self, i: int) -> int:
         return int(self.element_orders[i])
 

@@ -274,13 +274,13 @@ def lower_central_last(group: Group) -> Subgroup:
         current = nxt
 
 
-def hypercentre(group: Group) -> Subgroup:
-    """Stable term of the upper central series.
+def hypercentre(group: Group, centre: Subgroup) -> Subgroup:
+    """Stable term of the upper central series, from the centre Z(G).
 
     Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, iterated until the
     set stops growing.
     """
-    current = centre(group)
+    current = centre
     everyone = np.arange(group.order)
     while True:
         inside = current.mask()

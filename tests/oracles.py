@@ -25,6 +25,18 @@ def inv(a):
     return tuple(out)
 
 
+def class_algebra_data(class_count, coefficients, dixon_prime, exponent=1, generator_classes=()):
+    """A ClassAlgebraData from a coefficient dict {(i, j, k): a[i][j][k]}, for
+    hand-made and corrupted tables."""
+    from degclass.chardeg import ClassAlgebraData
+
+    r = class_count
+    codes = np.array([(i * r + j) * r + k for i, j, k in coefficients], dtype=np.int64)
+    values = np.array(list(coefficients.values()), dtype=np.int64)
+    order = np.argsort(codes)
+    return ClassAlgebraData(r, codes[order], values[order], exponent, dixon_prime, generator_classes)
+
+
 def closure_of(degree, gens):
     """All products of the generators (the generated subgroup), as a set."""
     ident = tuple(range(degree))

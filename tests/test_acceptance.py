@@ -71,7 +71,7 @@ def test_criterion_2_identity_suite(corpus, group_data):
                 u_p_p = pi_part(u_pi(data.degree_frequency, (p,)), (p,))
                 assert u_p_p == g.order // p_residual(g, p).order, (data.name, p)
                 s_p = s_pi_size(data.classes, (p,))
-                assert pi_part(hypercentre(g).order, (p,)) == pi_part(s_p, (p,)), (data.name, p)
+                assert pi_part(hypercentre(g, data.centre).order, (p,)) == pi_part(s_p, (p,)), (data.name, p)
                 product *= u_p_p
             assert product == g.order // lower_central_last(g).order, data.name
         elapsed = time.monotonic() - start

@@ -232,19 +232,12 @@ def test_sqrt_mod_non_residue_rejected():
 def test_eigensplit_stall_aborts_loudly():
     # scalar class matrices can never split the space: with corrupted
     # coefficients the refinement must abort instead of returning junk
-    from degclass.chardeg import ClassAlgebraData, EigensplitError, _simultaneous_eigenvectors
-
-    fake = ClassAlgebraData(
-        class_count=2,
-        coefficients={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 0): 1, (1, 1, 1): 1},
-        exponent=1,
-        dixon_prime=5,
-    )
+    fake = oracles.class_algebra_data(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 0): 1, (1, 1, 1): 1}, 5)
     with pytest.raises(EigensplitError, match="stalled"):
-        _simultaneous_eigenvectors(fake, 5)
+        chardeg._simultaneous_eigenvectors(fake, 5)
 
 
-# --- the two split paths ------------------------------------------------------
+# --- the split ----------------------------------------------------------------
 
 
 def _elementary_abelian(p, n):
@@ -267,44 +260,44 @@ def _split_groups():
 
 @pytest.mark.parametrize("g", _split_groups())
 def test_generator_and_refinement_paths_agree(g):
-    # the degree frequency is a function of the sorted vectors, so equal
-    # vectors give the same frequency on both paths
+    # the split does not depend on the order of the class sums: generators'
+    # classes first and plain class order give the same sorted vectors, and
+    # the degree frequency is a function of them
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     primes = admissible_primes(g.order, data.exponent)
     frequencies = []
     for ell in (next(primes), next(primes)):
         vectors, _ = chardeg._simultaneous_eigenvectors(data, ell)
-        refined = sorted(chardeg._refine(data, ell, list(range(len(cs))), {})[0], key=lambda v: v.tolist())
+        refined = sorted(chardeg._refine(data, ell, list(range(len(cs))))[0], key=lambda v: v.tolist())
         assert [v.tolist() for v in vectors] == [v.tolist() for v in refined], ell
         frequencies.append(degrees_from_class_algebra(g, cs, data, dixon_prime=ell))
     assert frequencies[0] == frequencies[1]
 
 
-def _path_spy(monkeypatch):
-    used = []
-    for path in ("_split_by_generator", "_refine"):
-        original = getattr(chardeg, path)
+def _lagrange_degrees(monkeypatch):
+    degrees = []
+    original = chardeg._lagrange
 
-        def spy(*args, _original=original, _path=path):
-            used.append(_path)
-            return _original(*args)
+    def spy(powers, dependent, ell):
+        degrees.append(len(powers))
+        return original(powers, dependent, ell)
 
-        monkeypatch.setattr(chardeg, path, spy)
-    return used
+    monkeypatch.setattr(chardeg, "_lagrange", spy)
+    return degrees
 
 
 def test_cyclic_group_splits_from_one_generator(monkeypatch):
-    used = _path_spy(monkeypatch)
+    degrees = _lagrange_degrees(monkeypatch)
     assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
-    assert used == ["_split_by_generator"]
+    assert degrees == [96]
 
 
-def test_elementary_abelian_group_falls_back_to_refinement(monkeypatch):
+def test_elementary_abelian_group_splits_by_seven_class_sums(monkeypatch):
     # every class sum of C2^7 has at most 2 eigenvalues, so none generates
-    used = _path_spy(monkeypatch)
+    degrees = _lagrange_degrees(monkeypatch)
     assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
-    assert used == ["_refine"]
+    assert degrees == [2] * 7
 
 
 def test_c200_splits_within_seconds():
@@ -338,9 +331,9 @@ def test_class_sum_whose_minimal_polynomial_does_not_split_is_rejected(square):
     coefficients = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
     if square:
         coefficients[(1, 1, 0)] = square
-    fake = ClassAlgebraData(class_count=2, coefficients=coefficients, exponent=1, dixon_prime=5)
+    fake = oracles.class_algebra_data(2, coefficients, 5)
     with pytest.raises(EigensplitError, match="distinct roots"):
-        chardeg._refine(fake, 5, [1, 0], {})
+        chardeg._refine(fake, 5, [1, 0])
 
 
 def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
@@ -354,7 +347,7 @@ def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
     monkeypatch.setattr(ClassAlgebraData, "matrix", spy("matrix"))
     for name in ("nullspace", "solve_right", "minimal_polynomial"):
         monkeypatch.setattr(modmat, name, spy(name))
-    vectors, _ = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)), {})
+    vectors, _ = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
     oracles.Reference.check_central_characters(data.coefficients, data.class_count, vectors, data.dixon_prime)
     assert character_degrees(g).as_dict() == {1: 128}
     assert called == []
@@ -424,11 +417,11 @@ def test_certificate_rejects_corrupted_vectors(corrupt, message):
 def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
     data, vectors, used, cs = _certified_s4()
     (i, j, k), value = next((key, v) for key, v in data.coefficients.items() if key[2] != 0)
-    broken = ClassAlgebraData(
+    broken = oracles.class_algebra_data(
         data.class_count,
         {**data.coefficients, (i, j, k): value + 1},
-        data.exponent,
         data.dixon_prime,
+        data.exponent,
         data.generator_classes,
     )
     with pytest.raises(EigensplitError, match="differs from"):
@@ -468,7 +461,7 @@ def test_c2_9_skips_the_class_sums_that_split_nothing(monkeypatch):
     g = _elementary_abelian(2, 9)
     data = class_algebra(g, conjugacy_classes(g))
     calls = _call_counter(monkeypatch, "_lagrange")
-    _, used = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)), {})
+    _, used = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
     assert calls["_lagrange"] == len(used) <= 9
     assert character_degrees(g).as_dict() == {1: 512}
     assert calls["_lagrange"] <= 18
@@ -481,8 +474,8 @@ def test_c96_runs_one_identity_chain(monkeypatch):
 
 
 def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
-    # no class sum of D8 generates, so the refinement splits by generator
-    # classes whose chains the generator path has already built
+    # no class sum of D8 generates, so the split uses several generator
+    # classes, and builds the chain of each once
     chains = []
     original = chardeg._identity_chain
     monkeypatch.setattr(
@@ -497,10 +490,10 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
-    # the int16 table of C12 takes 288 bytes, its 12 x 25 int64 block 2400
+    # the int16 table of C12 takes 288 bytes, its 12 x 13 int64 block 1248
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
     [block] = run_report(parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")).document["groups"]
-    assert "elimination block of 12 classes needs 2400 bytes" in block["skipped"]
+    assert "elimination block of 12 classes needs 1248 bytes" in block["skipped"]
     assert "verdicts" not in block
     g = standard_group("cyclic", 12)
     cs = conjugacy_classes(g)
@@ -508,6 +501,14 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     monkeypatch.setattr(groups.Group, "mul", lambda *args: pytest.fail("class_algebra gathered products"))
     with pytest.raises(groups.GroupTooLargeError, match="above the table budget of 1000"):
         class_algebra(g, cs)
+
+
+def test_degree_layer_never_builds_the_coefficient_dict():
+    g = standard_group("symmetric", 4)
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    assert degrees_from_class_algebra(g, cs, data).as_dict() == {1: 2, 2: 1, 3: 2}
+    assert "coefficients" not in vars(data)
 
 
 def test_class_matrix_matches_coefficients():

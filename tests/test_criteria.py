@@ -88,6 +88,18 @@ def test_group_data_memoizes_oracles_looked_up_at_call_time(monkeypatch):
     assert calls == [2, 3, "C"]
 
 
+def test_hypercentre_starts_from_the_cached_centre(monkeypatch):
+    from degclass import structure
+
+    data = data_for("dihedral", 4)
+    data.centre
+    calls = []
+    centralizer = structure.centralizer
+    monkeypatch.setattr(structure, "centralizer", lambda g, xs: calls.append(xs) or centralizer(g, xs))
+    assert data.hypercentre.order == 8
+    assert calls == []
+
+
 def sides(verdict):
     return verdict.invariant_side.holds, verdict.structure_side.holds
 

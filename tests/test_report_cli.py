@@ -44,6 +44,13 @@ BUILTIN_REPORT_SHA256 = "50e614070e9556f349133aaef50315675dad0fce411d92db6b387e8
 NONABELIAN_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "nonabelian.txt"
 NONABELIAN_REPORT_SHA256 = "6987f4908afde54102cbc4460897ba482b47693513347c01c0cf01d33fd84954"
 
+# and on the benchmark's cyclic and elementary abelian groups, where the
+# class-algebra eigensplit does most of the work
+DEGREE_REPORT_SHA256 = {
+    "cyclic": "42207b60865fd8f14d7e477ca1018222351981268cc97320e8e27456e4153dfc",
+    "elementary_abelian": "5e782f60d71b7f8ca40bc0620505977641cab7bedad9e8877564674af20075d4",
+}
+
 
 def test_report_deterministic(corpus, builtin_report):
     again = run_report(corpus)
@@ -145,6 +152,14 @@ def test_cli_verify_nonabelian_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--corpus", str(NONABELIAN_CORPUS), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NONABELIAN_REPORT_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_REPORT_SHA256))
+def test_cli_verify_degree_corpus_report_bytes_are_pinned(tmp_path, name):
+    out = tmp_path / "report.json"
+    corpus = NONABELIAN_CORPUS.with_name(f"{name}.txt")
+    assert main(["verify", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEGREE_REPORT_SHA256[name]
 
 
 def test_cli_verify_byte_identical_runs(tmp_path):
