@@ -34,9 +34,12 @@ the group exponent e and l > 2*sqrt(|G|):
    is; the coefficients themselves are checked against the counting
    identities sum_j a[i][j][k] = |K_i| and a[i][j][0] = |K_i| exactly when
    j = i*;
-4. chi(1)^2 = |G| * (sum_j w_j * w_{j*} / |K_j|)^(-1) mod l, and the degree
-   is the unique square root in (0, sqrt(|G|)] - unique because
-   l > 2*sqrt(|G|).
+4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
+   degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read for
+   all r vectors in one array pass.  No two candidates match, because
+   l > 2*sqrt(|G|) cannot divide (d1 - d2) * (d1 + d2), and T = 0 matches
+   none, because l does not divide |G|; so "exactly one match" is the whole
+   check.
 
 Both congruence constraints on l force l coprime to |G| (every prime of |G|
 divides e), which is what makes the class algebra split.  Only the degrees
@@ -63,9 +66,6 @@ if TYPE_CHECKING:
 #: primes are searched up to this multiple of the group order; at desk scale
 #: the least admissible prime appears far earlier, but the failure path is real
 PRIME_SEARCH_FACTOR = 100
-
-#: below this modulus the modular square root is a plain scan
-SQRT_SCAN_LIMIT = 10**4
 
 #: the sparse class action, the idempotent split and the certificate handle
 #: this many cells at a time, so no array of r * nnz_g or r^3 cells is ever
@@ -130,7 +130,10 @@ class ClassAlgebraData:
         return dict(zip(zip(i.tolist(), j.tolist(), k.tolist()), values.tolist()))
 
     def coefficient(self, i: int, j: int, k: int) -> int:
-        return self.coefficients.get((i, j, k), 0)
+        r = self.class_count
+        code = (i * r + j) * r + k
+        at = int(np.searchsorted(self.codes, code))
+        return int(self.values[at]) if at < len(self.codes) and self.codes[at] == code else 0
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -184,14 +187,13 @@ def admissible_primes(order: int, exponent: int, bound: int | None = None) -> It
     """Primes l = 1 (mod exponent) with l^2 > 4*order, ascending, up to the bound."""
     if bound is None:
         bound = PRIME_SEARCH_FACTOR * order
-    # l = 1 (mod e) and l odd except for the degenerate exponent-1 case
-    candidate = exponent + 1 if exponent > 1 else 2
+    candidate = exponent + 1
     found = False
     while candidate <= bound:
         if candidate * candidate > 4 * order and is_prime(candidate):
             found = True
             yield candidate
-        candidate += exponent if exponent > 1 else 1
+        candidate += exponent
     if not found:
         raise DixonPrimeSearchError(
             f"no prime l = 1 (mod {exponent}) with l > 2*sqrt({order}) below {bound}"
@@ -205,13 +207,19 @@ def least_admissible_prime(order: int, exponent: int, bound: int | None = None) 
 def _check_degree_budget(order: int, class_count: int) -> None:
     """Raise GroupTooLargeError when the degree layer would outgrow the table
     budget: the r x (r + 1) int64 elimination of a class sum's Krylov chain
-    in ``_lagrange``, or the at most r * min(r^2, |G|) coefficients as int64
-    (for each class k, one per (i, j) pair, and at most one pair per group
-    element)."""
+    in ``_lagrange``, or the int64 arrays held at once over the at most
+    nnz = r * min(r^2, |G|) coefficients (for each class k, one per (i, j)
+    pair, and at most one pair per group element).  Nine nnz-long arrays
+    live as long as the class algebra: ``codes`` and ``values``, the i, j, k
+    of ``arrays``, and the j, values, columns and column starts of
+    ``actions``.  Up to seven more are held while the split and its
+    certificate run: the idempotent rows, their image and the products that
+    compare them (r x r <= nnz cells each), or the certificate's pair codes,
+    column codes and column sums."""
     r = class_count
     for what, cells in (
         ("elimination block", r * (r + 1)),
-        ("class algebra coefficients", r * min(r * r, order)),
+        ("class algebra arrays", (9 + 7) * r * min(r * r, order)),
     ):
         size = 8 * cells
         if size > groups.TABLE_MAX_BYTES:
@@ -252,41 +260,6 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
         least_admissible_prime(group.order, exponent),
         tuple(generator_classes),
     )
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of a mod p (p an odd prime or 2); raises if none exists.
-
-    Scans exhaustively for small p, uses Tonelli-Shanks above the scan limit.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if p < SQRT_SCAN_LIMIT:
-        for x in range(1, p):
-            if x * x % p == a:
-                return x
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, x = t * c % p, x * b % p
-    return x
 
 
 def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
@@ -484,19 +457,23 @@ def _certify(
         raise EigensplitError("two split vectors agree on every class sum used")
 
 
-def _degree_of_vector(
-    omega: np.ndarray, inverse_pairing: np.ndarray, inverse_sizes: np.ndarray, order: int, ell: int
-) -> int:
-    total = int((omega * omega[inverse_pairing] % ell * inverse_sizes % ell).sum()) % ell
-    if total == 0:
-        raise EigensplitError("orthogonality sum vanished mod the dixon prime")
-    square = order % ell * modmat.inv_mod(total, ell) % ell
-    root = sqrt_mod(square, ell)
-    limit = math.isqrt(order)
-    candidates = [x for x in (root, ell - root) if 1 <= x <= limit]
-    if len(candidates) != 1:
-        raise EigensplitError(f"degree root not unique in (0, sqrt(order)]: {candidates}")
-    return candidates[0]
+def _degree_frequency(
+    vectors: np.ndarray, sizes: list[int], star: tuple[int, ...], order: int, ell: int
+) -> DegreeFrequency:
+    """The degrees of the central characters ``vectors`` (step 4 above): row
+    t's degree is the one d <= isqrt(order) with d^2 * T_t = order mod ell."""
+    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in sizes], dtype=np.int64)
+    # each product is below ell^2, and each row sums r terms below ell
+    t = (vectors * vectors[:, list(star)] % ell * inverse_sizes % ell).sum(axis=1) % ell
+    d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
+    # d^2 <= order and t < ell, so the product stays far below 2^63
+    match = d * d * t[:, None] % ell == order % ell
+    if not (match.sum(axis=1) == 1).all():
+        raise EigensplitError(
+            f"a central character has no single degree d <= {len(d)} with d^2 * T = {order} mod {ell}"
+        )
+    degrees, counts = np.unique(d[match.argmax(axis=1)], return_counts=True)
+    return DegreeFrequency(tuple(zip(degrees.tolist(), counts.tolist())))
 
 
 def degrees_from_class_algebra(
@@ -519,13 +496,7 @@ def degrees_from_class_algebra(
             raise ValueError(f"{ell} is not an admissible dixon prime for this group")
     vectors, used = _simultaneous_eigenvectors(data, ell)
     _certify(data, vectors, used, classes.sizes(), classes.inverse_pairing, ell)
-    star = np.array(classes.inverse_pairing, dtype=np.intp)
-    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in classes.sizes()], dtype=np.int64)
-    counts: dict[int, int] = {}
-    for omega in vectors:
-        d = _degree_of_vector(omega, star, inverse_sizes, group.order, ell)
-        counts[d] = counts.get(d, 0) + 1
-    freq = DegreeFrequency(tuple(sorted(counts.items())))
+    freq = _degree_frequency(vectors, classes.sizes(), classes.inverse_pairing, group.order, ell)
     _check_consistency(freq, group.order, len(classes))
     return freq
 

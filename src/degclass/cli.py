@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import metrics
 from .arith import factorization, pi_sets
 from .corpus import CorpusError, GroupRecord, builtin_corpus, parse_corpus
 from .criteria import CATALOG, GroupData
@@ -73,7 +72,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     print(f"{'pi':<12} {'u_pi':>12} {'|S_pi|':>12}")
     for ps in pi_sets(data.primes, args.pi_bound):
         label = "{" + ",".join(str(p) for p in ps) + "}"
-        print(f"{label:<12} {metrics.u_pi(data.degree_frequency, ps):>12} {metrics.s_pi_size(data.classes, ps):>12}")
+        print(f"{label:<12} {data.u(ps):>12} {data.s(ps):>12}")
     return EXIT_OK
 
 

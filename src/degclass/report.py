@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import __version__, metrics
+from . import __version__
 from .arith import factorization, pi_sets
 from .corpus import GroupRecord, corpus_digest
 from .criteria import EQUIVALENCE, CriterionVerdict, GroupData, run_all_criteria
@@ -95,8 +95,8 @@ def _group_block(rec: GroupRecord, options: ReportOptions) -> tuple[dict, list[C
     block["invariant_tables"] = [
         {
             "pi": [_s(p) for p in ps],
-            "u_pi": _s(metrics.u_pi(data.degree_frequency, ps)),
-            "s_pi": _s(metrics.s_pi_size(data.classes, ps)),
+            "u_pi": _s(data.u(ps)),
+            "s_pi": _s(data.s(ps)),
         }
         for ps in pi_sets(data.primes, options.pi_bound)
     ]

@@ -15,7 +15,6 @@ from degclass.chardeg import (
     class_algebra,
     degrees_from_class_algebra,
     least_admissible_prime,
-    sqrt_mod,
 )
 from degclass.families import standard_group
 from degclass.group import direct_product
@@ -205,28 +204,31 @@ def test_product_frequency_is_convolution_of_factors(left, right):
     assert character_degrees(direct_product(a, b)).as_dict() == expected
 
 
-# --- modular square roots ----------------------------------------------------
+# --- degree readout ----------------------------------------------------------
+
+# S3's classes: the identity, the three transpositions, the two 3-cycles; each
+# is its own inverse.  At ell = 7, d^2 * T = 6 holds for d = 1 at T = 6 and for
+# d = 2 at T = 5.
+S3_SIZES, S3_STAR = [1, 3, 2], (0, 1, 2)
 
 
-def test_sqrt_mod_small_field():
-    for p in (7, 13, 101):
-        for x in range(1, p):
-            r = sqrt_mod(x * x % p, p)
-            assert r * r % p == x * x % p
+def test_degree_readout_matches_each_vector_to_one_square():
+    vectors = np.array([[1, 3, 2], [1, 4, 2], [1, 0, 6]])  # trivial, sign, degree 2
+    freq = chardeg._degree_frequency(vectors, S3_SIZES, S3_STAR, 6, 7)
+    assert freq == DegreeFrequency(((1, 2), (2, 1)))
 
 
-def test_sqrt_mod_large_field_tonelli():
-    p = 100003  # above the scan threshold
-    for x in (2, 1234, 99999):
-        r = sqrt_mod(x * x % p, p)
-        assert r * r % p == x * x % p
-
-
-def test_sqrt_mod_non_residue_rejected():
-    with pytest.raises(ValueError, match="not a quadratic residue"):
-        sqrt_mod(3, 7)
-    with pytest.raises(ValueError, match="not a quadratic residue"):
-        sqrt_mod(5, 100003)
+@pytest.mark.parametrize(
+    "vector,total",
+    [([1, 1, 3], 0), ([1, 0, 0], 1)],
+    ids=["T-vanishes", "T-matches-no-degree"],
+)
+def test_degree_readout_rejects_a_vector_without_exactly_one_degree(vector, total):
+    vectors = np.array([[1, 3, 2], vector])
+    inverse_sizes = [pow(n, -1, 7) for n in S3_SIZES]
+    assert sum(w * w * inv for w, inv in zip(vector, inverse_sizes)) % 7 == total
+    with pytest.raises(EigensplitError, match="no single degree d <= 2"):
+        chardeg._degree_frequency(vectors, S3_SIZES, S3_STAR, 6, 7)
 
 
 def test_eigensplit_stall_aborts_loudly():
@@ -503,11 +505,39 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
         class_algebra(g, cs)
 
 
+def test_degree_budget_counts_the_arrays_held_at_once(monkeypatch):
+    from degclass import group as groups
+    from degclass.corpus import parse_corpus
+    from degclass.report import run_report
+
+    # C12's 12 x 13 int64 block (1248 bytes) and its 144 coefficient cells as
+    # one int64 array (1152 bytes) fit 4000 bytes; the sixteen arrays of 144
+    # cells the degree layer holds at once (18432 bytes) do not
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 4000)
+    [block] = run_report(parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")).document["groups"]
+    assert "class algebra arrays of 12 classes needs 18432 bytes" in block["skipped"]
+    assert "verdicts" not in block
+
+
 def test_degree_layer_never_builds_the_coefficient_dict():
     g = standard_group("symmetric", 4)
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     assert degrees_from_class_algebra(g, cs, data).as_dict() == {1: 2, 2: 1, 3: 2}
+    assert "coefficients" not in vars(data)
+
+
+def test_coefficient_is_read_without_the_coefficient_dict():
+    g = standard_group("symmetric", 3)
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    t, c = cs.sizes().index(3), cs.sizes().index(2)  # transpositions, 3-cycles
+    assert [data.coefficient(*ijk) for ijk in [(t, t, 0), (t, t, c), (t, t, t), (c, c, c), (0, 0, 0)]] == [3, 3, 0, 1, 1]
+    assert "coefficients" not in vars(data)
+    # in C2 the last code (1, 1, 1) is absent, so the search runs off the end
+    g = standard_group("cyclic", 2)
+    data = class_algebra(g, conjugacy_classes(g))
+    assert [data.coefficient(1, 1, k) for k in (0, 1)] == [1, 0]
     assert "coefficients" not in vars(data)
 
 

@@ -98,15 +98,16 @@ def test_oversized_group_is_skipped_not_fatal():
 
 
 def test_table_budget_hit_is_skipped_not_fatal(monkeypatch, tmp_path, capsys):
-    # S4 needs a 24 x 24 table of 2-byte entries; C6 stays under the budget
+    # S4 needs a 24 x 24 table of 2-byte entries; C2 stays under the budget,
+    # degree layer included (sixteen int64 arrays of 4 cells, 512 bytes)
     monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 24 * 2 - 1)
-    report = run_report(parse_corpus(S4_STANZA + "\n" + C6_STANZA))
+    report = run_report(parse_corpus(S4_STANZA + "\ngroup C2\ndegree 2\ngen (1,2)\nend\n"))
     blocks = {b["name"]: b for b in report.document["groups"]}
     assert blocks["S4"]["skipped"] == (
         "group too large: Cayley table of order 24 needs 1152 bytes, above the table budget of 1151"
     )
     assert "verdicts" not in blocks["S4"]
-    assert blocks["C6"]["skipped"] is None
+    assert blocks["C2"]["skipped"] is None
     assert report.document["summary"]["skipped"] == "1"
 
     path = tmp_path / "corpus.txt"
