@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -112,8 +112,8 @@ class ClassAlgebraData:
     """Class multiplication coefficients plus the data needed to split them."""
 
     class_count: int
-    #: the nonzero coefficients a[i][j][k] as codes (i * r + j) * r + k in
-    #: ascending order, and their values
+    #: the nonzero coefficients a[i][j][k] as codes (i * r + k) * r + j in ascending
+    #: order, and their values: class i's entries are (M_i)[j][k] column by column
     codes: np.ndarray
     values: np.ndarray
     exponent: int
@@ -123,63 +123,60 @@ class ClassAlgebraData:
     generator_classes: tuple[int, ...] = ()
 
     @cached_property
+    def column_starts(self) -> np.ndarray:
+        """Column k of M_i is codes[start[i * r + k] : start[i * r + k + 1]]."""
+        r = self.class_count
+        return np.searchsorted(self.codes, np.arange(r * r + 1) * r)
+
+    @cached_property
     def coefficients(self) -> dict[tuple[int, int, int], int]:
         """The nonzero coefficients keyed by (i, j, k), built when first read;
         the degree layer reads only the arrays."""
-        i, j, k, values, _ = self.arrays
-        return dict(zip(zip(i.tolist(), j.tolist(), k.tolist()), values.tolist()))
+        r = self.class_count
+        column, j = np.divmod(self.codes, r)
+        i, k = np.divmod(column, r)
+        return dict(zip(zip(i.tolist(), j.tolist(), k.tolist()), self.values.tolist()))
 
     def coefficient(self, i: int, j: int, k: int) -> int:
         r = self.class_count
-        code = (i * r + j) * r + k
+        code = (i * r + k) * r + j
         at = int(np.searchsorted(self.codes, code))
         return int(self.values[at]) if at < len(self.codes) and self.codes[at] == code else 0
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The coefficients as arrays (i, j, k, value) sorted by (i, j, k),
-        plus ``start`` with the entries of class i at start[i]:start[i + 1]."""
-        r = self.class_count
-        i, k = np.divmod(self.codes, r)
-        i, j = np.divmod(i, r)
-        return i, j, k, self.values, np.searchsorted(i, np.arange(r + 1))
+    def unit_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries a[i][j][0] as (i, j, value), sorted by (i, j)."""
+        r, start = self.class_count, self.column_starts
+        at = np.concatenate([np.arange(lo, hi) for lo, hi in zip(start[: r * r : r], start[1::r])])
+        i, j = np.divmod(self.codes[at], r * r)
+        return i, j, self.values[at]
 
-    @cached_property
-    def actions(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per class g, its coefficients grouped by k for ``act``: (j, value,
-        ks, starts) sorted by (k, j), the entries of column ks[t] of the class
-        matrix at starts[t]:starts[t + 1]."""
+    def action(self, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> x @ M_g mod ell on rows x reduced mod ell, with class g decoded once:
+        row t of the image is the coordinate row of x_t * K_g.  A call costs len(x) *
+        nnz_g cells, a block of rows at a time; each sum has at most r terms below ell^2."""
         r = self.class_count
-        i, j, k, values, start = self.arrays
-        order = np.argsort((i * r + k) * r + j, kind="stable")
-        # i leads both orders, so the class slices keep their bounds
-        j, k, values = j[order], k[order], values[order]
-        first = np.flatnonzero(np.r_[True, (i[1:] != i[:-1]) | (k[1:] != k[:-1])])
-        bounds = np.searchsorted(first, start)
-        return [
-            (j[lo:hi], values[lo:hi], k[first[a:b]], first[a:b] - lo)
-            for lo, hi, a, b in zip(start[:-1], start[1:], bounds[:-1], bounds[1:])
-        ]
-
-    def act(self, g: int, x: np.ndarray, ell: int) -> np.ndarray:
-        """x @ M_g mod ell for rows x reduced mod ell: row t of the result is
-        the coordinate row of (row t of x) * K_g.  Costs len(x) * nnz_g cells,
-        a block of rows at a time; each sum has at most r terms below ell^2."""
-        j, values, ks, starts = self.actions[g]
-        values = values % ell
-        out = np.zeros_like(x)
+        bounds = self.column_starts[g * r : (g + 1) * r + 1]
+        j = self.codes[bounds[0] : bounds[-1]] % r
+        values = self.values[bounds[0] : bounds[-1]] % ell
+        ks = np.flatnonzero(bounds[1:] > bounds[:-1])
+        starts = bounds[ks] - bounds[0]
         step = max(1, SPLIT_BLOCK_CELLS // max(1, len(j)))
-        for lo in range(0, len(x), step):
-            block = x[lo : lo + step, j] * values
-            out[lo : lo + step, ks] = np.add.reduceat(block, starts, axis=1) % ell
-        return out
+
+        def act(x: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(x)
+            for lo in range(0, len(x), step):
+                block = x[lo : lo + step, j] * values
+                out[lo : lo + step, ks] = np.add.reduceat(block, starts, axis=1) % ell
+            return out
+
+        return act
 
     def matrix(self, i: int) -> np.ndarray:
         r = self.class_count
-        _, j, k, values, start = self.arrays
-        own = slice(start[i], start[i + 1])
+        own = slice(self.column_starts[i * r], self.column_starts[(i + 1) * r])
+        k, j = np.divmod(self.codes[own] % (r * r), r)
         m = np.zeros((r, r), dtype=np.int64)
-        m[j[own], k[own]] = values[own]
+        m[j, k] = self.values[own]
         return m
 
 
@@ -209,17 +206,17 @@ def _check_degree_budget(order: int, class_count: int) -> None:
     budget: the r x (r + 1) int64 elimination of a class sum's Krylov chain
     in ``_lagrange``, or the int64 arrays held at once over the at most
     nnz = r * min(r^2, |G|) coefficients (for each class k, one per (i, j)
-    pair, and at most one pair per group element).  Nine nnz-long arrays
-    live as long as the class algebra: ``codes`` and ``values``, the i, j, k
-    of ``arrays``, and the j, values, columns and column starts of
-    ``actions``.  Up to seven more are held while the split and its
-    certificate run: the idempotent rows, their image and the products that
-    compare them (r x r <= nnz cells each), or the certificate's pair codes,
-    column codes and column sums."""
+    pair, and at most one pair per group element).  Three nnz-long arrays
+    live as long as the class algebra: ``codes``, ``values`` and
+    ``column_starts`` (r^2 + 1 <= nnz + 1 cells).  Up to eight more are held
+    while the split and its certificate run: the idempotent rows, their
+    image, the products that compare them and the central characters read
+    from them (r x r <= nnz cells each); tracemalloc puts the peak at 10.2
+    arrays on C2^8 and C3^5."""
     r = class_count
     for what, cells in (
         ("elimination block", r * (r + 1)),
-        ("class algebra arrays", (9 + 7) * r * min(r * r, order)),
+        ("class algebra arrays", (3 + 8) * r * min(r * r, order)),
     ):
         size = 8 * cells
         if size > groups.TABLE_MAX_BYTES:
@@ -244,8 +241,8 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     inv = group.inverses
     codes, counts = [], []
     for k, zk in enumerate(c.members[0] for c in classes.classes):
-        pairs, count = np.unique(class_of * r + class_of[group.mul(inv, zk)], return_counts=True)
-        codes.append(pairs * r + k)
+        pairs, count = np.unique(class_of * (r * r) + class_of[group.mul(inv, zk)], return_counts=True)
+        codes.append(pairs + k * r)
         counts.append(count)
     codes = np.concatenate(codes)
     order = np.argsort(codes)
@@ -273,15 +270,14 @@ def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.nda
     return vectors[np.lexsort(vectors.T[::-1])], used
 
 
-def _identity_chain(data: ClassAlgebraData, g: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Krylov chain 1, K, K^2, ... of the class sum K = K_g.
+def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Krylov chain 1, K, K^2, ... of the class sum K whose action is ``act``.
 
     Returns the independent powers as rows (their number is the number of
     distinct eigenvalues of K) and the first power that depends on them.
     Each power is reduced against the earlier ones, kept in reduced echelon
     form, so testing it costs one sparse action and one vector-matrix product.
     """
-    r = data.class_count
     echelon = np.zeros((r, r), dtype=np.int64)
     pivots: list[int] = []
     powers = []
@@ -299,7 +295,7 @@ def _identity_chain(data: ClassAlgebraData, g: int, ell: int) -> tuple[np.ndarra
         echelon[k] = rest
         pivots.append(c)
         powers.append(x)
-        x = data.act(g, x[None], ell)[0]
+        x = act(x[None])[0]
 
 
 def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray:
@@ -354,10 +350,11 @@ def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndar
     for g in order:
         if len(rows) >= r:
             break
-        image = data.act(g, rows, ell)
+        act = data.action(g, ell)
+        image = act(rows)
         if _all_eigenvectors(rows, image, ell):
             continue
-        powers, dependent = _identity_chain(data, g, ell)
+        powers, dependent = _identity_chain(act, r, ell)
         n = len(powers)
         lagrange = _lagrange(powers, dependent, ell)
         # each sum has n <= r terms below ell^2
@@ -369,7 +366,7 @@ def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndar
             for lo in range(0, len(rows), step):
                 chain = [rows[lo : lo + step], image[lo : lo + step]]
                 for _ in range(n - 2):
-                    chain.append(data.act(g, chain[-1], ell))
+                    chain.append(act(chain[-1]))
                 split = (np.tensordot(lagrange.T, np.stack(chain), axes=1) % ell).reshape(-1, r)
                 refined.append(split[split.any(axis=1)])
             rows = np.concatenate(refined)
@@ -382,10 +379,9 @@ def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndar
     if not rows[:, 0].all():
         raise EigensplitError("idempotent vanishes at the identity class")
     # w_j = |K_j| * e_{j*} / e_0: a[j][i][0] is |K_j| for i = j* and 0 otherwise
-    i, j, k, values, _ = data.arrays
-    unit = k == 0
+    i, j, values = data.unit_column()
     omega = np.zeros_like(rows)
-    omega[:, i[unit]] = rows[:, j[unit]] * (values[unit] % ell) % ell
+    omega[:, i] = rows[:, j] * (values % ell) % ell
     inverse = np.array([modmat.inv_mod(int(e), ell) for e in rows[:, 0]], dtype=np.int64)
     return omega * inverse[:, None] % ell, used
 
@@ -417,21 +413,22 @@ def _certify(
     r * nnz_g cells; (c) no two vectors agree on every class in ``used``.
     """
     r = data.class_count
-    i, j, k, values, start = data.arrays
-    pair = i * r + j
-    pairs = np.count_nonzero(np.r_[True, pair[1:] != pair[:-1]])
+    codes, start = data.codes, data.column_starts
+    pairs = np.count_nonzero(np.bincount(codes // (r * r) * r + codes % r, minlength=r * r))
     if pairs != r * r:
         raise EigensplitError(f"coefficients cover {pairs} class pairs, expected {r * r}")
     sizes = np.array(sizes, dtype=np.int64)
-    column_sums = np.zeros(r * r, dtype=np.int64)
-    np.add.at(column_sums, i * r + k, values)
-    if not (column_sums.reshape(r, r) == sizes[:, None]).all():
+    # an empty column sums to 0; reduceat needs every column nonempty
+    if not (start[1:] > start[:-1]).all() or not np.array_equal(
+        np.add.reduceat(data.values, start[:-1]), np.repeat(sizes, r)
+    ):
         raise EigensplitError("coefficients: some sum over j of a[i][j][k] differs from |K_i|")
-    unit = (k == 0) & (values != 0)
+    i, j, values = data.unit_column()
+    nonzero = values != 0
     if not (
-        np.array_equal(i[unit], np.arange(r))
-        and np.array_equal(j[unit], star)
-        and np.array_equal(values[unit], sizes)
+        np.array_equal(i[nonzero], np.arange(r))
+        and np.array_equal(j[nonzero], star)
+        and np.array_equal(values[nonzero], sizes)
     ):
         raise EigensplitError("coefficients: a[i][j][0] is not |K_i| exactly at j = i*")
 
@@ -440,10 +437,12 @@ def _certify(
     if not (vectors[:, 0] == 1).all():
         raise EigensplitError("a split vector is not 1 at the identity class")
     for g in used:
-        lo, hi = start[g], start[g + 1]
-        ks, coefficients = k[lo:hi], values[lo:hi] % ell
-        # every pair occurs, so the slice holds the r rows j of M_g in order
-        rows = np.flatnonzero(np.r_[True, j[lo + 1 : hi] != j[lo : hi - 1]])
+        lo, hi = start[g * r], start[(g + 1) * r]
+        column, j = np.divmod(codes[lo:hi], r)
+        by_row = np.argsort(j, kind="stable")
+        ks, coefficients = column[by_row] - g * r, data.values[lo:hi][by_row] % ell
+        # every pair occurs, so the regrouped entries hold the r rows j of M_g in order
+        rows = np.searchsorted(j[by_row], np.arange(r))
         step = max(1, SPLIT_BLOCK_CELLS // (hi - lo))
         for t in range(0, r, step):
             w = vectors[t : t + step]

@@ -31,7 +31,7 @@ def class_algebra_data(class_count, coefficients, dixon_prime, exponent=1, gener
     from degclass.chardeg import ClassAlgebraData
 
     r = class_count
-    codes = np.array([(i * r + j) * r + k for i, j, k in coefficients], dtype=np.int64)
+    codes = np.array([(i * r + k) * r + j for i, j, k in coefficients], dtype=np.int64)
     values = np.array(list(coefficients.values()), dtype=np.int64)
     order = np.argsort(codes)
     return ClassAlgebraData(r, codes[order], values[order], exponent, dixon_prime, generator_classes)

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -430,6 +432,36 @@ def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
         chardeg._certify(broken, vectors, used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
 
 
+def _certify_corrupted_s4(corrupt):
+    data, vectors, used, cs = _certified_s4()
+    broken = oracles.class_algebra_data(
+        data.class_count, corrupt(dict(data.coefficients), cs), data.dixon_prime, data.exponent, data.generator_classes
+    )
+    chardeg._certify(broken, vectors, used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
+
+
+def test_certificate_rejects_a_table_that_lacks_a_class_pair():
+    def drop_pair(coefficients, cs):
+        t = cs.sizes().index(6)
+        return {key: v for key, v in coefficients.items() if key[:2] != (t, t)}
+
+    with pytest.raises(EigensplitError, match="cover 24 class pairs, expected 25"):
+        _certify_corrupted_s4(drop_pair)
+
+
+def test_certificate_rejects_a_unit_coefficient_off_the_inverse_class():
+    # a[t][t][0] = |K_t| moves to a[t][u][0]: the column sums still hold
+    def move_unit(coefficients, cs):
+        t = cs.sizes().index(6)
+        u = next(j for j in range(1, len(cs)) if j != cs.inverse_pairing[t])
+        assert (t, u, 0) not in coefficients
+        coefficients[(t, u, 0)] = coefficients.pop((t, t, 0))
+        return coefficients
+
+    with pytest.raises(EigensplitError, match=r"is not \|K_i\| exactly at j = i\*"):
+        _certify_corrupted_s4(move_unit)
+
+
 def test_generator_classes_are_recorded_without_the_identity():
     g = _elementary_abelian(2, 3)
     cs = conjugacy_classes(g)
@@ -478,10 +510,17 @@ def test_c96_runs_one_identity_chain(monkeypatch):
 def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
     # no class sum of D8 generates, so the split uses several generator
     # classes, and builds the chain of each once
-    chains = []
-    original = chardeg._identity_chain
+    chains, class_of_action = [], {}
+    action, original = ClassAlgebraData.action, chardeg._identity_chain
+
+    def spy(data, g, ell):
+        act = action(data, g, ell)
+        class_of_action[act] = g
+        return act
+
+    monkeypatch.setattr(ClassAlgebraData, "action", spy)
     monkeypatch.setattr(
-        chardeg, "_identity_chain", lambda data, g, ell: chains.append(g) or original(data, g, ell)
+        chardeg, "_identity_chain", lambda act, r, ell: chains.append(class_of_action[act]) or original(act, r, ell)
     )
     assert character_degrees(standard_group("dihedral", 4)).as_dict() == {1: 4, 2: 1}
     assert len(chains) == len(set(chains)) >= 2
@@ -511,12 +550,32 @@ def test_degree_budget_counts_the_arrays_held_at_once(monkeypatch):
     from degclass.report import run_report
 
     # C12's 12 x 13 int64 block (1248 bytes) and its 144 coefficient cells as
-    # one int64 array (1152 bytes) fit 4000 bytes; the sixteen arrays of 144
-    # cells the degree layer holds at once (18432 bytes) do not
+    # one int64 array (1152 bytes) fit 4000 bytes; the eleven arrays of 144
+    # cells the degree layer holds at once (12672 bytes) do not
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 4000)
     [block] = run_report(parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")).document["groups"]
-    assert "class algebra arrays of 12 classes needs 18432 bytes" in block["skipped"]
+    assert "class algebra arrays of 12 classes needs 12672 bytes" in block["skipped"]
     assert "verdicts" not in block
+
+
+def test_degree_layer_holds_three_coefficient_arrays():
+    # the degree budget counts three nnz-long int64 arrays held for the class
+    # algebra's lifetime: codes, values and column starts (r^2 + 1 cells)
+    g = _elementary_abelian(2, 8)
+    cs = conjugacy_classes(g)
+    class_algebra(g, cs)  # builds the group's table and inverses
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = class_algebra(g, cs)
+        assert degrees_from_class_algebra(g, cs, data).as_dict() == {1: 256}
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a few kilobytes of array headers, the cached-property dict and the result
+    assert held <= 3 * 8 * len(data.codes) + 8192
 
 
 def test_degree_layer_never_builds_the_coefficient_dict():
@@ -558,7 +617,24 @@ def test_sparse_action_matches_class_matrix(monkeypatch, block):
     ell = data.dixon_prime
     x = np.random.default_rng(0).integers(0, ell, (6, data.class_count))
     for i in range(data.class_count):
-        assert np.array_equal(data.act(i, x, ell), x @ data.matrix(i) % ell)
+        assert np.array_equal(data.action(i, ell)(x), x @ data.matrix(i) % ell)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(standard_group("symmetric", 4), id="S4"),
+        pytest.param(direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3)), id="D8xC2^3"),
+        pytest.param(standard_group("cyclic", 96), id="C96"),
+    ],
+)
+def test_degree_layer_at_block_7_matches_the_default_block(monkeypatch, g):
+    # runs the multi-block loops of the action, the split and the certificate
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    expected = degrees_from_class_algebra(g, cs, data)
+    monkeypatch.setattr(chardeg, "SPLIT_BLOCK_CELLS", 7)
+    assert degrees_from_class_algebra(g, cs, data) == expected
 
 
 def test_degree_frequency_accessors():
