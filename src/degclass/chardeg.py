@@ -3,9 +3,11 @@
 The method works entirely over a prime field GF(l) where l = 1 (mod e) for
 the group exponent e and l > 2*sqrt(|G|):
 
-1. compute the class multiplication coefficients a[i][j][k] (the number of
-   ways a fixed element of class k factors as x*y with x in class i and
-   y in class j);
+1. the class multiplication coefficients a[i][j][k] count the ways a fixed
+   element of class k factors as x*y with x in class i and y in class j.
+   Class i's coefficients are counted only when the split or the
+   certificate first reads them, by one gather of |K_i| * r products, so
+   the r * min(r^2, |G|) table is never built;
 2. the r matrices M_i with (M_i)[j][k] = a[i][j][k] commute and are
    simultaneously diagonalizable over GF(l), so the identity splits into r
    primitive idempotents.  The class sums are visited generators' classes
@@ -31,9 +33,9 @@ the group exponent e and l > 2*sqrt(|G|):
    homomorphisms there are linearly independent (Dedekind), so that algebra
    is the whole class algebra and every w is a central character.  The
    argument needs an associative table, which a table counted from a group
-   is; the coefficients themselves are checked against the counting
-   identities sum_j a[i][j][k] = |K_i| and a[i][j][0] = |K_i| exactly when
-   j = i*;
+   is; the coefficients of every g in S are checked against the counting
+   identities: every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
+   and a[g][j][0] = |K_g| exactly when j = g*;
 4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
    degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read for
    all r vectors in one array pass.  No two candidates match, because
@@ -49,7 +51,7 @@ are kept; the character values are internal scaffolding and are discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -109,57 +111,54 @@ class DegreeFrequency:
 
 @dataclass(frozen=True)
 class ClassAlgebraData:
-    """Class multiplication coefficients plus the data needed to split them."""
+    """Class multiplication coefficients, counted one class at a time when
+    first read, plus the data needed to split them."""
 
     class_count: int
-    #: the nonzero coefficients a[i][j][k] as codes (i * r + k) * r + j in ascending
-    #: order, and their values: class i's entries are (M_i)[j][k] column by column
-    codes: np.ndarray
-    values: np.ndarray
+    #: class g -> its nonzero a[g][j][k] as codes k * r + j in ascending order,
+    #: and their values: (M_g)[j][k] column by column
+    source: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    #: the class sizes |K_j| and the inverse classes j*
+    sizes: tuple[int, ...]
+    star: tuple[int, ...]
     exponent: int
     dixon_prime: int
     #: the classes of the group's generators in generator order, each once
     #: and the identity class left out: the split tries these class sums first
     generator_classes: tuple[int, ...] = ()
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def column_starts(self) -> np.ndarray:
-        """Column k of M_i is codes[start[i * r + k] : start[i * r + k + 1]]."""
-        r = self.class_count
-        return np.searchsorted(self.codes, np.arange(r * r + 1) * r)
+    def column(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Class g's codes and values from ``source``, computed on the first read."""
+        if g not in self._columns:
+            self._columns[g] = self.source(g)
+        return self._columns[g]
 
     @cached_property
     def coefficients(self) -> dict[tuple[int, int, int], int]:
-        """The nonzero coefficients keyed by (i, j, k), built when first read;
-        the degree layer reads only the arrays."""
-        r = self.class_count
-        column, j = np.divmod(self.codes, r)
-        i, k = np.divmod(column, r)
-        return dict(zip(zip(i.tolist(), j.tolist(), k.tolist()), self.values.tolist()))
+        """The nonzero coefficients keyed by (i, j, k), built from every class's
+        column when first read; the degree layer reads only the columns it needs."""
+        r, out = self.class_count, {}
+        for i in range(r):
+            codes, values = self.column(i)
+            k, j = np.divmod(codes, r)
+            out.update(zip(zip([i] * len(codes), j.tolist(), k.tolist()), values.tolist()))
+        return out
 
     def coefficient(self, i: int, j: int, k: int) -> int:
-        r = self.class_count
-        code = (i * r + k) * r + j
-        at = int(np.searchsorted(self.codes, code))
-        return int(self.values[at]) if at < len(self.codes) and self.codes[at] == code else 0
-
-    def unit_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries a[i][j][0] as (i, j, value), sorted by (i, j)."""
-        r, start = self.class_count, self.column_starts
-        at = np.concatenate([np.arange(lo, hi) for lo, hi in zip(start[: r * r : r], start[1::r])])
-        i, j = np.divmod(self.codes[at], r * r)
-        return i, j, self.values[at]
+        codes, values = self.column(i)
+        code = k * self.class_count + j
+        at = int(np.searchsorted(codes, code))
+        return int(values[at]) if at < len(codes) and codes[at] == code else 0
 
     def action(self, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> x @ M_g mod ell on rows x reduced mod ell, with class g decoded once:
-        row t of the image is the coordinate row of x_t * K_g.  A call costs len(x) *
-        nnz_g cells, a block of rows at a time; each sum has at most r terms below ell^2."""
-        r = self.class_count
-        bounds = self.column_starts[g * r : (g + 1) * r + 1]
-        j = self.codes[bounds[0] : bounds[-1]] % r
-        values = self.values[bounds[0] : bounds[-1]] % ell
-        ks = np.flatnonzero(bounds[1:] > bounds[:-1])
-        starts = bounds[ks] - bounds[0]
+        """x -> x @ M_g mod ell on rows x reduced mod ell: row t of the image is
+        the coordinate row of x_t * K_g.  A call costs len(x) * nnz_g cells, a
+        block of rows at a time; each sum has at most r terms below ell^2."""
+        codes, values = self.column(g)
+        k, j = np.divmod(codes, self.class_count)
+        ks, starts = np.unique(k, return_index=True)
+        values = values % ell
         step = max(1, SPLIT_BLOCK_CELLS // max(1, len(j)))
 
         def act(x: np.ndarray) -> np.ndarray:
@@ -172,11 +171,10 @@ class ClassAlgebraData:
         return act
 
     def matrix(self, i: int) -> np.ndarray:
-        r = self.class_count
-        own = slice(self.column_starts[i * r], self.column_starts[(i + 1) * r])
-        k, j = np.divmod(self.codes[own] % (r * r), r)
-        m = np.zeros((r, r), dtype=np.int64)
-        m[j, k] = self.values[own]
+        codes, values = self.column(i)
+        k, j = np.divmod(codes, self.class_count)
+        m = np.zeros((self.class_count, self.class_count), dtype=np.int64)
+        m[j, k] = values
         return m
 
 
@@ -201,22 +199,24 @@ def least_admissible_prime(order: int, exponent: int, bound: int | None = None) 
     return next(admissible_primes(order, exponent, bound))
 
 
-def _check_degree_budget(order: int, class_count: int) -> None:
+def _check_degree_budget(sizes: list[int]) -> None:
     """Raise GroupTooLargeError when the degree layer would outgrow the table
     budget: the r x (r + 1) int64 elimination of a class sum's Krylov chain
-    in ``_lagrange``, or the int64 arrays held at once over the at most
-    nnz = r * min(r^2, |G|) coefficients (for each class k, one per (i, j)
-    pair, and at most one pair per group element).  Three nnz-long arrays
-    live as long as the class algebra: ``codes``, ``values`` and
-    ``column_starts`` (r^2 + 1 <= nnz + 1 cells).  Up to eight more are held
-    while the split and its certificate run: the idempotent rows, their
-    image, the products that compare them and the central characters read
-    from them (r x r <= nnz cells each); tracemalloc puts the peak at 10.2
-    arrays on C2^8 and C3^5."""
-    r = class_count
+    in ``_lagrange``, or the int64 arrays held at once.  Those are up to six
+    r x r arrays while the split, its certificate and the degree readout run
+    (the Krylov powers and their echelon form or elimination, the Lagrange
+    coefficients, the idempotent rows and their image, the central
+    characters), plus up to four arrays of |K_g| * r cells while the largest
+    class's column is counted.  tracemalloc puts the peak at 4.2 r x r arrays
+    on C2^8 and C3^5 and 5.0 on C400 and C800, and a column's count at 3.0
+    arrays of |K_g| * r cells on S5 x S4.  The columns kept for the class
+    sums the split visits, each of at most min(r^2, |K_g| * r) cells, are
+    not counted: on every group measured it visits at most one class sum
+    beyond those it uses."""
+    r = len(sizes)
     for what, cells in (
         ("elimination block", r * (r + 1)),
-        ("class algebra arrays", (3 + 8) * r * min(r * r, order)),
+        ("class algebra arrays", 6 * r * r + 4 * max(sizes) * r),
     ):
         size = 8 * cells
         if size > groups.TABLE_MAX_BYTES:
@@ -227,32 +227,32 @@ def _check_degree_budget(order: int, class_count: int) -> None:
 
 
 def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraData:
-    """Structure constants of the class algebra plus exponent and dixon prime.
+    """The class algebra's coefficients, counted one class at a time when the
+    split first reads them, plus exponent and dixon prime.
 
-    a[i][j][k] is computed by fixing the representative z_k of class k and,
-    for every group element x (in class i), locating the class j of
-    x^-1 * z_k: one table gather per k, counted by (i, j) pair.  Raises
-    GroupTooLargeError, before anything is allocated, when the degree layer
-    would exceed the table budget.
+    a[g][j][k] counts the x in class g with x^-1 * z_k in class j, z_k the
+    representative of class k: class g's column is one gather of |K_g| * r
+    cells, counted by (k, j).  Raises GroupTooLargeError, before anything is
+    allocated, when the degree layer would exceed the table budget.
     """
-    r = len(classes)
-    _check_degree_budget(group.order, r)
+    r, sizes = len(classes), classes.sizes()
+    _check_degree_budget(sizes)
     class_of = classes.class_index
-    inv = group.inverses
-    codes, counts = [], []
-    for k, zk in enumerate(c.members[0] for c in classes.classes):
-        pairs, count = np.unique(class_of * (r * r) + class_of[group.mul(inv, zk)], return_counts=True)
-        codes.append(pairs + k * r)
-        counts.append(count)
-    codes = np.concatenate(codes)
-    order = np.argsort(codes)
+    representatives = np.array([c.members[0] for c in classes.classes])
+    offsets = np.arange(r) * r
+
+    def column(g: int) -> tuple[np.ndarray, np.ndarray]:
+        inverses = group.inverses[classes.classes[g].members]
+        return np.unique(class_of[group.mul(inverses[:, None], representatives)] + offsets, return_counts=True)
+
     exponent = int(np.lcm.reduce(group.element_orders))
     generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
     return ClassAlgebraData(
         r,
-        codes[order],
-        np.concatenate(counts)[order],
+        column,
+        tuple(sizes),
+        classes.inverse_pairing,
         exponent,
         least_admissible_prime(group.order, exponent),
         tuple(generator_classes),
@@ -330,8 +330,19 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
 
 def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
     """Central characters from the primitive idempotents of the class algebra
-    over GF(ell), refining by the class sums in ``order``; also returns the
-    class sums that split an idempotent.
+    over GF(ell) (see ``_idempotents``), and the class sums that split one.
+    A primitive idempotent e gives w_j = |K_j| * e_{j*} / e_0."""
+    rows, used = _idempotents(data, ell, order)
+    if not rows[:, 0].all():
+        raise EigensplitError("idempotent vanishes at the identity class")
+    inverse = np.array([modmat.inv_mod(int(e), ell) for e in rows[:, 0]], dtype=np.int64)
+    sizes = np.array(data.sizes, dtype=np.int64) % ell
+    return rows[:, list(data.star)] * sizes % ell * inverse[:, None] % ell, used
+
+
+def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The primitive idempotents of the class algebra over GF(ell), refined by
+    the class sums in ``order``, and the class sums that split one.
 
     ``rows`` holds orthogonal idempotents summing to 1, as coordinate rows
     over the class sums, starting from the identity.  One action tells
@@ -375,15 +386,7 @@ def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndar
         raise EigensplitError(f"refinement stalled with {len(rows)} idempotents for {r} classes")
     if len(rows) != r:
         raise EigensplitError(f"found {len(rows)} primitive idempotents, expected {r}")
-
-    if not rows[:, 0].all():
-        raise EigensplitError("idempotent vanishes at the identity class")
-    # w_j = |K_j| * e_{j*} / e_0: a[j][i][0] is |K_j| for i = j* and 0 otherwise
-    i, j, values = data.unit_column()
-    omega = np.zeros_like(rows)
-    omega[:, i] = rows[:, j] * (values % ell) % ell
-    inverse = np.array([modmat.inv_mod(int(e), ell) for e in rows[:, 0]], dtype=np.int64)
-    return omega * inverse[:, None] % ell, used
+    return rows, used
 
 
 def _all_eigenvectors(rows: np.ndarray, image: np.ndarray, ell: int) -> bool:
@@ -406,44 +409,34 @@ def _certify(
     """Raise unless ``vectors`` are the r central characters of the class
     algebra, checked on the class sums ``used`` (see step 3 above).
 
-    The coefficients are checked first, in O(nnz): every pair (i, j) occurs,
-    sum_j a[i][j][k] = |K_i| for every k, and a[i][j][0] = |K_i| exactly
-    when j = i*.  Then (a) there are r vectors with w_0 = 1; (b) for every g
-    in ``used`` and every j, sum_k a[g][j][k] * w_k = w_g * w_j, at
-    r * nnz_g cells; (c) no two vectors agree on every class in ``used``.
+    (a) There are r vectors with w_0 = 1.  Then for every g in ``used``,
+    class g's column is checked against the counting identities, in
+    O(nnz_g): every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
+    and a[g][j][0] = |K_g| exactly when j = g*; and (b) for every j,
+    sum_k a[g][j][k] * w_k = w_g * w_j, at r * nnz_g cells.  (c) No two
+    vectors agree on every class in ``used``.
     """
     r = data.class_count
-    codes, start = data.codes, data.column_starts
-    pairs = np.count_nonzero(np.bincount(codes // (r * r) * r + codes % r, minlength=r * r))
-    if pairs != r * r:
-        raise EigensplitError(f"coefficients cover {pairs} class pairs, expected {r * r}")
-    sizes = np.array(sizes, dtype=np.int64)
-    # an empty column sums to 0; reduceat needs every column nonempty
-    if not (start[1:] > start[:-1]).all() or not np.array_equal(
-        np.add.reduceat(data.values, start[:-1]), np.repeat(sizes, r)
-    ):
-        raise EigensplitError("coefficients: some sum over j of a[i][j][k] differs from |K_i|")
-    i, j, values = data.unit_column()
-    nonzero = values != 0
-    if not (
-        np.array_equal(i[nonzero], np.arange(r))
-        and np.array_equal(j[nonzero], star)
-        and np.array_equal(values[nonzero], sizes)
-    ):
-        raise EigensplitError("coefficients: a[i][j][0] is not |K_i| exactly at j = i*")
-
     if vectors.shape != (r, r):
         raise EigensplitError(f"found {len(vectors)} vectors, expected {r}")
     if not (vectors[:, 0] == 1).all():
         raise EigensplitError("a split vector is not 1 at the identity class")
     for g in used:
-        lo, hi = start[g * r], start[(g + 1) * r]
-        column, j = np.divmod(codes[lo:hi], r)
+        codes, values = data.column(g)
+        k, j = np.divmod(codes, r)
+        covered = np.count_nonzero(np.bincount(j, minlength=r))
+        if covered != r:
+            raise EigensplitError(f"coefficients of class sum {g} cover {covered} classes j, expected {r}")
+        ks, starts = np.unique(k, return_index=True)
+        if len(ks) != r or (np.add.reduceat(values, starts) != sizes[g]).any():
+            raise EigensplitError(f"coefficients of class sum {g}: some sum over j of a[g][j][k] differs from |K_g|")
+        if not np.array_equal(j[k == 0], [star[g]]) or values[0] != sizes[g]:
+            raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
         by_row = np.argsort(j, kind="stable")
-        ks, coefficients = column[by_row] - g * r, data.values[lo:hi][by_row] % ell
-        # every pair occurs, so the regrouped entries hold the r rows j of M_g in order
+        ks, coefficients = k[by_row], values[by_row] % ell
+        # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
         rows = np.searchsorted(j[by_row], np.arange(r))
-        step = max(1, SPLIT_BLOCK_CELLS // (hi - lo))
+        step = max(1, SPLIT_BLOCK_CELLS // len(j))
         for t in range(0, r, step):
             w = vectors[t : t + step]
             # each sum has at most r terms below ell^2

@@ -26,15 +26,23 @@ def inv(a):
 
 
 def class_algebra_data(class_count, coefficients, dixon_prime, exponent=1, generator_classes=()):
-    """A ClassAlgebraData from a coefficient dict {(i, j, k): a[i][j][k]}, for
-    hand-made and corrupted tables."""
+    """A ClassAlgebraData whose columns come from a coefficient dict
+    {(i, j, k): a[i][j][k]}, for hand-made and corrupted tables; the class
+    sizes and inverse classes are read off the entries a[i][j][0]."""
     from degclass.chardeg import ClassAlgebraData
 
     r = class_count
-    codes = np.array([(i * r + k) * r + j for i, j, k in coefficients], dtype=np.int64)
-    values = np.array(list(coefficients.values()), dtype=np.int64)
-    order = np.argsort(codes)
-    return ClassAlgebraData(r, codes[order], values[order], exponent, dixon_prime, generator_classes)
+    sizes, star = [0] * r, [0] * r
+    for (i, j, k), value in coefficients.items():
+        if k == 0:
+            sizes[i], star[i] = sizes[i] + value, j
+
+    def column(g):
+        entries = sorted((k * r + j, value) for (i, j, k), value in coefficients.items() if i == g)
+        codes, values = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+        return codes, values
+
+    return ClassAlgebraData(r, column, tuple(sizes), tuple(star), exponent, dixon_prime, generator_classes)
 
 
 def closure_of(degree, gens):

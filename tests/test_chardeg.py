@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 from time import perf_counter
 
@@ -418,47 +419,46 @@ def test_certificate_rejects_corrupted_vectors(corrupt, message):
         chardeg._certify(data, corrupt(vectors), used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
 
 
-def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
+def _certify_corrupted_s4(corrupt):
+    # corrupts the column of a class sum the split used, which the certificate reads
     data, vectors, used, cs = _certified_s4()
-    (i, j, k), value = next((key, v) for key, v in data.coefficients.items() if key[2] != 0)
     broken = oracles.class_algebra_data(
         data.class_count,
-        {**data.coefficients, (i, j, k): value + 1},
+        corrupt(dict(data.coefficients), used[0], cs),
         data.dixon_prime,
         data.exponent,
         data.generator_classes,
     )
-    with pytest.raises(EigensplitError, match="differs from"):
-        chardeg._certify(broken, vectors, used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
-
-
-def _certify_corrupted_s4(corrupt):
-    data, vectors, used, cs = _certified_s4()
-    broken = oracles.class_algebra_data(
-        data.class_count, corrupt(dict(data.coefficients), cs), data.dixon_prime, data.exponent, data.generator_classes
-    )
     chardeg._certify(broken, vectors, used, cs.sizes(), cs.inverse_pairing, data.dixon_prime)
 
 
+def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
+    def bump(coefficients, t, cs):
+        key = next(key for key in coefficients if key[0] == t and key[2] != 0)
+        coefficients[key] += 1
+        return coefficients
+
+    with pytest.raises(EigensplitError, match=r"some sum over j of a\[g\]\[j\]\[k\] differs from \|K_g\|"):
+        _certify_corrupted_s4(bump)
+
+
 def test_certificate_rejects_a_table_that_lacks_a_class_pair():
-    def drop_pair(coefficients, cs):
-        t = cs.sizes().index(6)
+    def drop_pair(coefficients, t, cs):
         return {key: v for key, v in coefficients.items() if key[:2] != (t, t)}
 
-    with pytest.raises(EigensplitError, match="cover 24 class pairs, expected 25"):
+    with pytest.raises(EigensplitError, match="class sum 4 cover 4 classes j, expected 5"):
         _certify_corrupted_s4(drop_pair)
 
 
 def test_certificate_rejects_a_unit_coefficient_off_the_inverse_class():
-    # a[t][t][0] = |K_t| moves to a[t][u][0]: the column sums still hold
-    def move_unit(coefficients, cs):
-        t = cs.sizes().index(6)
+    # a[t][t*][0] = |K_t| moves to a[t][u][0]: the column sums still hold
+    def move_unit(coefficients, t, cs):
         u = next(j for j in range(1, len(cs)) if j != cs.inverse_pairing[t])
         assert (t, u, 0) not in coefficients
-        coefficients[(t, u, 0)] = coefficients.pop((t, t, 0))
+        coefficients[(t, u, 0)] = coefficients.pop((t, cs.inverse_pairing[t], 0))
         return coefficients
 
-    with pytest.raises(EigensplitError, match=r"is not \|K_i\| exactly at j = i\*"):
+    with pytest.raises(EigensplitError, match=r"a\[g\]\[j\]\[0\] is not \|K_g\| exactly at j = g\*"):
         _certify_corrupted_s4(move_unit)
 
 
@@ -544,38 +544,63 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
         class_algebra(g, cs)
 
 
-def test_degree_budget_counts_the_arrays_held_at_once(monkeypatch):
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: _elementary_abelian(2, 8), id="C2^8"),
+        pytest.param(lambda: _elementary_abelian(3, 5), id="C3^5"),
+        pytest.param(lambda: direct_product(standard_group("symmetric", 5), standard_group("symmetric", 4)), id="S5xS4"),
+    ],
+)
+def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
+    # six r x r int64 arrays and four of the largest class's gather: on C2^8
+    # and C3^5 the r x r arrays dominate, on S5 x S4 the gather of a class of 240
     from degclass import group as groups
-    from degclass.corpus import parse_corpus
-    from degclass.report import run_report
 
-    # C12's 12 x 13 int64 block (1248 bytes) and its 144 coefficient cells as
-    # one int64 array (1152 bytes) fit 4000 bytes; the eleven arrays of 144
-    # cells the degree layer holds at once (12672 bytes) do not
-    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 4000)
-    [block] = run_report(parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")).document["groups"]
-    assert "class algebra arrays of 12 classes needs 12672 bytes" in block["skipped"]
-    assert "verdicts" not in block
-
-
-def test_degree_layer_holds_three_coefficient_arrays():
-    # the degree budget counts three nnz-long int64 arrays held for the class
-    # algebra's lifetime: codes, values and column starts (r^2 + 1 cells)
-    g = _elementary_abelian(2, 8)
+    g = build()
     cs = conjugacy_classes(g)
-    class_algebra(g, cs)  # builds the group's table and inverses
+    g.table, g.inverses, g.element_orders  # built before the trace starts
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        data = class_algebra(g, cs)
-        assert degrees_from_class_algebra(g, cs, data).as_dict() == {1: 256}
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        degrees_from_class_algebra(g, cs, class_algebra(g, cs))
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # a few kilobytes of array headers, the cached-property dict and the result
-    assert held <= 3 * 8 * len(data.codes) + 8192
+    r = len(cs)
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 8 * r * (r + 1))
+    with pytest.raises(groups.GroupTooLargeError, match="class algebra arrays") as skip:
+        class_algebra(g, cs)
+    budget = int(re.search(r"needs (\d+) bytes", str(skip.value))[1])
+    assert peak <= budget <= 3 * peak
+
+
+@pytest.mark.parametrize(
+    "g,count",
+    [
+        pytest.param(standard_group("cyclic", 96), 1, id="C96"),
+        pytest.param(_elementary_abelian(2, 7), 7, id="C2^7"),
+    ],
+)
+def test_degree_step_counts_only_the_columns_it_reads(monkeypatch, g, count):
+    # C96 splits by its generator's class sum, C2^7 by its 7 generators' ones
+    read, column = [], ClassAlgebraData.column
+    monkeypatch.setattr(ClassAlgebraData, "column", lambda data, i: read.append(i) or column(data, i))
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    assert degrees_from_class_algebra(g, cs, data).as_dict() == {1: g.order}
+    assert set(read) == set(data.generator_classes) and len(set(read)) == count
+
+
+def test_d8_4_x_c2_is_evaluated_within_seconds():
+    # 1250 classes in a group of order 8192: the degree layer's table of
+    # r * min(r^2, |G|) coefficients would not fit the budget, its columns do
+    d8 = standard_group("dihedral", 4)
+    g = direct_product(direct_product(direct_product(direct_product(d8, d8), d8), d8), standard_group("cyclic", 2))
+    start = perf_counter()
+    assert character_degrees(g).as_dict() == {1: 512, 2: 512, 4: 192, 8: 32, 16: 2}
+    assert perf_counter() - start < 3
 
 
 def test_degree_layer_never_builds_the_coefficient_dict():

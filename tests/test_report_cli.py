@@ -99,7 +99,8 @@ def test_oversized_group_is_skipped_not_fatal():
 
 def test_table_budget_hit_is_skipped_not_fatal(monkeypatch, tmp_path, capsys):
     # S4 needs a 24 x 24 table of 2-byte entries; C2 stays under the budget,
-    # degree layer included (eleven int64 arrays of 4 cells, 352 bytes)
+    # degree layer included (six int64 arrays of 2 x 2 cells and four of one
+    # class's 1 x 2 gather, 256 bytes)
     monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 24 * 2 - 1)
     report = run_report(parse_corpus(S4_STANZA + "\ngroup C2\ndegree 2\ngen (1,2)\nend\n"))
     blocks = {b["name"]: b for b in report.document["groups"]}

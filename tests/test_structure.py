@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import oracles
 from degclass import structure
 from degclass.arith import pi_sets, primes_of, valuation
 from degclass.chardeg import class_algebra
+from degclass.corpus import builtin_corpus
 from degclass.families import standard_group
 from degclass.group import build_group, direct_product
 from degclass.metrics import is_pi_number
@@ -405,17 +407,32 @@ REFERENCE_GROUPS = {
 }
 
 
+# the classes and the class algebra are compared on these groups as well
+CLASS_ALGEBRA_GROUPS = {
+    **{rec.name: (lambda rec=rec: rec.group) for rec in builtin_corpus()},
+    "C96": lambda: standard_group("cyclic", 96),
+    "C2^7": lambda: functools.reduce(direct_product, [standard_group("cyclic", 2)] * 7),
+    "D8xC2^3": lambda: functools.reduce(direct_product, [standard_group("dihedral", 4)] + [standard_group("cyclic", 2)] * 3),
+}
+
 # each group once at the default block size and once at 7 cells, so that
 # every all-pairs step also runs one row per block, across block boundaries
-@pytest.fixture(
-    scope="module",
-    params=[(name, block) for name in sorted(REFERENCE_GROUPS) for block in (None, 7)],
-    ids=lambda param: param[0] if param[1] is None else f"{param[0]}-block{param[1]}",
-)
+REFERENCE_PARAMS = [(name, block) for name in sorted(REFERENCE_GROUPS) for block in (None, 7)]
+
+
+def _reference_id(param):
+    name, block = param
+    return name if block is None else f"{name}-block{block}"
+
+
+@pytest.fixture(scope="module", params=REFERENCE_PARAMS, ids=_reference_id)
 def with_reference(request):
     name, block = request.param
-    degree, cycles = REFERENCE_GROUPS[name]
-    g = build_group(degree, [parse_cycles(c, degree) for c in cycles])
+    if name in REFERENCE_GROUPS:
+        degree, cycles = REFERENCE_GROUPS[name]
+        g = build_group(degree, [parse_cycles(c, degree) for c in cycles])
+    else:
+        g = CLASS_ALGEBRA_GROUPS[name]()
     ref = oracles.Reference([e.images for e in g.elements], [p.images for p in g.generators])
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
@@ -442,6 +459,12 @@ def test_table_matches_tuple_products(with_reference):
     assert g.table.dtype == np.int16 and not g.table.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "with_reference",
+    REFERENCE_PARAMS + [(name, None) for name in CLASS_ALGEBRA_GROUPS],
+    ids=_reference_id,
+    indirect=True,
+)
 def test_classes_and_class_algebra_match_reference(with_reference):
     g, ref = with_reference
     cs = conjugacy_classes(g)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import degclass
+import oracles
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,11 +52,19 @@ def test_install_then_restore_leaves_every_attribute_as_it_was(tracer_module):
 
 
 def test_tracer_sees_the_verify_path(tracer_module):
+    records = degclass.builtin_corpus()[:3]
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        degclass.run_report(degclass.builtin_corpus()[:3])
+        degclass.run_report(records)
     finally:
         tracer.restore()
     names = {span[1] for span in tracer.spans}
     assert {"metrics.u_pi", "metrics.s_pi", "criteria", "chardeg.eigensplit", "structure.classes"} <= names
+    # exact counts the benchmark reports: one per nonzero coefficient, one per scalar product
+    entries = sum(
+        len(oracles.Reference([e.images for e in r.group.elements], [p.images for p in r.group.generators]).class_algebra())
+        for r in records
+    )
+    assert tracer.counts["chardeg.coeff_entries"] == entries
+    assert tracer.counts["group.i_mul_calls"] > 0
