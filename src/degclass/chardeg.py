@@ -69,11 +69,6 @@ if TYPE_CHECKING:
 #: the least admissible prime appears far earlier, but the failure path is real
 PRIME_SEARCH_FACTOR = 100
 
-#: the sparse class action, the idempotent split and the certificate handle
-#: this many cells at a time, so no array of r * nnz_g or r^3 cells is ever
-#: built
-SPLIT_BLOCK_CELLS = 1 << 16
-
 
 class DixonPrimeSearchError(RuntimeError):
     """No admissible prime below the search bound; raise the bound."""
@@ -159,13 +154,11 @@ class ClassAlgebraData:
         k, j = np.divmod(codes, self.class_count)
         ks, starts = np.unique(k, return_index=True)
         values = values % ell
-        step = max(1, SPLIT_BLOCK_CELLS // max(1, len(j)))
 
         def act(x: np.ndarray) -> np.ndarray:
             out = np.zeros_like(x)
-            for lo in range(0, len(x), step):
-                block = x[lo : lo + step, j] * values
-                out[lo : lo + step, ks] = np.add.reduceat(block, starts, axis=1) % ell
+            for block in groups.blocks(len(x), len(j)):
+                out[block, ks] = np.add.reduceat(x[block, j] * values, starts, axis=1) % ell
             return out
 
         return act
@@ -373,9 +366,8 @@ def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np
             rows = lagrange.T @ powers % ell
         else:
             refined = []
-            step = max(1, SPLIT_BLOCK_CELLS // (n * r))
-            for lo in range(0, len(rows), step):
-                chain = [rows[lo : lo + step], image[lo : lo + step]]
+            for block in groups.blocks(len(rows), n * r):
+                chain = [rows[block], image[block]]
                 for _ in range(n - 2):
                     chain.append(act(chain[-1]))
                 split = (np.tensordot(lagrange.T, np.stack(chain), axes=1) % ell).reshape(-1, r)
@@ -436,9 +428,8 @@ def _certify(
         ks, coefficients = k[by_row], values[by_row] % ell
         # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
         rows = np.searchsorted(j[by_row], np.arange(r))
-        step = max(1, SPLIT_BLOCK_CELLS // len(j))
-        for t in range(0, r, step):
-            w = vectors[t : t + step]
+        for block in groups.blocks(r, len(j)):
+            w = vectors[block]
             # each sum has at most r terms below ell^2
             sums = np.add.reduceat(w[:, ks] * coefficients, rows, axis=1) % ell
             if not np.array_equal(sums, w[:, g : g + 1] * w % ell):

@@ -22,12 +22,16 @@ built on first use, because it costs n^2 * 2 bytes for order n < 2^15
 (n^2 * 4 above) and only the structure oracles and the class algebra need
 it.  Two readers racing to build it build identical tables, and either one
 may be kept.
+
+Every blocked array step, in the structure oracles and in the degree layer
+alike, takes its rows a block at a time from :func:`blocks`, so one
+constant, ``BLOCK_CELLS``, bounds their temporaries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,7 +43,21 @@ DEFAULT_ENUMERATION_CAP = 20000
 #: enumeration cap takes exactly this much
 TABLE_MAX_BYTES = 800 * 10**6
 
+#: cells per block of every blocked array step: apart from the Cayley table
+#: and the degree layer's r x r arrays no temporary grows beyond a few arrays
+#: of this many cells, so no array of |G|^2, r * nnz_g or r^3 cells is ever
+#: built
+BLOCK_CELLS = 1 << 16
+
 _RawPerm = tuple[int, ...]
+
+
+def blocks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(count); a slice by ``width`` columns spans
+    at most BLOCK_CELLS cells, or is a single row when one row is wider."""
+    step = max(1, BLOCK_CELLS // max(1, width))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 class GroupTooLargeError(RuntimeError):

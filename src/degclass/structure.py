@@ -9,6 +9,11 @@ pi-elements) is still evaluated on every pair, now as array gathers on the
 table, and normality checks conjugate members explicitly instead of trusting
 theory, so theorem verification stays genuinely two-sided.
 
+Every all-pairs step runs through one primitive, ``_rows``: it evaluates a
+word (a commutator, a commuting test, a conjugation, a product) on a block
+of x by every y at a time, with blocks of at most ``group.BLOCK_CELLS``
+cells from ``group.blocks``.
+
 Every subset of the group - a subgroup, a conjugacy class, a set of
 pi-elements - is a sorted, read-only ``np.intp`` index array into the parent
 enumeration; equality of subgroups is equality of those arrays.
@@ -18,51 +23,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .arith import is_prime, prime_set, primes_of, valuation
-from .group import Group
+from .group import Group, blocks
 from .perm import Permutation
 
-#: cells per block of an all-pairs step; apart from the table itself no
-#: temporary grows beyond a few arrays of this many cells
-BLOCK_CELLS = 1 << 13
+
+def _rows(xs: np.ndarray, ys: np.ndarray, word: Callable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of xs, each with its rows word(x, y): one row per x in the
+    block, one column per y in ys, at most BLOCK_CELLS cells a block."""
+    for block in blocks(len(xs), len(ys)):
+        xb = xs[block]
+        yield xb, word(xb[:, None], ys)
 
 
-def _blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """Consecutive slices of ``rows``; a slice by ``width`` columns spans at
-    most BLOCK_CELLS cells."""
-    step = max(1, BLOCK_CELLS // max(1, width))
-    for start in range(0, len(rows), step):
-        yield rows[start : start + step]
-
-
-def _commutators(
-    group: Group, xs: np.ndarray, ys: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of xs with their commutators [x, y] = x^-1 y^-1 x y, one row
-    per x in the block and one column per y in ys."""
+def _commutator(group: Group) -> Callable:
+    """The word [x, y] = x^-1 y^-1 x y on index arrays."""
     inv = group.inverses
-    inv_ys = inv[ys]
-    for xb in _blocks(xs, len(ys)):
-        col = xb[:, None]
-        yield xb, group.mul(group.mul(inv[col], inv_ys), group.mul(col, ys))
+    return lambda x, y: group.mul(group.mul(inv[x], inv[y]), group.mul(x, y))
 
 
-def _commute(
-    group: Group, xs: np.ndarray, ys: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of xs with a row per x of whether x commutes with each y in ys."""
-    for xb, comms in _commutators(group, xs, ys):
-        yield xb, comms == group.identity_index
+def _commutes(group: Group) -> Callable:
+    """The word x y == y x: two gathers and no inverses."""
+    return lambda x, y: group.mul(x, y) == group.mul(y, x)
+
+
+def _where_all(xs: np.ndarray, ys: np.ndarray, word: Callable) -> np.ndarray:
+    """The x in xs whose row word(x, y) holds for every y in ys."""
+    return np.concatenate([xs[:0], *(xb[row.all(axis=1)] for xb, row in _rows(xs, ys, word))])
 
 
 def _commutator_closure(group: Group, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Subgroup generated by every commutator [x, y], x in xs, y in ys."""
     seen = np.zeros(group.order, dtype=bool)
-    for _, comms in _commutators(group, xs, ys):
+    for _, comms in _rows(xs, ys, _commutator(group)):
         seen[comms] = True
     return _closure(group, np.flatnonzero(seen))
 
@@ -154,7 +151,7 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         members = self.members
-        return all(commute.all() for _, commute in _commute(self.parent, members, members))
+        return all(row.all() for _, row in _rows(members, members, _commutes(self.parent)))
 
     def is_normal(self) -> bool:
         """Explicit check: conjugate every member by every parent generator."""
@@ -221,10 +218,7 @@ def full_subgroup(group: Group) -> Subgroup:
 
 def centralizer(group: Group, indices: np.ndarray) -> Subgroup:
     """Elements commuting with every element of the index array."""
-    keep = np.zeros(group.order, dtype=bool)
-    for xb, commute in _commute(group, np.arange(group.order), indices):
-        keep[xb] = commute.all(axis=1)
-    return Subgroup(group, np.flatnonzero(keep))
+    return Subgroup(group, _where_all(np.arange(group.order), indices, _commutes(group)))
 
 
 def centre(group: Group) -> Subgroup:
@@ -234,13 +228,12 @@ def centre(group: Group) -> Subgroup:
 def normalizer(group: Group, sub: Subgroup) -> Subgroup:
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
-    members, inside = sub.members, sub.mask()
-    keep = np.zeros(group.order, dtype=bool)
-    for gb in _blocks(np.arange(group.order), len(members)):
-        col = gb[:, None]
-        conj = group.mul(group.mul(group.inverses[col], members), col)  # g^-1 m g
-        keep[gb] = inside[conj].all(axis=1)
-    return Subgroup(group, np.flatnonzero(keep))
+    inside = sub.mask()
+
+    def conjugate_inside(g, m):  # g^-1 m g in sub
+        return inside[group.mul(group.mul(group.inverses[g], m), g)]
+
+    return Subgroup(group, _where_all(np.arange(group.order), sub.members, conjugate_inside))
 
 
 def derived_subgroup(group: Group) -> Subgroup:
@@ -282,12 +275,10 @@ def hypercentre(group: Group, centre: Subgroup) -> Subgroup:
     """
     current = centre
     everyone = np.arange(group.order)
+    commutator = _commutator(group)
     while True:
         inside = current.mask()
-        keep = np.zeros(group.order, dtype=bool)
-        for xb, comms in _commutators(group, everyone, everyone):
-            keep[xb] = inside[comms].all(axis=1)
-        nxt = Subgroup(group, np.flatnonzero(keep))
+        nxt = Subgroup(group, _where_all(everyone, everyone, lambda x, g: inside[commutator(x, g)]))
         if nxt == current:
             return current
         current = nxt
@@ -344,33 +335,20 @@ def pi_elements_subgroup(group: Group, pi: Iterable[int]) -> Optional[Subgroup]:
 
     When it is closed it is the unique normal Hall pi-subgroup of the group.
     """
-    sub, _ = _pi_elements_closure(group, pi)
-    return sub
-
-
-def _pi_elements_closure(
-    group: Group, pi: Iterable[int]
-) -> tuple[Optional[Subgroup], Optional[tuple[int, int]]]:
-    """Like pi_elements_subgroup but also reports the first closure failure."""
     inside = _pi_mask(group, pi)
     members = np.flatnonzero(inside)
-    for ab in _blocks(members, len(members)):
-        outside = ~inside[group.mul(ab[:, None], members)]
-        if outside.any():
-            # argmax finds the first failing pair in row-major order
-            a, b = divmod(int(np.argmax(outside)), len(members))
-            return None, (int(ab[a]), int(members[b]))
-    return Subgroup(group, members), None
+    rows = _rows(members, members, lambda a, b: inside[group.mul(a, b)])
+    return Subgroup(group, members) if all(row.all() for _, row in rows) else None
 
 
 @dataclass(frozen=True)
 class DirectProductWitness:
-    """Outcome of testing G = P x H for P the p-part and H the p'-part."""
+    """Outcome of testing G = P x H for P the p-part and H the p'-part; the
+    p'-part is tried only when the p-part is a subgroup."""
 
     holds: bool
     p_part: Optional[Subgroup]
     p_complement: Optional[Subgroup]
-    failure: Optional[str]
 
 
 def is_direct_product_p(group: Group, p: int) -> DirectProductWitness:
@@ -381,18 +359,11 @@ def is_direct_product_p(group: Group, p: int) -> DirectProductWitness:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    p_side, p_fail = _pi_elements_closure(group, (p,))
+    p_side = pi_elements_subgroup(group, (p,))
     if p_side is None:
-        a, b = p_fail
-        return DirectProductWitness(False, None, None, f"{p}-elements not closed at pair ({a},{b})")
-    complement = tuple(q for q in primes_of(group.order) if q != p)
-    h_side, h_fail = _pi_elements_closure(group, complement)
-    if h_side is None:
-        a, b = h_fail
-        return DirectProductWitness(
-            False, p_side, None, f"{p}'-elements not closed at pair ({a},{b})"
-        )
-    return DirectProductWitness(True, p_side, h_side, None)
+        return DirectProductWitness(False, None, None)
+    h_side = pi_elements_subgroup(group, tuple(q for q in primes_of(group.order) if q != p))
+    return DirectProductWitness(h_side is not None, p_side, h_side)
 
 
 def has_central_hall(hall: Optional[Subgroup], centre: Subgroup) -> bool:
@@ -414,8 +385,8 @@ def q_r_elements_commute(group: Group, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     others = [q for q in primes_of(group.order) if q != p]
     by_prime = {q: np.flatnonzero(_pi_mask(group, (q,))) for q in others}
+    commutes = _commutes(group)
     for q, r in combinations(others, 2):
-        blocks = _commute(group, by_prime[q], by_prime[r])
-        if not all(commute.all() for _, commute in blocks):
+        if not all(row.all() for _, row in _rows(by_prime[q], by_prime[r], commutes)):
             return False
     return True

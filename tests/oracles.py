@@ -335,24 +335,17 @@ class Reference:
         return members
 
     def pi_elements_closure(self, pi):
-        """(the pi-elements if product-closed else None, first failing pair in row-major order)."""
+        """The pi-elements if every product of two of them is one, else None."""
         members = [i for i in self.everyone if _is_pi_number(self.orders[i], pi)]
         mset = frozenset(members)
-        for a in members:
-            for b in members:
-                if self.mul(a, b) not in mset:
-                    return None, (a, b)
-        return mset, None
+        closed = all(self.mul(a, b) in mset for a in members for b in members)
+        return mset if closed else None
 
     def direct_product_failure(self, p):
-        """The failure string of the G = P x H test, None when it holds."""
-        p_side, fail = self.pi_elements_closure((p,))
-        if p_side is None:
-            return f"{p}-elements not closed at pair ({fail[0]},{fail[1]})"
-        h_side, fail = self.pi_elements_closure(tuple(q for q in _prime_factors(self.n) if q != p))
-        if h_side is None:
-            return f"{p}'-elements not closed at pair ({fail[0]},{fail[1]})"
-        return None
+        """Whether the G = P x H test fails: the p-elements or the
+        p'-elements are not product-closed."""
+        complement = tuple(q for q in _prime_factors(self.n) if q != p)
+        return self.pi_elements_closure((p,)) is None or self.pi_elements_closure(complement) is None
 
     def q_r_elements_commute(self, p):
         others = [q for q in _prime_factors(self.n) if q != p]

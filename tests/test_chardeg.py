@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from degclass import chardeg, modmat
+from degclass import group as groups
 from degclass.chardeg import (
     ClassAlgebraData,
     DegreeFrequency,
@@ -527,7 +528,6 @@ def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
 
 
 def test_degree_budget_skips_before_allocating(monkeypatch):
-    from degclass import group as groups
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
@@ -555,8 +555,6 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
 def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
     # six r x r int64 arrays and four of the largest class's gather: on C2^8
     # and C3^5 the r x r arrays dominate, on S5 x S4 the gather of a class of 240
-    from degclass import group as groups
-
     g = build()
     cs = conjugacy_classes(g)
     g.table, g.inverses, g.element_orders  # built before the trace starts
@@ -634,9 +632,9 @@ def test_class_matrix_matches_coefficients():
         assert data.matrix(i).tolist() == want
 
 
-@pytest.mark.parametrize("block", [chardeg.SPLIT_BLOCK_CELLS, 7])
+@pytest.mark.parametrize("block", [groups.BLOCK_CELLS, 7])
 def test_sparse_action_matches_class_matrix(monkeypatch, block):
-    monkeypatch.setattr(chardeg, "SPLIT_BLOCK_CELLS", block)
+    monkeypatch.setattr(groups, "BLOCK_CELLS", block)
     g = standard_group("symmetric", 4)
     data = class_algebra(g, conjugacy_classes(g))
     ell = data.dixon_prime
@@ -658,7 +656,7 @@ def test_degree_layer_at_block_7_matches_the_default_block(monkeypatch, g):
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     expected = degrees_from_class_algebra(g, cs, data)
-    monkeypatch.setattr(chardeg, "SPLIT_BLOCK_CELLS", 7)
+    monkeypatch.setattr(groups, "BLOCK_CELLS", 7)
     assert degrees_from_class_algebra(g, cs, data) == expected
 
 

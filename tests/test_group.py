@@ -12,6 +12,17 @@ from degclass.perm import Permutation, identity, parse_cycles
 from degclass.families import standard_group
 
 
+@pytest.mark.parametrize(
+    "count,width", [(0, 3), (10, 0), (10, 3), (9, 7), (3, 8), (4, 100)]
+)
+def test_blocks_partition_the_rows_within_the_block_size(monkeypatch, count, width):
+    # read at call time, so the patched size is the one in force
+    monkeypatch.setattr(group_module, "BLOCK_CELLS", 7)
+    rows = [range(count)[block] for block in group_module.blocks(count, width)]
+    assert [i for block in rows for i in block] == list(range(count))
+    assert all(len(block) * width <= 7 or len(block) == 1 for block in rows)
+
+
 def test_s4_order():
     g = build_group(4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)])
     assert g.order == 24

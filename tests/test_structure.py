@@ -1,11 +1,13 @@
 import functools
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from degclass import structure
+from degclass import group as groups
 from degclass.arith import pi_sets, primes_of, valuation
 from degclass.chardeg import class_algebra
 from degclass.corpus import builtin_corpus
@@ -14,8 +16,8 @@ from degclass.group import build_group, direct_product
 from degclass.metrics import is_pi_number
 from degclass.perm import parse_cycles
 from degclass.structure import (
+    DirectProductWitness,
     Subgroup,
-    _pi_elements_closure,
     _pi_mask,
     centralizer,
     centre,
@@ -356,13 +358,40 @@ def test_direct_product_detection():
     w = is_direct_product_p(c6, 2)
     assert w.holds and w.p_part.order == 2 and w.p_complement.order == 3
 
+    # the 3-elements of S3 form A3, but its 2-elements are not closed, so
+    # the 2'-side is never tried
     s3 = standard_group("symmetric", 3)
-    w = is_direct_product_p(s3, 2)
-    assert not w.holds and "not closed" in w.failure
+    assert pi_elements_subgroup(s3, (3,)).order == 3
+    assert is_direct_product_p(s3, 2) == DirectProductWitness(False, None, None)
+
+    # the 2-elements of A4 form V4, its 3-elements are not closed
+    w = is_direct_product_p(standard_group("alternating", 4), 2)
+    assert not w.holds and w.p_part.order == 4 and w.p_complement is None
 
     q8c3 = direct_product(standard_group("quaternion", 8), standard_group("cyclic", 3))
     w = is_direct_product_p(q8c3, 2)
     assert w.holds and w.p_part.order == 8 and w.p_complement.order == 3
+
+
+def test_all_pairs_oracles_stay_within_a_few_blocks():
+    # the S5 x S4 table and the Sylow subgroups are built first; then each
+    # oracle's temporaries stay within a few int64 arrays of BLOCK_CELLS
+    # cells, far below one array of all 2880^2 pairs
+    g = direct_product(standard_group("symmetric", 5), standard_group("symmetric", 4))
+    z = centre(g)
+    sylows = [sylow_subgroup(g, p) for p in primes_of(g.order)]
+    runs = [lambda: derived_subgroup(g), lambda: hypercentre(g, z)]
+    for syl in sylows:
+        runs += [lambda syl=syl: centralizer(g, syl.members), lambda syl=syl: normalizer(g, syl)]
+    for run in runs:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * groups.BLOCK_CELLS
 
 
 def test_subgroup_equality_is_set_equality():
@@ -436,7 +465,7 @@ def with_reference(request):
     ref = oracles.Reference([e.images for e in g.elements], [p.images for p in g.generators])
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(structure, "BLOCK_CELLS", block)
+            mp.setattr(groups, "BLOCK_CELLS", block)
         yield g, ref
 
 
@@ -494,9 +523,7 @@ def test_prime_oracles_match_reference(with_reference):
         assert as_set(p_residual(g, p).members) == ref.p_residual(p)
         assert as_set(p_prime_residual(g, p).members) == ref.p_prime_residual(p)
         assert q_r_elements_commute(g, p) == ref.q_r_elements_commute(p)
-        witness = is_direct_product_p(g, p)
-        assert witness.failure == ref.direct_product_failure(p)
-        assert witness.holds == (witness.failure is None)
+        assert is_direct_product_p(g, p).holds == (not ref.direct_product_failure(p))
 
 
 def test_pi_oracles_match_reference(with_reference):
@@ -504,9 +531,8 @@ def test_pi_oracles_match_reference(with_reference):
     z = ref.centre()
     for size in range(3):
         for pi in itertools.combinations(primes_of(g.order), size):
-            sub, pair = _pi_elements_closure(g, pi)
-            members, expected_pair = ref.pi_elements_closure(pi)
-            assert pair == expected_pair
+            sub = pi_elements_subgroup(g, pi)
+            members = ref.pi_elements_closure(pi)
             assert (None if sub is None else as_set(sub.members)) == members
             assert has_central_hall(sub, centre(g)) == (members is not None and members <= z)
             assert has_normal_abelian_hall(sub) == (
