@@ -164,15 +164,15 @@ class GroupData:
 
     @cached_property
     def derived(self) -> Subgroup:
-        return structure.derived_subgroup(self.group)
+        return structure.derived_subgroup(self.classes)
 
     @cached_property
     def hypercentre(self) -> Subgroup:
-        return structure.hypercentre(self.group, self.centre)
+        return structure.hypercentre(self.classes, self.centre)
 
     @cached_property
     def nilpotent_residual(self) -> Subgroup:
-        return structure.lower_central_last(self.group)
+        return structure.lower_central_last(self.classes)
 
     @_memoized
     def sylow(self, p: int) -> Subgroup:
@@ -197,8 +197,8 @@ class GroupData:
     @_memoized
     def sylow_centre_is_central(self, p: int) -> bool:
         sylow = self.sylow(p)
-        # Z(P) is the part of P inside C_G(P)
-        zp = sylow.members[structure.centralizer(self.group, sylow.members).mask()[sylow.members]]
+        # Z(P) is the part of P inside C_G(P), which is C_G of P's generators
+        zp = sylow.members[structure.centralizer(self.group, sylow.generators).mask()[sylow.members]]
         return bool(self.centre.mask()[zp].all())
 
 
@@ -312,7 +312,7 @@ def _commutator_is_derived(d: GroupData, ps: PrimeSet) -> SideResult:
     n = d.pi_subgroup(d.complement(ps))
     if n is None:
         return SideResult(False, _nums(complement_order=0))
-    ng = structure.commutator_subgroup_of(n, d.group)
+    ng = structure.commutator_subgroup_of(n, d.classes)
     nder = structure.derived_of(n)
     nums = _nums(complement_order=n.order, commutator_with_group=ng.order, complement_derived=nder.order)
     return SideResult(ng == nder, nums)
@@ -410,7 +410,7 @@ CATALOG = (
         "|C_G(O^p'(G))| divides |S_p'(G)|",
         lambda d, ps: _divisible(_nums(
             s_p_prime=d.s_prime(ps),
-            centralizer_order=structure.centralizer(d.group, d.prime_residual(ps[0]).members).order)),
+            centralizer_order=structure.centralizer(d.group, d.prime_residual(ps[0]).generators).order)),
         lambda d, ps: _info(_nums(prime_residual_order=d.prime_residual(ps[0]).order))),
     Criterion(
         "central_sylow_centre_by_s_pprime", EQUIVALENCE, PER_PRIME, NEVER,

@@ -10,8 +10,8 @@ abort the run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .arith import factorization, pi_sets
@@ -35,11 +35,26 @@ class Report:
 
     @property
     def text(self) -> str:
-        return json.dumps(self.document, indent=2) + "\n"
+        return _json(self.document) + "\n"
 
     @property
     def exit_code(self) -> int:
         return 0 if self.disagreements == 0 else 1
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for a report's dicts, lists, strings,
+    booleans and None, byte for byte, without the slow encoder indent picks."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, ends = [inner + _json(v, inner) for v in value], "[]"
+    else:
+        return {"None": "null", "True": "true", "False": "false"}[repr(value)]
+    return ends[0] + ",".join(items) + indent + ends[1] if items else ends
 
 
 def _s(n: int) -> str:

@@ -3,16 +3,19 @@
 Everything in this module works over the full element enumeration of the
 group through its Cayley table, so it requires the element cache and the
 table budget and fails with GroupTooLargeError beyond them.  Oracles are
-deliberately exhaustive: every all-pairs definition (commutators,
-centralizers, normalizers, the hypercentre step, product closure of the
-pi-elements) is still evaluated on every pair, now as array gathers on the
-table, and normality checks conjugate members explicitly instead of trusting
-theory, so theorem verification stays genuinely two-sided.
+deliberately exhaustive: every definition is evaluated on every element it
+quantifies over, as array gathers on the table, and normality checks
+conjugate members explicitly instead of trusting theory, so theorem
+verification stays genuinely two-sided.  Two identities of sets, not
+theorems, cut the gathers without dropping any x or y: {[x, y] : y in G} =
+x^-1 Cl(x), so a commutator step reads each x's class orbit, sum |K|^2
+cells over the classes K instead of |G|^2 (``_orbit_rows``); and C(<S>) =
+C(S), so a centralizer may test the generators a subgroup was closed from
+(``Subgroup.generators``) instead of all its members.
 
-Every all-pairs step runs through one primitive, ``_rows``: it evaluates a
-word (a commutator, a commuting test, a conjugation, a product) on a block
-of x by every y at a time, with blocks of at most ``group.BLOCK_CELLS``
-cells from ``group.blocks``.
+Every blocked step takes its rows from ``_rows`` (a word - a commutator, a
+commuting test, a conjugation, a product - on x by every y of a list) or
+from ``_orbit_rows``, at most ``group.BLOCK_CELLS`` cells a block.
 
 Every subset of the group - a subgroup, a conjugacy class, a set of
 pi-elements - is a sorted, read-only ``np.intp`` index array into the parent
@@ -51,17 +54,31 @@ def _commutes(group: Group) -> Callable:
     return lambda x, y: group.mul(x, y) == group.mul(y, x)
 
 
-def _where_all(xs: np.ndarray, ys: np.ndarray, word: Callable) -> np.ndarray:
-    """The x in xs whose row word(x, y) holds for every y in ys."""
-    return np.concatenate([xs[:0], *(xb[row.all(axis=1)] for xb, row in _rows(xs, ys, word))])
+def _where_all(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The x, sorted, whose boolean row holds throughout."""
+    return np.sort(np.concatenate([np.empty(0, dtype=np.intp), *(xb[row.all(axis=1)] for xb, row in rows)]))
 
 
-def _commutator_closure(group: Group, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Subgroup generated by every commutator [x, y], x in xs, y in ys."""
+def _row_closure(group: Group, rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> Subgroup:
+    """Subgroup generated by every entry of the rows."""
     seen = np.zeros(group.order, dtype=bool)
-    for _, comms in _rows(xs, ys, _commutator(group)):
-        seen[comms] = True
+    for _, row in rows:
+        seen[row] = True
     return _closure(group, np.flatnonzero(seen))
+
+
+def _orbit_rows(classes: ConjugacyClassSet, xs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of xs of one class size, each with its rows {[x, y] : y in G} =
+    x^-1 Cl(x): one row per x, one column per member of its class."""
+    group, cls, sizes = classes.group, classes.class_index[xs], np.bincount(classes.class_index)
+    # every class's members, class after class: class c from starts[c] on
+    starts, members = np.cumsum(sizes) - sizes, np.argsort(classes.class_index, kind="stable")
+    for size in np.unique(sizes[cls]).tolist():
+        these = sizes[cls] == size
+        xs_s, first = xs[these], starts[cls[these]]
+        for block in blocks(len(xs_s), size):
+            orbits = members[first[block, None] + np.arange(size)]
+            yield xs_s[block], group.mul(group.inverses[xs_s[block], None], orbits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,13 +137,17 @@ def conjugacy_classes(group: Group) -> ConjugacyClassSet:
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup as a sorted index array into the parent's element
-    enumeration; the array is made read-only."""
+    enumeration.  ``generators`` generate it: the seeds ``_closure`` adjoined
+    for a closure-built subgroup, the members for any other.  Both arrays
+    are made read-only."""
 
     parent: Group
     members: np.ndarray
+    generators: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.members.flags.writeable = False
+        object.__setattr__(self, "generators", self.members if self.generators is None else self.generators)
+        self.members.flags.writeable = self.generators.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -164,8 +185,9 @@ class Subgroup:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
-def _closure(group: Group, seed: np.ndarray) -> np.ndarray:
-    """Subgroup generated by the seed index array (identity always included).
+def _closure(group: Group, seed: np.ndarray) -> Subgroup:
+    """Subgroup generated by the seed index array (identity always included),
+    with the seeds it adjoined as its generators.
 
     Dimino's algorithm: seeds are taken in increasing order and adjoined only
     when not yet members.  The first one gives its cyclic group, power by
@@ -199,11 +221,10 @@ def _closure(group: Group, seed: np.ndarray) -> np.ndarray:
                     inside[cosets[-1]] = True
                     reps.append(wg)
         members = np.concatenate(cosets)
-    return np.flatnonzero(inside)
+    return Subgroup(group, np.flatnonzero(inside), np.array(gens, dtype=np.intp))
 
 
-def subgroup_from_indices(group: Group, indices: np.ndarray) -> Subgroup:
-    return Subgroup(group, _closure(group, indices))
+subgroup_from_indices = _closure
 
 
 def trivial_subgroup(group: Group) -> Subgroup:
@@ -218,7 +239,7 @@ def full_subgroup(group: Group) -> Subgroup:
 
 def centralizer(group: Group, indices: np.ndarray) -> Subgroup:
     """Elements commuting with every element of the index array."""
-    return Subgroup(group, _where_all(np.arange(group.order), indices, _commutes(group)))
+    return Subgroup(group, _where_all(_rows(np.arange(group.order), indices, _commutes(group))))
 
 
 def centre(group: Group) -> Subgroup:
@@ -233,52 +254,46 @@ def normalizer(group: Group, sub: Subgroup) -> Subgroup:
     def conjugate_inside(g, m):  # g^-1 m g in sub
         return inside[group.mul(group.mul(group.inverses[g], m), g)]
 
-    return Subgroup(group, _where_all(np.arange(group.order), sub.members, conjugate_inside))
+    return Subgroup(group, _where_all(_rows(np.arange(group.order), sub.members, conjugate_inside)))
 
 
-def derived_subgroup(group: Group) -> Subgroup:
-    """Closure of all commutators [x, y] over the whole enumeration."""
-    everyone = np.arange(group.order)
-    return Subgroup(group, _commutator_closure(group, everyone, everyone))
+def derived_subgroup(classes: ConjugacyClassSet) -> Subgroup:
+    """Closure of all commutators [x, y]: of every x's orbit x^-1 Cl(x)."""
+    return _row_closure(classes.group, _orbit_rows(classes, np.arange(classes.group.order)))
 
 
 def derived_of(sub: Subgroup) -> Subgroup:
-    """Derived subgroup of a subgroup, as a subgroup of the same parent."""
-    return Subgroup(sub.parent, _commutator_closure(sub.parent, sub.members, sub.members))
+    """Derived subgroup of a subgroup over every pair of it (its classes are not the parent's)."""
+    return _row_closure(sub.parent, _rows(sub.members, sub.members, _commutator(sub.parent)))
 
 
-def commutator_subgroup_of(sub: Subgroup, group: Group) -> Subgroup:
+def commutator_subgroup_of(sub: Subgroup, classes: ConjugacyClassSet) -> Subgroup:
     """[N, G] for N normal in G; raises if N is not normal."""
-    if sub.parent is not group:
+    if sub.parent is not classes.group:
         raise ValueError("subgroup does not belong to this group")
     if not sub.is_normal():
         raise ValueError("subgroup is not normal in its parent")
-    return Subgroup(group, _commutator_closure(group, sub.members, np.arange(group.order)))
+    return _row_closure(sub.parent, _orbit_rows(classes, sub.members))
 
 
-def lower_central_last(group: Group) -> Subgroup:
+def lower_central_last(classes: ConjugacyClassSet) -> Subgroup:
     """Stable term of the lower central series K_{i+1} = [K_i, G]."""
-    everyone = np.arange(group.order)
-    current = everyone
-    while True:
-        nxt = _commutator_closure(group, current, everyone)
-        if np.array_equal(nxt, current):
-            return Subgroup(group, current)
+    current = full_subgroup(classes.group)
+    while (nxt := _row_closure(classes.group, _orbit_rows(classes, current.members))) != current:
         current = nxt
+    return current
 
 
-def hypercentre(group: Group, centre: Subgroup) -> Subgroup:
+def hypercentre(classes: ConjugacyClassSet, centre: Subgroup) -> Subgroup:
     """Stable term of the upper central series, from the centre Z(G).
 
-    Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, iterated until the
-    set stops growing.
+    Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, that is
+    x^-1 Cl(x) inside Z_i, iterated until the set stops growing.
     """
-    current = centre
-    everyone = np.arange(group.order)
-    commutator = _commutator(group)
+    current, everyone = centre, np.arange(classes.group.order)
     while True:
         inside = current.mask()
-        nxt = Subgroup(group, _where_all(everyone, everyone, lambda x, g: inside[commutator(x, g)]))
+        nxt = Subgroup(current.parent, _where_all((xb, inside[row]) for xb, row in _orbit_rows(classes, everyone)))
         if nxt == current:
             return current
         current = nxt
@@ -289,14 +304,14 @@ def p_residual(group: Group, p: int) -> Subgroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     group._require_cache()
-    return Subgroup(group, _closure(group, np.flatnonzero(group.element_orders % p != 0)))
+    return _closure(group, np.flatnonzero(group.element_orders % p != 0))
 
 
 def p_prime_residual(group: Group, p: int) -> Subgroup:
     """Smallest normal subgroup with p'-group quotient: closure of all p-elements."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return Subgroup(group, _closure(group, np.flatnonzero(_pi_mask(group, (p,)))))
+    return _closure(group, np.flatnonzero(_pi_mask(group, (p,))))
 
 
 def _pi_mask(group: Group, pi: Iterable[int]) -> np.ndarray:
@@ -326,7 +341,7 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
     while sub.order < target:
         candidates = normalizer(group, sub).mask() & p_elements
         candidates[sub.members] = False
-        sub = Subgroup(group, _closure(group, np.append(sub.members, np.argmax(candidates))))
+        sub = _closure(group, np.append(sub.members, np.argmax(candidates)))
     return sub
 
 

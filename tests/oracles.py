@@ -142,8 +142,9 @@ class Reference:
     ``elements`` are image tuples in the library's enumeration order, so every
     result is a frozenset of indices, equal to the set of a library index
     array when the two oracles agree.  Each product is one
-    tuple composition and one dict lookup, and every oracle is the plain
-    definition evaluated pair by pair.
+    tuple composition and one dict lookup, made once per pair and then
+    remembered, and every oracle is the plain definition evaluated pair by
+    pair.
     """
 
     def __init__(self, elements, generators):
@@ -154,6 +155,7 @@ class Reference:
         self.generators = [self.index[tuple(g)] for g in dict.fromkeys(map(tuple, generators))]
         self.orders = [self._order(e) for e in self.elements]
         self.everyone = range(self.n)
+        self._products = {}
 
     @staticmethod
     def rref(matrix, p):
@@ -210,7 +212,10 @@ class Reference:
         return k
 
     def mul(self, i, j):
-        return self.index[mul(self.elements[i], self.elements[j])]
+        """One tuple composition per pair, remembered for the next call."""
+        if (i, j) not in self._products:
+            self._products[i, j] = self.index[mul(self.elements[i], self.elements[j])]
+        return self._products[i, j]
 
     def inv(self, i):
         return self.index[inv(self.elements[i])]

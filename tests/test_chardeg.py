@@ -120,8 +120,9 @@ def test_goldens_are_pinned_by_counting_constraints(family, parameter):
     # characters) admits exactly one degree multiset for these groups, so the
     # golden values above are forced without any character computation
     g = standard_group(family, parameter)
-    class_count = len(conjugacy_classes(g))
-    linear = g.order // derived_subgroup(g).order
+    cs = conjugacy_classes(g)
+    class_count = len(cs)
+    linear = g.order // derived_subgroup(cs).order
     multisets = oracles.degree_multisets(g.order, class_count, linear)
     assert len(multisets) == 1
     expected = GOLDEN[(family, parameter)]
@@ -144,8 +145,9 @@ def test_frequency_invariants_over_corpus(corpus):
         g = rec.group
         freq = character_degrees(g)
         assert freq.sum_of_squares() == g.order
-        assert freq.irreducible_count() == len(conjugacy_classes(g))
-        assert freq.multiplicity(1) == g.order // derived_subgroup(g).order
+        cs = conjugacy_classes(g)
+        assert freq.irreducible_count() == len(cs)
+        assert freq.multiplicity(1) == g.order // derived_subgroup(cs).order
         assert all(g.order % d == 0 for d in freq.degrees())
 
 

@@ -137,15 +137,15 @@ def test_cap_exceeded_is_loud():
 
 
 def test_table_budget_is_checked_before_allocating(monkeypatch):
-    from degclass.structure import derived_subgroup
+    from degclass.structure import conjugacy_classes, derived_subgroup
 
     g = standard_group("symmetric", 4)
     monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", g.order * g.order * 2 - 1)
     with pytest.raises(GroupTooLargeError, match="above the table budget"):
-        derived_subgroup(g)
+        derived_subgroup(conjugacy_classes(g))
     assert g._table is None
     monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", g.order * g.order * 2)
-    assert derived_subgroup(g).order == 12
+    assert derived_subgroup(conjugacy_classes(g)).order == 12
 
 
 def test_deterministic_bsgs():
@@ -188,9 +188,9 @@ def test_direct_product_with_trivial_preserves_class_sizes():
 
 
 def test_lagrange_for_derived_and_sylow():
-    from degclass import centre, derived_subgroup, sylow_subgroup
+    from degclass import centre, conjugacy_classes, derived_subgroup, sylow_subgroup
 
     for family, param in [("symmetric", 4), ("alternating", 4), ("dihedral", 6)]:
         g = standard_group(family, param)
-        for sub in (derived_subgroup(g), centre(g), sylow_subgroup(g, 2)):
+        for sub in (derived_subgroup(conjugacy_classes(g)), centre(g), sylow_subgroup(g, 2)):
             assert g.order % sub.order == 0

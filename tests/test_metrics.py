@@ -90,7 +90,7 @@ def test_u_pi_degenerate_sets(corpus):
         g = rec.group
         freq = character_degrees(g)
         assert u_pi(freq, primes_of(g.order)) == g.order
-        assert u_pi(freq, ()) == g.order // derived_subgroup(g).order  # = |G:G'|
+        assert u_pi(freq, ()) == g.order // derived_subgroup(conjugacy_classes(g)).order  # = |G:G'|
 
 
 def test_u_pi_monotone(corpus):
@@ -163,7 +163,7 @@ def test_remark_divisibilities(corpus):
         g = rec.group
         freq = character_degrees(g)
         cs = conjugacy_classes(g)
-        index = g.order // derived_subgroup(g).order
+        index = g.order // derived_subgroup(cs).order
         z = centre(g).order
         ps = primes_of(g.order)
         for size in range(len(ps) + 1):

@@ -64,6 +64,20 @@ def test_report_round_trips_as_json(builtin_report):
     assert doc["tool"]["name"] == "degclass"
 
 
+def test_report_writer_matches_json_dumps(builtin_report):
+    edge_cases = {
+        "empty_dict": {},
+        "empty_list": [],
+        "none": None,
+        "flags": [True, False],
+        "nested": {"a": [{}, [], [[]], {"b": None}], "": "x"},
+        'quote " and \\ backslash': 'tab\t, newline\n, "quoted" \\ \u00e9\u2013\U0001d11e',
+        "\u00fcber": ["\x00\x1f", "plain"],
+    }
+    for doc in (builtin_report.document, edge_cases, {}, [], "s", None, True):
+        assert Report(doc, 0, 0).text == json.dumps(doc, indent=2) + "\n"
+
+
 def test_report_summary_counts_are_consistent(builtin_report):
     doc = builtin_report.document
     blocks = doc["groups"]

@@ -156,20 +156,20 @@ def test_derived_subgroup_matches_commutator_oracle():
     for family, parameter in [("symmetric", 3), ("alternating", 4), ("dihedral", 4)]:
         g = standard_group(family, parameter)
         expected = oracles.commutator_closure([p.images for p in g.elements], g.degree)
-        got = {g.elements[i].images for i in derived_subgroup(g).members}
+        got = {g.elements[i].images for i in derived_subgroup(conjugacy_classes(g)).members}
         assert got == expected
 
 
 def test_derived_s3_is_a3():
     g = standard_group("symmetric", 3)
-    der = derived_subgroup(g)
+    der = derived_subgroup(conjugacy_classes(g))
     assert der.order == 3
     assert all(g.elements[i].order() in (1, 3) for i in der.members)
 
 
 def test_lower_central_last_a4():
     g = standard_group("alternating", 4)
-    k = lower_central_last(g)
+    k = lower_central_last(conjugacy_classes(g))
     assert k.order == 4
     assert g.order // k.order == 3
 
@@ -177,37 +177,37 @@ def test_lower_central_last_a4():
 def test_hypercentre_nilpotent_is_whole_group():
     for family, parameter in [("quaternion", 8), ("dihedral", 4), ("cyclic", 12)]:
         g = standard_group(family, parameter)
-        assert hypercentre(g, centre(g)).order == g.order
+        assert hypercentre(conjugacy_classes(g), centre(g)).order == g.order
 
 
 def test_hypercentre_trivial_cases():
     for family, parameter in [("symmetric", 3), ("alternating", 4)]:
         g = standard_group(family, parameter)
-        assert hypercentre(g, centre(g)).order == 1
+        assert hypercentre(conjugacy_classes(g), centre(g)).order == 1
 
 
 def test_commutator_subgroup_of_examples():
     s3 = standard_group("symmetric", 3)
     a3 = pi_elements_subgroup(s3, (3,))
     assert a3 is not None
-    assert commutator_subgroup_of(a3, s3).order == 3  # [A3, S3] = A3
+    assert commutator_subgroup_of(a3, conjugacy_classes(s3)).order == 3  # [A3, S3] = A3
 
     g = hol_c7()
     n = pi_elements_subgroup(g, (3, 7))
     assert n is not None and n.order == 21
-    ng = commutator_subgroup_of(n, g)
+    ng = commutator_subgroup_of(n, conjugacy_classes(g))
     assert ng.order == 7
     assert as_set(ng.members) == as_set(derived_of(n).members)  # [N, G] = N'
 
     q8 = standard_group("quaternion", 8)
-    assert commutator_subgroup_of(centre(q8), q8).order == 1  # [Z(G), G] = 1
+    assert commutator_subgroup_of(centre(q8), conjugacy_classes(q8)).order == 1  # [Z(G), G] = 1
 
 
 def test_commutator_subgroup_requires_normal():
     s3 = standard_group("symmetric", 3)
     point_stab = Subgroup(s3, np.array([0, s3.index_of(parse_cycles("(1,2)", 3))], dtype=np.intp))
     with pytest.raises(ValueError, match="not normal"):
-        commutator_subgroup_of(point_stab, s3)
+        commutator_subgroup_of(point_stab, conjugacy_classes(s3))
 
 
 def test_nilpotent_residual_intersection_identity(corpus):
@@ -215,8 +215,9 @@ def test_nilpotent_residual_intersection_identity(corpus):
     # K_inf is contained in the derived subgroup
     for rec in corpus:
         g = rec.group
-        k = lower_central_last(g)
-        der = derived_subgroup(g)
+        cs = conjugacy_classes(g)
+        k = lower_central_last(cs)
+        der = derived_subgroup(cs)
         assert as_set(k.members) <= as_set(der.members)
         index_primes = primes_of(g.order // der.order)
         members = frozenset(range(g.order))
@@ -378,9 +379,10 @@ def test_all_pairs_oracles_stay_within_a_few_blocks():
     # oracle's temporaries stay within a few int64 arrays of BLOCK_CELLS
     # cells, far below one array of all 2880^2 pairs
     g = direct_product(standard_group("symmetric", 5), standard_group("symmetric", 4))
+    cs = conjugacy_classes(g)
     z = centre(g)
     sylows = [sylow_subgroup(g, p) for p in primes_of(g.order)]
-    runs = [lambda: derived_subgroup(g), lambda: hypercentre(g, z)]
+    runs = [lambda: derived_subgroup(cs), lambda: hypercentre(cs, z)]
     for syl in sylows:
         runs += [lambda syl=syl: centralizer(g, syl.members), lambda syl=syl: normalizer(g, syl)]
     for run in runs:
@@ -392,6 +394,34 @@ def test_all_pairs_oracles_stay_within_a_few_blocks():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 8 * groups.BLOCK_CELLS
+
+
+def test_series_steps_gather_class_orbits_not_all_pairs(monkeypatch):
+    # a commutator step over xs gathers x^-1 Cl(x) for each x in xs, at most
+    # sum |K|^2 cells over the classes K (71412 on S6), where the all-pairs
+    # step gathered four products on each of |G|^2 = 518400 pairs
+    g = standard_group("symmetric", 6)
+    cs = conjugacy_classes(g)
+    z = centre(g)
+    orbit_cells = sum(size * size for size in cs.sizes())
+    cells = [0]
+    mul = groups.Group.mul
+
+    def counted(self, a, b):
+        out = mul(self, a, b)
+        cells[0] += out.size
+        return out
+
+    monkeypatch.setattr(groups.Group, "mul", counted)
+    # series steps: G' in one; K_2 = A6 and K_3 = K_2 in two; Z_2 = Z_1 = 1 in one
+    for steps, run in [
+        (1, lambda: derived_subgroup(cs)),
+        (2, lambda: lower_central_last(cs)),
+        (1, lambda: hypercentre(cs, z)),
+    ]:
+        cells[0] = 0
+        run()
+        assert 0 < cells[0] <= 2 * orbit_cells * steps < g.order**2
 
 
 def test_subgroup_equality_is_set_equality():
@@ -417,7 +447,7 @@ def test_set_built_subgroups_are_actual_subgroups():
     for family, parameter in [("symmetric", 4), ("dihedral", 6), ("sl_2_3", 3)]:
         g = standard_group(family, parameter)
         _assert_is_subgroup(g, centre(g))
-        _assert_is_subgroup(g, hypercentre(g, centre(g)))
+        _assert_is_subgroup(g, hypercentre(conjugacy_classes(g), centre(g)))
         _assert_is_subgroup(g, centralizer(g, [1]))
         _assert_is_subgroup(g, normalizer(g, sylow_subgroup(g, 2)))
 
@@ -443,6 +473,11 @@ CLASS_ALGEBRA_GROUPS = {
     "C2^7": lambda: functools.reduce(direct_product, [standard_group("cyclic", 2)] * 7),
     "D8xC2^3": lambda: functools.reduce(direct_product, [standard_group("dihedral", 4)] + [standard_group("cyclic", 2)] * 3),
 }
+
+# the class-orbit steps are compared on those groups as well, and on C2^7 (one
+# class of size 1 per row) and D8xC2^3 also at 7 cells a block, so that blocks
+# hold single-column rows and the rows of one class size cross block boundaries
+CLASS_ORBIT_PARAMS = [(name, None) for name in CLASS_ALGEBRA_GROUPS] + [("C2^7", 7), ("D8xC2^3", 7)]
 
 # each group once at the default block size and once at 7 cells, so that
 # every all-pairs step also runs one row per block, across block boundaries
@@ -505,12 +540,16 @@ def test_classes_and_class_algebra_match_reference(with_reference):
     assert class_algebra(g, cs).coefficients == ref.class_algebra()
 
 
+@pytest.mark.parametrize(
+    "with_reference", REFERENCE_PARAMS + CLASS_ORBIT_PARAMS, ids=_reference_id, indirect=True
+)
 def test_series_and_centre_match_reference(with_reference):
     g, ref = with_reference
+    cs = conjugacy_classes(g)
     assert as_set(centre(g).members) == ref.centre()
-    assert as_set(derived_subgroup(g).members) == ref.derived()
-    assert as_set(lower_central_last(g).members) == ref.lower_central_last()
-    assert as_set(hypercentre(g, centre(g)).members) == ref.hypercentre()
+    assert as_set(derived_subgroup(cs).members) == ref.derived()
+    assert as_set(lower_central_last(cs).members) == ref.lower_central_last()
+    assert as_set(hypercentre(cs, centre(g)).members) == ref.hypercentre()
 
 
 def test_prime_oracles_match_reference(with_reference):
@@ -520,6 +559,10 @@ def test_prime_oracles_match_reference(with_reference):
         assert as_set(syl.members) == ref.sylow(p)
         assert as_set(normalizer(g, syl).members) == ref.normalizer(as_set(syl.members))
         assert as_set(centralizer(g, syl.members).members) == ref.centralizer(as_set(syl.members))
+        # C(<S>) = C(S) over the seeds the closure adjoined
+        for sub in (syl, p_prime_residual(g, p)):
+            assert ref.closure(sub.generators.tolist()) == as_set(sub.members)
+            assert as_set(centralizer(g, sub.generators).members) == ref.centralizer(as_set(sub.members))
         assert as_set(p_residual(g, p).members) == ref.p_residual(p)
         assert as_set(p_prime_residual(g, p).members) == ref.p_prime_residual(p)
         assert q_r_elements_commute(g, p) == ref.q_r_elements_commute(p)
@@ -540,20 +583,25 @@ def test_pi_oracles_match_reference(with_reference):
             )
 
 
+@pytest.mark.parametrize(
+    "with_reference", REFERENCE_PARAMS + CLASS_ORBIT_PARAMS, ids=_reference_id, indirect=True
+)
 def test_subgroup_predicates_match_reference(with_reference):
     g, ref = with_reference
-    subs = [derived_subgroup(g), centre(g), full_subgroup(g), trivial_subgroup(g)]
+    cs = conjugacy_classes(g)
+    subs = [derived_subgroup(cs), centre(g), full_subgroup(g), trivial_subgroup(g)]
     subs += [sylow_subgroup(g, p) for p in primes_of(g.order)]
     seeds = ([1], [2, 5], [3, 7, 11], g.generator_indices[:1])
-    subs += [subgroup_from_indices(g, seed) for seed in seeds]
+    subs += [subgroup_from_indices(g, [s for s in seed if s < g.order]) for seed in seeds]
     for sub in subs:
         members = as_set(sub.members)
         assert sub.is_normal() == ref.is_normal(members)
         assert sub.is_abelian() == ref.is_abelian(members)
         assert as_set(derived_of(sub).members) == ref.commutator_closure(members, members)
         if ref.is_normal(members):
-            assert as_set(commutator_subgroup_of(sub, g).members) == ref.commutator_closure(
+            assert as_set(commutator_subgroup_of(sub, cs).members) == ref.commutator_closure(
                 members, ref.everyone
             )
     for seed in ([1], [2, 5], [3, 7, 11], range(0, g.order, 17)):
+        seed = [s for s in seed if s < g.order]
         assert as_set(subgroup_from_indices(g, seed).members) == ref.closure(seed)

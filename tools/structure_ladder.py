@@ -1,0 +1,92 @@
+"""Time the structure layer on the S7 ladder: S7, S7xC2 and S7xC3.
+
+Each rung runs twice, each time in a fresh interpreter so that its peak RSS
+is its own:
+
+* ``criteria``: parse the group, build its classes and degree frequency,
+  then time ``run_all_criteria`` alone;
+* ``verify``: time ``run_report`` plus ``Report.text`` on the one-group
+  corpus, as ``degclass verify`` does, and record the report's sha256
+  prefix, so that two checkouts can be seen to give the same bytes.
+
+Usage::
+
+    python tools/structure_ladder.py [--src DIR] [--out FILE]
+
+``--src`` names the ``src`` directory whose ``degclass`` is measured
+(default: this checkout's), so two checkouts can be timed by one script.
+The result is one JSON document on stdout, or in ``--out``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNGS = {
+    "S7": "degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)\n",
+    "S7xC2": "degree 9\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9)\n",
+    "S7xC3": "degree 10\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9,10)\n",
+}
+
+
+def measure(rung: str, stage: str) -> dict:
+    """One stage of one rung, in this interpreter."""
+    from degclass.corpus import parse_corpus
+    from degclass.criteria import GroupData, run_all_criteria
+    from degclass.report import run_report
+
+    records = parse_corpus(f"group {rung}\n{RUNGS[rung]}end\n")
+    if stage == "criteria":
+        data = GroupData(records[0].group, rung)
+        out = {"order": data.order, "classes": len(data.classes)}
+        data.degree_frequency
+        start = perf_counter()
+        out["verdicts"] = len(run_all_criteria(data, rung))
+        out["seconds"] = round(perf_counter() - start, 3)
+    else:
+        start = perf_counter()
+        text = run_report(records).text
+        seconds = round(perf_counter() - start, 3)
+        out = {"seconds": seconds, "report_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
+    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--out")
+    parser.add_argument("--rung", choices=RUNGS, help=argparse.SUPPRESS)
+    parser.add_argument("--stage", choices=("criteria", "verify"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.rung:
+        sys.path.insert(0, args.src)
+        print(json.dumps(measure(args.rung, args.stage)))
+        return
+    rungs = {}
+    for rung in RUNGS:
+        for stage in ("criteria", "verify"):
+            child = [sys.executable, __file__, "--src", args.src, "--rung", rung, "--stage", stage]
+            rungs.setdefault(rung, {})[stage] = json.loads(subprocess.check_output(child))
+            print(rung, stage, rungs[rung][stage], file=sys.stderr)
+    machine = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
+    text = json.dumps({**machine, "rungs": rungs}, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()
