@@ -230,8 +230,7 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     """
     r, sizes = len(classes), classes.sizes()
     _check_degree_budget(sizes)
-    class_of = classes.class_index
-    representatives = np.array([c.members[0] for c in classes.classes])
+    class_of, representatives = classes.class_index, classes.representatives
     offsets = np.arange(r) * r
 
     def column(g: int) -> tuple[np.ndarray, np.ndarray]:

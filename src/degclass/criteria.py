@@ -172,7 +172,7 @@ class GroupData:
 
     @cached_property
     def nilpotent_residual(self) -> Subgroup:
-        return structure.lower_central_last(self.classes)
+        return structure.lower_central_last(self.classes, self.derived)
 
     @_memoized
     def sylow(self, p: int) -> Subgroup:
@@ -188,11 +188,11 @@ class GroupData:
 
     @_memoized
     def pi_subgroup(self, pi: PrimeSet) -> Optional[Subgroup]:
-        return structure.pi_elements_subgroup(self.group, pi)
+        return structure.pi_elements_subgroup(self.classes, pi)
 
     @_memoized
     def direct_product_witness(self, p: int) -> structure.DirectProductWitness:
-        return structure.is_direct_product_p(self.group, p)
+        return structure.is_direct_product_p(self.classes, p)
 
     @_memoized
     def sylow_centre_is_central(self, p: int) -> bool:
@@ -270,7 +270,7 @@ def _u_p_product(d: GroupData, ps: PrimeSet) -> SideResult:
 
 def _u_and_commuting(d: GroupData, ps: PrimeSet) -> SideResult:
     u_condition = _u_p_product(d, ps).holds
-    commuting = structure.q_r_elements_commute(d.group, ps[0])
+    commuting = structure.q_r_elements_commute(d.classes, ps[0])
     return SideResult(
         u_condition and commuting,
         _nums(u_p=d.u(ps), u_condition=int(u_condition), qr_commute=int(commuting)),
@@ -433,7 +433,7 @@ CATALOG = (
         "ito_michler", EQUIVALENCE, PER_PI, NEVER,
         "u_pi'(G) = |G|  <->  normal abelian Hall pi-subgroup",
         lambda d, ps: _equal(_nums(u_pi_prime=d.u_prime(ps), order=d.order, u_pi=d.u(ps), m1=d.m1)),
-        lambda d, ps: _hall(d, ps, structure.has_normal_abelian_hall(d.pi_subgroup(ps)))),
+        lambda d, ps: _hall(d, ps, structure.has_normal_abelian_hall(d.pi_subgroup(ps), d.classes))),
     Criterion(
         "huppert_central_hall", EQUIVALENCE, PER_PI, WIDE_PI,
         "|S_pi'(G)| = |G|  <->  central Hall pi-subgroup",

@@ -6,12 +6,15 @@ table budget and fails with GroupTooLargeError beyond them.  Oracles are
 deliberately exhaustive: every definition is evaluated on every element it
 quantifies over, as array gathers on the table, and normality checks
 conjugate members explicitly instead of trusting theory, so theorem
-verification stays genuinely two-sided.  Two identities of sets, not
-theorems, cut the gathers without dropping any x or y: {[x, y] : y in G} =
+verification stays genuinely two-sided.  Three identities of sets, not
+theorems, cut the gathers without dropping any x or y.  {[x, y] : y in G} =
 x^-1 Cl(x), so a commutator step reads each x's class orbit, sum |K|^2
-cells over the classes K instead of |G|^2 (``_orbit_rows``); and C(<S>) =
-C(S), so a centralizer may test the generators a subgroup was closed from
-(``Subgroup.generators``) instead of all its members.
+cells over the classes K instead of |G|^2 (``_orbit_rows``).  C(<S>) = C(S)
+and g^-1 <S> g = <g^-1 S g>, so centralizers and normalizers test the
+generators a subgroup was closed from (``Subgroup.generators``).  A union S
+of classes is {g^-1 r g : g in G, r a class representative in S}, so a
+property kept by conjugation holds on S iff on those representatives
+(``ConjugacyClassSet.representatives``): one row a class.
 
 Every blocked step takes its rows from ``_rows`` (a word - a commutator, a
 commuting test, a conjugation, a product - on x by every y of a list) or
@@ -24,6 +27,7 @@ enumeration; equality of subgroups is equality of those arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
@@ -97,7 +101,8 @@ class ConjugacyClassSet:
     """The conjugacy classes of a group, ordered by smallest member index.
 
     ``class_index`` is a read-only array whose entry i is the class of
-    element i; ``inverse_pairing[c]`` is the class holding the inverses of
+    element i; ``representatives[c]``, read-only too, is class c's first
+    member; ``inverse_pairing[c]`` is the class holding the inverses of
     class c.
     """
 
@@ -118,7 +123,9 @@ class ConjugacyClassSet:
         class_index.flags.writeable = False
         self.classes = tuple(classes)
         self.class_index = class_index
-        self.inverse_pairing = tuple(class_index[inv[[c.members[0] for c in classes]]].tolist())
+        self.representatives = np.unique(class_index, return_index=True)[1]
+        self.representatives.flags.writeable = False
+        self.inverse_pairing = tuple(class_index[inv[self.representatives]].tolist())
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -169,10 +176,6 @@ class Subgroup:
         inside = np.zeros(self.parent.order, dtype=bool)
         inside[self.members] = True
         return inside
-
-    def is_abelian(self) -> bool:
-        members = self.members
-        return all(row.all() for _, row in _rows(members, members, _commutes(self.parent)))
 
     def is_normal(self) -> bool:
         """Explicit check: conjugate every member by every parent generator."""
@@ -232,11 +235,6 @@ def trivial_subgroup(group: Group) -> Subgroup:
     return Subgroup(group, np.array([group.identity_index], dtype=np.intp))
 
 
-def full_subgroup(group: Group) -> Subgroup:
-    group._require_cache()
-    return Subgroup(group, np.arange(group.order))
-
-
 def centralizer(group: Group, indices: np.ndarray) -> Subgroup:
     """Elements commuting with every element of the index array."""
     return Subgroup(group, _where_all(_rows(np.arange(group.order), indices, _commutes(group))))
@@ -247,6 +245,7 @@ def centre(group: Group) -> Subgroup:
 
 
 def normalizer(group: Group, sub: Subgroup) -> Subgroup:
+    """Elements g with g^-1 s g in sub for every generator s of sub."""
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
     inside = sub.mask()
@@ -254,7 +253,7 @@ def normalizer(group: Group, sub: Subgroup) -> Subgroup:
     def conjugate_inside(g, m):  # g^-1 m g in sub
         return inside[group.mul(group.mul(group.inverses[g], m), g)]
 
-    return Subgroup(group, _where_all(_rows(np.arange(group.order), sub.members, conjugate_inside)))
+    return Subgroup(group, _where_all(_rows(np.arange(group.order), sub.generators, conjugate_inside)))
 
 
 def derived_subgroup(classes: ConjugacyClassSet) -> Subgroup:
@@ -276,9 +275,9 @@ def commutator_subgroup_of(sub: Subgroup, classes: ConjugacyClassSet) -> Subgrou
     return _row_closure(sub.parent, _orbit_rows(classes, sub.members))
 
 
-def lower_central_last(classes: ConjugacyClassSet) -> Subgroup:
-    """Stable term of the lower central series K_{i+1} = [K_i, G]."""
-    current = full_subgroup(classes.group)
+def lower_central_last(classes: ConjugacyClassSet, derived: Subgroup) -> Subgroup:
+    """Stable term of the lower central series K_{i+1} = [K_i, G], from K_2 = G' (``derived``)."""
+    current = derived
     while (nxt := _row_closure(classes.group, _orbit_rows(classes, current.members))) != current:
         current = nxt
     return current
@@ -288,12 +287,14 @@ def hypercentre(classes: ConjugacyClassSet, centre: Subgroup) -> Subgroup:
     """Stable term of the upper central series, from the centre Z(G).
 
     Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, that is
-    x^-1 Cl(x) inside Z_i, iterated until the set stops growing.
+    x^-1 Cl(x) inside Z_i, iterated until the set stops growing.  Z_i is a
+    union of classes, so a step tests the representatives and keeps their classes.
     """
-    current, everyone = centre, np.arange(classes.group.order)
+    current, cls = centre, classes.class_index
     while True:
-        inside = current.mask()
-        nxt = Subgroup(current.parent, _where_all((xb, inside[row]) for xb, row in _orbit_rows(classes, everyone)))
+        inside, rows = current.mask(), _orbit_rows(classes, classes.representatives)
+        kept = cls[_where_all((xb, inside[row]) for xb, row in rows)]
+        nxt = Subgroup(current.parent, np.flatnonzero(np.isin(cls, kept)))
         if nxt == current:
             return current
         current = nxt
@@ -315,14 +316,11 @@ def p_prime_residual(group: Group, p: int) -> Subgroup:
 
 
 def _pi_mask(group: Group, pi: Iterable[int]) -> np.ndarray:
-    """Whether each element's order is a pi-number: every prime of pi is
-    divided out of all the orders at once, and what is left must be 1."""
+    """Whether each element's order is a pi-number: every order divides |G|,
+    so it is one iff it divides |G|_pi."""
     group._require_cache()
-    rest = group.element_orders.copy()
-    for p in prime_set(pi):
-        while (divisible := rest % p == 0).any():
-            rest[divisible] //= p
-    return rest == 1
+    part = math.prod(p ** valuation(group.order, p) for p in prime_set(pi))
+    return part % group.element_orders == 0
 
 
 def sylow_subgroup(group: Group, p: int) -> Subgroup:
@@ -345,14 +343,17 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
     return sub
 
 
-def pi_elements_subgroup(group: Group, pi: Iterable[int]) -> Optional[Subgroup]:
-    """The set of pi-elements as a Subgroup iff it is product-closed, else None.
+def pi_elements_subgroup(classes: ConjugacyClassSet, pi: Iterable[int]) -> Optional[Subgroup]:
+    """The set S of pi-elements as a Subgroup iff it is product-closed, else None.
 
-    When it is closed it is the unique normal Hall pi-subgroup of the group.
+    S is a union of classes, so S S lies in S iff r S does for each class
+    representative r in S (x = g^-1 r g gives x S = g^-1 (r S) g).  When S is
+    closed it is the unique normal Hall pi-subgroup of the group.
     """
+    group, reps = classes.group, classes.representatives
     inside = _pi_mask(group, pi)
     members = np.flatnonzero(inside)
-    rows = _rows(members, members, lambda a, b: inside[group.mul(a, b)])
+    rows = _rows(reps[inside[reps]], members, lambda a, b: inside[group.mul(a, b)])
     return Subgroup(group, members) if all(row.all() for _, row in rows) else None
 
 
@@ -366,7 +367,7 @@ class DirectProductWitness:
     p_complement: Optional[Subgroup]
 
 
-def is_direct_product_p(group: Group, p: int) -> DirectProductWitness:
+def is_direct_product_p(classes: ConjugacyClassSet, p: int) -> DirectProductWitness:
     """True iff both the p-elements and the p'-elements form subgroups.
 
     Both sets are conjugation-invariant, so success makes them normal with
@@ -374,10 +375,10 @@ def is_direct_product_p(group: Group, p: int) -> DirectProductWitness:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    p_side = pi_elements_subgroup(group, (p,))
+    p_side = pi_elements_subgroup(classes, (p,))
     if p_side is None:
         return DirectProductWitness(False, None, None)
-    h_side = pi_elements_subgroup(group, tuple(q for q in primes_of(group.order) if q != p))
+    h_side = pi_elements_subgroup(classes, tuple(q for q in primes_of(classes.group.order) if q != p))
     return DirectProductWitness(h_side is not None, p_side, h_side)
 
 
@@ -387,21 +388,28 @@ def has_central_hall(hall: Optional[Subgroup], centre: Subgroup) -> bool:
     return hall is not None and bool(centre.mask()[hall.members].all())
 
 
-def has_normal_abelian_hall(hall: Optional[Subgroup]) -> bool:
+def has_normal_abelian_hall(hall: Optional[Subgroup], classes: ConjugacyClassSet) -> bool:
     """The pi-elements form an abelian subgroup (necessarily a normal Hall
-    one), given the pi_elements_subgroup result ``hall``."""
-    return hall is not None and hall.is_abelian()
+    one), given the pi_elements_subgroup result ``hall``: being normal, it is
+    abelian iff each class representative in it commutes with all of it."""
+    if hall is None:
+        return False
+    reps = classes.representatives[hall.mask()[classes.representatives]]
+    return all(row.all() for _, row in _rows(reps, hall.members, _commutes(hall.parent)))
 
 
-def q_r_elements_commute(group: Group, p: int) -> bool:
+def q_r_elements_commute(classes: ConjugacyClassSet, p: int) -> bool:
     """For all distinct primes q, r != p dividing |G|, every q-element
-    commutes with every r-element (exhaustive test)."""
+    commutes with every r-element.  Both sets are unions of classes, so each
+    class representative among the q-elements is tested against every
+    r-element, which still covers every pair."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    group, reps = classes.group, classes.representatives
     others = [q for q in primes_of(group.order) if q != p]
-    by_prime = {q: np.flatnonzero(_pi_mask(group, (q,))) for q in others}
+    masks = {q: _pi_mask(group, (q,)) for q in others}
     commutes = _commutes(group)
     for q, r in combinations(others, 2):
-        if not all(row.all() for _, row in _rows(by_prime[q], by_prime[r], commutes)):
+        if not all(row.all() for _, row in _rows(reps[masks[q][reps]], np.flatnonzero(masks[r]), commutes)):
             return False
     return True

@@ -25,7 +25,6 @@ from degclass.structure import (
     conjugacy_classes,
     derived_of,
     derived_subgroup,
-    full_subgroup,
     has_central_hall,
     has_normal_abelian_hall,
     hypercentre,
@@ -130,7 +129,7 @@ def test_centre_examples():
 
 def test_normalizer_of_whole_group():
     g = standard_group("alternating", 4)
-    assert normalizer(g, full_subgroup(g)).order == g.order
+    assert normalizer(g, Subgroup(g, np.arange(g.order))).order == g.order
 
 
 def test_subgroup_from_indices_closes_the_seed():
@@ -169,7 +168,8 @@ def test_derived_s3_is_a3():
 
 def test_lower_central_last_a4():
     g = standard_group("alternating", 4)
-    k = lower_central_last(conjugacy_classes(g))
+    cs = conjugacy_classes(g)
+    k = lower_central_last(cs, derived_subgroup(cs))
     assert k.order == 4
     assert g.order // k.order == 3
 
@@ -188,12 +188,12 @@ def test_hypercentre_trivial_cases():
 
 def test_commutator_subgroup_of_examples():
     s3 = standard_group("symmetric", 3)
-    a3 = pi_elements_subgroup(s3, (3,))
+    a3 = pi_elements_subgroup(conjugacy_classes(s3), (3,))
     assert a3 is not None
     assert commutator_subgroup_of(a3, conjugacy_classes(s3)).order == 3  # [A3, S3] = A3
 
     g = hol_c7()
-    n = pi_elements_subgroup(g, (3, 7))
+    n = pi_elements_subgroup(conjugacy_classes(g), (3, 7))
     assert n is not None and n.order == 21
     ng = commutator_subgroup_of(n, conjugacy_classes(g))
     assert ng.order == 7
@@ -216,8 +216,8 @@ def test_nilpotent_residual_intersection_identity(corpus):
     for rec in corpus:
         g = rec.group
         cs = conjugacy_classes(g)
-        k = lower_central_last(cs)
         der = derived_subgroup(cs)
+        k = lower_central_last(cs, der)
         assert as_set(k.members) <= as_set(der.members)
         index_primes = primes_of(g.order // der.order)
         members = frozenset(range(g.order))
@@ -275,11 +275,11 @@ def test_sylow_order_and_conjugate_cover(corpus):
 
 
 def test_pi_elements_examples():
-    s3 = standard_group("symmetric", 3)
+    s3 = conjugacy_classes(standard_group("symmetric", 3))
     a3 = pi_elements_subgroup(s3, (3,))
     assert a3 is not None and a3.order == 3
     assert pi_elements_subgroup(s3, (2,)) is None  # transpositions are not closed
-    a4 = standard_group("alternating", 4)
+    a4 = conjugacy_classes(standard_group("alternating", 4))
     v4 = pi_elements_subgroup(a4, (2,))
     assert v4 is not None and v4.order == 4
 
@@ -291,10 +291,11 @@ def test_pi_elements_subgroup_is_normal_hall(corpus):
 
     for rec in corpus:
         g = rec.group
+        cs = conjugacy_classes(g)
         ps = primes_of(g.order)
         for size in range(0, min(2, len(ps)) + 1):
             for pi in itertools.combinations(ps, size):
-                sub = pi_elements_subgroup(g, pi)
+                sub = pi_elements_subgroup(cs, pi)
                 if sub is not None:
                     assert sub.order == pi_part(g.order, pi)
                     assert sub.is_normal()
@@ -302,13 +303,18 @@ def test_pi_elements_subgroup_is_normal_hall(corpus):
 
 def test_hall_predicates():
     c6 = standard_group("cyclic", 6)
-    assert has_central_hall(pi_elements_subgroup(c6, (2,)), centre(c6))
-    g = hol_c7()
-    assert has_normal_abelian_hall(pi_elements_subgroup(g, (7,)))
-    assert not has_normal_abelian_hall(pi_elements_subgroup(standard_group("symmetric", 3), (2,)))
+    assert has_central_hall(pi_elements_subgroup(conjugacy_classes(c6), (2,)), centre(c6))
+    g = conjugacy_classes(hol_c7())
+    assert has_normal_abelian_hall(pi_elements_subgroup(g, (7,)), g)
+    assert not has_normal_abelian_hall(pi_elements_subgroup(g, (3, 7)), g)  # C7:C3 is not abelian
+    s3 = conjugacy_classes(standard_group("symmetric", 3))
+    assert not has_normal_abelian_hall(pi_elements_subgroup(s3, (2,)), s3)
     q8c3 = direct_product(standard_group("quaternion", 8), standard_group("cyclic", 3))
-    assert has_central_hall(pi_elements_subgroup(q8c3, (3,)), centre(q8c3))
-    assert not has_central_hall(pi_elements_subgroup(q8c3, (2,)), centre(q8c3))
+    cs = conjugacy_classes(q8c3)
+    assert has_central_hall(pi_elements_subgroup(cs, (3,)), centre(q8c3))
+    assert not has_central_hall(pi_elements_subgroup(cs, (2,)), centre(q8c3))
+    assert not has_normal_abelian_hall(pi_elements_subgroup(cs, (2,)), cs)  # Q8
+    assert has_normal_abelian_hall(pi_elements_subgroup(cs, (3,)), cs)
 
 
 def test_pi_mask_is_the_pi_number_test_on_every_element(corpus):
@@ -323,12 +329,12 @@ def test_q_r_commuting():
     # Hol(C7) at p = 7: involutions and 3-elements from different conjugates
     # of the C6 complement do not commute (e.g. t -> -t vs t -> 2t+1), so the
     # exhaustive test is false even though each single complement is cyclic.
-    assert not q_r_elements_commute(hol_c7(), 7)
-    assert not q_r_elements_commute(hol_c7(), 2)  # 3- and 7-elements do not commute
-    assert not q_r_elements_commute(standard_group("alternating", 5), 5)
+    assert not q_r_elements_commute(conjugacy_classes(hol_c7()), 7)
+    assert not q_r_elements_commute(conjugacy_classes(hol_c7()), 2)  # 3- and 7-elements do not commute
+    assert not q_r_elements_commute(conjugacy_classes(standard_group("alternating", 5)), 5)
     # abelian groups commute trivially; so does a group with a single odd prime
-    assert q_r_elements_commute(standard_group("cyclic", 12), 2)
-    assert q_r_elements_commute(standard_group("symmetric", 3), 3)
+    assert q_r_elements_commute(conjugacy_classes(standard_group("cyclic", 12)), 2)
+    assert q_r_elements_commute(conjugacy_classes(standard_group("symmetric", 3)), 3)
 
 
 def test_q_r_commuting_matches_pairwise_oracle():
@@ -351,26 +357,26 @@ def test_q_r_commuting_matches_pairwise_oracle():
             for b in g.elements
             if is_power(b.order(), r)
         )
-        assert q_r_elements_commute(g, p) == expected
+        assert q_r_elements_commute(conjugacy_classes(g), p) == expected
 
 
 def test_direct_product_detection():
-    c6 = standard_group("cyclic", 6)
+    c6 = conjugacy_classes(standard_group("cyclic", 6))
     w = is_direct_product_p(c6, 2)
     assert w.holds and w.p_part.order == 2 and w.p_complement.order == 3
 
     # the 3-elements of S3 form A3, but its 2-elements are not closed, so
     # the 2'-side is never tried
-    s3 = standard_group("symmetric", 3)
+    s3 = conjugacy_classes(standard_group("symmetric", 3))
     assert pi_elements_subgroup(s3, (3,)).order == 3
     assert is_direct_product_p(s3, 2) == DirectProductWitness(False, None, None)
 
     # the 2-elements of A4 form V4, its 3-elements are not closed
-    w = is_direct_product_p(standard_group("alternating", 4), 2)
+    w = is_direct_product_p(conjugacy_classes(standard_group("alternating", 4)), 2)
     assert not w.holds and w.p_part.order == 4 and w.p_complement is None
 
     q8c3 = direct_product(standard_group("quaternion", 8), standard_group("cyclic", 3))
-    w = is_direct_product_p(q8c3, 2)
+    w = is_direct_product_p(conjugacy_classes(q8c3), 2)
     assert w.holds and w.p_part.order == 8 and w.p_complement.order == 3
 
 
@@ -396,14 +402,9 @@ def test_all_pairs_oracles_stay_within_a_few_blocks():
         assert peak < 8 * 8 * groups.BLOCK_CELLS
 
 
-def test_series_steps_gather_class_orbits_not_all_pairs(monkeypatch):
-    # a commutator step over xs gathers x^-1 Cl(x) for each x in xs, at most
-    # sum |K|^2 cells over the classes K (71412 on S6), where the all-pairs
-    # step gathered four products on each of |G|^2 = 518400 pairs
-    g = standard_group("symmetric", 6)
-    cs = conjugacy_classes(g)
-    z = centre(g)
-    orbit_cells = sum(size * size for size in cs.sizes())
+@pytest.fixture
+def mul_cells(monkeypatch):
+    """A one-entry list counting the cells Group.mul gathers from now on."""
     cells = [0]
     mul = groups.Group.mul
 
@@ -413,20 +414,54 @@ def test_series_steps_gather_class_orbits_not_all_pairs(monkeypatch):
         return out
 
     monkeypatch.setattr(groups.Group, "mul", counted)
-    # series steps: G' in one; K_2 = A6 and K_3 = K_2 in two; Z_2 = Z_1 = 1 in one
+    return cells
+
+
+def test_series_steps_gather_class_orbits_not_all_pairs(mul_cells):
+    # a commutator step over xs gathers x^-1 Cl(x) for each x in xs, at most
+    # sum |K|^2 cells over the classes K (71412 on S6), where the all-pairs
+    # step gathered four products on each of |G|^2 = 518400 pairs
+    g = standard_group("symmetric", 6)
+    cs = conjugacy_classes(g)
+    z, der = centre(g), derived_subgroup(cs)
+    orbit_cells = sum(size * size for size in cs.sizes())
+    # series steps: G' in one; K_3 = K_2 = A6 in one; Z_2 = Z_1 = 1 in one
     for steps, run in [
         (1, lambda: derived_subgroup(cs)),
-        (2, lambda: lower_central_last(cs)),
+        (1, lambda: lower_central_last(cs, der)),
         (1, lambda: hypercentre(cs, z)),
     ]:
-        cells[0] = 0
+        mul_cells[0] = 0
         run()
-        assert 0 < cells[0] <= 2 * orbit_cells * steps < g.order**2
+        assert 0 < mul_cells[0] <= 2 * orbit_cells * steps < g.order**2
+
+
+def test_class_union_tests_gather_one_row_per_class(mul_cells):
+    # a test over a union S of classes reads one row per class in S: the
+    # 2-elements of S6 (256 of them in 6 classes) are tested for closure in at
+    # most 6 * 256 cells, not 256^2; a hypercentre step reads x^-1 Cl(x) at
+    # the representatives only, sum |K| = |G| cells, not sum |K|^2
+    g = standard_group("symmetric", 6)
+    cs = conjugacy_classes(g)
+    z = centre(g)
+    inside = _pi_mask(g, (2,))
+    size, count = int(inside.sum()), len(set(cs.class_index[inside].tolist()))
+    assert (size, count) == (256, 6)
+    mul_cells[0] = 0
+    assert pi_elements_subgroup(cs, (2,)) is None
+    assert 0 < mul_cells[0] <= count * size < size**2
+    mul_cells[0] = 0
+    assert hypercentre(cs, z) == z  # one step: Z_2 = Z_1 = 1
+    assert 0 < mul_cells[0] <= sum(cs.sizes()) == g.order
+    # the 2-element representatives against the 81 3-elements, two products each
+    mul_cells[0] = 0
+    assert not q_r_elements_commute(cs, 5)
+    assert 0 < mul_cells[0] <= 2 * count * 81 < 2 * size * 81
 
 
 def test_subgroup_equality_is_set_equality():
     g = standard_group("symmetric", 3)
-    a = pi_elements_subgroup(g, (3,))
+    a = pi_elements_subgroup(conjugacy_classes(g), (3,))
     b = p_residual(g, 2)
     assert as_set(a.members) == as_set(b.members)
     assert a == b
@@ -537,6 +572,8 @@ def test_classes_and_class_algebra_match_reference(with_reference):
     assert [as_set(c.members) for c in cs.classes] == classes
     assert [g.index_of(c.representative) for c in cs.classes] == [min(c) for c in classes]
     assert [c.members[0] for c in cs.classes] == [min(c) for c in classes]
+    assert cs.representatives.tolist() == [min(c) for c in classes]
+    assert cs.representatives.dtype == np.intp and not cs.representatives.flags.writeable
     assert class_algebra(g, cs).coefficients == ref.class_algebra()
 
 
@@ -548,12 +585,16 @@ def test_series_and_centre_match_reference(with_reference):
     cs = conjugacy_classes(g)
     assert as_set(centre(g).members) == ref.centre()
     assert as_set(derived_subgroup(cs).members) == ref.derived()
-    assert as_set(lower_central_last(cs).members) == ref.lower_central_last()
+    assert as_set(lower_central_last(cs, derived_subgroup(cs)).members) == ref.lower_central_last()
     assert as_set(hypercentre(cs, centre(g)).members) == ref.hypercentre()
 
 
+@pytest.mark.parametrize(
+    "with_reference", REFERENCE_PARAMS + CLASS_ORBIT_PARAMS, ids=_reference_id, indirect=True
+)
 def test_prime_oracles_match_reference(with_reference):
     g, ref = with_reference
+    cs = conjugacy_classes(g)
     for p in primes_of(g.order):
         syl = sylow_subgroup(g, p)
         assert as_set(syl.members) == ref.sylow(p)
@@ -565,20 +606,24 @@ def test_prime_oracles_match_reference(with_reference):
             assert as_set(centralizer(g, sub.generators).members) == ref.centralizer(as_set(sub.members))
         assert as_set(p_residual(g, p).members) == ref.p_residual(p)
         assert as_set(p_prime_residual(g, p).members) == ref.p_prime_residual(p)
-        assert q_r_elements_commute(g, p) == ref.q_r_elements_commute(p)
-        assert is_direct_product_p(g, p).holds == (not ref.direct_product_failure(p))
+        assert q_r_elements_commute(cs, p) == ref.q_r_elements_commute(p)
+        assert is_direct_product_p(cs, p).holds == (not ref.direct_product_failure(p))
 
 
+@pytest.mark.parametrize(
+    "with_reference", REFERENCE_PARAMS + CLASS_ORBIT_PARAMS, ids=_reference_id, indirect=True
+)
 def test_pi_oracles_match_reference(with_reference):
     g, ref = with_reference
+    cs = conjugacy_classes(g)
     z = ref.centre()
     for size in range(3):
         for pi in itertools.combinations(primes_of(g.order), size):
-            sub = pi_elements_subgroup(g, pi)
+            sub = pi_elements_subgroup(cs, pi)
             members = ref.pi_elements_closure(pi)
             assert (None if sub is None else as_set(sub.members)) == members
             assert has_central_hall(sub, centre(g)) == (members is not None and members <= z)
-            assert has_normal_abelian_hall(sub) == (
+            assert has_normal_abelian_hall(sub, cs) == (
                 members is not None and ref.is_abelian(members)
             )
 
@@ -589,14 +634,13 @@ def test_pi_oracles_match_reference(with_reference):
 def test_subgroup_predicates_match_reference(with_reference):
     g, ref = with_reference
     cs = conjugacy_classes(g)
-    subs = [derived_subgroup(cs), centre(g), full_subgroup(g), trivial_subgroup(g)]
+    subs = [derived_subgroup(cs), centre(g), Subgroup(g, np.arange(g.order)), trivial_subgroup(g)]
     subs += [sylow_subgroup(g, p) for p in primes_of(g.order)]
     seeds = ([1], [2, 5], [3, 7, 11], g.generator_indices[:1])
     subs += [subgroup_from_indices(g, [s for s in seed if s < g.order]) for seed in seeds]
     for sub in subs:
         members = as_set(sub.members)
         assert sub.is_normal() == ref.is_normal(members)
-        assert sub.is_abelian() == ref.is_abelian(members)
         assert as_set(derived_of(sub).members) == ref.commutator_closure(members, members)
         if ref.is_normal(members):
             assert as_set(commutator_subgroup_of(sub, cs).members) == ref.commutator_closure(
