@@ -20,8 +20,11 @@ the group exponent e and l > 2*sqrt(|G|):
    Lagrange idempotents E_lambda = prod over mu != lambda of (K - mu) /
    (lambda - mu).  The identity's products are read off the chain itself,
    so a class sum with r distinct eigenvalues (a generator of a cyclic
-   group) splits the whole algebra with one elimination, in O(r^3).  A
-   primitive idempotent e gives the central character
+   group) splits the whole algebra with one elimination and one r x r x r
+   product.  When that class sum is one central element its powers are
+   single class sums, so the chain and the elimination take O(r^2), and
+   the product, exact on float64 BLAS (``modmat.matmul``), is the one
+   O(r^3) step.  A primitive idempotent e gives the central character
    w_j = |K_j| * e_{j*} / e_0.  The split is deterministic: no random linear
    combinations;
 3. the vectors are certified on the set S of class sums the split used
@@ -200,9 +203,10 @@ def _check_degree_budget(sizes: list[int]) -> None:
     (the Krylov powers and their echelon form or elimination, the Lagrange
     coefficients, the idempotent rows and their image, the central
     characters), plus up to four arrays of |K_g| * r cells while the largest
-    class's column is counted.  tracemalloc puts the peak at 4.2 r x r arrays
-    on C2^8 and C3^5 and 5.0 on C400 and C800, and a column's count at 3.0
-    arrays of |K_g| * r cells on S5 x S4.  The columns kept for the class
+    class's column is counted.  tracemalloc puts the peak at 4.6 r x r arrays
+    on C2^8 and C3^5, where a block of the refinement's products is r x r,
+    and at 5.0 on C400, C800 and C1600, in the elimination; a column's count
+    at 3.0 arrays of |K_g| * r cells on S5 x S4.  The columns kept for the class
     sums the split visits, each of at most min(r^2, |K_g| * r) cells, are
     not counted: on every group measured it visits at most one class sum
     beyond those it uses."""
@@ -268,24 +272,31 @@ def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.nda
     Returns the independent powers as rows (their number is the number of
     distinct eigenvalues of K) and the first power that depends on them.
     Each power is reduced against the earlier ones, kept in reduced echelon
-    form, so testing it costs one sparse action and one vector-matrix product.
+    form: only against the echelon rows at its nonzero pivot coordinates,
+    and the new pivot column is cleared only in the rows with an entry
+    there.  Where the powers are single class sums (K one central element)
+    both sets are empty, and a power costs one sparse action and O(r).
     """
     echelon = np.zeros((r, r), dtype=np.int64)
-    pivots: list[int] = []
+    pivots = np.zeros(r, dtype=np.intp)
     powers = []
     x = np.zeros(r, dtype=np.int64)
     x[0] = 1
     while True:
-        k = len(pivots)
-        rest = (x - x[pivots] @ echelon[:k]) % ell
+        k = len(powers)
+        coordinates = x[pivots[:k]]
+        at = np.flatnonzero(coordinates)
+        rest = (x - coordinates[at] @ echelon[at]) % ell if len(at) else x
         nz = np.flatnonzero(rest)
         if len(nz) == 0:
             return np.array(powers, dtype=np.int64).reshape(-1, r), x
         c = int(nz[0])
         rest = rest * modmat.inv_mod(int(rest[c]), ell) % ell
-        echelon[:k] = (echelon[:k] - np.outer(echelon[:k, c], rest)) % ell
+        hit = np.flatnonzero(echelon[:k, c])
+        if len(hit):
+            echelon[hit] = (echelon[hit] - np.outer(echelon[hit, c], rest)) % ell
         echelon[k] = rest
-        pivots.append(c)
+        pivots[k] = c
         powers.append(x)
         x = act(x[None])[0]
 
@@ -360,16 +371,15 @@ def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np
         powers, dependent = _identity_chain(act, r, ell)
         n = len(powers)
         lagrange = _lagrange(powers, dependent, ell)
-        # each sum has n <= r terms below ell^2
         if not used:
-            rows = lagrange.T @ powers % ell
+            rows = modmat.matmul(lagrange.T, powers, ell)
         else:
             refined = []
             for block in groups.blocks(len(rows), n * r):
                 chain = [rows[block], image[block]]
                 for _ in range(n - 2):
                     chain.append(act(chain[-1]))
-                split = (np.tensordot(lagrange.T, np.stack(chain), axes=1) % ell).reshape(-1, r)
+                split = modmat.matmul(lagrange.T, np.stack(chain).reshape(n, -1), ell).reshape(-1, r)
                 refined.append(split[split.any(axis=1)])
             rows = np.concatenate(refined)
         used.append(g)
@@ -467,9 +477,10 @@ def degrees_from_class_algebra(
     """Run the eigensplit for one modulus and aggregate the recovered degrees."""
     ell = data.dixon_prime if dixon_prime is None else dixon_prime
     if dixon_prime is not None:
-        # above the search bound r * ell^2 may wrap int64 and the root scan
-        # allocates ell cells; the bound keeps both safe up to the
-        # enumeration cap
+        # the int64 sums of the chain, the sparse action and the certificate
+        # have at most r terms below ell^2, and the root scan allocates ell
+        # cells; the bound keeps both safe up to the enumeration cap
+        # (modmat.matmul is exact for any ell below 2^26.5)
         if ell > PRIME_SEARCH_FACTOR * group.order:
             raise ValueError(
                 f"dixon prime {ell} is above the search bound {PRIME_SEARCH_FACTOR} * {group.order}"

@@ -1,22 +1,28 @@
 """Exact linear algebra over a prime field, on int64 numpy arrays.
 
-``chardeg`` uses ``rref`` and ``poly_roots``: one elimination of a Krylov
-chain gives a class sum's minimal polynomial, and a scan of the field its
-roots.  ``nullspace``, ``solve_right`` and ``minimal_polynomial`` (with the
+``chardeg`` uses ``rref``, ``matmul`` and ``poly_roots``: one elimination of
+a Krylov chain gives a class sum's minimal polynomial, a scan of the field
+its roots, and ``matmul`` every matrix product of the split.
+``nullspace``, ``solve_right`` and ``minimal_polynomial`` (with the
 polynomial helpers it needs) have no caller in the package; they stay
 because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name,
 and ``tests/test_modmat.py`` checks them by definition.
 
-Nothing here bounds the modulus: a caller must keep n * p**2 < 2**63 for the
-n-term row sums of its matrix products (int64 would wrap silently), and
-``poly_roots`` allocates an array of length p.  ``chardeg`` enforces this by
-rejecting any dixon prime above its search bound.  Polynomials are
-coefficient lists, constant term first, always reduced mod p and trimmed.
+``matmul`` multiplies on float64 BLAS and stays exact by summing at most
+2**53 // (p - 1)**2 products at a time; it raises ValueError when one
+product (p - 1)**2 can reach 2**53.  Elsewhere nothing bounds the modulus:
+an int64 product of n-term row sums needs n * p**2 < 2**63 (int64 would
+wrap silently), and ``poly_roots`` allocates an array of length p.
+``chardeg`` keeps both safe by rejecting any dixon prime above its search
+bound.  Polynomials are coefficient lists, constant term first, always
+reduced mod p and trimmed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import group as groups
 
 Poly = list[int]
 
@@ -32,7 +38,7 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (R, pivot_columns).
 
     Each pivot clears its column in the other rows that have an entry there
-    with one outer product.
+    with one outer product, skipped when no other row has one.
     """
     a = np.array(matrix, dtype=np.int64) % p
     rows, cols = a.shape
@@ -52,10 +58,47 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         col = a[:, c].copy()
         col[r] = 0
         rest = np.flatnonzero(col)
-        a[rest, c:] = (a[rest, c:] - np.outer(col[rest], a[r, c:])) % p
+        if len(rest):
+            a[rest, c:] = (a[rest, c:] - np.outer(col[rest], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, as int64, for 2-d arrays with entries in 0..p-1.
+
+    The product runs on float64 BLAS, exactly.  Each product of two entries
+    is at most (p - 1)**2, so a chunk of 2**53 // (p - 1)**2 inner terms
+    sums to an integer of at most 2**53, and so does every partial sum in
+    whatever order BLAS adds them: float64 holds each exactly, and a fused
+    multiply-add rounds an exact integer to itself.  The chunks' sums are
+    added and reduced in int64.  Raises ValueError when not even one term
+    fits, that is when (p - 1)**2 >= 2**53.  Columns go a block at a time
+    (``groups.blocks``), so besides ``a``'s float copy and the result the
+    temporaries stay within one block.
+    """
+    if (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"modulus {p}: a product of two residues may exceed 2**53")
+    terms = 2**53 // (p - 1) ** 2
+    a = np.asarray(a, dtype=np.float64)
+    rows, inner = a.shape
+    out = np.empty((rows, b.shape[1]), dtype=np.int64)
+    for block in groups.blocks(b.shape[1], rows + inner):
+        _chunked_product(a, np.asarray(b[:, block], dtype=np.float64), p, terms, out[:, block])
+    return out
+
+
+def _chunked_product(a: np.ndarray, b: np.ndarray, p: int, terms: int, out: np.ndarray) -> None:
+    """out = a @ b mod p for float64 a and b, ``terms`` inner terms at a time.
+
+    A function of its own, so that one block's float temporaries are freed
+    before the next block's are made."""
+    out[...] = a[:, :terms] @ b[:terms]
+    for start in range(terms, a.shape[1], terms):
+        out %= p
+        out += (a[:, start : start + terms] @ b[start : start + terms]).astype(np.int64)
+    out %= p
 
 
 def nullspace(matrix: np.ndarray, p: int) -> np.ndarray:

@@ -510,6 +510,25 @@ def test_c96_runs_one_identity_chain(monkeypatch):
     assert calls["_identity_chain"] == 1
 
 
+def test_c96_degree_step_clears_no_column(monkeypatch):
+    # each power of C96's generator class sum is one class sum, so the chain
+    # meets no echelon row and updates none, and the elimination of its
+    # permutation matrix has nothing to clear below or above a pivot
+    g = standard_group("cyclic", 96)
+    cs = conjugacy_classes(g)
+    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("the degree step called np.outer"))
+    assert degrees_from_class_algebra(g, cs, class_algebra(g, cs)).as_dict() == {1: 96}
+
+
+def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
+    # the first split and each of the six refinements after it
+    calls, matmul = [], modmat.matmul
+    monkeypatch.setattr(modmat, "matmul", lambda a, b, p: calls.append(len(a)) or matmul(a, b, p))
+    monkeypatch.setattr(np, "tensordot", lambda *args, **kwargs: pytest.fail("the refinement called np.tensordot"))
+    assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
+    assert len(calls) >= 7 and set(calls) == {2}
+
+
 def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
     # no class sum of D8 generates, so the split uses several generator
     # classes, and builds the chain of each once
@@ -552,11 +571,14 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
         pytest.param(lambda: _elementary_abelian(2, 8), id="C2^8"),
         pytest.param(lambda: _elementary_abelian(3, 5), id="C3^5"),
         pytest.param(lambda: direct_product(standard_group("symmetric", 5), standard_group("symmetric", 4)), id="S5xS4"),
+        pytest.param(lambda: standard_group("cyclic", 400), id="C400"),
     ],
 )
 def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
     # six r x r int64 arrays and four of the largest class's gather: on C2^8
-    # and C3^5 the r x r arrays dominate, on S5 x S4 the gather of a class of 240
+    # and C3^5 the r x r arrays dominate, on S5 x S4 the gather of a class of
+    # 240; C400 splits at once with n = r, so its first product is r x r x r
+    # and an unblocked float copy of it would pass six r x r arrays
     g = build()
     cs = conjugacy_classes(g)
     g.table, g.inverses, g.element_orders  # built before the trace starts

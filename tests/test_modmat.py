@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from degclass import group as groups
 from degclass import modmat
+from degclass.arith import is_prime
+from degclass.chardeg import PRIME_SEARCH_FACTOR
+from degclass.group import DEFAULT_ENUMERATION_CAP
 from oracles import Reference
 
 
@@ -29,6 +35,41 @@ def test_rref_matches_reference(p):
             assert pivots == want_pivots
             assert np.array_equal(got, want)
 
+
+def _python_product(a, b, p):
+    return np.array(a.astype(object) @ b.astype(object) % p, dtype=np.int64).reshape(len(a), b.shape[1])
+
+
+@pytest.mark.parametrize("block", [groups.BLOCK_CELLS, 7])
+@pytest.mark.parametrize("p", [2, 3, 7, 97, 401])
+def test_matmul_matches_python_ints(monkeypatch, p, block):
+    monkeypatch.setattr(groups, "BLOCK_CELLS", block)
+    rng = np.random.default_rng(p)
+    for rows, inner, cols in [(1, 1, 1), (5, 7, 3), (12, 1, 9), (3, 40, 200), (40, 40, 40), (0, 4, 3), (4, 0, 3)]:
+        a, b = rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols))
+        assert np.array_equal(modmat.matmul(a, b, p), _python_product(a, b, p))
+
+
+def test_matmul_is_exact_across_chunks():
+    # the largest prime the dixon prime search can reach at the enumeration
+    # cap: an inner dimension of 4600 is three chunks of 2**53 // (p - 1)**2
+    # = 2251 terms, each term near (p - 1)**2
+    p = next(q for q in range(PRIME_SEARCH_FACTOR * DEFAULT_ENUMERATION_CAP, 0, -1) if is_prime(q))
+    assert 2 * (2**53 // (p - 1) ** 2) < 4600
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(p - 1000, p, (3, 4600)), rng.integers(p - 1000, p, (4600, 40))
+    assert np.array_equal(modmat.matmul(a, b, p), _python_product(a, b, p))
+    # the largest modulus with (p - 1)**2 < 2**53 takes one term a chunk
+    p = math.isqrt(2**53 - 1) + 1
+    a = np.full((2, 3), p - 1)
+    assert np.array_equal(modmat.matmul(a, a.T, p), _python_product(a, a.T, p))
+
+
+@pytest.mark.parametrize("p", [math.isqrt(2**53 - 1) + 2, 2**31 - 1, 2**61 - 1])
+def test_matmul_refuses_a_modulus_whose_products_reach_2_53(p):
+    assert (p - 1) ** 2 >= 2**53
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        modmat.matmul(np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), p)
 
 
 PRIMES = [2, 3, 7, 97]

@@ -1,13 +1,22 @@
-"""Time the structure layer on the S7 ladder: S7, S7xC2 and S7xC3.
+"""Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3) and the
+degree layer's one big split on C800 and C1600.
 
-Each rung runs twice, each time in a fresh interpreter so that its peak RSS
-is its own:
+Each measurement runs in a fresh interpreter, so that its peak RSS is its
+own.  The S7 rungs run two stages:
 
 * ``criteria``: parse the group, build its classes and degree frequency,
   then time ``run_all_criteria`` alone;
 * ``verify``: time ``run_report`` plus ``Report.text`` on the one-group
   corpus, as ``degclass verify`` does, and record the report's sha256
   prefix, so that two checkouts can be seen to give the same bytes.
+
+The cyclic rungs run one:
+
+* ``degree``: parse the group and build its classes and Cayley table, then
+  time the degree step alone (``class_algebra`` and
+  ``degrees_from_class_algebra``), and record the peak RSS.  The step then
+  runs once more under tracemalloc, whose peak is given in r x r int64
+  arrays, the unit of the degree budget.
 
 Usage::
 
@@ -21,6 +30,7 @@ The result is one JSON document on stdout, or in ``--out``.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -28,16 +38,29 @@ import platform
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
+
+def _cycle(n: int) -> str:
+    return f"degree {n}\ngen ({','.join(map(str, range(1, n + 1)))})\n"
+
+
+#: rung -> (its stanza, its stages)
 RUNGS = {
-    "S7": "degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)\n",
-    "S7xC2": "degree 9\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9)\n",
-    "S7xC3": "degree 10\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9,10)\n",
+    "S7": ("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)\n", ("criteria", "verify")),
+    "S7xC2": ("degree 9\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9)\n", ("criteria", "verify")),
+    "S7xC3": ("degree 10\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9,10)\n", ("criteria", "verify")),
+    "C800": (_cycle(800), ("degree",)),
+    "C1600": (_cycle(1600), ("degree",)),
 }
+
+
+def _peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def measure(rung: str, stage: str) -> dict:
@@ -46,7 +69,9 @@ def measure(rung: str, stage: str) -> dict:
     from degclass.criteria import GroupData, run_all_criteria
     from degclass.report import run_report
 
-    records = parse_corpus(f"group {rung}\n{RUNGS[rung]}end\n")
+    records = parse_corpus(f"group {rung}\n{RUNGS[rung][0]}end\n")
+    if stage == "degree":
+        return _measure_degree_step(records[0].group)
     if stage == "criteria":
         data = GroupData(records[0].group, rung)
         out = {"order": data.order, "classes": len(data.classes)}
@@ -59,7 +84,33 @@ def measure(rung: str, stage: str) -> dict:
         text = run_report(records).text
         seconds = round(perf_counter() - start, 3)
         out = {"seconds": seconds, "report_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
-    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    out["peak_rss_mb"] = _peak_rss_mb()
+    return out
+
+
+def _measure_degree_step(group) -> dict:
+    from degclass.chardeg import class_algebra, degrees_from_class_algebra
+    from degclass.structure import conjugacy_classes
+
+    classes = conjugacy_classes(group)
+    group.table, group.inverses, group.element_orders  # built before the clock starts
+    r = len(classes)
+    start = perf_counter()
+    data = class_algebra(group, classes)
+    degrees = degrees_from_class_algebra(group, classes, data)
+    out = {"order": group.order, "classes": r, "dixon_prime": data.dixon_prime, "degrees": degrees.as_dict()}
+    out["seconds"] = round(perf_counter() - start, 3)
+    out["peak_rss_mb"] = _peak_rss_mb()
+    del data, degrees
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        degrees_from_class_algebra(group, classes, class_algebra(group, classes))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    out["traced_peak_r2_arrays"] = round(peak / (8 * r * r), 2)
     return out
 
 
@@ -68,15 +119,15 @@ def main() -> None:
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--out")
     parser.add_argument("--rung", choices=RUNGS, help=argparse.SUPPRESS)
-    parser.add_argument("--stage", choices=("criteria", "verify"), help=argparse.SUPPRESS)
+    parser.add_argument("--stage", choices=("criteria", "verify", "degree"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.rung:
         sys.path.insert(0, args.src)
         print(json.dumps(measure(args.rung, args.stage)))
         return
     rungs = {}
-    for rung in RUNGS:
-        for stage in ("criteria", "verify"):
+    for rung, (_, stages) in RUNGS.items():
+        for stage in stages:
             child = [sys.executable, __file__, "--src", args.src, "--rung", rung, "--stage", stage]
             rungs.setdefault(rung, {})[stage] = json.loads(subprocess.check_output(child))
             print(rung, stage, rungs[rung][stage], file=sys.stderr)
