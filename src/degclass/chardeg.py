@@ -195,7 +195,7 @@ def least_admissible_prime(order: int, exponent: int, bound: int | None = None) 
     return next(admissible_primes(order, exponent, bound))
 
 
-def _check_degree_budget(sizes: list[int]) -> None:
+def _check_degree_budget(sizes: np.ndarray) -> None:
     """Raise GroupTooLargeError when the degree layer would outgrow the table
     budget: the r x (r + 1) int64 elimination of a class sum's Krylov chain
     in ``_lagrange``, or the int64 arrays held at once.  Those are up to six
@@ -213,7 +213,7 @@ def _check_degree_budget(sizes: list[int]) -> None:
     r = len(sizes)
     for what, cells in (
         ("elimination block", r * (r + 1)),
-        ("class algebra arrays", 6 * r * r + 4 * max(sizes) * r),
+        ("class algebra arrays", 6 * r * r + 4 * int(np.max(sizes)) * r),
     ):
         size = 8 * cells
         if size > groups.TABLE_MAX_BYTES:
@@ -232,13 +232,13 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     cells, counted by (k, j).  Raises GroupTooLargeError, before anything is
     allocated, when the degree layer would exceed the table budget.
     """
-    r, sizes = len(classes), classes.sizes()
+    r, sizes = len(classes), classes.sizes
     _check_degree_budget(sizes)
     class_of, representatives = classes.class_index, classes.representatives
     offsets = np.arange(r) * r
 
     def column(g: int) -> tuple[np.ndarray, np.ndarray]:
-        inverses = group.inverses[classes.classes[g].members]
+        inverses = group.inverses[classes.members(g)]
         return np.unique(class_of[group.mul(inverses[:, None], representatives)] + offsets, return_counts=True)
 
     exponent = int(np.lcm.reduce(group.element_orders))
@@ -247,7 +247,7 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     return ClassAlgebraData(
         r,
         column,
-        tuple(sizes),
+        tuple(sizes.tolist()),
         classes.inverse_pairing,
         exponent,
         least_admissible_prime(group.order, exponent),
@@ -403,7 +403,7 @@ def _certify(
     data: ClassAlgebraData,
     vectors: np.ndarray,
     used: list[int],
-    sizes: list[int],
+    sizes: np.ndarray,
     star: tuple[int, ...],
     ell: int,
 ) -> None:
@@ -450,11 +450,12 @@ def _certify(
 
 
 def _degree_frequency(
-    vectors: np.ndarray, sizes: list[int], star: tuple[int, ...], order: int, ell: int
+    vectors: np.ndarray, sizes: np.ndarray, star: tuple[int, ...], order: int, ell: int
 ) -> DegreeFrequency:
     """The degrees of the central characters ``vectors`` (step 4 above): row
     t's degree is the one d <= isqrt(order) with d^2 * T_t = order mod ell."""
-    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in sizes], dtype=np.int64)
+    distinct, which = np.unique(sizes, return_inverse=True)
+    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=np.int64)[which]
     # each product is below ell^2, and each row sums r terms below ell
     t = (vectors * vectors[:, list(star)] % ell * inverse_sizes % ell).sum(axis=1) % ell
     d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
@@ -488,8 +489,8 @@ def degrees_from_class_algebra(
         if not is_prime(ell) or ell % data.exponent != (1 % data.exponent) or ell * ell <= 4 * group.order:
             raise ValueError(f"{ell} is not an admissible dixon prime for this group")
     vectors, used = _simultaneous_eigenvectors(data, ell)
-    _certify(data, vectors, used, classes.sizes(), classes.inverse_pairing, ell)
-    freq = _degree_frequency(vectors, classes.sizes(), classes.inverse_pairing, group.order, ell)
+    _certify(data, vectors, used, classes.sizes, classes.inverse_pairing, ell)
+    freq = _degree_frequency(vectors, classes.sizes, classes.inverse_pairing, group.order, ell)
     _check_consistency(freq, group.order, len(classes))
     return freq
 

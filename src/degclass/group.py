@@ -5,9 +5,10 @@ Construction does two independent things and cross-checks them:
 * a deterministic (non-randomized) Schreier-Sims run yields the base, the
   strong generators, the transversals used for membership testing, and the
   exact group order as a product of basic orbit lengths;
-* for groups no larger than the enumeration cap, a breadth-first closure of
-  the generating set yields the full element list, sorted lexicographically
-  by image tuple.
+* for groups no larger than the enumeration cap, and whose enumeration fits
+  the byte budget (see ``ENUMERATION_BYTES_PER_CELL``), a breadth-first
+  closure of the generating set yields the full element list, sorted
+  lexicographically by image tuple.
 
 If the two orders ever disagree the constructor raises: that is an internal
 bug, never a recoverable condition.  Base points are always the first moved
@@ -31,6 +32,7 @@ constant, ``BLOCK_CELLS``, bounds their temporaries.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,6 +50,15 @@ TABLE_MAX_BYTES = 800 * 10**6
 #: of this many cells, so no array of |G|^2, r * nnz_g or r^3 cells is ever
 #: built
 BLOCK_CELLS = 1 << 16
+
+#: bytes a group holds per order x degree cell once enumerated, checked
+#: against TABLE_MAX_BYTES from the BSGS order before the closure runs:
+#: tracemalloc puts the peak of a whole build at 16.3-17.0 bytes a cell on
+#: C500, C1000 and C2000 on their own points, 8.1-8.3 of them the
+#: Schreier-Sims transversals (which hold order x degree cells too for a
+#: regular group) and the rest the tuple closure, its Permutation objects
+#: and the element index
+ENUMERATION_BYTES_PER_CELL = 17
 
 _RawPerm = tuple[int, ...]
 
@@ -198,6 +209,7 @@ class Group:
         "strong_generators",
         "order",
         "enumeration_cap",
+        "uncached_reason",
         "elements",
         "_levels",
         "inverses",
@@ -221,7 +233,17 @@ class Group:
         self.order = order
         self._table = None
 
-        if order <= enumeration_cap:
+        size = order * degree * ENUMERATION_BYTES_PER_CELL
+        if order > enumeration_cap:
+            self.uncached_reason = f"order {order} exceeds enumeration cap {enumeration_cap}"
+        elif size > TABLE_MAX_BYTES:
+            self.uncached_reason = (
+                f"the enumeration of order {order} on {degree} points needs {size} bytes, "
+                f"above the table budget of {TABLE_MAX_BYTES}"
+            )
+        else:
+            self.uncached_reason = None
+        if self.uncached_reason is None:
             raw = _closure(degree, raw_gens)
             if len(raw) != order:
                 raise RuntimeError(
@@ -266,10 +288,7 @@ class Group:
 
     def _require_cache(self) -> None:
         if self.elements is None:
-            raise GroupTooLargeError(
-                f"group too large: order {self.order} exceeds enumeration cap "
-                f"{self.enumeration_cap}"
-            )
+            raise GroupTooLargeError(f"group too large: {self.uncached_reason}")
 
     def index_of(self, p: Permutation) -> int:
         self._require_cache()
@@ -300,11 +319,12 @@ class Group:
         # of left multiplication by the generator g
         table = np.empty((n, n), dtype=dtype)
         table[0] = np.arange(n)
-        lefts = []
-        for gi in self._generator_indices:
-            g = self._raw[gi]
-            left = [self._index[tuple(e[x] for x in g)] for e in self._raw]
-            lefts.append(np.array(left, dtype=dtype))
+        # itemgetter(*g)(e) is the image tuple of g * e; at degree 1 it would
+        # be a bare point, but there the identity's row is the whole table
+        lefts = [
+            np.fromiter(map(self._index.__getitem__, map(itemgetter(*self._raw[gi]), self._raw)), dtype, n)
+            for gi in (self._generator_indices if self.degree > 1 else ())
+        ]
         done = np.zeros(n, dtype=bool)
         done[0] = True
         queue = [0]
@@ -357,7 +377,8 @@ def build_group(
 
     An empty generator list explicitly denotes the trivial group on the given
     points.  The element cache is populated exactly when the order does not
-    exceed ``enumeration_cap``.
+    exceed ``enumeration_cap`` and the enumeration fits the byte budget;
+    otherwise ``uncached_reason`` says which limit refused it.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -371,8 +392,8 @@ def build_group(
 def enumerate_elements(group: Group) -> tuple[Permutation, ...]:
     """All elements sorted lexicographically by image tuple.
 
-    Raises GroupTooLargeError when the order exceeds the enumeration cap;
-    the list is never silently truncated.
+    Raises GroupTooLargeError when the group has no element cache; the list
+    is never silently truncated.
     """
     group._require_cache()
     return group.elements

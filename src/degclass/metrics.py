@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 from .arith import PrimeSet, prime_set
 from .chardeg import DegreeFrequency
 
@@ -74,16 +76,15 @@ class ClassSizeFrequency:
 
 
 def class_size_frequency(classes: "ConjugacyClassSet") -> ClassSizeFrequency:
-    counts: dict[int, int] = {}
-    for c in classes.classes:
-        counts[c.size] = counts.get(c.size, 0) + 1
-    return ClassSizeFrequency(tuple(sorted(counts.items())))
+    sizes, counts = np.unique(classes.sizes, return_counts=True)
+    return ClassSizeFrequency(tuple(zip(sizes.tolist(), counts.tolist())))
 
 
 def s_pi_size(classes: "ConjugacyClassSet", pi: Iterable[int]) -> int:
-    """Total size of the classes whose size is a pi-number.
+    """Total size of the classes whose size is a pi-number, one test per
+    distinct size.
 
     Always >= 1 because the identity class has size 1.
     """
     ps = prime_set(pi)
-    return sum(c.size for c in classes.classes if is_pi_number(c.size, ps))
+    return sum(n * c for n, c in class_size_frequency(classes).entries if is_pi_number(n, ps))

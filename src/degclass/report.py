@@ -90,9 +90,7 @@ def _group_block(rec: GroupRecord, options: ReportOptions) -> tuple[dict, list[C
         "factorization": [[_s(p), _s(e)] for p, e in factorization(group.order).items()],
     }
     if not group.has_element_cache:
-        block["skipped"] = (
-            f"order {group.order} exceeds enumeration cap {group.enumeration_cap}"
-        )
+        block["skipped"] = group.uncached_reason
         return block, []
 
     data = GroupData(group, rec.name)

@@ -6,10 +6,13 @@ table budget and fails with GroupTooLargeError beyond them.  Oracles are
 deliberately exhaustive: every definition is evaluated on every element it
 quantifies over, as array gathers on the table, and normality checks
 conjugate members explicitly instead of trusting theory, so theorem
-verification stays genuinely two-sided.  Three identities of sets, not
-theorems, cut the gathers without dropping any x or y.  {[x, y] : y in G} =
-x^-1 Cl(x), so a commutator step reads each x's class orbit, sum |K|^2
-cells over the classes K instead of |G|^2 (``_orbit_rows``).  C(<S>) = C(S)
+verification stays genuinely two-sided.  Four identities of sets, not
+theorems, cut the gathers without dropping any x or y.  G = <S>, so Cl(x)
+is x's orbit under x -> s^-1 x s for s in S: the classes come from one
+|G|-cell map per generator, not one |G|-cell gather per class
+(``ConjugacyClassSet``).  {[x, y] : y in G} = x^-1 Cl(x), so a commutator
+step reads each x's class orbit, sum |K|^2 cells over the classes K instead
+of |G|^2 (``_orbit_rows``).  C(<S>) = C(S)
 and g^-1 <S> g = <g^-1 S g>, so centralizers and normalizers test the
 generators a subgroup was closed from (``Subgroup.generators``).  A union S
 of classes is {g^-1 r g : g in G, r a class representative in S}, so a
@@ -36,7 +39,6 @@ import numpy as np
 
 from .arith import is_prime, prime_set, primes_of, valuation
 from .group import Group, blocks
-from .perm import Permutation
 
 
 def _rows(xs: np.ndarray, ys: np.ndarray, word: Callable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -74,27 +76,13 @@ def _row_closure(group: Group, rows: Iterable[tuple[np.ndarray, np.ndarray]]) ->
 def _orbit_rows(classes: ConjugacyClassSet, xs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Blocks of xs of one class size, each with its rows {[x, y] : y in G} =
     x^-1 Cl(x): one row per x, one column per member of its class."""
-    group, cls, sizes = classes.group, classes.class_index[xs], np.bincount(classes.class_index)
-    # every class's members, class after class: class c from starts[c] on
-    starts, members = np.cumsum(sizes) - sizes, np.argsort(classes.class_index, kind="stable")
+    group, cls, sizes = classes.group, classes.class_index[xs], classes.sizes
     for size in np.unique(sizes[cls]).tolist():
         these = sizes[cls] == size
-        xs_s, first = xs[these], starts[cls[these]]
+        xs_s, first = xs[these], classes._starts[cls[these]]
         for block in blocks(len(xs_s), size):
-            orbits = members[first[block, None] + np.arange(size)]
+            orbits = classes._by_class[first[block, None] + np.arange(size)]
             yield xs_s[block], group.mul(group.inverses[xs_s[block], None], orbits)
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugacyClass:
-    """A class as a sorted index array; its first member is the representative."""
-
-    representative: Permutation
-    members: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 class ConjugacyClassSet:
@@ -102,36 +90,47 @@ class ConjugacyClassSet:
 
     ``class_index`` is a read-only array whose entry i is the class of
     element i; ``representatives[c]``, read-only too, is class c's first
-    member; ``inverse_pairing[c]`` is the class holding the inverses of
-    class c.
+    member; ``sizes[c]`` (read-only) is its size and ``members(c)`` its
+    sorted members; ``inverse_pairing[c]`` is the class holding the inverses
+    of class c.
+
+    G = <S>, so the class of x is its orbit under x -> s^-1 x s for s in S.
+    Each generator gives one |G|-cell conjugation map, and the least label
+    is carried forward and backward along every map, with pointer jumping,
+    until it settles on each orbit's least member.  No step works class by
+    class: one stable sort of ``class_index`` lists every class's members.
     """
 
     def __init__(self, group: Group):
         self.group = group
         everyone = np.arange(group.order)
-        inv = group.inverses
-        class_index = np.full(group.order, -1, dtype=np.intp)
-        classes: list[ConjugacyClass] = []
-        for start in range(group.order):
-            if class_index[start] >= 0:
-                continue
-            # the class of x is {g^-1 x g : g in G}, one gather over all g
-            orbit = np.unique(group.mul(group.mul(inv, start), everyone)).astype(np.intp)
-            orbit.flags.writeable = False
-            class_index[orbit] = len(classes)
-            classes.append(ConjugacyClass(group.elements[start], orbit))
-        class_index.flags.writeable = False
-        self.classes = tuple(classes)
-        self.class_index = class_index
-        self.representatives = np.unique(class_index, return_index=True)[1]
-        self.representatives.flags.writeable = False
-        self.inverse_pairing = tuple(class_index[inv[self.representatives]].tolist())
+        maps = [group.mul(group.mul(group.inverses[s], everyone), s) for s in group.generator_indices.tolist()]
+        # label[x] is always a member of x's class no larger than x
+        label = everyone
+        while True:
+            new = label
+            for conj in maps:
+                new = np.minimum(new, new[conj])
+                new[conj] = np.minimum(new[conj], new)
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        self.representatives, self.class_index = np.unique(label, return_inverse=True)
+        self.sizes = np.bincount(self.class_index)
+        self._starts = np.cumsum(self.sizes) - self.sizes
+        self._by_class = np.argsort(self.class_index, kind="stable")
+        for a in (self.representatives, self.class_index, self.sizes, self._by_class):
+            a.flags.writeable = False
+        self.inverse_pairing = tuple(self.class_index[group.inverses[self.representatives]].tolist())
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.representatives)
 
-    def sizes(self) -> list[int]:
-        return [c.size for c in self.classes]
+    def members(self, c: int) -> np.ndarray:
+        """Class c's members, sorted and read-only."""
+        start = self._starts[c]
+        return self._by_class[start : start + self.sizes[c]]
 
     def class_of(self, element_index: int) -> int:
         return int(self.class_index[element_index])

@@ -136,6 +136,22 @@ def test_cap_exceeded_is_loud():
         enumerate_elements(g)
 
 
+def test_enumeration_budget_is_checked_before_the_closure(monkeypatch):
+    # S4 on 4 points holds 24 * 4 * 17 = 1632 bytes once enumerated
+    gens = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
+    monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", 24 * 4 * group_module.ENUMERATION_BYTES_PER_CELL - 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(group_module, "_closure", lambda *args: pytest.fail("the closure ran"))
+        g = build_group(4, gens)
+    assert g.order == 24 and not g.has_element_cache
+    assert g.uncached_reason == "the enumeration of order 24 on 4 points needs 1632 bytes, above the table budget of 1631"
+    with pytest.raises(GroupTooLargeError, match="group too large: the enumeration of order 24 on 4 points"):
+        enumerate_elements(g)
+    monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", 24 * 4 * group_module.ENUMERATION_BYTES_PER_CELL)
+    g = build_group(4, gens)
+    assert g.has_element_cache and g.uncached_reason is None
+
+
 def test_table_budget_is_checked_before_allocating(monkeypatch):
     from degclass.structure import conjugacy_classes, derived_subgroup
 
@@ -184,7 +200,7 @@ def test_direct_product_with_trivial_preserves_class_sizes():
     triv = build_group(1, [])
     prod = direct_product(triv, g)
     assert prod.order == g.order
-    assert sorted(conjugacy_classes(prod).sizes()) == sorted(conjugacy_classes(g).sizes())
+    assert sorted(conjugacy_classes(prod).sizes.tolist()) == sorted(conjugacy_classes(g).sizes.tolist())
 
 
 def test_lagrange_for_derived_and_sylow():

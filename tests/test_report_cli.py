@@ -114,9 +114,11 @@ def test_oversized_group_is_skipped_not_fatal():
 def test_table_budget_hit_is_skipped_not_fatal(monkeypatch, tmp_path, capsys):
     # S4 needs a 24 x 24 table of 2-byte entries; C2 stays under the budget,
     # degree layer included (six int64 arrays of 2 x 2 cells and four of one
-    # class's 1 x 2 gather, 256 bytes)
+    # class's 1 x 2 gather, 256 bytes); the groups are enumerated before the
+    # budget is lowered, which would refuse S4's enumeration of 1632 bytes
+    records = parse_corpus(S4_STANZA + "\ngroup C2\ndegree 2\ngen (1,2)\nend\n")
     monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 24 * 2 - 1)
-    report = run_report(parse_corpus(S4_STANZA + "\ngroup C2\ndegree 2\ngen (1,2)\nend\n"))
+    report = run_report(records)
     blocks = {b["name"]: b for b in report.document["groups"]}
     assert blocks["S4"]["skipped"] == (
         "group too large: Cayley table of order 24 needs 1152 bytes, above the table budget of 1151"
@@ -130,6 +132,20 @@ def test_table_budget_hit_is_skipped_not_fatal(monkeypatch, tmp_path, capsys):
     assert main(["verify", "--corpus", str(path)]) in (0, 1)
     doc = json.loads(capsys.readouterr().out)
     assert "above the table budget" in doc["groups"][0]["skipped"]
+
+
+def test_enumeration_budget_hit_is_skipped_not_fatal(monkeypatch):
+    # S4 on 4 points holds 24 * 4 * 17 = 1632 bytes once enumerated; C2 on 2
+    # points 68, and its table and degree layer stay under the budget too
+    monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 4 * 17 - 1)
+    report = run_report(parse_corpus(S4_STANZA + "\ngroup C2\ndegree 2\ngen (1,2)\nend\n"))
+    blocks = {b["name"]: b for b in report.document["groups"]}
+    assert blocks["S4"]["skipped"] == (
+        "the enumeration of order 24 on 4 points needs 1632 bytes, above the table budget of 1631"
+    )
+    assert "verdicts" not in blocks["S4"]
+    assert blocks["C2"]["skipped"] is None
+    assert report.document["summary"]["skipped"] == "1"
 
 
 def test_abelian_corpus_all_agree():

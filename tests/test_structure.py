@@ -66,14 +66,14 @@ def as_set(indices):
 )
 def test_class_sizes(family, parameter, sizes):
     g = standard_group(family, parameter)
-    assert sorted(conjugacy_classes(g).sizes()) == sizes
+    assert sorted(conjugacy_classes(g).sizes.tolist()) == sizes
 
 
 @pytest.mark.parametrize("family,parameter", [("symmetric", 4), ("quaternion", 8), ("dihedral", 6)])
 def test_classes_match_independent_oracle(family, parameter):
     g = standard_group(family, parameter)
-    computed = {frozenset(g.elements[i].images for i in c.members)
-                for c in conjugacy_classes(g).classes}
+    cs = conjugacy_classes(g)
+    computed = {frozenset(g.elements[i].images for i in cs.members(c)) for c in range(len(cs))}
     expected = set(oracles.class_partition([p.images for p in g.elements]))
     assert computed == expected
 
@@ -82,19 +82,19 @@ def test_class_invariants_over_corpus(corpus):
     for rec in corpus:
         g = rec.group
         cs = conjugacy_classes(g)
-        assert sum(cs.sizes()) == g.order
-        assert all(g.order % size == 0 for size in cs.sizes())
+        assert sum(cs.sizes.tolist()) == g.order
+        assert all(g.order % size == 0 for size in cs.sizes.tolist())
         # classes partition the enumeration
         seen = set()
-        for c in cs.classes:
-            assert not (as_set(c.members) & seen)
-            seen |= as_set(c.members)
+        for c in range(len(cs)):
+            assert not (as_set(cs.members(c)) & seen)
+            seen |= as_set(cs.members(c))
         assert len(seen) == g.order
-        assert cs.classes[0].size == 1 and cs.classes[0].representative.is_identity()
+        assert cs.sizes[0] == 1 and g.elements[cs.representatives[0]].is_identity()
         # inverse pairing is an involution with equal sizes
         for i, j in enumerate(cs.inverse_pairing):
             assert cs.inverse_pairing[j] == i
-            assert cs.classes[i].size == cs.classes[j].size
+            assert cs.sizes[i] == cs.sizes[j]
 
 
 # --- centralizers, centre, normalizer ---------------------------------------
@@ -112,7 +112,7 @@ def test_centralizer_index_is_class_size():
     g = standard_group("symmetric", 4)
     cs = conjugacy_classes(g)
     for i in range(g.order):
-        size = cs.classes[cs.class_of(i)].size
+        size = cs.sizes[cs.class_of(i)]
         assert g.order // centralizer(g, [i]).order == size
 
 
@@ -424,7 +424,7 @@ def test_series_steps_gather_class_orbits_not_all_pairs(mul_cells):
     g = standard_group("symmetric", 6)
     cs = conjugacy_classes(g)
     z, der = centre(g), derived_subgroup(cs)
-    orbit_cells = sum(size * size for size in cs.sizes())
+    orbit_cells = sum(size * size for size in cs.sizes.tolist())
     # series steps: G' in one; K_3 = K_2 = A6 in one; Z_2 = Z_1 = 1 in one
     for steps, run in [
         (1, lambda: derived_subgroup(cs)),
@@ -452,11 +452,20 @@ def test_class_union_tests_gather_one_row_per_class(mul_cells):
     assert 0 < mul_cells[0] <= count * size < size**2
     mul_cells[0] = 0
     assert hypercentre(cs, z) == z  # one step: Z_2 = Z_1 = 1
-    assert 0 < mul_cells[0] <= sum(cs.sizes()) == g.order
+    assert 0 < mul_cells[0] <= sum(cs.sizes.tolist()) == g.order
     # the 2-element representatives against the 81 3-elements, two products each
     mul_cells[0] = 0
     assert not q_r_elements_commute(cs, 5)
     assert 0 < mul_cells[0] <= 2 * count * 81 < 2 * size * 81
+
+
+def test_classes_gather_two_cells_per_generator_and_element(mul_cells):
+    # one conjugation map x -> s^-1 x s per generator, two gathers of |G|
+    # cells each, and the propagation reads no products; a gather of |G|
+    # cells per class would take 2 * 128 * 128
+    g = functools.reduce(direct_product, [standard_group("cyclic", 2)] * 7)
+    assert len(conjugacy_classes(g)) == 128
+    assert 0 < mul_cells[0] <= 2 * 7 * 128
 
 
 def test_subgroup_equality_is_set_equality():
@@ -509,6 +518,14 @@ CLASS_ALGEBRA_GROUPS = {
     "D8xC2^3": lambda: functools.reduce(direct_product, [standard_group("dihedral", 4)] + [standard_group("cyclic", 2)] * 3),
 }
 
+# the orbit classes are compared on these groups as well: S7 from a 7-cycle
+# and a transposition, and S3 x D10, whose least labels take 6 and 2 rounds
+# of propagation to settle
+ORBIT_CLASS_GROUPS = {
+    "S7": (7, ["(1,2,3,4,5,6,7)", "(1,2)"]),
+    "S3xD10": (8, ["(1,2,3)", "(1,2)", "(4,5,6,7,8)", "(5,8)(6,7)"]),
+}
+
 # the class-orbit steps are compared on those groups as well, and on C2^7 (one
 # class of size 1 per row) and D8xC2^3 also at 7 cells a block, so that blocks
 # hold single-column rows and the rows of one class size cross block boundaries
@@ -527,8 +544,8 @@ def _reference_id(param):
 @pytest.fixture(scope="module", params=REFERENCE_PARAMS, ids=_reference_id)
 def with_reference(request):
     name, block = request.param
-    if name in REFERENCE_GROUPS:
-        degree, cycles = REFERENCE_GROUPS[name]
+    if name in REFERENCE_GROUPS or name in ORBIT_CLASS_GROUPS:
+        degree, cycles = {**REFERENCE_GROUPS, **ORBIT_CLASS_GROUPS}[name]
         g = build_group(degree, [parse_cycles(c, degree) for c in cycles])
     else:
         g = CLASS_ALGEBRA_GROUPS[name]()
@@ -560,7 +577,7 @@ def test_table_matches_tuple_products(with_reference):
 
 @pytest.mark.parametrize(
     "with_reference",
-    REFERENCE_PARAMS + [(name, None) for name in CLASS_ALGEBRA_GROUPS],
+    REFERENCE_PARAMS + [(name, None) for name in [*CLASS_ALGEBRA_GROUPS, *ORBIT_CLASS_GROUPS]],
     ids=_reference_id,
     indirect=True,
 )
@@ -569,11 +586,12 @@ def test_classes_and_class_algebra_match_reference(with_reference):
     cs = conjugacy_classes(g)
     class_index, classes = ref.classes()
     assert cs.class_index.tolist() == class_index and not cs.class_index.flags.writeable
-    assert [as_set(c.members) for c in cs.classes] == classes
-    assert [g.index_of(c.representative) for c in cs.classes] == [min(c) for c in classes]
-    assert [c.members[0] for c in cs.classes] == [min(c) for c in classes]
+    assert [as_set(cs.members(c)) for c in range(len(cs))] == classes
+    assert [cs.members(c)[0] for c in range(len(cs))] == [min(c) for c in classes]
     assert cs.representatives.tolist() == [min(c) for c in classes]
     assert cs.representatives.dtype == np.intp and not cs.representatives.flags.writeable
+    assert cs.sizes.tolist() == [len(c) for c in classes] and not cs.sizes.flags.writeable
+    assert cs.inverse_pairing == tuple(class_index[ref.inv(min(c))] for c in classes)
     assert class_algebra(g, cs).coefficients == ref.class_algebra()
 
 

@@ -1,5 +1,6 @@
-"""Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3) and the
-degree layer's one big split on C800 and C1600.
+"""Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
+verify on two groups of many classes (C2^14 and D8^3xC2^4), and the degree
+layer's one big split on C800 and C1600.
 
 Each measurement runs in a fresh interpreter, so that its peak RSS is its
 own.  The S7 rungs run two stages:
@@ -8,7 +9,11 @@ own.  The S7 rungs run two stages:
   then time ``run_all_criteria`` alone;
 * ``verify``: time ``run_report`` plus ``Report.text`` on the one-group
   corpus, as ``degclass verify`` does, and record the report's sha256
-  prefix, so that two checkouts can be seen to give the same bytes.
+  prefix, so that two checkouts can be seen to give the same bytes, and
+  the number of groups skipped.
+
+C2^14 and D8^3xC2^4 run the ``verify`` stage alone.  C2^14 (r = 16384) ends
+as a skip record, refused by the degree budget after its classes are built.
 
 The cyclic rungs run one:
 
@@ -49,11 +54,26 @@ def _cycle(n: int) -> str:
     return f"degree {n}\ngen ({','.join(map(str, range(1, n + 1)))})\n"
 
 
+def _gens(*cycles: str) -> str:
+    return "".join(f"gen {c}\n" for c in cycles)
+
+
+def _transpositions(first: int, count: int) -> list[str]:
+    """Generators of C2^count on the points first, first + 1, ..."""
+    return [f"({a},{a + 1})" for a in range(first, first + 2 * count, 2)]
+
+
+#: D8^3 on points 1-12, one square and one reflection each
+_D8_CUBED = [c for a in (1, 5, 9) for c in (f"({a},{a + 1},{a + 2},{a + 3})", f"({a},{a + 2})")]
+
+
 #: rung -> (its stanza, its stages)
 RUNGS = {
     "S7": ("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)\n", ("criteria", "verify")),
     "S7xC2": ("degree 9\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9)\n", ("criteria", "verify")),
     "S7xC3": ("degree 10\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9,10)\n", ("criteria", "verify")),
+    "C2^14": ("degree 28\n" + _gens(*_transpositions(1, 14)), ("verify",)),
+    "D8^3xC2^4": ("degree 20\n" + _gens(*_D8_CUBED, *_transpositions(13, 4)), ("verify",)),
     "C800": (_cycle(800), ("degree",)),
     "C1600": (_cycle(1600), ("degree",)),
 }
@@ -81,9 +101,11 @@ def measure(rung: str, stage: str) -> dict:
         out["seconds"] = round(perf_counter() - start, 3)
     else:
         start = perf_counter()
-        text = run_report(records).text
+        report = run_report(records)
+        text = report.text
         seconds = round(perf_counter() - start, 3)
         out = {"seconds": seconds, "report_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
+        out["skipped"] = int(report.document["summary"]["skipped"])
     out["peak_rss_mb"] = _peak_rss_mb()
     return out
 
