@@ -174,10 +174,10 @@ class ClassAlgebraData:
         return m
 
 
-def admissible_primes(order: int, exponent: int, bound: int | None = None) -> Iterator[int]:
-    """Primes l = 1 (mod exponent) with l^2 > 4*order, ascending, up to the bound."""
-    if bound is None:
-        bound = PRIME_SEARCH_FACTOR * order
+def admissible_primes(order: int, exponent: int) -> Iterator[int]:
+    """Primes l = 1 (mod exponent) with l^2 > 4*order, ascending, up to
+    PRIME_SEARCH_FACTOR * order."""
+    bound = PRIME_SEARCH_FACTOR * order
     candidate = exponent + 1
     found = False
     while candidate <= bound:
@@ -191,8 +191,8 @@ def admissible_primes(order: int, exponent: int, bound: int | None = None) -> It
         )
 
 
-def least_admissible_prime(order: int, exponent: int, bound: int | None = None) -> int:
-    return next(admissible_primes(order, exponent, bound))
+def least_admissible_prime(order: int, exponent: int) -> int:
+    return next(admissible_primes(order, exponent))
 
 
 def _check_degree_budget(sizes: np.ndarray) -> None:
@@ -480,8 +480,9 @@ def degrees_from_class_algebra(
     if dixon_prime is not None:
         # the int64 sums of the chain, the sparse action and the certificate
         # have at most r terms below ell^2, and the root scan allocates ell
-        # cells; the bound keeps both safe up to the enumeration cap
-        # (modmat.matmul is exact for any ell below 2^26.5)
+        # cells; the bound ell <= PRIME_SEARCH_FACTOR * ENUMERATION_CAP
+        # = 2 * 10**6 keeps both safe (modmat.matmul is exact for any ell
+        # below 2^26.5)
         if ell > PRIME_SEARCH_FACTOR * group.order:
             raise ValueError(
                 f"dixon prime {ell} is above the search bound {PRIME_SEARCH_FACTOR} * {group.order}"

@@ -26,7 +26,10 @@ def _load_corpus(args: argparse.Namespace) -> list[GroupRecord]:
     if getattr(args, "corpus", None) and getattr(args, "builtin", False):
         raise CorpusError("choose either --corpus or --builtin, not both")
     if getattr(args, "corpus", None):
-        text = Path(args.corpus).read_text(encoding="utf-8")
+        try:
+            text = Path(args.corpus).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{args.corpus}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         records = parse_corpus(text)
         if not records:
             print("warning: corpus is empty", file=sys.stderr)

@@ -23,8 +23,8 @@ import hashlib
 from dataclasses import dataclass
 
 from .families import standard_group
-from .group import DEFAULT_ENUMERATION_CAP, Group, build_group, direct_product
-from .perm import format_cycles, parse_cycles
+from .group import Group, build_group, direct_product
+from .perm import format_cycles, parse_cycles, parse_decimal
 
 #: largest accepted stanza degree; each generator of a stanza is held as
 #: ``degree`` integers, so an unchecked degree could exhaust memory
@@ -58,10 +58,8 @@ def _record(name: str, group: Group, source: str) -> GroupRecord:
     )
 
 
-def parse_corpus(
-    text: str, *, source: str = "file", enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[GroupRecord]:
-    """Parse corpus text into built GroupRecords.
+def parse_corpus(text: str) -> list[GroupRecord]:
+    """Parse corpus text into built GroupRecords, each of source ``"file"``.
 
     Raises CorpusError with a line number for syntax errors, bad cycles,
     points beyond the degree, a degree above MAX_DEGREE, or duplicate names.
@@ -96,7 +94,7 @@ def parse_corpus(
             if degree is not None:
                 raise CorpusError("degree given twice", lineno)
             try:
-                degree = int(rest)
+                degree = parse_decimal(rest)
             except ValueError:
                 raise CorpusError(f"bad degree {rest!r}", lineno) from None
             if degree < 1:
@@ -115,8 +113,7 @@ def parse_corpus(
                 raise CorpusError("end outside a group stanza", lineno)
             if degree is None:
                 raise CorpusError(f"stanza {name!r} has no degree", lineno)
-            group = build_group(degree, gens, enumeration_cap=enumeration_cap)
-            records.append(_record(name, group, source))
+            records.append(_record(name, build_group(degree, gens), "file"))
             seen.add(name)
             name = None
         else:
@@ -141,7 +138,7 @@ def corpus_digest(records: list[GroupRecord]) -> str:
     return hashlib.sha256(serialize_corpus(records).encode("utf-8")).hexdigest()
 
 
-def builtin_corpus(enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> list[GroupRecord]:
+def builtin_corpus() -> list[GroupRecord]:
     """The built-in menagerie: 26 groups of order at most 72.
 
     Cyclic groups C1..C12, the small symmetric/alternating/dihedral groups,
@@ -150,11 +147,6 @@ def builtin_corpus(enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> list[Group
     chosen so that every equivalence criterion has both a both-true and a
     both-false witness at some prime.
     """
-    cap = enumeration_cap
-
-    def std(family: str, parameter: int) -> Group:
-        return standard_group(family, parameter, enumeration_cap=cap)
-
     frobenius21 = build_group(
         7,
         [
@@ -162,28 +154,27 @@ def builtin_corpus(enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> list[Group
             # x -> 2x mod 7: the order-3 automorphism of C7
             parse_cycles("(2,3,5)(4,7,6)", 7),
         ],
-        enumeration_cap=cap,
     )
 
     named: list[tuple[str, Group]] = []
     for n in range(1, 13):
-        named.append((f"C{n}", std("cyclic", n)))
+        named.append((f"C{n}", standard_group("cyclic", n)))
     named.extend(
         [
-            ("S3", std("symmetric", 3)),
-            ("S4", std("symmetric", 4)),
-            ("A4", std("alternating", 4)),
-            ("A5", std("alternating", 5)),
-            ("D8", std("dihedral", 4)),
-            ("D12", std("dihedral", 6)),
-            ("Q8", std("quaternion", 8)),
-            ("SL(2,3)", std("sl_2_3", 3)),
-            ("Hol(C7)", std("holomorph_cyclic_prime", 7)),
+            ("S3", standard_group("symmetric", 3)),
+            ("S4", standard_group("symmetric", 4)),
+            ("A4", standard_group("alternating", 4)),
+            ("A5", standard_group("alternating", 5)),
+            ("D8", standard_group("dihedral", 4)),
+            ("D12", standard_group("dihedral", 6)),
+            ("Q8", standard_group("quaternion", 8)),
+            ("SL(2,3)", standard_group("sl_2_3", 3)),
+            ("Hol(C7)", standard_group("holomorph_cyclic_prime", 7)),
             ("C7:C3", frobenius21),
-            ("Q8xC3", direct_product(std("quaternion", 8), std("cyclic", 3))),
-            ("S3xC5", direct_product(std("symmetric", 3), std("cyclic", 5))),
-            ("A4xC2", direct_product(std("alternating", 4), std("cyclic", 2))),
-            ("D8xC9", direct_product(std("dihedral", 4), std("cyclic", 9))),
+            ("Q8xC3", direct_product(standard_group("quaternion", 8), standard_group("cyclic", 3))),
+            ("S3xC5", direct_product(standard_group("symmetric", 3), standard_group("cyclic", 5))),
+            ("A4xC2", direct_product(standard_group("alternating", 4), standard_group("cyclic", 2))),
+            ("D8xC9", direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9))),
         ]
     )
     return [_record(name, group, "builtin") for name, group in named]

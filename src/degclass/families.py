@@ -21,7 +21,7 @@ Families and their parameters:
 from __future__ import annotations
 
 from .arith import is_prime
-from .group import DEFAULT_ENUMERATION_CAP, Group, build_group
+from .group import Group, build_group
 from .perm import Permutation, identity
 
 FAMILIES = (
@@ -134,13 +134,11 @@ _BUILDERS = {
 }
 
 
-def standard_group(
-    family: str, parameter: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> Group:
+def standard_group(family: str, parameter: int) -> Group:
     """Build a named group; raises ValueError for unknown families or bad parameters."""
     try:
         builder = _BUILDERS[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
     degree, gens = builder(parameter)
-    return build_group(degree, gens, enumeration_cap=enumeration_cap)
+    return build_group(degree, gens)

@@ -5,7 +5,7 @@ Construction does two independent things and cross-checks them:
 * a deterministic (non-randomized) Schreier-Sims run yields the base, the
   strong generators, the transversals used for membership testing, and the
   exact group order as a product of basic orbit lengths;
-* for groups no larger than the enumeration cap, and whose enumeration fits
+* for groups no larger than ``ENUMERATION_CAP``, and whose enumeration fits
   the byte budget (see ``ENUMERATION_BYTES_PER_CELL``), a breadth-first
   closure of the generating set yields the full element list, sorted
   lexicographically by image tuple.
@@ -37,12 +37,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .perm import Permutation, identity
+from .perm import Permutation
 
-DEFAULT_ENUMERATION_CAP = 20000
+#: largest order a group enumerates; every step that reads classes, oracles
+#: or degrees needs the Cayley table, which TABLE_MAX_BYTES bounds at this
+#: order anyway
+ENUMERATION_CAP = 20000
 
-#: largest Cayley table a group may allocate; an int16 table at the
-#: enumeration cap takes exactly this much
+#: largest Cayley table a group may allocate; an int16 table at
+#: ENUMERATION_CAP takes exactly this much
 TABLE_MAX_BYTES = 800 * 10**6
 
 #: cells per block of every blocked array step: apart from the Cayley table
@@ -208,22 +211,19 @@ class Group:
         "base",
         "strong_generators",
         "order",
-        "enumeration_cap",
         "uncached_reason",
         "elements",
         "_levels",
         "inverses",
-        "_raw",
         "_index",
         "element_orders",
         "_generator_indices",
         "_table",
     )
 
-    def __init__(self, degree: int, generators: tuple[Permutation, ...], *, enumeration_cap: int):
+    def __init__(self, degree: int, generators: tuple[Permutation, ...]):
         self.degree = degree
         self.generators = generators
-        self.enumeration_cap = enumeration_cap
 
         raw_gens = [g.images for g in generators]
         base, strong, levels, order = _schreier_sims(degree, raw_gens)
@@ -234,8 +234,8 @@ class Group:
         self._table = None
 
         size = order * degree * ENUMERATION_BYTES_PER_CELL
-        if order > enumeration_cap:
-            self.uncached_reason = f"order {order} exceeds enumeration cap {enumeration_cap}"
+        if order > ENUMERATION_CAP:
+            self.uncached_reason = f"order {order} exceeds enumeration cap {ENUMERATION_CAP}"
         elif size > TABLE_MAX_BYTES:
             self.uncached_reason = (
                 f"the enumeration of order {order} on {degree} points needs {size} bytes, "
@@ -249,7 +249,6 @@ class Group:
                 raise RuntimeError(
                     f"internal error: BSGS order {order} != closure size {len(raw)}"
                 )
-            self._raw = tuple(raw)
             self.elements = tuple(Permutation(t) for t in raw)
             self._index = {t: i for i, t in enumerate(raw)}
             self.inverses = np.array([self._index[_inv(t)] for t in raw], dtype=_index_dtype(order))
@@ -260,7 +259,6 @@ class Group:
             self._generator_indices = np.array(gens, dtype=np.intp)
             self._generator_indices.flags.writeable = False
         else:
-            self._raw = None
             self.elements = None
             self._index = None
             self.inverses = None
@@ -321,8 +319,9 @@ class Group:
         table[0] = np.arange(n)
         # itemgetter(*g)(e) is the image tuple of g * e; at degree 1 it would
         # be a bare point, but there the identity's row is the whole table
+        raw = [p.images for p in self.elements]
         lefts = [
-            np.fromiter(map(self._index.__getitem__, map(itemgetter(*self._raw[gi]), self._raw)), dtype, n)
+            np.fromiter(map(self._index.__getitem__, map(itemgetter(*raw[gi]), raw)), dtype, n)
             for gi in (self._generator_indices if self.degree > 1 else ())
         ]
         done = np.zeros(n, dtype=bool)
@@ -361,23 +360,16 @@ class Group:
         self._require_cache()
         return self._generator_indices
 
-    def identity(self) -> Permutation:
-        return identity(self.degree)
-
     def __repr__(self) -> str:
         return f"<Group degree={self.degree} order={self.order}>"
 
 
-def build_group(
-    degree: int,
-    generators: Iterable[Permutation],
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Group:
+def build_group(degree: int, generators: Iterable[Permutation]) -> Group:
     """Build a group from generators acting on {0..degree-1}.
 
     An empty generator list explicitly denotes the trivial group on the given
     points.  The element cache is populated exactly when the order does not
-    exceed ``enumeration_cap`` and the enumeration fits the byte budget;
+    exceed ``ENUMERATION_CAP`` and the enumeration fits the byte budget;
     otherwise ``uncached_reason`` says which limit refused it.
     """
     if degree < 1:
@@ -386,7 +378,7 @@ def build_group(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-    return Group(degree, gens, enumeration_cap=enumeration_cap)
+    return Group(degree, gens)
 
 
 def enumerate_elements(group: Group) -> tuple[Permutation, ...]:
@@ -399,16 +391,15 @@ def enumerate_elements(group: Group) -> tuple[Permutation, ...]:
     return group.elements
 
 
-def direct_product(g: Group, h: Group, enumeration_cap: int | None = None) -> Group:
+def direct_product(g: Group, h: Group) -> Group:
     """External direct product acting on the disjoint union of the point sets."""
-    cap = max(g.enumeration_cap, h.enumeration_cap) if enumeration_cap is None else enumeration_cap
     dg, dh = g.degree, h.degree
     gens: list[Permutation] = []
     for a in g.generators:
         gens.append(Permutation(a.images + tuple(range(dg, dg + dh))))
     for b in h.generators:
         gens.append(Permutation(tuple(range(dg)) + tuple(x + dg for x in b.images)))
-    prod = build_group(dg + dh, gens, enumeration_cap=cap)
+    prod = build_group(dg + dh, gens)
     if prod.order != g.order * h.order:
         raise RuntimeError(
             f"internal error: direct product order {prod.order} != {g.order} * {h.order}"

@@ -14,7 +14,8 @@ product (p - 1)**2 can reach 2**53.  Elsewhere nothing bounds the modulus:
 an int64 product of n-term row sums needs n * p**2 < 2**63 (int64 would
 wrap silently), and ``poly_roots`` allocates an array of length p.
 ``chardeg`` keeps both safe by rejecting any dixon prime above its search
-bound.  Polynomials are coefficient lists, constant term first, always
+bound, at most ``PRIME_SEARCH_FACTOR * ENUMERATION_CAP`` = 2 * 10**6.
+Polynomials are coefficient lists, constant term first, always
 reduced mod p and trimmed.
 """
 

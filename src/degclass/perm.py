@@ -48,8 +48,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def cycles(self, *, fixed_points: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, ordered by that point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Nontrivial disjoint cycles, each starting at its least point, ordered by that point."""
         out = []
         seen = [False] * len(self.images)
         for start in range(len(self.images)):
@@ -62,7 +62,7 @@ class Permutation:
                 cyc.append(x)
                 seen[x] = True
                 x = self.images[x]
-            if len(cyc) > 1 or fixed_points:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -111,6 +111,14 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x + 1) for x in c) + ")" for c in cycles)
 
 
+def parse_decimal(text: str) -> int:
+    """A number of the text format: a nonempty run of the ASCII digits 0-9
+    (``int`` alone would also take ``+1``, ``1_2`` and non-ASCII digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse a 1-based cycle string like ``(1,2,3)(4,5)`` into a Permutation.
 
@@ -131,7 +139,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         body = s[i + 1 : j]
         if body:
             try:
-                pts = [int(tok) for tok in body.split(",")]
+                pts = [parse_decimal(tok) for tok in body.split(",")]
             except ValueError:
                 raise ValueError(f"malformed cycle {s[i:j + 1]!r} in {text!r}") from None
             cycles.append(pts)

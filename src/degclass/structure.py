@@ -166,10 +166,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
-
     def mask(self) -> np.ndarray:
         """Membership as a boolean mask over the parent's enumeration."""
         inside = np.zeros(self.parent.order, dtype=bool)

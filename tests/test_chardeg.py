@@ -91,9 +91,10 @@ def test_prime_search_examples():
     assert least_admissible_prime(60, 30) == 31
 
 
-def test_prime_search_bound_failure_is_explicit():
+def test_prime_search_bound_failure_is_explicit(monkeypatch):
+    monkeypatch.setattr(chardeg, "PRIME_SEARCH_FACTOR", 1)
     with pytest.raises(DixonPrimeSearchError, match="below"):
-        list(admissible_primes(42, 42, bound=40))
+        list(admissible_primes(42, 42))
 
 
 # --- degrees -----------------------------------------------------------------

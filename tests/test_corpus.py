@@ -73,6 +73,9 @@ def test_duplicate_name_rejected():
         ("group a b\ndegree 2\nend\n", "single-token"),
         ("frobnicate\n", "unknown keyword"),
         ("group a\ndegree zero\nend\n", "bad degree"),
+        ("group a\ndegree 1_2\nend\n", "bad degree"),
+        ("group a\ndegree +3\nend\n", "bad degree"),
+        ("group a\ndegree \u0663\nend\n", "bad degree"),
     ],
 )
 def test_malformed_stanzas(text, match):

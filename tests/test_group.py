@@ -118,7 +118,7 @@ def test_bsgs_matches_closure_on_random_generators():
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Permutation(images))
-        g = build_group(degree, gens, enumeration_cap=50000)
+        g = build_group(degree, gens)
         oracle = oracles.closure_of(degree, [p.images for p in gens])
         assert g.order == len(oracle)
         for t in rng.sample(sorted(oracle), min(4, len(oracle))):
@@ -128,12 +128,18 @@ def test_bsgs_matches_closure_on_random_generators():
         assert (Permutation(probe) in g) == (tuple(probe) in oracle)
 
 
-def test_cap_exceeded_is_loud():
-    g = build_group(4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)], enumeration_cap=10)
+@pytest.mark.parametrize("cap", [23, 24])
+def test_cap_exceeded_is_loud(monkeypatch, cap):
+    # S4 has order 24: the cap refuses it at 23 and enumerates it at 24
+    monkeypatch.setattr(group_module, "ENUMERATION_CAP", cap)
+    g = build_group(4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)])
     assert g.order == 24  # BSGS order does not need the cache
-    assert not g.has_element_cache
-    with pytest.raises(GroupTooLargeError, match="group too large"):
-        enumerate_elements(g)
+    assert g.has_element_cache == (cap >= 24)
+    if g.has_element_cache:
+        assert len(enumerate_elements(g)) == 24
+    else:
+        with pytest.raises(GroupTooLargeError, match="group too large: order 24 exceeds enumeration cap 23"):
+            enumerate_elements(g)
 
 
 def test_enumeration_budget_is_checked_before_the_closure(monkeypatch):

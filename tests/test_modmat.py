@@ -7,7 +7,7 @@ from degclass import group as groups
 from degclass import modmat
 from degclass.arith import is_prime
 from degclass.chardeg import PRIME_SEARCH_FACTOR
-from degclass.group import DEFAULT_ENUMERATION_CAP
+from degclass.group import ENUMERATION_CAP
 from oracles import Reference
 
 
@@ -54,7 +54,7 @@ def test_matmul_is_exact_across_chunks():
     # the largest prime the dixon prime search can reach at the enumeration
     # cap: an inner dimension of 4600 is three chunks of 2**53 // (p - 1)**2
     # = 2251 terms, each term near (p - 1)**2
-    p = next(q for q in range(PRIME_SEARCH_FACTOR * DEFAULT_ENUMERATION_CAP, 0, -1) if is_prime(q))
+    p = next(q for q in range(PRIME_SEARCH_FACTOR * ENUMERATION_CAP, 0, -1) if is_prime(q))
     assert 2 * (2**53 // (p - 1) ** 2) < 4600
     rng = np.random.default_rng(0)
     a, b = rng.integers(p - 1000, p, (3, 4600)), rng.integers(p - 1000, p, (4600, 40))

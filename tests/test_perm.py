@@ -89,6 +89,9 @@ def test_format_cycles_canonical():
         ("(1,2", "unbalanced"),
         ("1,2)", "expected"),
         ("(1,x)", "malformed"),
+        ("(+1,2)", "malformed"),
+        ("(0_1,2)", "malformed"),
+        ("(1,\u0663)", "malformed"),
         ("", "empty"),
     ],
 )

@@ -101,7 +101,7 @@ def test_report_has_witnesses_for_every_equivalence(builtin_report):
 
 
 def test_oversized_group_is_skipped_not_fatal():
-    records = parse_corpus(S8_STANZA + "\n" + C6_STANZA, enumeration_cap=20000)
+    records = parse_corpus(S8_STANZA + "\n" + C6_STANZA)
     report = run_report(records)
     blocks = {b["name"]: b for b in report.document["groups"]}
     assert "exceeds enumeration cap" in blocks["S8"]["skipped"]
@@ -222,6 +222,13 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["verify", "--corpus", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["verify", "--corpus", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_cli_non_utf8_corpus_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"group x\ndegree 2 # \xff\nend\n")
+    assert main(["verify", "--corpus", str(path)]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_cli_huge_degree_is_an_input_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
-verify on two groups of many classes (C2^14 and D8^3xC2^4), and the degree
-layer's one big split on C800 and C1600.
+verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
+layer's one big split on C800 and C1600, and the pure-Python group build of
+C4000 on 4000 points.
 
 Each measurement runs in a fresh interpreter, so that its peak RSS is its
 own.  The S7 rungs run two stages:
@@ -15,13 +16,17 @@ own.  The S7 rungs run two stages:
 C2^14 and D8^3xC2^4 run the ``verify`` stage alone.  C2^14 (r = 16384) ends
 as a skip record, refused by the degree budget after its classes are built.
 
-The cyclic rungs run one:
+C800 and C1600 run one:
 
 * ``degree``: parse the group and build its classes and Cayley table, then
   time the degree step alone (``class_algebra`` and
   ``degrees_from_class_algebra``), and record the peak RSS.  The step then
   runs once more under tracemalloc, whose peak is given in r x r int64
   arrays, the unit of the degree budget.
+
+C4000 runs ``build`` alone: time ``parse_corpus`` of its one-stanza corpus
+(Schreier-Sims, the closure, the element index, inverses and element
+orders), and record the peak RSS it leaves.
 
 Usage::
 
@@ -76,6 +81,7 @@ RUNGS = {
     "D8^3xC2^4": ("degree 20\n" + _gens(*_D8_CUBED, *_transpositions(13, 4)), ("verify",)),
     "C800": (_cycle(800), ("degree",)),
     "C1600": (_cycle(1600), ("degree",)),
+    "C4000": (_cycle(4000), ("build",)),
 }
 
 
@@ -89,7 +95,11 @@ def measure(rung: str, stage: str) -> dict:
     from degclass.criteria import GroupData, run_all_criteria
     from degclass.report import run_report
 
+    start = perf_counter()
     records = parse_corpus(f"group {rung}\n{RUNGS[rung][0]}end\n")
+    if stage == "build":
+        seconds = round(perf_counter() - start, 3)
+        return {"order": records[0].group.order, "seconds": seconds, "peak_rss_mb": _peak_rss_mb()}
     if stage == "degree":
         return _measure_degree_step(records[0].group)
     if stage == "criteria":
@@ -141,7 +151,7 @@ def main() -> None:
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--out")
     parser.add_argument("--rung", choices=RUNGS, help=argparse.SUPPRESS)
-    parser.add_argument("--stage", choices=("criteria", "verify", "degree"), help=argparse.SUPPRESS)
+    parser.add_argument("--stage", choices=("criteria", "verify", "degree", "build"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.rung:
         sys.path.insert(0, args.src)
