@@ -7,7 +7,9 @@ round.  Trial division is plenty at the scales this package targets
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Iterable
 
 PrimeSet = tuple[int, ...]
@@ -69,9 +71,17 @@ def valuation(n: int, p: int) -> int:
 def prime_set(primes: Iterable[int]) -> PrimeSet:
     """Normalize an iterable of primes to a sorted, duplicate-free tuple.
 
-    Raises ValueError if any entry is not prime.
+    Raises ValueError if any entry is not prime.  Each distinct tuple is
+    validated once: only a valid one's result is kept, so a bad one raises
+    on every call.  Entries are read with ``operator.index``, so a kept
+    result holds Python ints whatever integer type first produced it.
     """
-    out = sorted(set(primes))
+    return _validated(primes if type(primes) is tuple else tuple(primes))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _validated(primes: tuple) -> PrimeSet:
+    out = sorted(set(map(operator.index, primes)))
     for p in out:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -203,7 +203,9 @@ def _check_degree_budget(sizes: np.ndarray) -> None:
     (the Krylov powers and their echelon form or elimination, the Lagrange
     coefficients, the idempotent rows and their image, the central
     characters), plus up to four arrays of |K_g| * r cells while the largest
-    class's column is counted.  tracemalloc puts the peak at 4.6 r x r arrays
+    class's column is counted, plus three n x (r / PANELS) panels of a
+    ``modmat.matmul`` product (a float copy of the right factor's panel, the
+    product, its int64 copy), n <= r.  tracemalloc puts the peak at 4.6 r x r arrays
     on C2^8 and C3^5, where a block of the refinement's products is r x r,
     and at 5.0 on C400, C800 and C1600, in the elimination; a column's count
     at 3.0 arrays of |K_g| * r cells on S5 x S4.  The columns kept for the class
@@ -213,7 +215,7 @@ def _check_degree_budget(sizes: np.ndarray) -> None:
     r = len(sizes)
     for what, cells in (
         ("elimination block", r * (r + 1)),
-        ("class algebra arrays", 6 * r * r + 4 * int(np.max(sizes)) * r),
+        ("class algebra arrays", 6 * r * r + 4 * int(np.max(sizes)) * r + 3 * r * -(-r // modmat.PANELS)),
     ):
         size = 8 * cells
         if size > groups.TABLE_MAX_BYTES:

@@ -15,6 +15,7 @@ from .arith import factorization, pi_sets
 from .corpus import CorpusError, GroupRecord, builtin_corpus, parse_corpus
 from .criteria import CATALOG, GroupData
 from .group import GroupTooLargeError
+from .perm import parse_decimal
 from .report import ReportOptions, run_report
 
 EXIT_OK = 0
@@ -95,10 +96,11 @@ def _cmd_criteria(args: argparse.Namespace) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    bound = int(text)
-    if bound < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {bound}")
-    return bound
+    """A bound written as corpus numbers are: ASCII decimal digits only."""
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be >= 0 in decimal digits, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

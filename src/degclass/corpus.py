@@ -23,7 +23,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .families import standard_group
-from .group import Group, build_group, direct_product
+from .group import Group, GroupTooLargeError, build_group, direct_product
 from .perm import format_cycles, parse_cycles, parse_decimal
 
 #: largest accepted stanza degree; each generator of a stanza is held as
@@ -62,7 +62,8 @@ def parse_corpus(text: str) -> list[GroupRecord]:
     """Parse corpus text into built GroupRecords, each of source ``"file"``.
 
     Raises CorpusError with a line number for syntax errors, bad cycles,
-    points beyond the degree, a degree above MAX_DEGREE, or duplicate names.
+    points beyond the degree, a degree above MAX_DEGREE, duplicate names, or
+    a group whose Schreier-Sims transversals would exceed the table budget.
     """
     records: list[GroupRecord] = []
     seen: set[str] = set()
@@ -113,7 +114,11 @@ def parse_corpus(text: str) -> list[GroupRecord]:
                 raise CorpusError("end outside a group stanza", lineno)
             if degree is None:
                 raise CorpusError(f"stanza {name!r} has no degree", lineno)
-            records.append(_record(name, build_group(degree, gens), "file"))
+            try:
+                group = build_group(degree, gens)
+            except GroupTooLargeError as exc:
+                raise CorpusError(f"group {name!r}: {exc}", lineno) from None
+            records.append(_record(name, group, "file"))
             seen.add(name)
             name = None
         else:

@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .arith import PrimeSet, pi_sets, prime_set, primes_of
 from .chardeg import DegreeFrequency
@@ -60,14 +60,18 @@ ALWAYS = "always"
 Numbers = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class SideResult:
+class SideResult(NamedTuple):
+    """One side of a verdict: whether its condition holds (None for a side
+    that only reports numbers) and the named numbers it read."""
+
     holds: Optional[bool]
     numbers: Numbers = ()
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
+    """The verdict of one catalog row at one prime set; like SideResult an
+    immutable tuple that compares by value, its fields in this order."""
+
     criterion: str
     group_name: str
     primes: PrimeSet

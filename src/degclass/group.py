@@ -4,7 +4,9 @@ Construction does two independent things and cross-checks them:
 
 * a deterministic (non-randomized) Schreier-Sims run yields the base, the
   strong generators, the transversals used for membership testing, and the
-  exact group order as a product of basic orbit lengths;
+  exact group order as a product of basic orbit lengths; it raises
+  GroupTooLargeError as soon as the transversals would outgrow the table
+  budget (see ``TRANSVERSAL_BYTES_PER_CELL``);
 * for groups no larger than ``ENUMERATION_CAP``, and whose enumeration fits
   the byte budget (see ``ENUMERATION_BYTES_PER_CELL``), a breadth-first
   closure of the generating set yields the full element list, sorted
@@ -63,20 +65,27 @@ BLOCK_CELLS = 1 << 16
 #: and the element index
 ENUMERATION_BYTES_PER_CELL = 17
 
+#: bytes a Schreier-Sims transversal holds per orbit point x degree cell (one
+#: image tuple of degree entries a point), checked against TABLE_MAX_BYTES as
+#: the orbits grow, summed over every level
+TRANSVERSAL_BYTES_PER_CELL = 8
+
 _RawPerm = tuple[int, ...]
 
 
-def blocks(count: int, width: int) -> Iterator[slice]:
+def blocks(count: int, width: int, least: int = 1) -> Iterator[slice]:
     """Consecutive slices of range(count); a slice by ``width`` columns spans
-    at most BLOCK_CELLS cells, or is a single row when one row is wider."""
-    step = max(1, BLOCK_CELLS // max(1, width))
+    at most BLOCK_CELLS cells, or is ``least`` rows (default one) when that
+    many rows are wider."""
+    step = max(least, BLOCK_CELLS // max(1, width))
     for start in range(0, count, step):
         yield slice(start, start + step)
 
 
 class GroupTooLargeError(RuntimeError):
     """The operation needs the element cache or the Cayley table, but the
-    group exceeds the enumeration cap or the table budget."""
+    group exceeds the enumeration cap or the table budget; or the group's
+    Schreier-Sims transversals alone would exceed the table budget."""
 
 
 def _index_dtype(n: int) -> type:
@@ -120,6 +129,8 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> tuple[list[int], li
     levels: list[_Level] = []
 
     def rebuild_orbit(level: _Level) -> None:
+        held = sum(len(lvl.transversal) for lvl in levels if lvl is not level)
+        room = TABLE_MAX_BYTES // (degree * TRANSVERSAL_BYTES_PER_CELL) - held
         tr = {level.point: ident}
         queue = [level.point]
         while queue:
@@ -128,6 +139,12 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> tuple[list[int], li
             for s in level.gens:
                 y = s[x]
                 if y not in tr:
+                    if len(tr) >= room:
+                        size = (held + len(tr) + 1) * degree * TRANSVERSAL_BYTES_PER_CELL
+                        raise GroupTooLargeError(
+                            f"group too large: the Schreier-Sims transversals on {degree} points need "
+                            f"more than {size} bytes, above the table budget of {TABLE_MAX_BYTES}"
+                        )
                     tr[y] = _mul(ux, s)
                     queue.append(y)
         level.transversal = tr
@@ -340,7 +357,8 @@ class Group:
     def mul(self, a, b) -> np.ndarray:
         """Indices of elements[a] * elements[b] for index arrays a and b,
         broadcast against each other."""
-        return self.table.ravel().take(np.asarray(a, dtype=np.intp) * self.order + b)
+        table = self._table if self._table is not None else self.table
+        return table.ravel().take(np.asarray(a, dtype=np.intp) * self.order + b)
 
     def i_mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (left-to-right composition)."""

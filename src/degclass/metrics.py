@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 from .arith import PrimeSet, prime_set
 from .chardeg import DegreeFrequency
 
@@ -76,8 +74,7 @@ class ClassSizeFrequency:
 
 
 def class_size_frequency(classes: "ConjugacyClassSet") -> ClassSizeFrequency:
-    sizes, counts = np.unique(classes.sizes, return_counts=True)
-    return ClassSizeFrequency(tuple(zip(sizes.tolist(), counts.tolist())))
+    return ClassSizeFrequency(classes.size_counts)
 
 
 def s_pi_size(classes: "ConjugacyClassSet", pi: Iterable[int]) -> int:

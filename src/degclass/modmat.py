@@ -27,6 +27,10 @@ from . import group as groups
 
 Poly = list[int]
 
+#: ``matmul`` splits a product into at most this many column panels once a
+#: panel of BLOCK_CELLS cells would be narrower
+PANELS = 8
+
 
 def inv_mod(a: int, p: int) -> int:
     a %= p
@@ -75,17 +79,20 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     whatever order BLAS adds them: float64 holds each exactly, and a fused
     multiply-add rounds an exact integer to itself.  The chunks' sums are
     added and reduced in int64.  Raises ValueError when not even one term
-    fits, that is when (p - 1)**2 >= 2**53.  Columns go a block at a time
+    fits, that is when (p - 1)**2 >= 2**53.  Columns go a panel at a time
     (``groups.blocks``), so besides ``a``'s float copy and the result the
-    temporaries stay within one block.
+    temporaries stay within one panel.  A panel is at least 1/PANELS of the
+    columns wide: blocks of BLOCK_CELLS cells alone would make r x r x r
+    products ever thinner panel products as r grows.
     """
     if (p - 1) ** 2 >= 2**53:
         raise ValueError(f"modulus {p}: a product of two residues may exceed 2**53")
     terms = 2**53 // (p - 1) ** 2
     a = np.asarray(a, dtype=np.float64)
     rows, inner = a.shape
-    out = np.empty((rows, b.shape[1]), dtype=np.int64)
-    for block in groups.blocks(b.shape[1], rows + inner):
+    cols = b.shape[1]
+    out = np.empty((rows, cols), dtype=np.int64)
+    for block in groups.blocks(cols, rows + inner, least=-(-cols // PANELS)):
         _chunked_product(a, np.asarray(b[:, block], dtype=np.float64), p, terms, out[:, block])
     return out
 

@@ -42,39 +42,76 @@ class Report:
         return 0 if self.disagreements == 0 else 1
 
 
-def _json(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2) for a report's dicts, lists, strings,
-    booleans and None, byte for byte, without the slow encoder indent picks."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items, ends = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
-    elif isinstance(value, list):
-        items, ends = [inner + _json(v, inner) for v in value], "[]"
-    else:
-        return {"None": "null", "True": "true", "False": "false"}[repr(value)]
-    return ends[0] + ",".join(items) + indent + ends[1] if items else ends
+class _Escaped(dict):
+    """Each string's JSON form followed by ``suffix``, made on its first lookup."""
+
+    def __init__(self, suffix: str = ""):
+        self.suffix = suffix
+
+    def __missing__(self, text: str) -> str:
+        out = self[text] = encode_basestring_ascii(text) + self.suffix
+        return out
 
 
-def _s(n: int) -> str:
-    return str(n)
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json(document) -> str:
+    """json.dumps(document, indent=2) for a report's dicts, lists, strings,
+    booleans and None, byte for byte, without the slow encoder indent picks.
+
+    One pass appends the pieces to a list, dispatching on each value's exact
+    type; each distinct string is escaped once per call, and the separators
+    of each nesting depth are made once."""
+    escaped, keys = _Escaped(), _Escaped(": ")
+    layouts: list[tuple[str, str, str, str]] = []  # per depth: newline, comma, closings
+    pieces: list[str] = []
+    put = pieces.append
+
+    def write(value, depth: int) -> None:
+        kind = type(value)
+        if kind is dict or kind is list:
+            if not value:
+                put("{}" if kind is dict else "[]")
+                return
+            if depth == len(layouts):
+                inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+                layouts.append((inner, "," + inner, outer + "}", outer + "]"))
+            separator, comma, close_dict, close_list = layouts[depth]
+            put("{" if kind is dict else "[")
+            for item in value.items() if kind is dict else value:
+                put(separator)
+                separator = comma
+                if kind is dict:
+                    put(keys[item[0]])
+                    item = item[1]
+                if type(item) is str:
+                    put(escaped[item])
+                elif type(item) is bool or item is None:
+                    put(_LITERALS[item])
+                else:
+                    write(item, depth + 1)
+            put(close_dict if kind is dict else close_list)
+        elif kind is str:
+            put(escaped[value])
+        elif kind is bool or value is None:
+            put(_LITERALS[value])
+        else:
+            raise TypeError(f"the report writer takes no {kind.__name__}: {value!r}")
+
+    write(document, 0)
+    return "".join(pieces)
 
 
 def _verdict_block(v: CriterionVerdict) -> dict:
-    def side(s) -> dict:
-        return {
-            "holds": s.holds,
-            "numbers": {k: _s(x) for k, x in s.numbers},
-        }
-
+    inv, struct = v.invariant_side, v.structure_side
     return {
         "criterion": v.criterion,
-        "primes": [_s(p) for p in v.primes],
+        "primes": [str(p) for p in v.primes],
         "kind": v.kind,
         "experimental": v.experimental,
-        "invariant": side(v.invariant_side),
-        "structure": side(v.structure_side),
+        "invariant": {"holds": inv.holds, "numbers": {k: str(x) for k, x in inv.numbers}},
+        "structure": {"holds": struct.holds, "numbers": {k: str(x) for k, x in struct.numbers}},
         "agrees": v.agrees,
     }
 
@@ -84,10 +121,10 @@ def _group_block(rec: GroupRecord, options: ReportOptions) -> tuple[dict, list[C
     block: dict = {
         "name": rec.name,
         "source": rec.source,
-        "degree": _s(rec.degree),
+        "degree": str(rec.degree),
         "generators": list(rec.generator_strings),
-        "order": _s(group.order),
-        "factorization": [[_s(p), _s(e)] for p, e in factorization(group.order).items()],
+        "order": str(group.order),
+        "factorization": [[str(p), str(e)] for p, e in factorization(group.order).items()],
     }
     if not group.has_element_cache:
         block["skipped"] = group.uncached_reason
@@ -101,15 +138,15 @@ def _group_block(rec: GroupRecord, options: ReportOptions) -> tuple[dict, list[C
         block["skipped"] = str(exc)
         return block, []
     block["skipped"] = None
-    block["class_count"] = _s(len(classes))
-    block["degree_frequency"] = [[_s(d), _s(m)] for d, m in degrees.entries]
-    block["class_size_frequency"] = [[_s(n), _s(c)] for n, c in data.size_frequency.entries]
+    block["class_count"] = str(len(classes))
+    block["degree_frequency"] = [[str(d), str(m)] for d, m in degrees.entries]
+    block["class_size_frequency"] = [[str(n), str(c)] for n, c in data.size_frequency.entries]
 
     block["invariant_tables"] = [
         {
-            "pi": [_s(p) for p in ps],
-            "u_pi": _s(data.u(ps)),
-            "s_pi": _s(data.s(ps)),
+            "pi": [str(p) for p in ps],
+            "u_pi": str(data.u(ps)),
+            "s_pi": str(data.s(ps)),
         }
         for ps in pi_sets(data.primes, options.pi_bound)
     ]
@@ -149,18 +186,18 @@ def run_report(records: list[GroupRecord], options: ReportOptions = ReportOption
 
     document = {
         "tool": {"name": "degclass", "version": __version__},
-        "options": {"pi_bound": _s(options.pi_bound)},
+        "options": {"pi_bound": str(options.pi_bound)},
         "corpus_digest": corpus_digest(records),
         "groups": groups,
         "summary": {
-            "group_count": _s(len(records)),
-            "evaluated": _s(len(records) - skipped),
-            "skipped": _s(skipped),
-            "verdict_count": _s(len(all_verdicts)),
-            "agreements": _s(agreements),
-            "disagreements": _s(disagreements),
-            "experimental_verdicts": _s(len(experimental)),
-            "experimental_disagreements": _s(exp_disagreements),
+            "group_count": str(len(records)),
+            "evaluated": str(len(records) - skipped),
+            "skipped": str(skipped),
+            "verdict_count": str(len(all_verdicts)),
+            "agreements": str(agreements),
+            "disagreements": str(disagreements),
+            "experimental_verdicts": str(len(experimental)),
+            "experimental_disagreements": str(exp_disagreements),
             "equivalence_witnesses": {
                 crit: witnesses[crit] for crit in sorted(witnesses)
             },

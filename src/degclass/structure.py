@@ -91,8 +91,9 @@ class ConjugacyClassSet:
     ``class_index`` is a read-only array whose entry i is the class of
     element i; ``representatives[c]``, read-only too, is class c's first
     member; ``sizes[c]`` (read-only) is its size and ``members(c)`` its
-    sorted members; ``inverse_pairing[c]`` is the class holding the inverses
-    of class c.
+    sorted members; ``size_counts`` pairs each distinct size, ascending,
+    with its number of classes; ``inverse_pairing[c]`` is the class holding
+    the inverses of class c.
 
     G = <S>, so the class of x is its orbit under x -> s^-1 x s for s in S.
     Each generator gives one |G|-cell conjugation map, and the least label
@@ -118,6 +119,7 @@ class ConjugacyClassSet:
             label = new
         self.representatives, self.class_index = np.unique(label, return_inverse=True)
         self.sizes = np.bincount(self.class_index)
+        self.size_counts = tuple(zip(*(a.tolist() for a in np.unique(self.sizes, return_counts=True))))
         self._starts = np.cumsum(self.sizes) - self.sizes
         self._by_class = np.argsort(self.class_index, kind="stable")
         for a in (self.representatives, self.class_index, self.sizes, self._by_class):
@@ -140,20 +142,28 @@ def conjugacy_classes(group: Group) -> ConjugacyClassSet:
     return ConjugacyClassSet(group)
 
 
-@dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup as a sorted index array into the parent's element
     enumeration.  ``generators`` generate it: the seeds ``_closure`` adjoined
     for a closure-built subgroup, the members for any other.  Both arrays
-    are made read-only."""
+    are made read-only, and the attributes cannot be reassigned."""
 
-    parent: Group
-    members: np.ndarray
-    generators: Optional[np.ndarray] = None
+    __slots__ = ("parent", "members", "generators")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", self.members if self.generators is None else self.generators)
-        self.members.flags.writeable = self.generators.flags.writeable = False
+    def __init__(self, parent: Group, members: np.ndarray, generators: Optional[np.ndarray] = None):
+        generators = members if generators is None else generators
+        members.flags.writeable = generators.flags.writeable = False
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Subgroup is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return Subgroup, (self.parent, self.members, self.generators)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,5 +1,9 @@
+import gc
+import tracemalloc
+
 import pytest
 
+from degclass import group as groups
 from degclass.corpus import (
     CorpusError,
     builtin_corpus,
@@ -55,6 +59,27 @@ def test_huge_degree_rejected_before_parsing_generators():
     text = "group big\ndegree 1000000000000\ngen (1,2)\nend\n"
     with pytest.raises(CorpusError, match="line 2: degree 1000000000000 exceeds the maximum"):
         parse_corpus(text)
+
+
+def test_transversals_are_refused_within_the_table_budget(monkeypatch):
+    # C1000 on its own points holds 1000 image tuples of 1000 points, 8 MB of
+    # transversal; a budget of 1 MB refuses it at its 126th orbit point
+    budget = 10**6
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", budget)
+    text = "group C1000\ndegree 1000\ngen (" + ",".join(map(str, range(1, 1001))) + ")\nend\n"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorpusError) as refused:
+            parse_corpus(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (
+        "line 4: group 'C1000': group too large: the Schreier-Sims transversals on 1000 points "
+        "need more than 1008000 bytes, above the table budget of 1000000"
+    )
+    assert peak < 1.25 * budget
 
 
 def test_duplicate_name_rejected():

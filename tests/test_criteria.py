@@ -3,7 +3,9 @@ import pytest
 from degclass.criteria import (
     CATALOG,
     PER_PRIME,
+    CriterionVerdict,
     GroupData,
+    SideResult,
     evaluate,
     run_all_criteria,
 )
@@ -441,3 +443,23 @@ def test_catalog_matches_builtin_report(builtin_report):
     assert len(CATALOG) == 26
     for row in CATALOG:
         assert kinds[row.id] == row.kind
+
+
+def test_verdict_fields_keep_their_order():
+    assert CriterionVerdict._fields == (
+        "criterion", "group_name", "primes", "kind", "invariant_side", "structure_side", "agrees", "experimental"
+    )
+    assert SideResult._fields == ("holds", "numbers")
+    assert SideResult(None).numbers == ()
+    assert CriterionVerdict("c", "G", (2,), "identity", SideResult(True), SideResult(None), True).experimental is False
+
+
+def test_verdicts_are_immutable_and_compare_by_value(s3):
+    v = evaluate(s3, "isaacs_p_nilpotent", (2,))
+    again = evaluate(GroupData(s3.group, "S3"), "isaacs_p_nilpotent", [2])
+    assert v == again and hash(v) == hash(again) and v is not again
+    assert v.invariant_side == SideResult(v.invariant_side.holds, v.invariant_side.numbers)
+    assert v != v._replace(agrees=not v.agrees)
+    for obj, attr in ((v, "agrees"), (v, "primes"), (v.structure_side, "holds"), (v, "note")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)

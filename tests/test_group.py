@@ -158,6 +158,19 @@ def test_enumeration_budget_is_checked_before_the_closure(monkeypatch):
     assert g.has_element_cache and g.uncached_reason is None
 
 
+def test_transversal_budget_sums_every_basic_orbit(monkeypatch):
+    # S4 on 4 points keeps basic orbits of 4, 3 and 2 points: 9 image tuples
+    # of 4 points, 288 bytes; a budget of 288 builds it (and the enumeration
+    # budget then leaves it unenumerated), one byte less refuses it
+    gens = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
+    monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", 9 * 4 * group_module.TRANSVERSAL_BYTES_PER_CELL)
+    g = build_group(4, gens)
+    assert g.order == 24 and not g.has_element_cache
+    monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", 9 * 4 * group_module.TRANSVERSAL_BYTES_PER_CELL - 1)
+    with pytest.raises(GroupTooLargeError, match="transversals on 4 points need more than 288 bytes, above the table budget of 287"):
+        build_group(4, gens)
+
+
 def test_table_budget_is_checked_before_allocating(monkeypatch):
     from degclass.structure import conjugacy_classes, derived_subgroup
 

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from degclass.arith import pi_sets, primes_of
+from degclass.arith import pi_sets, prime_set, primes_of
 from degclass.chardeg import character_degrees
 from degclass.families import standard_group
 from degclass.metrics import (
@@ -36,6 +37,24 @@ def test_pi_part_rejects_zero_and_nonprimes():
         pi_part(0, (2,))
     with pytest.raises(ValueError, match="not prime"):
         pi_part(6, (4,))
+
+
+def test_prime_set_normalises_any_iterable():
+    assert prime_set([5, 2, 5]) == prime_set(p for p in (5, 2)) == prime_set((5, 2, 2)) == (2, 5)
+    assert prime_set([]) == prime_set(iter(())) == prime_set(()) == ()
+    # a kept result holds Python ints, whichever integer type came first
+    assert all(type(p) is int for p in prime_set(np.array([7, 11])) + prime_set((7, 11)))
+
+
+@pytest.mark.parametrize("bad", [(4,), (2, 9), [3, 1], (0, 5)])
+def test_prime_set_raises_on_every_call_with_a_nonprime(bad):
+    # a valid tuple's result is reused; a bad one is never taken for valid
+    for _ in range(3):
+        with pytest.raises(ValueError, match="is not prime"):
+            prime_set(bad)
+        with pytest.raises(ValueError, match="is not prime"):
+            pi_part(30, bad)
+    assert prime_set((3, 2)) == (2, 3)
 
 
 def test_pi_times_complement_is_n():

@@ -50,6 +50,20 @@ def test_matmul_matches_python_ints(monkeypatch, p, block):
         assert np.array_equal(modmat.matmul(a, b, p), _python_product(a, b, p))
 
 
+@pytest.mark.parametrize(
+    "r,widths", [(128, [128]), (300, [109, 109, 82]), (512, [64] * 8), (600, [75] * 8)]
+)
+def test_matmul_panels_are_at_least_an_eighth_of_the_columns(monkeypatch, r, widths):
+    # BLOCK_CELLS // (rows + inner) columns a panel where that is wider, so
+    # every r <= 512 keeps its panels; above it, modmat.PANELS panels
+    seen, product = [], modmat._chunked_product
+    monkeypatch.setattr(modmat, "_chunked_product", lambda a, b, *rest: seen.append(b.shape[1]) or product(a, b, *rest))
+    rng = np.random.default_rng(r)
+    a, b = rng.integers(0, 97, (r, r)), rng.integers(0, 97, (r, r))
+    assert np.array_equal(modmat.matmul(a, b, 97), a @ b % 97)
+    assert seen == widths
+
+
 def test_matmul_is_exact_across_chunks():
     # the largest prime the dixon prime search can reach at the enumeration
     # cap: an inner dimension of 4600 is three chunks of 2**53 // (p - 1)**2

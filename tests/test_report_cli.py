@@ -291,6 +291,26 @@ def test_cli_rejects_negative_pi_bound(capsys, command):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1_0", "+1", "\u0662", " 2"])
+@pytest.mark.parametrize("command", [["verify", "--builtin"], ["invariants", "--group", "S3"]])
+def test_cli_pi_bound_takes_ascii_digits_only(capsys, command, text):
+    # int() would take every one of these
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--pi-bound", text])
+    assert exc.value.code == 2
+    assert f"--pi-bound: must be >= 0 in decimal digits, got {text!r}" in capsys.readouterr().err
+
+
+def test_transversal_budget_hit_is_an_input_error(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_text(C6_STANZA + "\ngroup C300\ndegree 300\ngen (" + ",".join(map(str, range(1, 301))) + ")\nend\n")
+    monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 300 * 300 * 8 - 1)
+    assert main(["verify", "--corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "group 'C300': group too large: the Schreier-Sims transversals on 300 points" in captured.err
+
+
 def test_report_rejects_negative_pi_bound(corpus):
     with pytest.raises(ValueError, match=">= 0"):
         run_report(corpus[:1], ReportOptions(pi_bound=-1))

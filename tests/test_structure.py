@@ -1,6 +1,8 @@
+import copy
 import functools
 import gc
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -667,3 +669,20 @@ def test_subgroup_predicates_match_reference(with_reference):
     for seed in ([1], [2, 5], [3, 7, 11], range(0, g.order, 17)):
         seed = [s for s in seed if s < g.order]
         assert as_set(subgroup_from_indices(g, seed).members) == ref.closure(seed)
+
+
+def test_subgroup_rejects_assignment_and_compares_by_members():
+    g = standard_group("symmetric", 3)
+    whole = Subgroup(g, np.arange(g.order))
+    assert whole == Subgroup(g, np.arange(g.order), np.array([1, 3], dtype=np.intp))
+    assert whole != Subgroup(standard_group("symmetric", 3), np.arange(6))  # another parent
+    assert whole != trivial_subgroup(g)
+    for attr in ("parent", "members", "generators", "order_cache"):
+        with pytest.raises(AttributeError):
+            setattr(whole, attr, None)
+    with pytest.raises(AttributeError):
+        del whole.members
+    with pytest.raises(ValueError):
+        whole.members[0] = 1
+    assert whole.generators is whole.members and not whole.generators.flags.writeable
+    assert copy.copy(whole) == whole and pickle.loads(pickle.dumps(whole)).order == g.order

@@ -1,7 +1,7 @@
 """Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
 verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
-layer's one big split on C800 and C1600, and the pure-Python group build of
-C4000 on 4000 points.
+layer's one big split on C800, C1600 and C2400, and the pure-Python group
+build of C4000 on 4000 points.
 
 Each measurement runs in a fresh interpreter, so that its peak RSS is its
 own.  The S7 rungs run two stages:
@@ -15,8 +15,11 @@ own.  The S7 rungs run two stages:
 
 C2^14 and D8^3xC2^4 run the ``verify`` stage alone.  C2^14 (r = 16384) ends
 as a skip record, refused by the degree budget after its classes are built.
+The peak RSS of one D8^3xC2^4 run reads either about 265 or about 291 MB for
+the same code, depending on heap layout, so a single run cannot show a
+change of less than about 26 MB there.
 
-C800 and C1600 run one:
+C800, C1600 and C2400 run one:
 
 * ``degree``: parse the group and build its classes and Cayley table, then
   time the degree step alone (``class_algebra`` and
@@ -81,6 +84,7 @@ RUNGS = {
     "D8^3xC2^4": ("degree 20\n" + _gens(*_D8_CUBED, *_transpositions(13, 4)), ("verify",)),
     "C800": (_cycle(800), ("degree",)),
     "C1600": (_cycle(1600), ("degree",)),
+    "C2400": (_cycle(2400), ("degree",)),
     "C4000": (_cycle(4000), ("build",)),
 }
 
