@@ -19,14 +19,18 @@ the group exponent e and l > 2*sqrt(|G|):
    idempotent e is replaced by the nonzero products e * E_lambda with the
    Lagrange idempotents E_lambda = prod over mu != lambda of (K - mu) /
    (lambda - mu).  The identity's products are read off the chain itself,
-   so a class sum with r distinct eigenvalues (a generator of a cyclic
-   group) splits the whole algebra with one elimination and one r x r x r
-   product.  When that class sum is one central element its powers are
-   single class sums, so the chain and the elimination take O(r^2), and
-   the product, exact on float64 BLAS (``modmat.matmul``), is the one
-   O(r^3) step.  A primitive idempotent e gives the central character
-   w_j = |K_j| * e_{j*} / e_0.  The split is deterministic: no random linear
-   combinations;
+   so a class sum with r distinct eigenvalues splits the whole algebra with
+   one elimination and one r x r x r product, exact on float64 BLAS
+   (``modmat.matmul``).  A class of one element z (|K| = 1, so z is
+   central) needs neither: z permutes the class sums, so the chain is the
+   orbit of the identity class, n = o(z) unit vectors; the minimal
+   polynomial is x^n - 1, whose roots are the powers of a primitive n-th
+   root of unity zeta (n divides e, which divides l - 1); and E_{zeta^s} =
+   n^-1 * sum_t zeta^(-ts) K^t is a row of the inverse DFT matrix.  So a
+   generator of a cyclic group splits the whole algebra in O(r^2), and a
+   later refinement by a central class sum multiplies by that matrix.  A
+   primitive idempotent e gives the central character w_j = |K_j| * e_{j*}
+   / e_0.  The split is deterministic: no random linear combinations;
 3. the vectors are certified on the set S of class sums the split used
    (those that split an idempotent): there are r of
    them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
@@ -62,7 +66,7 @@ import numpy as np
 
 from . import group as groups
 from . import modmat
-from .arith import is_prime
+from .arith import is_prime, primes_of
 from .group import Group, GroupTooLargeError
 
 if TYPE_CHECKING:
@@ -205,10 +209,11 @@ def _check_degree_budget(sizes: np.ndarray) -> None:
     characters), plus up to four arrays of |K_g| * r cells while the largest
     class's column is counted, plus three n x (r / PANELS) panels of a
     ``modmat.matmul`` product (a float copy of the right factor's panel, the
-    product, its int64 copy), n <= r.  tracemalloc puts the peak at 4.6 r x r arrays
-    on C2^8 and C3^5, where a block of the refinement's products is r x r,
-    and at 5.0 on C400, C800 and C1600, in the elimination; a column's count
-    at 3.0 arrays of |K_g| * r cells on S5 x S4.  The columns kept for the class
+    product, its int64 copy), n <= r.  tracemalloc puts the peak at 5.2
+    r x r arrays on C2^8 and 4.5 on C3^5, where a block of the refinement's
+    products is r x r, and at 3.0 on C400, C800, C1600 and C2400, which
+    split in closed form by one central element; a column's count at 3.0
+    arrays of |K_g| * r cells on S5 x S4.  The columns kept for the class
     sums the split visits, each of at most min(r^2, |K_g| * r) cells, are
     not counted: on every group measured it visits at most one class sum
     beyond those it uses."""
@@ -258,14 +263,13 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
 
 
 def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
-    """Central-character vectors over GF(ell) as the rows of an array, sorted,
-    and the class sums that split an idempotent, visited generators' classes
-    first, then in class order."""
+    """Central-character vectors over GF(ell) as the rows of an array, in no
+    particular order, and the class sums that split an idempotent, visited
+    generators' classes first, then in class order."""
     first = data.generator_classes
     tried = set(first)
     order = [*first, *(g for g in range(1, data.class_count) if g not in tried)]
-    vectors, used = _refine(data, ell, order)
-    return vectors[np.lexsort(vectors.T[::-1])], used
+    return _refine(data, ell, order)
 
 
 def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +280,8 @@ def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.nda
     Each power is reduced against the earlier ones, kept in reduced echelon
     form: only against the echelon rows at its nonzero pivot coordinates,
     and the new pivot column is cleared only in the rows with an entry
-    there.  Where the powers are single class sums (K one central element)
-    both sets are empty, and a power costs one sparse action and O(r).
+    there.  The split reads the chain of a class sum of one element from
+    ``_central_orbit`` instead.
     """
     echelon = np.zeros((r, r), dtype=np.int64)
     pivots = np.zeros(r, dtype=np.intp)
@@ -287,14 +291,14 @@ def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.nda
     while True:
         k = len(powers)
         coordinates = x[pivots[:k]]
-        at = np.flatnonzero(coordinates)
+        at = coordinates.nonzero()[0]
         rest = (x - coordinates[at] @ echelon[at]) % ell if len(at) else x
-        nz = np.flatnonzero(rest)
+        nz = rest.nonzero()[0]
         if len(nz) == 0:
             return np.array(powers, dtype=np.int64).reshape(-1, r), x
         c = int(nz[0])
         rest = rest * modmat.inv_mod(int(rest[c]), ell) % ell
-        hit = np.flatnonzero(echelon[:k, c])
+        hit = echelon[:k, c].nonzero()[0]
         if len(hit):
             echelon[hit] = (echelon[hit] - np.outer(echelon[hit, c], rest)) % ell
         echelon[k] = rest
@@ -333,6 +337,55 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
     return quotients * scale % ell
 
 
+def _central_orbit(data: ClassAlgebraData, g: int) -> np.ndarray:
+    """The identity chain of a class sum K = z of one central element z, as
+    the classes of 1, z, z^2, ...: z * K_j is the class sum K_pi(j), so the
+    chain is the orbit of class 0 under the permutation pi read off class
+    g's column, and its length n is the order of z."""
+    r = data.class_count
+    codes, values = data.column(g)
+    k, j = np.divmod(codes, r)
+    # the codes ascend, so one entry 1 per class k reads k = 0, 1, ..., r - 1
+    if len(codes) != r or (values != 1).any() or (k != np.arange(r)).any() or not np.bincount(j, minlength=r).all():
+        raise EigensplitError(f"class sum {g} of one element does not permute the classes")
+    pi = np.empty(r, dtype=np.intp)
+    pi[j] = k
+    pi = pi.tolist()
+    orbit, c = [0], pi[0]
+    while c:
+        orbit.append(c)
+        c = pi[c]
+    return np.array(orbit, dtype=np.intp)
+
+
+def _inverse_dft(n: int, ell: int) -> np.ndarray:
+    """L with E_lambda = sum_t L[t, lambda] K^t, the Lagrange idempotents of a
+    class sum K with minimal polynomial x^n - 1 (see ``_lagrange``).
+
+    Its roots are the powers of a primitive n-th root of unity zeta, which
+    GF(ell) has exactly when n divides ell - 1, and E_{zeta^s} = n^-1 * sum_t
+    zeta^(-ts) K^t: L is the inverse DFT matrix, one gather from the n powers
+    of zeta.
+    """
+    if (ell - 1) % n:
+        raise EigensplitError(
+            f"minimal polynomial x^{n} - 1 of a class sum has {math.gcd(n, ell - 1)} distinct roots in GF({ell})"
+        )
+    primes = primes_of(n)
+    # a^((ell - 1) / n) has order n for a primitive root a, so the search ends
+    zeta = next(
+        z
+        for z in (pow(a, (ell - 1) // n, ell) for a in range(2, ell))
+        if all(pow(z, n // q, ell) != 1 for q in primes)
+    )
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * zeta % ell)
+    scaled = np.array(powers, dtype=np.int64) * modmat.inv_mod(n, ell) % ell
+    t = np.arange(n)
+    return scaled[-t[:, None] * t % n]
+
+
 def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
     """Central characters from the primitive idempotents of the class algebra
     over GF(ell) (see ``_idempotents``), and the class sums that split one.
@@ -340,9 +393,12 @@ def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndar
     rows, used = _idempotents(data, ell, order)
     if not rows[:, 0].all():
         raise EigensplitError("idempotent vanishes at the identity class")
-    inverse = np.array([modmat.inv_mod(int(e), ell) for e in rows[:, 0]], dtype=np.int64)
+    # e_0 = chi(1)^2 / |G| takes one value per degree
+    distinct, which = np.unique(rows[:, 0], return_inverse=True)
+    inverse = np.array([modmat.inv_mod(e, ell) for e in distinct.tolist()], dtype=np.int64)[which]
     sizes = np.array(data.sizes, dtype=np.int64) % ell
-    return rows[:, list(data.star)] * sizes % ell * inverse[:, None] % ell, used
+    # take, not rows[:, star], keeps the rows C-contiguous for the certificate's row blocks
+    return rows.take(data.star, axis=1) * sizes % ell * inverse[:, None] % ell, used
 
 
 def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
@@ -354,10 +410,12 @@ def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np
     whether a class sum K acts on every row as a scalar, e * K = lambda * e;
     such a class sum splits nothing and is skipped.  Otherwise K replaces
     each row e by the nonzero rows e * E_lambda over its Lagrange
-    idempotents; while the only row is the identity, its chain e, e * K, ...
-    is K's identity chain and is not acted out again.  Afterwards
-    e * K = lambda * e, so once every class sum is used each row spans a
-    one-dimensional ideal: one pass suffices, and it stops at r rows.
+    idempotents, in closed form when K is one central element
+    (``_central_orbit``, ``_inverse_dft``); while the only row is the
+    identity, its chain e, e * K, ... is K's identity chain and is not
+    acted out again.  Afterwards e * K = lambda * e, so once every class
+    sum is used each row spans a one-dimensional ideal: one pass suffices,
+    and it stops at r rows.
     """
     r = data.class_count
     rows = np.zeros((1, r), dtype=np.int64)
@@ -370,12 +428,20 @@ def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np
         image = act(rows)
         if _all_eigenvectors(rows, image, ell):
             continue
-        powers, dependent = _identity_chain(act, r, ell)
-        n = len(powers)
-        lagrange = _lagrange(powers, dependent, ell)
-        if not used:
-            rows = modmat.matmul(lagrange.T, powers, ell)
+        if data.sizes[g] == 1:
+            orbit = _central_orbit(data, g)
+            n = len(orbit)
+            lagrange = _inverse_dft(n, ell)
+            if not used:
+                rows = np.zeros((n, r), dtype=np.int64)
+                rows[:, orbit] = lagrange.T
         else:
+            powers, dependent = _identity_chain(act, r, ell)
+            n = len(powers)
+            lagrange = _lagrange(powers, dependent, ell)
+            if not used:
+                rows = modmat.matmul(lagrange.T, powers, ell)
+        if used:
             refined = []
             for block in groups.blocks(len(rows), n * r):
                 chain = [rows[block], image[block]]

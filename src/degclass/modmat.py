@@ -1,8 +1,10 @@
 """Exact linear algebra over a prime field, on int64 numpy arrays.
 
-``chardeg`` uses ``rref``, ``matmul`` and ``poly_roots``: one elimination of
-a Krylov chain gives a class sum's minimal polynomial, a scan of the field
-its roots, and ``matmul`` every matrix product of the split.
+``chardeg`` uses ``rref``, ``matmul``, ``poly_roots`` and ``inv_mod``: one
+elimination of a Krylov chain gives the minimal polynomial of a class sum of
+several elements, a scan of the field its roots, and ``matmul`` every matrix
+product of the split but the first split by a class of one element, which
+``chardeg`` scatters in closed form.
 ``nullspace``, ``solve_right`` and ``minimal_polynomial`` (with the
 polynomial helpers it needs) have no caller in the package; they stay
 because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name,
@@ -52,7 +54,7 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if len(nz) == 0:
             continue
         piv = r + int(nz[0])
@@ -62,7 +64,7 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         a[r, c:] = a[r, c:] * inv_mod(int(a[r, c]), p) % p
         col = a[:, c].copy()
         col[r] = 0
-        rest = np.flatnonzero(col)
+        rest = col.nonzero()[0]
         if len(rest):
             a[rest, c:] = (a[rest, c:] - np.outer(col[rest], a[r, c:])) % p
         pivots.append(c)

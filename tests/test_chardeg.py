@@ -21,7 +21,8 @@ from degclass.chardeg import (
     least_admissible_prime,
 )
 from degclass.families import standard_group
-from degclass.group import direct_product
+from degclass.group import build_group, direct_product
+from degclass.perm import parse_cycles
 from degclass.structure import conjugacy_classes, derived_subgroup
 
 
@@ -270,43 +271,52 @@ def _split_groups():
 @pytest.mark.parametrize("g", _split_groups())
 def test_generator_and_refinement_paths_agree(g):
     # the split does not depend on the order of the class sums: generators'
-    # classes first and plain class order give the same sorted vectors, and
-    # the degree frequency is a function of them
+    # classes first and plain class order give the same vectors as a set of
+    # rows (neither path sorts them), and the degree frequency is a function
+    # of that set
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     primes = admissible_primes(g.order, data.exponent)
     frequencies = []
     for ell in (next(primes), next(primes)):
         vectors, _ = chardeg._simultaneous_eigenvectors(data, ell)
-        refined = sorted(chardeg._refine(data, ell, list(range(len(cs))))[0], key=lambda v: v.tolist())
-        assert [v.tolist() for v in vectors] == [v.tolist() for v in refined], ell
+        refined, _ = chardeg._refine(data, ell, list(range(len(cs))))
+        assert sorted(vectors.tolist()) == sorted(refined.tolist()), ell
         frequencies.append(degrees_from_class_algebra(g, cs, data, dixon_prime=ell))
     assert frequencies[0] == frequencies[1]
 
 
-def _lagrange_degrees(monkeypatch):
-    degrees = []
-    original = chardeg._lagrange
+def _eigenvalue_counts(monkeypatch):
+    """The number of eigenvalues of each class sum the split uses: by the
+    general path (``_lagrange``) and in closed form (``_inverse_dft``)."""
+    counts = {"_lagrange": [], "_inverse_dft": []}
+    lagrange, inverse_dft = chardeg._lagrange, chardeg._inverse_dft
 
-    def spy(powers, dependent, ell):
-        degrees.append(len(powers))
-        return original(powers, dependent, ell)
+    def spy_lagrange(powers, dependent, ell):
+        counts["_lagrange"].append(len(powers))
+        return lagrange(powers, dependent, ell)
 
-    monkeypatch.setattr(chardeg, "_lagrange", spy)
-    return degrees
+    def spy_inverse_dft(n, ell):
+        counts["_inverse_dft"].append(n)
+        return inverse_dft(n, ell)
+
+    monkeypatch.setattr(chardeg, "_lagrange", spy_lagrange)
+    monkeypatch.setattr(chardeg, "_inverse_dft", spy_inverse_dft)
+    return counts
 
 
 def test_cyclic_group_splits_from_one_generator(monkeypatch):
-    degrees = _lagrange_degrees(monkeypatch)
+    # the generator is one central element of order 96: one closed-form split
+    counts = _eigenvalue_counts(monkeypatch)
     assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
-    assert degrees == [96]
+    assert counts == {"_lagrange": [], "_inverse_dft": [96]}
 
 
 def test_elementary_abelian_group_splits_by_seven_class_sums(monkeypatch):
     # every class sum of C2^7 has at most 2 eigenvalues, so none generates
-    degrees = _lagrange_degrees(monkeypatch)
+    counts = _eigenvalue_counts(monkeypatch)
     assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
-    assert degrees == [2] * 7
+    assert counts == {"_lagrange": [], "_inverse_dft": [2] * 7}
 
 
 def test_c200_splits_within_seconds():
@@ -488,9 +498,13 @@ def _call_counter(monkeypatch, *names):
 
 
 def test_c2_7_refines_by_its_seven_generator_classes_only(monkeypatch):
-    calls = _call_counter(monkeypatch, "_identity_chain", "_lagrange")
-    assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
-    assert calls == {"_identity_chain": 7, "_lagrange": 7}
+    g = _elementary_abelian(2, 7)
+    data = class_algebra(g, conjugacy_classes(g))
+    _, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
+    assert used == list(data.generator_classes) and len(used) == 7
+    calls = _call_counter(monkeypatch, "_central_orbit", "_inverse_dft", "_identity_chain", "_lagrange")
+    assert character_degrees(g).as_dict() == {1: 128}
+    assert calls == {"_central_orbit": 7, "_inverse_dft": 7, "_identity_chain": 0, "_lagrange": 0}
 
 
 def test_c2_9_skips_the_class_sums_that_split_nothing(monkeypatch):
@@ -498,23 +512,24 @@ def test_c2_9_skips_the_class_sums_that_split_nothing(monkeypatch):
     # sum before it is a product of earlier ones and acts on each row as a scalar
     g = _elementary_abelian(2, 9)
     data = class_algebra(g, conjugacy_classes(g))
-    calls = _call_counter(monkeypatch, "_lagrange")
+    calls = _call_counter(monkeypatch, "_inverse_dft", "_lagrange")
     _, used = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
-    assert calls["_lagrange"] == len(used) <= 9
+    assert calls["_inverse_dft"] == len(used) <= 9 and calls["_lagrange"] == 0
     assert character_degrees(g).as_dict() == {1: 512}
-    assert calls["_lagrange"] <= 18
+    assert calls["_inverse_dft"] <= 18 and calls["_lagrange"] == 0
 
 
 def test_c96_runs_one_identity_chain(monkeypatch):
-    calls = _call_counter(monkeypatch, "_identity_chain")
+    # the chain of the generator's class sum is the orbit of class 0, walked once
+    calls = _call_counter(monkeypatch, "_central_orbit", "_identity_chain")
     assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
-    assert calls["_identity_chain"] == 1
+    assert calls == {"_central_orbit": 1, "_identity_chain": 0}
 
 
 def test_c96_degree_step_clears_no_column(monkeypatch):
-    # each power of C96's generator class sum is one class sum, so the chain
-    # meets no echelon row and updates none, and the elimination of its
-    # permutation matrix has nothing to clear below or above a pivot
+    # C96's generator is one central element, so its chain is the orbit of
+    # class 0 and its Lagrange matrix the inverse DFT: nothing is reduced or
+    # eliminated, and no column is cleared
     g = standard_group("cyclic", 96)
     cs = conjugacy_classes(g)
     monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("the degree step called np.outer"))
@@ -522,12 +537,81 @@ def test_c96_degree_step_clears_no_column(monkeypatch):
 
 
 def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
-    # the first split and each of the six refinements after it
+    # the first split scatters the inverse DFT matrix; each of the six
+    # refinements after it is one product by the 2 x 2 Lagrange matrix
     calls, matmul = [], modmat.matmul
     monkeypatch.setattr(modmat, "matmul", lambda a, b, p: calls.append(len(a)) or matmul(a, b, p))
     monkeypatch.setattr(np, "tensordot", lambda *args, **kwargs: pytest.fail("the refinement called np.tensordot"))
     assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
-    assert len(calls) >= 7 and set(calls) == {2}
+    assert calls == [2] * 6
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(standard_group("cyclic", 12), id="C12"),
+        pytest.param(standard_group("quaternion", 8), id="Q8"),
+        pytest.param(direct_product(standard_group("quaternion", 8), standard_group("cyclic", 3)), id="Q8xC3"),
+        pytest.param(direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9)), id="D8xC9"),
+        # GL(2,3) on the 8 nonzero vectors of F_3^2, as in the benchmark's corpus
+        pytest.param(
+            build_group(8, [parse_cycles(c, 8) for c in ("(1,4,7)(2,8,5)", "(1,6,2,3)(4,7,8,5)", "(3,6)(4,7)(5,8)")]),
+            id="GL(2,3)",
+        ),
+        pytest.param(_elementary_abelian(2, 7), id="C2^7"),
+    ],
+)
+def test_closed_form_split_matches_the_general_path(g):
+    # for every central class sum K = z: the orbit of class 0 is the chain
+    # 1, K, K^2, ... of unit vectors that _identity_chain finds, with z^n = 1
+    # next, and the inverse DFT matrix holds the Lagrange idempotents over
+    # it, as a set of columns
+    data = class_algebra(g, conjugacy_classes(g))
+    r = data.class_count
+    central = [c for c in range(1, r) if data.sizes[c] == 1]
+    assert central
+    unit = np.eye(r, dtype=np.int64)
+    primes = admissible_primes(g.order, data.exponent)
+    for ell in (next(primes), next(primes)):
+        for c in central:
+            powers, dependent = chardeg._identity_chain(data.action(c, ell), r, ell)
+            orbit = chardeg._central_orbit(data, c)
+            assert np.array_equal(powers, unit[orbit]) and np.array_equal(dependent, unit[0])
+            general = chardeg._lagrange(powers, dependent, ell)
+            closed = chardeg._inverse_dft(len(orbit), ell)
+            assert sorted(closed.T.tolist()) == sorted(general.T.tolist()), (ell, c)
+
+
+def test_a_class_sum_of_several_elements_takes_the_general_path(monkeypatch):
+    # S3's centre is trivial: its transpositions' class sum splits by _lagrange
+    g = standard_group("symmetric", 3)
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    t = cs.sizes.tolist().index(3)
+    for name in ("_central_orbit", "_inverse_dft"):
+        monkeypatch.setattr(chardeg, name, lambda *args: pytest.fail("a class of 3 elements took the closed form"))
+    calls = _call_counter(monkeypatch, "_lagrange")
+    _, used = chardeg._refine(data, data.dixon_prime, [t, *(c for c in range(1, 3) if c != t)])
+    assert used[0] == t and calls["_lagrange"] == len(used)
+
+
+def test_a_class_of_one_element_that_does_not_permute_the_classes_is_rejected():
+    # a[1][1][0] = 1 makes class 1 one element, but its column also holds
+    # a[1][1][1] = 1, so multiplying by K_1 permutes no class sums, and a walk
+    # of the orbit of class 0 would never come back to it
+    fake = oracles.class_algebra_data(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}, 5)
+    assert fake.sizes == (1, 1)
+    with pytest.raises(EigensplitError, match="class sum 1 of one element does not permute the classes"):
+        chardeg._refine(fake, 5, [1])
+
+
+def test_roots_of_unity_missing_from_the_field_are_rejected():
+    # the generator of C12 has minimal polynomial x^12 - 1, which has only
+    # gcd(12, 6) = 6 roots in GF(7)
+    g = standard_group("cyclic", 12)
+    data = class_algebra(g, conjugacy_classes(g))
+    with pytest.raises(EigensplitError, match=r"x\^12 - 1 of a class sum has 6 distinct roots in GF\(7\)"):
+        chardeg._simultaneous_eigenvectors(data, 7)
 
 
 def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
@@ -580,8 +664,8 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
 def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
     # six r x r int64 arrays and four of the largest class's gather: on C2^8
     # and C3^5 the r x r arrays dominate, on S5 x S4 the gather of a class of
-    # 240; C400 splits at once with n = r, so its first product is r x r x r
-    # and an unblocked float copy of it would pass six r x r arrays
+    # 240; C400 splits at once by one central element of order r, its r x r
+    # inverse DFT matrix scattered onto the idempotent rows
     g = build()
     cs = conjugacy_classes(g)
     g.table, g.inverses, g.element_orders  # built before the trace starts
