@@ -53,6 +53,11 @@ the group exponent e and l > 2*sqrt(|G|):
 Both congruence constraints on l force l coprime to |G| (every prime of |G|
 divides e), which is what makes the class algebra split.  Only the degrees
 are kept; the character values are internal scaffolding and are discarded.
+
+The degree step reads one ``ClassAlgebraData``: the columns, the class sizes
+(which sum to |G|), the inverse classes, the generators' classes that set
+the visiting order, and l, the least admissible prime.  A different prime or
+visiting order is a different ``ClassAlgebraData`` (``dataclasses.replace``).
 """
 
 from __future__ import annotations
@@ -72,8 +77,14 @@ from .group import Group, GroupTooLargeError
 if TYPE_CHECKING:
     from .structure import ConjugacyClassSet
 
-#: primes are searched up to this multiple of the group order; at desk scale
-#: the least admissible prime appears far earlier, but the failure path is real
+#: primes are searched up to this multiple of the group order.  For every
+#: order n <= ENUMERATION_CAP some k <= 84 makes k * n + 1 an admissible prime
+#: (the test suite sieves this), and the exponent divides n, so the search
+#: never fails on a group that can be enumerated.  Every Dixon prime is thus
+#: at most PRIME_SEARCH_FACTOR * ENUMERATION_CAP = 2 * 10**6: that keeps the
+#: int64 sums of the chain, the sparse action and the certificate (at most r
+#: terms below ell^2) and the root scan (ell cells) safe, and
+#: ``modmat.matmul`` is exact for any ell below 2^26.5
 PRIME_SEARCH_FACTOR = 100
 
 
@@ -114,9 +125,9 @@ class DegreeFrequency:
 @dataclass(frozen=True)
 class ClassAlgebraData:
     """Class multiplication coefficients, counted one class at a time when
-    first read, plus the data needed to split them."""
+    first read, plus the data needed to split them: the one input of the
+    degree step."""
 
-    class_count: int
     #: class g -> its nonzero a[g][j][k] as codes k * r + j in ascending order,
     #: and their values: (M_g)[j][k] column by column
     source: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -129,6 +140,15 @@ class ClassAlgebraData:
     #: and the identity class left out: the split tries these class sums first
     generator_classes: tuple[int, ...] = ()
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def order(self) -> int:
+        """|G|, the sum of the class sizes."""
+        return sum(self.sizes)
 
     def column(self, g: int) -> tuple[np.ndarray, np.ndarray]:
         """Class g's codes and values from ``source``, computed on the first read."""
@@ -200,11 +220,11 @@ def least_admissible_prime(order: int, exponent: int) -> int:
 
 
 def _check_degree_budget(sizes: np.ndarray) -> None:
-    """Raise GroupTooLargeError when the degree layer would outgrow the table
-    budget: the r x (r + 1) int64 elimination of a class sum's Krylov chain
-    in ``_lagrange``, or the int64 arrays held at once.  Those are up to six
-    r x r arrays while the split, its certificate and the degree readout run
-    (the Krylov powers and their echelon form or elimination, the Lagrange
+    """Raise GroupTooLargeError when the int64 arrays the degree layer holds
+    at once would outgrow the table budget.  Those are up to six r x r
+    arrays while the split, its certificate and the degree readout run (the
+    Krylov powers and their echelon form or the r x (r + 1) elimination of
+    ``_lagrange``, the Lagrange
     coefficients, the idempotent rows and their image, the central
     characters), plus up to four arrays of |K_g| * r cells while the largest
     class's column is counted, plus three n x (r / PANELS) panels of a
@@ -218,16 +238,12 @@ def _check_degree_budget(sizes: np.ndarray) -> None:
     not counted: on every group measured it visits at most one class sum
     beyond those it uses."""
     r = len(sizes)
-    for what, cells in (
-        ("elimination block", r * (r + 1)),
-        ("class algebra arrays", 6 * r * r + 4 * int(np.max(sizes)) * r + 3 * r * -(-r // modmat.PANELS)),
-    ):
-        size = 8 * cells
-        if size > groups.TABLE_MAX_BYTES:
-            raise GroupTooLargeError(
-                f"group too large: the {what} of {r} classes needs {size} bytes, "
-                f"above the table budget of {groups.TABLE_MAX_BYTES}"
-            )
+    size = 8 * (6 * r * r + 4 * int(np.max(sizes)) * r + 3 * r * -(-r // modmat.PANELS))
+    if size > groups.TABLE_MAX_BYTES:
+        raise GroupTooLargeError(
+            f"group too large: the class algebra arrays of {r} classes needs {size} bytes, "
+            f"above the table budget of {groups.TABLE_MAX_BYTES}"
+        )
 
 
 def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraData:
@@ -252,7 +268,6 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
     return ClassAlgebraData(
-        r,
         column,
         tuple(sizes.tolist()),
         classes.inverse_pairing,
@@ -264,12 +279,18 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
 
 def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
     """Central-character vectors over GF(ell) as the rows of an array, in no
-    particular order, and the class sums that split an idempotent, visited
-    generators' classes first, then in class order."""
-    first = data.generator_classes
-    tried = set(first)
-    order = [*first, *(g for g in range(1, data.class_count) if g not in tried)]
-    return _refine(data, ell, order)
+    particular order, from the primitive idempotents of the class algebra
+    (see ``_idempotents``), and the class sums that split one.  A primitive
+    idempotent e gives w_j = |K_j| * e_{j*} / e_0."""
+    rows, used = _idempotents(data, ell)
+    if not rows[:, 0].all():
+        raise EigensplitError("idempotent vanishes at the identity class")
+    # e_0 = chi(1)^2 / |G| takes one value per degree
+    distinct, which = np.unique(rows[:, 0], return_inverse=True)
+    inverse = np.array([modmat.inv_mod(e, ell) for e in distinct.tolist()], dtype=np.int64)[which]
+    sizes = np.array(data.sizes, dtype=np.int64) % ell
+    # take, not rows[:, star], keeps the rows C-contiguous for the certificate's row blocks
+    return rows.take(data.star, axis=1) * sizes % ell * inverse[:, None] % ell, used
 
 
 def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,24 +407,10 @@ def _inverse_dft(n: int, ell: int) -> np.ndarray:
     return scaled[-t[:, None] * t % n]
 
 
-def _refine(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
-    """Central characters from the primitive idempotents of the class algebra
-    over GF(ell) (see ``_idempotents``), and the class sums that split one.
-    A primitive idempotent e gives w_j = |K_j| * e_{j*} / e_0."""
-    rows, used = _idempotents(data, ell, order)
-    if not rows[:, 0].all():
-        raise EigensplitError("idempotent vanishes at the identity class")
-    # e_0 = chi(1)^2 / |G| takes one value per degree
-    distinct, which = np.unique(rows[:, 0], return_inverse=True)
-    inverse = np.array([modmat.inv_mod(e, ell) for e in distinct.tolist()], dtype=np.int64)[which]
-    sizes = np.array(data.sizes, dtype=np.int64) % ell
-    # take, not rows[:, star], keeps the rows C-contiguous for the certificate's row blocks
-    return rows.take(data.star, axis=1) * sizes % ell * inverse[:, None] % ell, used
-
-
-def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np.ndarray, list[int]]:
-    """The primitive idempotents of the class algebra over GF(ell), refined by
-    the class sums in ``order``, and the class sums that split one.
+def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
+    """The primitive idempotents of the class algebra over GF(ell), and the
+    class sums that split one, visited generators' classes first, then in
+    class order.
 
     ``rows`` holds orthogonal idempotents summing to 1, as coordinate rows
     over the class sums, starting from the identity.  One action tells
@@ -417,11 +424,12 @@ def _idempotents(data: ClassAlgebraData, ell: int, order: list[int]) -> tuple[np
     sum is used each row spans a one-dimensional ideal: one pass suffices,
     and it stops at r rows.
     """
-    r = data.class_count
+    r, first = data.class_count, data.generator_classes
+    tried = set(first)
     rows = np.zeros((1, r), dtype=np.int64)
     rows[0, 0] = 1
     used = []
-    for g in order:
+    for g in [*first, *(g for g in range(1, r) if g not in tried)]:
         if len(rows) >= r:
             break
         act = data.action(g, ell)
@@ -467,14 +475,7 @@ def _all_eigenvectors(rows: np.ndarray, image: np.ndarray, ell: int) -> bool:
     return not (cross % ell).any()
 
 
-def _certify(
-    data: ClassAlgebraData,
-    vectors: np.ndarray,
-    used: list[int],
-    sizes: np.ndarray,
-    star: tuple[int, ...],
-    ell: int,
-) -> None:
+def _certify(data: ClassAlgebraData, vectors: np.ndarray, used: list[int], ell: int) -> None:
     """Raise unless ``vectors`` are the r central characters of the class
     algebra, checked on the class sums ``used`` (see step 3 above).
 
@@ -485,7 +486,7 @@ def _certify(
     sum_k a[g][j][k] * w_k = w_g * w_j, at r * nnz_g cells.  (c) No two
     vectors agree on every class in ``used``.
     """
-    r = data.class_count
+    r, sizes, star = data.class_count, data.sizes, data.star
     if vectors.shape != (r, r):
         raise EigensplitError(f"found {len(vectors)} vectors, expected {r}")
     if not (vectors[:, 0] == 1).all():
@@ -517,15 +518,14 @@ def _certify(
         raise EigensplitError("two split vectors agree on every class sum used")
 
 
-def _degree_frequency(
-    vectors: np.ndarray, sizes: np.ndarray, star: tuple[int, ...], order: int, ell: int
-) -> DegreeFrequency:
+def _degree_frequency(data: ClassAlgebraData, vectors: np.ndarray, ell: int) -> DegreeFrequency:
     """The degrees of the central characters ``vectors`` (step 4 above): row
-    t's degree is the one d <= isqrt(order) with d^2 * T_t = order mod ell."""
-    distinct, which = np.unique(sizes, return_inverse=True)
+    t's degree is the one d <= isqrt(|G|) with d^2 * T_t = |G| mod ell."""
+    order = data.order
+    distinct, which = np.unique(data.sizes, return_inverse=True)
     inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=np.int64)[which]
     # each product is below ell^2, and each row sums r terms below ell
-    t = (vectors * vectors[:, list(star)] % ell * inverse_sizes % ell).sum(axis=1) % ell
+    t = (vectors * vectors[:, list(data.star)] % ell * inverse_sizes % ell).sum(axis=1) % ell
     d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
     # d^2 <= order and t < ell, so the product stays far below 2^63
     match = d * d * t[:, None] % ell == order % ell
@@ -537,34 +537,19 @@ def _degree_frequency(
     return DegreeFrequency(tuple(zip(degrees.tolist(), counts.tolist())))
 
 
-def degrees_from_class_algebra(
-    group: Group,
-    classes: "ConjugacyClassSet",
-    data: ClassAlgebraData,
-    dixon_prime: int | None = None,
-) -> DegreeFrequency:
-    """Run the eigensplit for one modulus and aggregate the recovered degrees."""
-    ell = data.dixon_prime if dixon_prime is None else dixon_prime
-    if dixon_prime is not None:
-        # the int64 sums of the chain, the sparse action and the certificate
-        # have at most r terms below ell^2, and the root scan allocates ell
-        # cells; the bound ell <= PRIME_SEARCH_FACTOR * ENUMERATION_CAP
-        # = 2 * 10**6 keeps both safe (modmat.matmul is exact for any ell
-        # below 2^26.5)
-        if ell > PRIME_SEARCH_FACTOR * group.order:
-            raise ValueError(
-                f"dixon prime {ell} is above the search bound {PRIME_SEARCH_FACTOR} * {group.order}"
-            )
-        if not is_prime(ell) or ell % data.exponent != (1 % data.exponent) or ell * ell <= 4 * group.order:
-            raise ValueError(f"{ell} is not an admissible dixon prime for this group")
+def degrees_from_class_algebra(data: ClassAlgebraData) -> DegreeFrequency:
+    """Run the eigensplit modulo ``data.dixon_prime`` and aggregate the
+    recovered degrees."""
+    ell = data.dixon_prime
     vectors, used = _simultaneous_eigenvectors(data, ell)
-    _certify(data, vectors, used, classes.sizes, classes.inverse_pairing, ell)
-    freq = _degree_frequency(vectors, classes.sizes, classes.inverse_pairing, group.order, ell)
-    _check_consistency(freq, group.order, len(classes))
+    _certify(data, vectors, used, ell)
+    freq = _degree_frequency(data, vectors, ell)
+    _check_consistency(data, freq)
     return freq
 
 
-def _check_consistency(freq: DegreeFrequency, order: int, class_count: int) -> None:
+def _check_consistency(data: ClassAlgebraData, freq: DegreeFrequency) -> None:
+    order, class_count = data.order, data.class_count
     if freq.sum_of_squares() != order:
         raise EigensplitError(
             f"degree squares sum to {freq.sum_of_squares()}, group order is {order}"
@@ -578,15 +563,10 @@ def _check_consistency(freq: DegreeFrequency, order: int, class_count: int) -> N
             raise EigensplitError(f"degree {d} does not divide the group order {order}")
 
 
-def character_degrees(group: Group, dixon_prime: int | None = None) -> DegreeFrequency:
-    """The character degree frequency of the group.
-
-    ``dixon_prime`` overrides the least admissible modulus; any admissible
-    choice yields the identical frequency, which the tests exploit as a
-    cross-check.
-    """
+def character_degrees(group: Group) -> DegreeFrequency:
+    """The character degree frequency of the group, split modulo the least
+    admissible prime; any admissible prime yields the identical frequency,
+    which the tests check on a ``dataclasses.replace`` of the data."""
     from .structure import conjugacy_classes
 
-    classes = conjugacy_classes(group)
-    data = class_algebra(group, classes)
-    return degrees_from_class_algebra(group, classes, data, dixon_prime)
+    return degrees_from_class_algebra(class_algebra(group, conjugacy_classes(group)))

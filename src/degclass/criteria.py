@@ -123,8 +123,7 @@ class GroupData:
 
     @cached_property
     def degree_frequency(self) -> DegreeFrequency:
-        algebra = chardeg.class_algebra(self.group, self.classes)
-        return chardeg.degrees_from_class_algebra(self.group, self.classes, algebra)
+        return chardeg.degrees_from_class_algebra(chardeg.class_algebra(self.group, self.classes))
 
     @cached_property
     def size_frequency(self) -> ClassSizeFrequency:

@@ -8,6 +8,7 @@ the full corpus).
 import itertools
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -175,7 +176,7 @@ def test_criterion_6_dixon_self_consistency(corpus, group_data):
             primes = admissible_primes(g.order, algebra.exponent)
             next(primes)
             second = next(primes)
-            assert degrees_from_class_algebra(g, data.classes, algebra, second) == freq, rec.name
+            assert degrees_from_class_algebra(replace(algebra, dixon_prime=second)) == freq, rec.name
 
 
 GOLDEN = {

@@ -1,6 +1,8 @@
 import gc
+import math
 import re
 import tracemalloc
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -92,6 +94,26 @@ def test_prime_search_examples():
     assert least_admissible_prime(60, 30) == 31
 
 
+def test_least_admissible_prime_is_far_below_the_search_bound():
+    # for every order n up to the cap, some k <= 84 makes k * n + 1 an
+    # admissible prime, and k * n + 1 = 1 (mod e) for every exponent e | n:
+    # the search never fails on an enumerable group (worst at n = 5207)
+    bound = chardeg.PRIME_SEARCH_FACTOR * groups.ENUMERATION_CAP
+    prime = np.ones(bound + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    worst = (0, 0)
+    for n in range(1, groups.ENUMERATION_CAP + 1):
+        k = 1
+        while not (prime[k * n + 1] and (k * n + 1) ** 2 > 4 * n):
+            k += 1
+        worst = max(worst, (k, -n))
+    assert worst == (84, -5207) and worst[0] < chardeg.PRIME_SEARCH_FACTOR
+    assert least_admissible_prime(5207, 5207) == 84 * 5207 + 1
+
+
 def test_prime_search_bound_failure_is_explicit(monkeypatch):
     monkeypatch.setattr(chardeg, "PRIME_SEARCH_FACTOR", 1)
     with pytest.raises(DixonPrimeSearchError, match="below"):
@@ -162,24 +184,9 @@ def test_next_admissible_prime_gives_identical_frequency(corpus):
         first = next(primes)
         second = next(primes)
         assert first == data.dixon_prime
-        base = degrees_from_class_algebra(g, cs, data)
-        again = degrees_from_class_algebra(g, cs, data, dixon_prime=second)
+        base = degrees_from_class_algebra(data)
+        again = degrees_from_class_algebra(replace(data, dixon_prime=second))
         assert base == again
-
-
-def test_prime_override_above_search_bound_rejected():
-    # 1000003 is prime and = 1 (mod 6): only the bound 100 * |S3| rejects it
-    g = standard_group("symmetric", 3)
-    with pytest.raises(ValueError, match="above the search bound"):
-        character_degrees(g, dixon_prime=1000003)
-
-
-def test_inadmissible_prime_override_rejected():
-    g = standard_group("symmetric", 3)
-    with pytest.raises(ValueError, match="admissible"):
-        character_degrees(g, dixon_prime=11)  # 11 != 1 (mod 6)
-    with pytest.raises(ValueError, match="admissible"):
-        character_degrees(g, dixon_prime=49)  # not prime
 
 
 def test_direct_product_frequency_multiplies():
@@ -217,12 +224,28 @@ def test_product_frequency_is_convolution_of_factors(left, right):
 # S3's classes: the identity, the three transpositions, the two 3-cycles; each
 # is its own inverse.  At ell = 7, d^2 * T = 6 holds for d = 1 at T = 6 and for
 # d = 2 at T = 5.
-S3_SIZES, S3_STAR = [1, 3, 2], (0, 1, 2)
+# a[i][j][k]: K_1^2 = 3 K_0 + 3 K_2, K_1 K_2 = 2 K_1, K_2^2 = 2 K_0 + K_2
+S3_COEFFICIENTS = {
+    (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
+    (1, 0, 1): 1, (1, 1, 0): 3, (1, 1, 2): 3, (1, 2, 1): 2,
+    (2, 0, 2): 1, (2, 1, 1): 2, (2, 2, 0): 2, (2, 2, 2): 1,
+}  # fmt: skip
+
+
+def s3_algebra():
+    return oracles.class_algebra_data(3, S3_COEFFICIENTS, 7, exponent=6)
+
+
+def test_hand_built_s3_algebra_gives_s3_degrees():
+    # no group and no class set: the degree step reads only the algebra
+    data = s3_algebra()
+    assert (data.sizes, data.star, data.order, data.class_count) == ((1, 3, 2), (0, 1, 2), 6, 3)
+    assert degrees_from_class_algebra(data).as_dict() == {1: 2, 2: 1}
 
 
 def test_degree_readout_matches_each_vector_to_one_square():
     vectors = np.array([[1, 3, 2], [1, 4, 2], [1, 0, 6]])  # trivial, sign, degree 2
-    freq = chardeg._degree_frequency(vectors, S3_SIZES, S3_STAR, 6, 7)
+    freq = chardeg._degree_frequency(s3_algebra(), vectors, 7)
     assert freq == DegreeFrequency(((1, 2), (2, 1)))
 
 
@@ -233,10 +256,10 @@ def test_degree_readout_matches_each_vector_to_one_square():
 )
 def test_degree_readout_rejects_a_vector_without_exactly_one_degree(vector, total):
     vectors = np.array([[1, 3, 2], vector])
-    inverse_sizes = [pow(n, -1, 7) for n in S3_SIZES]
+    inverse_sizes = [pow(n, -1, 7) for n in s3_algebra().sizes]
     assert sum(w * w * inv for w, inv in zip(vector, inverse_sizes)) % 7 == total
     with pytest.raises(EigensplitError, match="no single degree d <= 2"):
-        chardeg._degree_frequency(vectors, S3_SIZES, S3_STAR, 6, 7)
+        chardeg._degree_frequency(s3_algebra(), vectors, 7)
 
 
 def test_eigensplit_stall_aborts_loudly():
@@ -280,9 +303,9 @@ def test_generator_and_refinement_paths_agree(g):
     frequencies = []
     for ell in (next(primes), next(primes)):
         vectors, _ = chardeg._simultaneous_eigenvectors(data, ell)
-        refined, _ = chardeg._refine(data, ell, list(range(len(cs))))
+        refined, _ = chardeg._simultaneous_eigenvectors(replace(data, generator_classes=tuple(range(len(cs)))), ell)
         assert sorted(vectors.tolist()) == sorted(refined.tolist()), ell
-        frequencies.append(degrees_from_class_algebra(g, cs, data, dixon_prime=ell))
+        frequencies.append(degrees_from_class_algebra(replace(data, dixon_prime=ell)))
     assert frequencies[0] == frequencies[1]
 
 
@@ -339,7 +362,7 @@ def test_refinement_with_more_classes_than_the_prime():
     data = class_algebra(g, cs)
     assert len(cs) == 40 > data.dixon_prime == 17
     primes = admissible_primes(g.order, data.exponent)
-    first, second = (degrees_from_class_algebra(g, cs, data, dixon_prime=next(primes)) for _ in range(2))
+    first, second = (degrees_from_class_algebra(replace(data, dixon_prime=next(primes))) for _ in range(2))
     assert first.as_dict() == {1: 32, 2: 8}
     assert first == second
 
@@ -352,7 +375,7 @@ def test_class_sum_whose_minimal_polynomial_does_not_split_is_rejected(square):
         coefficients[(1, 1, 0)] = square
     fake = oracles.class_algebra_data(2, coefficients, 5)
     with pytest.raises(EigensplitError, match="distinct roots"):
-        chardeg._refine(fake, 5, [1, 0])
+        chardeg._simultaneous_eigenvectors(replace(fake, generator_classes=(1, 0)), 5)
 
 
 def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
@@ -366,7 +389,9 @@ def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
     monkeypatch.setattr(ClassAlgebraData, "matrix", spy("matrix"))
     for name in ("nullspace", "solve_right", "minimal_polynomial"):
         monkeypatch.setattr(modmat, name, spy(name))
-    vectors, _ = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
+    vectors, _ = chardeg._simultaneous_eigenvectors(
+        replace(data, generator_classes=tuple(range(data.class_count))), data.dixon_prime
+    )
     oracles.Reference.check_central_characters(data.coefficients, data.class_count, vectors, data.dixon_prime)
     assert character_degrees(g).as_dict() == {1: 128}
     assert called == []
@@ -384,7 +409,7 @@ def test_non_central_vector_is_rejected():
     with pytest.raises(EigensplitError, match="not a central character"):
         oracles.Reference.check_central_characters(data.coefficients, 3, broken, ell)
     with pytest.raises(EigensplitError, match="not a central character"):
-        chardeg._certify(data, broken, used, cs.sizes, cs.inverse_pairing, ell)
+        chardeg._certify(data, broken, used, ell)
 
 
 def _certificate_groups():
@@ -405,7 +430,7 @@ def test_certified_vectors_pass_the_all_pairs_check(g):
     data = class_algebra(g, cs)
     ell = data.dixon_prime
     vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    chardeg._certify(data, vectors, used, cs.sizes, cs.inverse_pairing, ell)
+    chardeg._certify(data, vectors, used, ell)
     oracles.Reference.check_central_characters(data.coefficients, len(cs), vectors, ell)
 
 
@@ -428,22 +453,18 @@ def _certified_s4():
 )
 def test_certificate_rejects_corrupted_vectors(corrupt, message):
     data, vectors, used, cs = _certified_s4()
-    chardeg._certify(data, vectors, used, cs.sizes, cs.inverse_pairing, data.dixon_prime)
+    chardeg._certify(data, vectors, used, data.dixon_prime)
     with pytest.raises(EigensplitError, match=message):
-        chardeg._certify(data, corrupt(vectors), used, cs.sizes, cs.inverse_pairing, data.dixon_prime)
+        chardeg._certify(data, corrupt(vectors), used, data.dixon_prime)
 
 
 def _certify_corrupted_s4(corrupt):
-    # corrupts the column of a class sum the split used, which the certificate reads
+    # corrupts the column of a class sum the split used, which the certificate
+    # reads; the class sizes and inverse classes stay those of S4
     data, vectors, used, cs = _certified_s4()
-    broken = oracles.class_algebra_data(
-        data.class_count,
-        corrupt(dict(data.coefficients), used[0], cs),
-        data.dixon_prime,
-        data.exponent,
-        data.generator_classes,
-    )
-    chardeg._certify(broken, vectors, used, cs.sizes, cs.inverse_pairing, data.dixon_prime)
+    coefficients = corrupt(dict(data.coefficients), used[0], cs)
+    corrupted = oracles.class_algebra_data(data.class_count, coefficients, data.dixon_prime)
+    chardeg._certify(replace(data, source=corrupted.source), vectors, used, data.dixon_prime)
 
 
 def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
@@ -513,7 +534,9 @@ def test_c2_9_skips_the_class_sums_that_split_nothing(monkeypatch):
     g = _elementary_abelian(2, 9)
     data = class_algebra(g, conjugacy_classes(g))
     calls = _call_counter(monkeypatch, "_inverse_dft", "_lagrange")
-    _, used = chardeg._refine(data, data.dixon_prime, list(range(data.class_count)))
+    _, used = chardeg._simultaneous_eigenvectors(
+        replace(data, generator_classes=tuple(range(data.class_count))), data.dixon_prime
+    )
     assert calls["_inverse_dft"] == len(used) <= 9 and calls["_lagrange"] == 0
     assert character_degrees(g).as_dict() == {1: 512}
     assert calls["_inverse_dft"] <= 18 and calls["_lagrange"] == 0
@@ -533,7 +556,7 @@ def test_c96_degree_step_clears_no_column(monkeypatch):
     g = standard_group("cyclic", 96)
     cs = conjugacy_classes(g)
     monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("the degree step called np.outer"))
-    assert degrees_from_class_algebra(g, cs, class_algebra(g, cs)).as_dict() == {1: 96}
+    assert degrees_from_class_algebra(class_algebra(g, cs)).as_dict() == {1: 96}
 
 
 def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
@@ -591,7 +614,8 @@ def test_a_class_sum_of_several_elements_takes_the_general_path(monkeypatch):
     for name in ("_central_orbit", "_inverse_dft"):
         monkeypatch.setattr(chardeg, name, lambda *args: pytest.fail("a class of 3 elements took the closed form"))
     calls = _call_counter(monkeypatch, "_lagrange")
-    _, used = chardeg._refine(data, data.dixon_prime, [t, *(c for c in range(1, 3) if c != t)])
+    order = (t, *(c for c in range(1, 3) if c != t))
+    _, used = chardeg._simultaneous_eigenvectors(replace(data, generator_classes=order), data.dixon_prime)
     assert used[0] == t and calls["_lagrange"] == len(used)
 
 
@@ -602,7 +626,7 @@ def test_a_class_of_one_element_that_does_not_permute_the_classes_is_rejected():
     fake = oracles.class_algebra_data(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}, 5)
     assert fake.sizes == (1, 1)
     with pytest.raises(EigensplitError, match="class sum 1 of one element does not permute the classes"):
-        chardeg._refine(fake, 5, [1])
+        chardeg._simultaneous_eigenvectors(replace(fake, generator_classes=(1,)), 5)
 
 
 def test_roots_of_unity_missing_from_the_field_are_rejected():
@@ -637,13 +661,13 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
-    # the int16 table of C12 takes 288 bytes, its 12 x 13 int64 block 1248;
+    # the int16 table of C12 takes 288 bytes, its degree layer's arrays 7872;
     # both groups are enumerated (2448 bytes) before the budget is lowered
     records = parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")
     g = standard_group("cyclic", 12)
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
     [block] = run_report(records).document["groups"]
-    assert "elimination block of 12 classes needs 1248 bytes" in block["skipped"]
+    assert "class algebra arrays of 12 classes needs 7872 bytes" in block["skipped"]
     assert "verdicts" not in block
     cs = conjugacy_classes(g)
     assert g.table.nbytes == 288
@@ -673,7 +697,7 @@ def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        degrees_from_class_algebra(g, cs, class_algebra(g, cs))
+        degrees_from_class_algebra(class_algebra(g, cs))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -698,7 +722,7 @@ def test_degree_step_counts_only_the_columns_it_reads(monkeypatch, g, count):
     monkeypatch.setattr(ClassAlgebraData, "column", lambda data, i: read.append(i) or column(data, i))
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    assert degrees_from_class_algebra(g, cs, data).as_dict() == {1: g.order}
+    assert degrees_from_class_algebra(data).as_dict() == {1: g.order}
     assert set(read) == set(data.generator_classes) and len(set(read)) == count
 
 
@@ -716,7 +740,7 @@ def test_degree_layer_never_builds_the_coefficient_dict():
     g = standard_group("symmetric", 4)
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    assert degrees_from_class_algebra(g, cs, data).as_dict() == {1: 2, 2: 1, 3: 2}
+    assert degrees_from_class_algebra(data).as_dict() == {1: 2, 2: 1, 3: 2}
     assert "coefficients" not in vars(data)
 
 
@@ -766,9 +790,9 @@ def test_degree_layer_at_block_7_matches_the_default_block(monkeypatch, g):
     # runs the multi-block loops of the action, the split and the certificate
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    expected = degrees_from_class_algebra(g, cs, data)
+    expected = degrees_from_class_algebra(data)
     monkeypatch.setattr(groups, "BLOCK_CELLS", 7)
-    assert degrees_from_class_algebra(g, cs, data) == expected
+    assert degrees_from_class_algebra(data) == expected
 
 
 def test_degree_frequency_accessors():

@@ -133,7 +133,7 @@ def _measure_degree_step(group) -> dict:
     r = len(classes)
     start = perf_counter()
     data = class_algebra(group, classes)
-    degrees = degrees_from_class_algebra(group, classes, data)
+    degrees = degrees_from_class_algebra(data)
     out = {"order": group.order, "classes": r, "dixon_prime": data.dixon_prime, "degrees": degrees.as_dict()}
     out["seconds"] = round(perf_counter() - start, 3)
     out["peak_rss_mb"] = _peak_rss_mb()
@@ -142,7 +142,7 @@ def _measure_degree_step(group) -> dict:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        degrees_from_class_algebra(group, classes, class_algebra(group, classes))
+        degrees_from_class_algebra(class_algebra(group, classes))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
