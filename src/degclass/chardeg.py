@@ -167,12 +167,6 @@ class ClassAlgebraData:
             out.update(zip(zip([i] * len(codes), j.tolist(), k.tolist()), values.tolist()))
         return out
 
-    def coefficient(self, i: int, j: int, k: int) -> int:
-        codes, values = self.column(i)
-        code = k * self.class_count + j
-        at = int(np.searchsorted(codes, code))
-        return int(values[at]) if at < len(codes) and codes[at] == code else 0
-
     def action(self, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
         """x -> x @ M_g mod ell on rows x reduced mod ell: row t of the image is
         the coordinate row of x_t * K_g.  A call costs len(x) * nnz_g cells, a

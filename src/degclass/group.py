@@ -1,12 +1,13 @@
-"""Permutation groups with a deterministic base and strong generating set.
+"""Permutation groups, their order from Schreier-Sims and their elements by
+enumeration.
 
 Construction does two independent things and cross-checks them:
 
-* a deterministic (non-randomized) Schreier-Sims run yields the base, the
-  strong generators, the transversals used for membership testing, and the
-  exact group order as a product of basic orbit lengths; it raises
-  GroupTooLargeError as soon as the transversals would outgrow the table
-  budget (see ``TRANSVERSAL_BYTES_PER_CELL``);
+* a deterministic (non-randomized) Schreier-Sims run yields the exact group
+  order as a product of basic orbit lengths; it raises GroupTooLargeError as
+  soon as the transversals would outgrow the table budget (see
+  ``TRANSVERSAL_BYTES_PER_CELL``), and they are dropped when it returns, so
+  a build never holds them and the enumeration at once;
 * for groups no larger than ``ENUMERATION_CAP``, and whose enumeration fits
   the byte budget (see ``ENUMERATION_BYTES_PER_CELL``), a breadth-first
   closure of the generating set yields the full element list, sorted
@@ -14,17 +15,18 @@ Construction does two independent things and cross-checks them:
 
 If the two orders ever disagree the constructor raises: that is an internal
 bug, never a recoverable condition.  Base points are always the first moved
-points, orbits are explored in FIFO order with generators applied in input
-order, so rebuilding a group from the same generator sequence reproduces the
-identical BSGS byte for byte.
+points, and orbits are explored in FIFO order with generators applied in
+input order, so the same generator sequence always repeats the same run.
 
 Groups are immutable after construction.  The element index and, as
-read-only arrays, the inverses and element orders are computed here; the
-Cayley table ``table[i, j]`` (the index of ``elements[i] * elements[j]``) is
-built on first use, because it costs n^2 * 2 bytes for order n < 2^15
-(n^2 * 4 above) and only the structure oracles and the class algebra need
-it.  Two readers racing to build it build identical tables, and either one
-may be kept.
+read-only arrays, the inverses and element orders are computed here.  The
+index also answers membership (``p in group``), so a group without an
+element cache refuses ``in`` with GroupTooLargeError, as it refuses
+``index_of`` and ``enumerate_elements``.  The Cayley table ``table[i, j]``
+(the index of ``elements[i] * elements[j]``) is built on first use, because
+it costs n^2 * 2 bytes for order n < 2^15 (n^2 * 4 above) and only the
+structure oracles and the class algebra need it.  Two readers racing to
+build it build identical tables, and either one may be kept.
 
 Every blocked array step, in the structure oracles and in the degree layer
 alike, takes its rows a block at a time from :func:`blocks`, so one
@@ -57,13 +59,15 @@ TABLE_MAX_BYTES = 800 * 10**6
 BLOCK_CELLS = 1 << 16
 
 #: bytes a group holds per order x degree cell once enumerated, checked
-#: against TABLE_MAX_BYTES from the BSGS order before the closure runs:
-#: tracemalloc puts the peak of a whole build at 16.3-17.0 bytes a cell on
-#: C500, C1000 and C2000 on their own points, 8.1-8.3 of them the
-#: Schreier-Sims transversals (which hold order x degree cells too for a
-#: regular group) and the rest the tuple closure, its Permutation objects
-#: and the element index
-ENUMERATION_BYTES_PER_CELL = 17
+#: against TABLE_MAX_BYTES from the Schreier-Sims order before the closure
+#: runs: tracemalloc puts the peak of a whole build at 8.2-9.5 bytes a cell
+#: on C300, C400 and C2000 on their own points and on the dihedral groups of
+#: degree 300 and 1500, the wide groups where this budget can bind (the tuple
+#: closure, its Permutation objects and the element index).  Narrow groups
+#: read more, because the per-element overhead dominates there (Hol(C97)
+#: 10.4, S7 44), but at a few points per element they stay far below the
+#: budget
+ENUMERATION_BYTES_PER_CELL = 10
 
 #: bytes a Schreier-Sims transversal holds per orbit point x degree cell (one
 #: image tuple of degree entries a point), checked against TABLE_MAX_BYTES as
@@ -122,7 +126,7 @@ def _first_moved(a: _RawPerm) -> int:
     raise ValueError("identity moves no point")
 
 
-def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> tuple[list[int], list[_RawPerm], list[_Level], int]:
+def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> int:
     ident = tuple(range(degree))
     gens = [g for g in dict.fromkeys(raw_gens) if g != ident]
     base: list[int] = []
@@ -168,7 +172,6 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> tuple[list[int], li
         lvl.gens = [g for g in gens if all(g[b] == b for b in base[:i])]
         rebuild_orbit(lvl)
 
-    strong = list(gens)
     i = len(levels) - 1
     while i >= 0:
         lvl = levels[i]
@@ -183,7 +186,6 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> tuple[list[int], li
                 h, j = strip(sch, i + 1)
                 if h == ident:
                     continue
-                strong.append(h)
                 if j == len(levels):
                     base.append(_first_moved(h))
                     levels.append(_Level(base[-1], degree))
@@ -198,8 +200,7 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> tuple[list[int], li
         if not added:
             i -= 1
 
-    order = math.prod(len(lvl.transversal) for lvl in levels)
-    return base, strong, levels, order
+    return math.prod(len(lvl.transversal) for lvl in levels)
 
 
 def _closure(degree: int, raw_gens: list[_RawPerm]) -> list[_RawPerm]:
@@ -225,12 +226,9 @@ class Group:
     __slots__ = (
         "degree",
         "generators",
-        "base",
-        "strong_generators",
         "order",
         "uncached_reason",
         "elements",
-        "_levels",
         "inverses",
         "_index",
         "element_orders",
@@ -243,10 +241,8 @@ class Group:
         self.generators = generators
 
         raw_gens = [g.images for g in generators]
-        base, strong, levels, order = _schreier_sims(degree, raw_gens)
-        self.base = tuple(base)
-        self.strong_generators = tuple(Permutation(g) for g in strong)
-        self._levels = levels
+        # the transversals die with this call, before the closure runs
+        order = _schreier_sims(degree, raw_gens)
         self.order = order
         self._table = None
 
@@ -285,15 +281,8 @@ class Group:
     # -- membership ----------------------------------------------------
 
     def __contains__(self, p: Permutation) -> bool:
-        if not isinstance(p, Permutation) or p.degree != self.degree:
-            return False
-        g = p.images
-        for lvl in self._levels:
-            u = lvl.transversal.get(g[lvl.point])
-            if u is None:
-                return False
-            g = _mul(g, _inv(u))
-        return g == tuple(range(self.degree))
+        self._require_cache()
+        return isinstance(p, Permutation) and p.images in self._index
 
     # -- element cache access -------------------------------------------
 

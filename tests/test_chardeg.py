@@ -41,7 +41,7 @@ def test_s3_transposition_coefficient():
     data = class_algebra(g, cs)
     sizes = cs.sizes.tolist()
     transposition_class = sizes.index(3)  # 3 transpositions square to the identity
-    assert data.coefficient(transposition_class, transposition_class, 0) == 3
+    assert data.matrix(transposition_class)[transposition_class, 0] == 3
 
 
 def test_identity_class_acts_as_unit():
@@ -51,7 +51,7 @@ def test_identity_class_acts_as_unit():
     r = len(cs)
     for j in range(r):
         for k in range(r):
-            assert data.coefficient(0, j, k) == (1 if j == k else 0)
+            assert data.matrix(0)[j, k] == (1 if j == k else 0)
 
 
 @pytest.mark.parametrize("family,parameter", [("symmetric", 3), ("symmetric", 4), ("quaternion", 8)])
@@ -64,7 +64,7 @@ def test_coefficient_counting_identity(family, parameter):
     r = len(cs)
     for i in range(r):
         for j in range(r):
-            total = sum(data.coefficient(i, j, k) * sizes[k] for k in range(r))
+            total = sum(data.matrix(i)[j, k] * sizes[k] for k in range(r))
             assert total == sizes[i] * sizes[j]
 
 
@@ -77,7 +77,7 @@ def test_coefficient_inverse_pairing_symmetry():
     for i in range(r):
         for j in range(r):
             for k in range(r):
-                assert data.coefficient(i, j, k) == data.coefficient(star[j], star[i], star[k])
+                assert data.matrix(i)[j, k] == data.matrix(star[j])[star[i], star[k]]
 
 
 def test_s3_exponent_and_prime():
@@ -749,12 +749,12 @@ def test_coefficient_is_read_without_the_coefficient_dict():
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     t, c = cs.sizes.tolist().index(3), cs.sizes.tolist().index(2)  # transpositions, 3-cycles
-    assert [data.coefficient(*ijk) for ijk in [(t, t, 0), (t, t, c), (t, t, t), (c, c, c), (0, 0, 0)]] == [3, 3, 0, 1, 1]
+    assert [data.matrix(i)[j, k] for i, j, k in [(t, t, 0), (t, t, c), (t, t, t), (c, c, c), (0, 0, 0)]] == [3, 3, 0, 1, 1]
     assert "coefficients" not in vars(data)
-    # in C2 the last code (1, 1, 1) is absent, so the search runs off the end
+    # in C2 the last code (1, 1, 1) is absent, so its cell is zero
     g = standard_group("cyclic", 2)
     data = class_algebra(g, conjugacy_classes(g))
-    assert [data.coefficient(1, 1, k) for k in (0, 1)] == [1, 0]
+    assert [data.matrix(1)[1, k] for k in (0, 1)] == [1, 0]
     assert "coefficients" not in vars(data)
 
 
@@ -763,7 +763,7 @@ def test_class_matrix_matches_coefficients():
     data = class_algebra(g, conjugacy_classes(g))
     r = data.class_count
     for i in range(r):
-        want = [[data.coefficient(i, j, k) for k in range(r)] for j in range(r)]
+        want = [[data.coefficients.get((i, j, k), 0) for k in range(r)] for j in range(r)]
         assert data.matrix(i).tolist() == want
 
 

@@ -115,7 +115,7 @@ def test_table_budget_hit_is_skipped_not_fatal(monkeypatch, tmp_path, capsys):
     # S4 needs a 24 x 24 table of 2-byte entries; C2 stays under the budget,
     # degree layer included (six int64 arrays of 2 x 2 cells and four of one
     # class's 1 x 2 gather, 256 bytes); the groups are enumerated before the
-    # budget is lowered, which would refuse S4's enumeration of 1632 bytes
+    # budget is lowered, though S4's enumeration of 960 bytes would fit it
     records = parse_corpus(S4_STANZA + "\ngroup C2\ndegree 2\ngen (1,2)\nend\n")
     monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 24 * 2 - 1)
     report = run_report(records)
@@ -135,13 +135,13 @@ def test_table_budget_hit_is_skipped_not_fatal(monkeypatch, tmp_path, capsys):
 
 
 def test_enumeration_budget_hit_is_skipped_not_fatal(monkeypatch):
-    # S4 on 4 points holds 24 * 4 * 17 = 1632 bytes once enumerated; C2 on 2
-    # points 68, and its table and degree layer stay under the budget too
-    monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 4 * 17 - 1)
+    # S4 on 4 points holds 24 * 4 * 10 = 960 bytes once enumerated; C2 on 2
+    # points 40, and its table and degree layer stay under the budget too
+    monkeypatch.setattr(degclass.group, "TABLE_MAX_BYTES", 24 * 4 * 10 - 1)
     report = run_report(parse_corpus(S4_STANZA + "\ngroup C2\ndegree 2\ngen (1,2)\nend\n"))
     blocks = {b["name"]: b for b in report.document["groups"]}
     assert blocks["S4"]["skipped"] == (
-        "the enumeration of order 24 on 4 points needs 1632 bytes, above the table budget of 1631"
+        "the enumeration of order 24 on 4 points needs 960 bytes, above the table budget of 959"
     )
     assert "verdicts" not in blocks["S4"]
     assert blocks["C2"]["skipped"] is None

@@ -1,7 +1,8 @@
 """Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
 verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
 layer's one big split on C800, C1600 and C2400, and the pure-Python group
-build of C4000 on 4000 points.
+build of C4000 on 4000 points and of D4000 (``dihedral`` 2000, of order
+4000 on 2000 points).
 
 Each measurement runs in a fresh interpreter, so that its peak RSS is its
 own.  The S7 rungs run two stages:
@@ -27,8 +28,8 @@ C800, C1600 and C2400 run one:
   runs once more under tracemalloc, whose peak is given in r x r int64
   arrays, the unit of the degree budget.
 
-C4000 runs ``build`` alone: time ``parse_corpus`` of its one-stanza corpus
-(Schreier-Sims, the closure, the element index, inverses and element
+C4000 and D4000 run ``build`` alone: time ``parse_corpus`` of the one-stanza
+corpus (Schreier-Sims, the closure, the element index, inverses and element
 orders), and record the peak RSS it leaves.
 
 Usage::
@@ -62,6 +63,12 @@ def _cycle(n: int) -> str:
     return f"degree {n}\ngen ({','.join(map(str, range(1, n + 1)))})\n"
 
 
+def _dihedral(n: int) -> str:
+    """The rotation and the reflection i -> -i (mod n) on n points."""
+    reflection = "".join(f"({i + 1},{n - i + 1})" for i in range(1, (n + 1) // 2))
+    return _cycle(n) + f"gen {reflection}\n"
+
+
 def _gens(*cycles: str) -> str:
     return "".join(f"gen {c}\n" for c in cycles)
 
@@ -86,6 +93,7 @@ RUNGS = {
     "C1600": (_cycle(1600), ("degree",)),
     "C2400": (_cycle(2400), ("degree",)),
     "C4000": (_cycle(4000), ("build",)),
+    "D4000": (_dihedral(2000), ("build",)),
 }
 
 
