@@ -23,8 +23,8 @@ so a disagreement there is reported but never fatal; the corpus does contain
 genuine experimental disagreements.
 
 Primes that do not divide |G| are skipped rather than evaluated: every
-criterion is degenerately true there (evaluating a per-prime row at one
-raises ValueError).  run_all_criteria therefore ranges over the primes of
+criterion is degenerately true there (evaluating a row at a set holding
+one raises ValueError).  run_all_criteria therefore ranges over the primes of
 |G| and the subsets of those primes only.
 """
 
@@ -487,16 +487,17 @@ def _agrees(kind: str, inv: Optional[bool], struct: Optional[bool]) -> bool:
 def evaluate(g: Group | GroupData, criterion_id: str, primes: Iterable[int] = ()) -> CriterionVerdict:
     """The verdict of one catalog row at one prime set.
 
-    A per-prime row takes a one-prime set whose prime divides |G|; the
-    global row always ranges over every prime of |G| and ignores primes."""
+    A per-prime row takes a one-prime set and a per-pi row any set, whose
+    primes all divide |G|; the global row always ranges over every prime of
+    |G| and ignores primes."""
     row = CRITERIA[criterion_id]
     data = _data(g)
     ps = data.primes if row.scope == GLOBAL else prime_set(primes)
-    if row.scope == PER_PRIME:
-        if len(ps) != 1:
-            raise ValueError(f"{criterion_id} takes one prime, got {ps}")
-        if ps[0] not in data.primes:
-            raise ValueError(f"{ps[0]} does not divide the group order {data.order}")
+    if row.scope == PER_PRIME and len(ps) != 1:
+        raise ValueError(f"{criterion_id} takes one prime, got {ps}")
+    for p in ps:
+        if p not in data.primes:
+            raise ValueError(f"{p} does not divide the group order {data.order}")
     inv = row.invariant(data, ps)
     struct = row.structure(data, ps)
     experimental = row.experimental == ALWAYS or (row.experimental == WIDE_PI and len(ps) >= 2)

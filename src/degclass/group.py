@@ -353,9 +353,6 @@ class Group:
         """Index of elements[i] * elements[j] (left-to-right composition)."""
         return int(self.table[i, j])
 
-    def element_order(self, i: int) -> int:
-        return int(self.element_orders[i])
-
     @property
     def identity_index(self) -> int:
         # the identity image tuple is lexicographically minimal, hence index 0

@@ -10,18 +10,23 @@ verification stays genuinely two-sided.  Four identities of sets, not
 theorems, cut the gathers without dropping any x or y.  G = <S>, so Cl(x)
 is x's orbit under x -> s^-1 x s for s in S: the classes come from one
 |G|-cell map per generator, not one |G|-cell gather per class
-(``ConjugacyClassSet``).  {[x, y] : y in G} = x^-1 Cl(x), so a commutator
-step reads each x's class orbit, sum |K|^2 cells over the classes K instead
-of |G|^2 (``_orbit_rows``).  C(<S>) = C(S)
-and g^-1 <S> g = <g^-1 S g>, so centralizers and normalizers test the
-generators a subgroup was closed from (``Subgroup.generators``).  A union S
+(``ConjugacyClassSet``).  {[r, y] : y in G} = r^-1 Cl(r), and for a union N
+of classes {[x, y] : x in N, y in G} is a union of classes, since
+g^-1 [x, y] g = [x^g, y^g]: it is every class that meets c[N], where
+c[x] = r^-1 x for r the representative of x's class.  So a commutator
+oracle reads c, one gather of |G| cells, not x^-1 Cl(x) for every x
+(``_class_commutators``).  C(<S>) = C(S) and g^-1 <S> g = <g^-1 S g>, so
+centralizers and normalizers test the generators a subgroup was closed
+from (``Subgroup.generators``).  A union S
 of classes is {g^-1 r g : g in G, r a class representative in S}, so a
 property kept by conjugation holds on S iff on those representatives
 (``ConjugacyClassSet.representatives``): one row a class.
 
 Every blocked step takes its rows from ``_rows`` (a word - a commutator, a
-commuting test, a conjugation, a product - on x by every y of a list) or
-from ``_orbit_rows``, at most ``group.BLOCK_CELLS`` cells a block.
+commuting test, a conjugation, a product - on x by every y of a list), at
+most ``group.BLOCK_CELLS`` cells a block.  The class maps and c gather |G|
+cells unblocked, which stays within a block because
+``group.ENUMERATION_CAP <= group.BLOCK_CELLS``.
 
 Every subset of the group - a subgroup, a conjugacy class, a set of
 pi-elements - is a sorted, read-only ``np.intp`` index array into the parent
@@ -65,24 +70,21 @@ def _where_all(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return np.sort(np.concatenate([np.empty(0, dtype=np.intp), *(xb[row.all(axis=1)] for xb, row in rows)]))
 
 
-def _row_closure(group: Group, rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> Subgroup:
-    """Subgroup generated by every entry of the rows."""
-    seen = np.zeros(group.order, dtype=bool)
-    for _, row in rows:
-        seen[row] = True
-    return _closure(group, np.flatnonzero(seen))
+def _class_commutators(classes: ConjugacyClassSet) -> np.ndarray:
+    """c[x] = r^-1 x for r the representative of x's class: over the members
+    x of Cl(r), the c[x] are exactly {[r, y] : y in G}.  One |G|-cell gather."""
+    group = classes.group
+    reps = classes.representatives[classes.class_index]
+    return group.mul(group.inverses[reps], np.arange(group.order))
 
 
-def _orbit_rows(classes: ConjugacyClassSet, xs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of xs of one class size, each with its rows {[x, y] : y in G} =
-    x^-1 Cl(x): one row per x, one column per member of its class."""
-    group, cls, sizes = classes.group, classes.class_index[xs], classes.sizes
-    for size in np.unique(sizes[cls]).tolist():
-        these = sizes[cls] == size
-        xs_s, first = xs[these], classes._starts[cls[these]]
-        for block in blocks(len(xs_s), size):
-            orbits = classes._by_class[first[block, None] + np.arange(size)]
-            yield xs_s[block], group.mul(group.inverses[xs_s[block], None], orbits)
+def _commutator_closure(classes: ConjugacyClassSet, c: np.ndarray, members: np.ndarray) -> Subgroup:
+    """[N, G] for the union N of classes with these members: the closure of
+    {[x, y] : x in N, y in G}, the union of the classes that meet c[N]."""
+    cls = classes.class_index
+    meets = np.zeros(len(classes), dtype=bool)
+    meets[cls[c[members]]] = True
+    return _closure(classes.group, np.flatnonzero(meets[cls]))
 
 
 class ConjugacyClassSet:
@@ -133,9 +135,6 @@ class ConjugacyClassSet:
         """Class c's members, sorted and read-only."""
         start = self._starts[c]
         return self._by_class[start : start + self.sizes[c]]
-
-    def class_of(self, element_index: int) -> int:
-        return int(self.class_index[element_index])
 
 
 def conjugacy_classes(group: Group) -> ConjugacyClassSet:
@@ -232,9 +231,6 @@ def _closure(group: Group, seed: np.ndarray) -> Subgroup:
     return Subgroup(group, np.flatnonzero(inside), np.array(gens, dtype=np.intp))
 
 
-subgroup_from_indices = _closure
-
-
 def trivial_subgroup(group: Group) -> Subgroup:
     group._require_cache()
     return Subgroup(group, np.array([group.identity_index], dtype=np.intp))
@@ -262,13 +258,16 @@ def normalizer(group: Group, sub: Subgroup) -> Subgroup:
 
 
 def derived_subgroup(classes: ConjugacyClassSet) -> Subgroup:
-    """Closure of all commutators [x, y]: of every x's orbit x^-1 Cl(x)."""
-    return _row_closure(classes.group, _orbit_rows(classes, np.arange(classes.group.order)))
+    """Closure of all commutators [x, y]: the classes that meet c."""
+    return _commutator_closure(classes, _class_commutators(classes), np.arange(classes.group.order))
 
 
 def derived_of(sub: Subgroup) -> Subgroup:
     """Derived subgroup of a subgroup over every pair of it (its classes are not the parent's)."""
-    return _row_closure(sub.parent, _rows(sub.members, sub.members, _commutator(sub.parent)))
+    seen = np.zeros(sub.parent.order, dtype=bool)
+    for _, row in _rows(sub.members, sub.members, _commutator(sub.parent)):
+        seen[row] = True
+    return _closure(sub.parent, np.flatnonzero(seen))
 
 
 def commutator_subgroup_of(sub: Subgroup, classes: ConjugacyClassSet) -> Subgroup:
@@ -277,13 +276,13 @@ def commutator_subgroup_of(sub: Subgroup, classes: ConjugacyClassSet) -> Subgrou
         raise ValueError("subgroup does not belong to this group")
     if not sub.is_normal():
         raise ValueError("subgroup is not normal in its parent")
-    return _row_closure(sub.parent, _orbit_rows(classes, sub.members))
+    return _commutator_closure(classes, _class_commutators(classes), sub.members)
 
 
 def lower_central_last(classes: ConjugacyClassSet, derived: Subgroup) -> Subgroup:
     """Stable term of the lower central series K_{i+1} = [K_i, G], from K_2 = G' (``derived``)."""
-    current = derived
-    while (nxt := _row_closure(classes.group, _orbit_rows(classes, current.members))) != current:
+    current, c = derived, _class_commutators(classes)
+    while (nxt := _commutator_closure(classes, c, current.members)) != current:
         current = nxt
     return current
 
@@ -291,15 +290,16 @@ def lower_central_last(classes: ConjugacyClassSet, derived: Subgroup) -> Subgrou
 def hypercentre(classes: ConjugacyClassSet, centre: Subgroup) -> Subgroup:
     """Stable term of the upper central series, from the centre Z(G).
 
-    Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, that is
-    x^-1 Cl(x) inside Z_i, iterated until the set stops growing.  Z_i is a
-    union of classes, so a step tests the representatives and keeps their classes.
+    Z_1 = Z(G); Z_{i+1} = {x : [x, g] in Z_i for all g}, iterated until the
+    set stops growing.  Z_i is a union of classes, so a step keeps the
+    classes of the r with r^-1 Cl(r) inside Z_i: those whose c values all lie
+    in Z_i.
     """
-    current, cls = centre, classes.class_index
+    current, cls, c = centre, classes.class_index, _class_commutators(classes)
     while True:
-        inside, rows = current.mask(), _orbit_rows(classes, classes.representatives)
-        kept = cls[_where_all((xb, inside[row]) for xb, row in rows)]
-        nxt = Subgroup(current.parent, np.flatnonzero(np.isin(cls, kept)))
+        kept = np.ones(len(classes), dtype=bool)
+        kept[cls[~current.mask()[c]]] = False
+        nxt = Subgroup(current.parent, np.flatnonzero(kept[cls]))
         if nxt == current:
             return current
         current = nxt

@@ -501,7 +501,7 @@ def test_generator_classes_are_recorded_without_the_identity():
     g = _elementary_abelian(2, 3)
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    assert data.generator_classes == tuple(cs.class_of(x) for x in g.generator_indices)
+    assert data.generator_classes == tuple(cs.class_index[x] for x in g.generator_indices)
     assert len(data.generator_classes) == 3 and 0 not in data.generator_classes
 
 

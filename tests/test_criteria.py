@@ -145,6 +145,12 @@ def test_isaacs_requires_dividing_prime(s3):
         evaluate(s3, "isaacs_p_nilpotent", (5,))
 
 
+def test_pi_rows_require_dividing_primes(s3):
+    for primes in [(7,), (2, 7)]:
+        with pytest.raises(ValueError, match="7 does not divide"):
+            evaluate(s3, "ito_michler", primes)
+
+
 # --- Cossey-Hawkes ------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from degclass.perm import parse_cycles
 from degclass.structure import (
     DirectProductWitness,
     Subgroup,
+    _closure,
     _pi_mask,
     centralizer,
     centre,
@@ -37,7 +38,6 @@ from degclass.structure import (
     p_residual,
     pi_elements_subgroup,
     q_r_elements_commute,
-    subgroup_from_indices,
     sylow_subgroup,
     trivial_subgroup,
 )
@@ -114,7 +114,7 @@ def test_centralizer_index_is_class_size():
     g = standard_group("symmetric", 4)
     cs = conjugacy_classes(g)
     for i in range(g.order):
-        size = cs.sizes[cs.class_of(i)]
+        size = cs.sizes[cs.class_index[i]]
         assert g.order // centralizer(g, [i]).order == size
 
 
@@ -134,11 +134,11 @@ def test_normalizer_of_whole_group():
     assert normalizer(g, Subgroup(g, np.arange(g.order))).order == g.order
 
 
-def test_subgroup_from_indices_closes_the_seed():
+def test_closure_closes_the_seed():
     g = standard_group("symmetric", 4)
     i = g.index_of(parse_cycles("(1,2)", 4))
     j = g.index_of(parse_cycles("(3,4)", 4))
-    sub = subgroup_from_indices(g, [i, j])
+    sub = _closure(g, [i, j])
     assert sub.order == 4  # <(1 2), (3 4)> is a Klein four group
     _assert_is_subgroup(g, sub)
 
@@ -271,7 +271,7 @@ def test_sylow_order_and_conjugate_cover(corpus):
                 }
             p_elements = {
                 elements[i] for i in range(g.order)
-                if p ** valuation(g.element_order(i), p) == g.element_order(i)
+                if p ** valuation(g.element_orders[i], p) == g.element_orders[i]
             }
             assert covered == p_elements
 
@@ -323,7 +323,7 @@ def test_pi_mask_is_the_pi_number_test_on_every_element(corpus):
     for rec in corpus:
         g = rec.group
         for pi in pi_sets(primes_of(g.order), 2):
-            expected = [is_pi_number(g.element_order(i), pi) for i in range(g.order)]
+            expected = [is_pi_number(g.element_orders[i], pi) for i in range(g.order)]
             assert _pi_mask(g, pi).tolist() == expected, (rec.name, pi)
 
 
@@ -420,13 +420,12 @@ def mul_cells(monkeypatch):
 
 
 def test_series_steps_gather_class_orbits_not_all_pairs(mul_cells):
-    # a commutator step over xs gathers x^-1 Cl(x) for each x in xs, at most
-    # sum |K|^2 cells over the classes K (71412 on S6), where the all-pairs
-    # step gathered four products on each of |G|^2 = 518400 pairs
+    # a commutator step reads c[x] = r^-1 x, one gather of |G| cells, and
+    # closes the classes that meet it: 1115 cells for G' on S6, far below
+    # x^-1 Cl(x) for every x, sum |K|^2 = 71412 cells
     g = standard_group("symmetric", 6)
     cs = conjugacy_classes(g)
     z, der = centre(g), derived_subgroup(cs)
-    orbit_cells = sum(size * size for size in cs.sizes.tolist())
     # series steps: G' in one; K_3 = K_2 = A6 in one; Z_2 = Z_1 = 1 in one
     for steps, run in [
         (1, lambda: derived_subgroup(cs)),
@@ -435,7 +434,12 @@ def test_series_steps_gather_class_orbits_not_all_pairs(mul_cells):
     ]:
         mul_cells[0] = 0
         run()
-        assert 0 < mul_cells[0] <= 2 * orbit_cells * steps < g.order**2
+        assert 0 < mul_cells[0] <= 2 * g.order * steps
+
+
+def test_enumeration_cap_fits_one_block():
+    # the class maps and the class commutators gather |G| cells unblocked
+    assert groups.ENUMERATION_CAP <= groups.BLOCK_CELLS
 
 
 def test_class_union_tests_gather_one_row_per_class(mul_cells):
@@ -607,6 +611,13 @@ def test_series_and_centre_match_reference(with_reference):
     assert as_set(derived_subgroup(cs).members) == ref.derived()
     assert as_set(lower_central_last(cs, derived_subgroup(cs)).members) == ref.lower_central_last()
     assert as_set(hypercentre(cs, centre(g)).members) == ref.hypercentre()
+    # [N, G] for every normal N the series and the residuals give
+    normals = [Subgroup(g, np.arange(g.order)), derived_subgroup(cs), centre(g)]
+    normals += [lower_central_last(cs, normals[1]), hypercentre(cs, normals[2])]
+    normals += [f(g, p) for p in primes_of(g.order) for f in (p_residual, p_prime_residual)]
+    for sub in normals:
+        expected = ref.commutator_closure(as_set(sub.members), ref.everyone)
+        assert as_set(commutator_subgroup_of(sub, cs).members) == expected
 
 
 @pytest.mark.parametrize(
@@ -657,7 +668,7 @@ def test_subgroup_predicates_match_reference(with_reference):
     subs = [derived_subgroup(cs), centre(g), Subgroup(g, np.arange(g.order)), trivial_subgroup(g)]
     subs += [sylow_subgroup(g, p) for p in primes_of(g.order)]
     seeds = ([1], [2, 5], [3, 7, 11], g.generator_indices[:1])
-    subs += [subgroup_from_indices(g, [s for s in seed if s < g.order]) for seed in seeds]
+    subs += [_closure(g, [s for s in seed if s < g.order]) for seed in seeds]
     for sub in subs:
         members = as_set(sub.members)
         assert sub.is_normal() == ref.is_normal(members)
@@ -668,7 +679,7 @@ def test_subgroup_predicates_match_reference(with_reference):
             )
     for seed in ([1], [2, 5], [3, 7, 11], range(0, g.order, 17)):
         seed = [s for s in seed if s < g.order]
-        assert as_set(subgroup_from_indices(g, seed).members) == ref.closure(seed)
+        assert as_set(_closure(g, seed).members) == ref.closure(seed)
 
 
 def test_subgroup_rejects_assignment_and_compares_by_members():
