@@ -12,25 +12,26 @@ the group exponent e and l > 2*sqrt(|G|):
    simultaneously diagonalizable over GF(l), so the identity splits into r
    primitive idempotents.  The class sums are visited generators' classes
    first (Dixon and Schneider split by a generator's class sum), then in
-   class order, and one sparse action (the coordinates of x*K are x @ M)
-   tells whether a class sum K acts as a scalar on every idempotent found so
-   far.  If not, the Krylov chain 1, K, K^2, ... gives K's minimal
-   polynomial, whose n distinct roots are its eigenvalues, and each
-   idempotent e is replaced by the nonzero products e * E_lambda with the
-   Lagrange idempotents E_lambda = prod over mu != lambda of (K - mu) /
-   (lambda - mu).  The identity's products are read off the chain itself,
-   so a class sum with r distinct eigenvalues splits the whole algebra with
-   one elimination and one r x r x r product, exact on float64 BLAS
-   (``modmat.matmul``).  A class of one element z (|K| = 1, so z is
-   central) needs neither: z permutes the class sums, so the chain is the
-   orbit of the identity class, n = o(z) unit vectors; the minimal
-   polynomial is x^n - 1, whose roots are the powers of a primitive n-th
-   root of unity zeta (n divides e, which divides l - 1); and E_{zeta^s} =
-   n^-1 * sum_t zeta^(-ts) K^t is a row of the inverse DFT matrix.  So a
-   generator of a cyclic group splits the whole algebra in O(r^2), and a
-   later refinement by a central class sum multiplies by that matrix.  A
-   primitive idempotent e gives the central character w_j = |K_j| * e_{j*}
-   / e_0.  The split is deterministic: no random linear combinations;
+   class order, and one sparse action (the coordinates of x*K are x @ M, a
+   gather of columns when |K| = 1) tells whether a class sum K acts as a
+   scalar on every idempotent found so far.  If not, the Krylov chain 1, K,
+   K^2, ... gives K's minimal polynomial, whose n distinct roots are its
+   eigenvalues, and each idempotent e is replaced by the nonzero products
+   e * E_lambda with the Lagrange idempotents E_lambda = prod over mu !=
+   lambda of (K - mu) / (lambda - mu).  The identity's products are read off
+   the chain itself, so a class sum with r distinct eigenvalues splits the
+   whole algebra with one elimination and one r x r x r product, exact on
+   float64 BLAS (``modmat.matmul``).  A class of one element z (|K| = 1, so
+   z is central) needs neither: z permutes the class sums, z * K_j =
+   K_pi(j), so the chain is the orbit of the identity class, n = o(z) unit
+   vectors; the minimal polynomial is x^n - 1, whose roots are the powers of
+   a primitive n-th root of unity zeta (n divides e, which divides l - 1);
+   and E_{zeta^s} = n^-1 * sum_t zeta^(-ts) K^t is a row of the inverse DFT
+   matrix.  So a generator of a cyclic group splits the whole algebra in
+   O(r^2), and a later refinement by a central class sum multiplies by that
+   matrix.  A primitive idempotent e gives the central character w_j = |K_j|
+   * e_{j*} / e_0.  The split is deterministic: no random linear
+   combinations;
 3. the vectors are certified on the set S of class sums the split used
    (those that split an idempotent): there are r of
    them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
@@ -42,7 +43,8 @@ the group exponent e and l > 2*sqrt(|G|):
    argument needs an associative table, which a table counted from a group
    is; the coefficients of every g in S are checked against the counting
    identities: every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
-   and a[g][j][0] = |K_g| exactly when j = g*;
+   and a[g][j][0] = |K_g| exactly when j = g*.  For |K_g| = 1 these say the
+   column is a permutation pi with pi(g*) = 0, and w_g * w_j = w_pi(j);
 4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
    degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read for
    all r vectors in one array pass.  No two candidates match, because
@@ -140,6 +142,7 @@ class ClassAlgebraData:
     #: and the identity class left out: the split tries these class sums first
     generator_classes: tuple[int, ...] = ()
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _permutations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def class_count(self) -> int:
@@ -156,6 +159,19 @@ class ClassAlgebraData:
             self._columns[g] = self.source(g)
         return self._columns[g]
 
+    def permutation(self, g: int) -> np.ndarray:
+        """pi with z * K_j = K_pi(j) for a class g = {z} of one element, read off
+        its column, one entry 1 at each (j, pi(j)), on the first call and kept."""
+        if g not in self._permutations:
+            r = self.class_count
+            codes, values = self.column(g)
+            k, j = np.divmod(codes, r)
+            # the codes ascend, so one entry 1 per class k reads k = 0, 1, ..., r - 1, and j = pi^-1
+            if len(codes) != r or (values != 1).any() or (k != np.arange(r)).any() or not np.bincount(j, minlength=r).all():
+                raise EigensplitError(f"class sum {g} of one element does not permute the classes")
+            self._permutations[g] = np.argsort(j)
+        return self._permutations[g]
+
     @cached_property
     def coefficients(self) -> dict[tuple[int, int, int], int]:
         """The nonzero coefficients keyed by (i, j, k), built from every class's
@@ -169,8 +185,13 @@ class ClassAlgebraData:
 
     def action(self, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
         """x -> x @ M_g mod ell on rows x reduced mod ell: row t of the image is
-        the coordinate row of x_t * K_g.  A call costs len(x) * nnz_g cells, a
+        the coordinate row of x_t * K_g.  A class g = {z} of one element moves
+        coordinate j to pi(j) (``permutation``), so a call gathers len(x) * r
+        cells, with no sums.  Otherwise a call costs len(x) * nnz_g cells, a
         block of rows at a time; each sum has at most r terms below ell^2."""
+        if self.sizes[g] == 1:
+            inverse = np.argsort(self.permutation(g))
+            return lambda x: x.take(inverse, axis=1)
         codes, values = self.column(g)
         k, j = np.divmod(codes, self.class_count)
         ks, starts = np.unique(k, return_index=True)
@@ -354,18 +375,9 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
 
 def _central_orbit(data: ClassAlgebraData, g: int) -> np.ndarray:
     """The identity chain of a class sum K = z of one central element z, as
-    the classes of 1, z, z^2, ...: z * K_j is the class sum K_pi(j), so the
-    chain is the orbit of class 0 under the permutation pi read off class
-    g's column, and its length n is the order of z."""
-    r = data.class_count
-    codes, values = data.column(g)
-    k, j = np.divmod(codes, r)
-    # the codes ascend, so one entry 1 per class k reads k = 0, 1, ..., r - 1
-    if len(codes) != r or (values != 1).any() or (k != np.arange(r)).any() or not np.bincount(j, minlength=r).all():
-        raise EigensplitError(f"class sum {g} of one element does not permute the classes")
-    pi = np.empty(r, dtype=np.intp)
-    pi[j] = k
-    pi = pi.tolist()
+    the classes of 1, z, z^2, ...: the orbit of class 0 under the permutation
+    pi of ``ClassAlgebraData.permutation``, whose length n is the order of z."""
+    pi = data.permutation(g).tolist()
     orbit, c = [0], pi[0]
     while c:
         orbit.append(c)
@@ -477,8 +489,10 @@ def _certify(data: ClassAlgebraData, vectors: np.ndarray, used: list[int], ell: 
     class g's column is checked against the counting identities, in
     O(nnz_g): every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
     and a[g][j][0] = |K_g| exactly when j = g*; and (b) for every j,
-    sum_k a[g][j][k] * w_k = w_g * w_j, at r * nnz_g cells.  (c) No two
-    vectors agree on every class in ``used``.
+    sum_k a[g][j][k] * w_k = w_g * w_j, at r * nnz_g cells.  For |K_g| = 1,
+    (a) is that the column is a permutation pi with pi(g*) = 0, and (b)
+    gathers w_pi(j), with no sums.  (c) No two vectors agree on every class
+    in ``used``.
     """
     r, sizes, star = data.class_count, data.sizes, data.star
     if vectors.shape != (r, r):
@@ -487,24 +501,30 @@ def _certify(data: ClassAlgebraData, vectors: np.ndarray, used: list[int], ell: 
         raise EigensplitError("a split vector is not 1 at the identity class")
     for g in used:
         codes, values = data.column(g)
-        k, j = np.divmod(codes, r)
-        covered = np.count_nonzero(np.bincount(j, minlength=r))
-        if covered != r:
-            raise EigensplitError(f"coefficients of class sum {g} cover {covered} classes j, expected {r}")
-        ks, starts = np.unique(k, return_index=True)
-        if len(ks) != r or (np.add.reduceat(values, starts) != sizes[g]).any():
-            raise EigensplitError(f"coefficients of class sum {g}: some sum over j of a[g][j][k] differs from |K_g|")
-        if not np.array_equal(j[k == 0], [star[g]]) or values[0] != sizes[g]:
-            raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
-        by_row = np.argsort(j, kind="stable")
-        ks, coefficients = k[by_row], values[by_row] % ell
-        # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
-        rows = np.searchsorted(j[by_row], np.arange(r))
-        for block in groups.blocks(r, len(j)):
+        if sizes[g] == 1:
+            # r unit entries meet the counting identities exactly when they permute the classes with pi(g*) = 0
+            pi = data.permutation(g)
+            if pi[star[g]] != 0:
+                raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
+        else:
+            k, j = np.divmod(codes, r)
+            covered = np.count_nonzero(np.bincount(j, minlength=r))
+            if covered != r:
+                raise EigensplitError(f"coefficients of class sum {g} cover {covered} classes j, expected {r}")
+            ks, starts = np.unique(k, return_index=True)
+            if len(ks) != r or (np.add.reduceat(values, starts) != sizes[g]).any():
+                raise EigensplitError(f"coefficients of class sum {g}: some sum over j of a[g][j][k] differs from |K_g|")
+            if not np.array_equal(j[k == 0], [star[g]]) or values[0] != sizes[g]:
+                raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
+            by_row = np.argsort(j, kind="stable")
+            ks, coefficients = k[by_row], values[by_row] % ell
+            # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
+            rows = np.searchsorted(j[by_row], np.arange(r))
+        for block in groups.blocks(r, len(codes)):
             w = vectors[block]
-            # each sum has at most r terms below ell^2
-            sums = np.add.reduceat(w[:, ks] * coefficients, rows, axis=1) % ell
-            if not np.array_equal(sums, w[:, g : g + 1] * w % ell):
+            # w_pi(j) for a class of one element; else each sum has at most r terms below ell^2
+            image = w.take(pi, axis=1) if sizes[g] == 1 else np.add.reduceat(w[:, ks] * coefficients, rows, axis=1) % ell
+            if not np.array_equal(image, w[:, g : g + 1] * w % ell):
                 raise EigensplitError(
                     f"a split vector is not a central character on class sum {g}"
                 )

@@ -629,6 +629,49 @@ def test_a_class_of_one_element_that_does_not_permute_the_classes_is_rejected():
         chardeg._simultaneous_eigenvectors(replace(fake, generator_classes=(1,)), 5)
 
 
+def _move_entry(coefficients, g, source, target):
+    # a[g][j][k] = 1 at (j, k) = source moves to target
+    del coefficients[(g, *source)]
+    coefficients[(g, *target)] = 1
+    return coefficients
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(standard_group("cyclic", 12), id="C12"),
+        pytest.param(direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3)), id="D8xC2^3"),
+    ],
+)
+def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
+    # the first used class sum of one element is checked first; its column is
+    # one entry 1 at each (j, pi(j))
+    data = class_algebra(g, conjugacy_classes(g))
+    ell, r = data.dixon_prime, data.class_count
+    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
+    c = next(c for c in used if data.sizes[c] == 1)
+    used = [c, *(u for u in used if u != c)]
+    chardeg._certify(data, vectors, used, ell)
+    pi, star = data.permutation(c).tolist(), data.star[c]
+    j = next(j for j in range(1, r) if j != star)
+
+    def certify_corrupted(coefficients):
+        corrupted = oracles.class_algebra_data(r, coefficients, ell)
+        chardeg._certify(replace(data, source=corrupted.source), vectors, used, ell)
+
+    # class pi(j) loses its entry and class pi(star) gets a second one
+    with pytest.raises(EigensplitError, match=f"class sum {c} of one element does not permute the classes"):
+        certify_corrupted(_move_entry(dict(data.coefficients), c, (j, pi[j]), (j, pi[star])))
+    # still a permutation, but it sends j, not c*, to the identity class
+    swapped = _move_entry(dict(data.coefficients), c, (j, pi[j]), (j, 0))
+    with pytest.raises(EigensplitError, match=r"a\[g\]\[j\]\[0\] is not \|K_g\| exactly at j = g\*"):
+        certify_corrupted(_move_entry(swapped, c, (star, 0), (star, pi[j])))
+    broken = vectors.copy()
+    broken[1, j] = (broken[1, j] + 1) % ell
+    with pytest.raises(EigensplitError, match=f"not a central character on class sum {c}"):
+        chardeg._certify(data, broken, used, ell)
+
+
 def test_roots_of_unity_missing_from_the_field_are_rejected():
     # the generator of C12 has minimal polynomial x^12 - 1, which has only
     # gcd(12, 6) = 6 roots in GF(7)
@@ -776,6 +819,24 @@ def test_sparse_action_matches_class_matrix(monkeypatch, block):
     x = np.random.default_rng(0).integers(0, ell, (6, data.class_count))
     for i in range(data.class_count):
         assert np.array_equal(data.action(i, ell)(x), x @ data.matrix(i) % ell)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(standard_group("cyclic", 12), id="C12"),
+        pytest.param(_elementary_abelian(2, 7), id="C2^7"),
+        pytest.param(direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3)), id="D8xC2^3"),
+        pytest.param(standard_group("symmetric", 4), id="S4"),
+    ],
+)
+def test_action_of_every_class_sum_is_its_class_matrix(g):
+    # a class of one element acts by a gather, any other by sparse sums
+    data = class_algebra(g, conjugacy_classes(g))
+    ell = data.dixon_prime
+    x = np.random.default_rng(1).integers(0, ell, (4, data.class_count))
+    for c in range(data.class_count):
+        assert np.array_equal(data.action(c, ell)(x), x @ data.matrix(c) % ell), c
 
 
 @pytest.mark.parametrize(

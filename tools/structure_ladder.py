@@ -1,6 +1,7 @@
 """Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
 verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
-layer's one big split on C800, C1600 and C2400, and the pure-Python group
+layer's one big split on C800, C1600 and C2400 and its ten splits by
+central class sums on C2^10 (r = 1024), and the pure-Python group
 build of C4000 on 4000 points and of D4000 (``dihedral`` 2000, of order
 4000 on 2000 points).
 
@@ -20,7 +21,7 @@ The peak RSS of one D8^3xC2^4 run reads either about 265 or about 291 MB for
 the same code, depending on heap layout, so a single run cannot show a
 change of less than about 26 MB there.
 
-C800, C1600 and C2400 run one:
+C800, C1600, C2400 and C2^10 run one:
 
 * ``degree``: parse the group and build its classes and Cayley table, then
   time the degree step alone (``class_algebra`` and
@@ -92,6 +93,7 @@ RUNGS = {
     "C800": (_cycle(800), ("degree",)),
     "C1600": (_cycle(1600), ("degree",)),
     "C2400": (_cycle(2400), ("degree",)),
+    "C2^10": ("degree 20\n" + _gens(*_transpositions(1, 10)), ("degree",)),
     "C4000": (_cycle(4000), ("build",)),
     "D4000": (_dihedral(2000), ("build",)),
 }
