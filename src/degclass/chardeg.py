@@ -31,7 +31,13 @@ the group exponent e and l > 2*sqrt(|G|):
    O(r^2), and a later refinement by a central class sum multiplies by that
    matrix.  A primitive idempotent e gives the central character w_j = |K_j|
    * e_{j*} / e_0.  The split is deterministic: no random linear
-   combinations;
+   combinations.  Every array of residues mod l (the idempotent rows and
+   their images, the chain powers and their echelon form, the Lagrange and
+   inverse DFT matrices, the central characters) has the narrowest signed
+   dtype that holds a product of two residues, ``modmat.residues(l)``:
+   int16 for l <= 182, int32 for l <= 46341, else int64.  A product of two
+   residues is reduced mod l before it meets a third value, and every sum of
+   such products is accumulated in int64;
 3. the vectors are certified on the set S of class sums the split used
    (those that split an idempotent): there are r of
    them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
@@ -44,7 +50,9 @@ the group exponent e and l > 2*sqrt(|G|):
    is; the coefficients of every g in S are checked against the counting
    identities: every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
    and a[g][j][0] = |K_g| exactly when j = g*.  For |K_g| = 1 these say the
-   column is a permutation pi with pi(g*) = 0, and w_g * w_j = w_pi(j);
+   column is a permutation pi with pi(g*) = 0, and w_g * w_j = w_pi(j).
+   The sums over k run in int64 on the narrow vectors, and two vectors that
+   agree on all of S are neighbours once the vectors are sorted on S;
 4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
    degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read for
    all r vectors in one array pass.  No two candidates match, because
@@ -83,10 +91,13 @@ if TYPE_CHECKING:
 #: order n <= ENUMERATION_CAP some k <= 84 makes k * n + 1 an admissible prime
 #: (the test suite sieves this), and the exponent divides n, so the search
 #: never fails on a group that can be enumerated.  Every Dixon prime is thus
-#: at most PRIME_SEARCH_FACTOR * ENUMERATION_CAP = 2 * 10**6: that keeps the
-#: int64 sums of the chain, the sparse action and the certificate (at most r
-#: terms below ell^2) and the root scan (ell cells) safe, and
-#: ``modmat.matmul`` is exact for any ell below 2^26.5
+#: at most PRIME_SEARCH_FACTOR * ENUMERATION_CAP = 2 * 10**6: a product of two
+#: residues is below 2^42, so it always fits the int64 that
+#: ``modmat.residues`` falls back to (int16 or int32 hold it for ell <= 182 or
+#: ell <= 46341); the sums of the chain, the sparse action, the certificate
+#: and the degree readout (at most r <= 2 * 10**4 products each, below 2^57)
+#: are accumulated in int64, where they cannot wrap; the root scan takes ell
+#: cells; and ``modmat.matmul`` is exact for any ell below 2^26.5
 PRIME_SEARCH_FACTOR = 100
 
 
@@ -184,23 +195,25 @@ class ClassAlgebraData:
         return out
 
     def action(self, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> x @ M_g mod ell on rows x reduced mod ell: row t of the image is
-        the coordinate row of x_t * K_g.  A class g = {z} of one element moves
-        coordinate j to pi(j) (``permutation``), so a call gathers len(x) * r
-        cells, with no sums.  Otherwise a call costs len(x) * nnz_g cells, a
-        block of rows at a time; each sum has at most r terms below ell^2."""
+        """x -> x @ M_g mod ell on rows x reduced mod ell, in x's dtype: row t of
+        the image is the coordinate row of x_t * K_g.  A class g = {z} of one
+        element moves coordinate j to pi(j) (``permutation``), so a call
+        gathers len(x) * r cells, with no sums.  Otherwise a call costs
+        len(x) * nnz_g cells, a block of rows at a time; the products fit x's
+        dtype ``modmat.residues(ell)`` and each sum of at most r of them is
+        accumulated in int64."""
         if self.sizes[g] == 1:
             inverse = np.argsort(self.permutation(g))
             return lambda x: x.take(inverse, axis=1)
         codes, values = self.column(g)
         k, j = np.divmod(codes, self.class_count)
         ks, starts = np.unique(k, return_index=True)
-        values = values % ell
+        values = (values % ell).astype(modmat.residues(ell))
 
         def act(x: np.ndarray) -> np.ndarray:
             out = np.zeros_like(x)
             for block in groups.blocks(len(x), len(j)):
-                out[block, ks] = np.add.reduceat(x[block, j] * values, starts, axis=1) % ell
+                out[block, ks] = np.add.reduceat(x[block, j] * values, starts, axis=1, dtype=np.int64) % ell
             return out
 
         return act
@@ -234,26 +247,37 @@ def least_admissible_prime(order: int, exponent: int) -> int:
     return next(admissible_primes(order, exponent))
 
 
-def _check_degree_budget(sizes: np.ndarray) -> None:
-    """Raise GroupTooLargeError when the int64 arrays the degree layer holds
-    at once would outgrow the table budget.  Those are up to six r x r
-    arrays while the split, its certificate and the degree readout run (the
-    Krylov powers and their echelon form or the r x (r + 1) elimination of
-    ``_lagrange``, the Lagrange
-    coefficients, the idempotent rows and their image, the central
-    characters), plus up to four arrays of |K_g| * r cells while the largest
-    class's column is counted, plus three n x (r / PANELS) panels of a
-    ``modmat.matmul`` product (a float copy of the right factor's panel, the
-    product, its int64 copy), n <= r.  tracemalloc puts the peak at 5.2
-    r x r arrays on C2^8 and 4.5 on C3^5, where a block of the refinement's
-    products is r x r, and at 3.0 on C400, C800, C1600 and C2400, which
-    split in closed form by one central element; a column's count at 3.0
-    arrays of |K_g| * r cells on S5 x S4.  The columns kept for the class
-    sums the split visits, each of at most min(r^2, |K_g| * r) cells, are
-    not counted: on every group measured it visits at most one class sum
-    beyond those it uses."""
+def _check_degree_budget(sizes: np.ndarray, ell: int) -> None:
+    """Raise GroupTooLargeError when the arrays the degree layer holds at
+    once would outgrow the table budget.
+
+    Its r x r arrays hold residues mod ell in ``modmat.residues(ell)``, of
+    itemsize s, and at most the larger of two sets of arrays coexist: six
+    r x r residue arrays (the Krylov powers and their echelon form with the
+    temporaries of its updates, or the powers and the elimination of
+    ``_lagrange`` with its temporaries), or three of them plus the int64 and
+    float64 transients of the first split's ``modmat.matmul``: a float64
+    copy of the r x r left factor, and three panels of r x r / PANELS cells
+    (a float64 copy of the right factor's panel, the product, its int64
+    copy).  Every other step is blocked, and its int64 sums and float64
+    panels take at most three arrays of min(r^2, BLOCK_CELLS) 8-byte cells
+    beyond the r x r arrays; below r^2 = BLOCK_CELLS a block can be wider
+    than r^2 cells (a refinement's chain is n x rows x r), so there the count
+    can fall short by up to about a megabyte (D200: a peak of 1.2 MB against
+    0.7 MB counted), far below any table budget.  Counting the largest class's column takes 18
+    bytes per cell of its |K_g| * r products (its intp index, then the int64
+    codes and np.unique's sorted copy).  tracemalloc puts the whole peak, in
+    r x r int64 arrays, at 2.5 on C2^8 and 2.6 on C3^5 (int16, where the
+    blocked steps dominate), 1.5 on C400, C800 and C1600 (int32, split in
+    closed form by one central element), 0.9 on C2^10 (int16) and 1.8 on
+    D8^3 x C2^4 (int16).  The columns kept for the class sums the split
+    visits, each of at most min(r^2, |K_g| * r) cells, are not counted: on
+    every group measured it visits at most one class sum beyond those it
+    uses."""
     r = len(sizes)
-    size = 8 * (6 * r * r + 4 * int(np.max(sizes)) * r + 3 * r * -(-r // modmat.PANELS))
+    s = np.dtype(modmat.residues(ell)).itemsize
+    held = max(6 * s * r * r, 3 * s * r * r + 8 * (r * r + 3 * r * -(-r // modmat.PANELS)))
+    size = held + 24 * min(r * r, groups.BLOCK_CELLS) + 18 * int(np.max(sizes)) * r
     if size > groups.TABLE_MAX_BYTES:
         raise GroupTooLargeError(
             f"group too large: the class algebra arrays of {r} classes needs {size} bytes, "
@@ -271,7 +295,9 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     allocated, when the degree layer would exceed the table budget.
     """
     r, sizes = len(classes), classes.sizes
-    _check_degree_budget(sizes)
+    exponent = int(np.lcm.reduce(group.element_orders))
+    ell = least_admissible_prime(group.order, exponent)
+    _check_degree_budget(sizes, ell)
     class_of, representatives = classes.class_index, classes.representatives
     offsets = np.arange(r) * r
 
@@ -279,17 +305,9 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
         inverses = group.inverses[classes.members(g)]
         return np.unique(class_of[group.mul(inverses[:, None], representatives)] + offsets, return_counts=True)
 
-    exponent = int(np.lcm.reduce(group.element_orders))
     generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
-    return ClassAlgebraData(
-        column,
-        tuple(sizes.tolist()),
-        classes.inverse_pairing,
-        exponent,
-        least_admissible_prime(group.order, exponent),
-        tuple(generator_classes),
-    )
+    return ClassAlgebraData(column, tuple(sizes.tolist()), classes.inverse_pairing, exponent, ell, tuple(generator_classes))
 
 
 def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
@@ -302,8 +320,9 @@ def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.nda
         raise EigensplitError("idempotent vanishes at the identity class")
     # e_0 = chi(1)^2 / |G| takes one value per degree
     distinct, which = np.unique(rows[:, 0], return_inverse=True)
-    inverse = np.array([modmat.inv_mod(e, ell) for e in distinct.tolist()], dtype=np.int64)[which]
-    sizes = np.array(data.sizes, dtype=np.int64) % ell
+    dtype = modmat.residues(ell)
+    inverse = np.array([modmat.inv_mod(e, ell) for e in distinct.tolist()], dtype=dtype)[which]
+    sizes = (np.array(data.sizes, dtype=np.int64) % ell).astype(dtype)
     # take, not rows[:, star], keeps the rows C-contiguous for the certificate's row blocks
     return rows.take(data.star, axis=1) * sizes % ell * inverse[:, None] % ell, used
 
@@ -319,24 +338,28 @@ def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.nda
     there.  The split reads the chain of a class sum of one element from
     ``_central_orbit`` instead.
     """
-    echelon = np.zeros((r, r), dtype=np.int64)
+    dtype = modmat.residues(ell)
+    echelon = np.zeros((r, r), dtype=dtype)
     pivots = np.zeros(r, dtype=np.intp)
     powers = []
-    x = np.zeros(r, dtype=np.int64)
+    x = np.zeros(r, dtype=dtype)
     x[0] = 1
     while True:
         k = len(powers)
         coordinates = x[pivots[:k]]
         at = coordinates.nonzero()[0]
-        rest = (x - coordinates[at] @ echelon[at]) % ell if len(at) else x
+        rest = x
+        if len(at):
+            # a sum of up to r products, in int64
+            rest = ((x - np.einsum("i,ij->j", coordinates[at], echelon[at], dtype=np.int64)) % ell).astype(dtype)
         nz = rest.nonzero()[0]
         if len(nz) == 0:
-            return np.array(powers, dtype=np.int64).reshape(-1, r), x
+            return np.array(powers, dtype=dtype).reshape(-1, r), x
         c = int(nz[0])
         rest = rest * modmat.inv_mod(int(rest[c]), ell) % ell
         hit = echelon[:k, c].nonzero()[0]
         if len(hit):
-            echelon[hit] = (echelon[hit] - np.outer(echelon[hit, c], rest)) % ell
+            echelon[hit] = (echelon[hit] - np.outer(echelon[hit, c], rest) % ell) % ell
         echelon[k] = rest
         pivots[k] = c
         powers.append(x)
@@ -361,15 +384,16 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
         raise EigensplitError(
             f"minimal polynomial of degree {n} of a class sum has {len(roots)} distinct roots in GF({ell})"
         )
-    lam = np.array(roots, dtype=np.int64)
-    quotients = np.zeros((n, n), dtype=np.int64)
+    dtype = modmat.residues(ell)
+    lam = np.array(roots, dtype=dtype)
+    quotients = np.zeros((n, n), dtype=dtype)
     quotients[n - 1] = 1
     for t in range(n - 1, 0, -1):
-        quotients[t - 1] = (f[t] + lam * quotients[t]) % ell
-    derivative = np.zeros(n, dtype=np.int64)
+        quotients[t - 1] = (f[t] + lam * quotients[t] % ell) % ell
+    derivative = np.zeros(n, dtype=dtype)
     for t in range(n - 1, -1, -1):
-        derivative = (derivative * lam + quotients[t]) % ell
-    scale = np.array([modmat.inv_mod(int(d), ell) for d in derivative], dtype=np.int64)
+        derivative = (derivative * lam % ell + quotients[t]) % ell
+    scale = np.array([modmat.inv_mod(int(d), ell) for d in derivative], dtype=dtype)
     return quotients * scale % ell
 
 
@@ -408,9 +432,12 @@ def _inverse_dft(n: int, ell: int) -> np.ndarray:
     powers = [1]
     for _ in range(n - 1):
         powers.append(powers[-1] * zeta % ell)
-    scaled = np.array(powers, dtype=np.int64) * modmat.inv_mod(n, ell) % ell
+    scaled = np.array(powers, dtype=modmat.residues(ell)) * modmat.inv_mod(n, ell) % ell
     t = np.arange(n)
-    return scaled[-t[:, None] * t % n]
+    out = np.empty((n, n), dtype=scaled.dtype)
+    for block in groups.blocks(n, n):
+        out[block] = scaled[-t[block, None] * t % n]
+    return out
 
 
 def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
@@ -432,7 +459,8 @@ def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int
     """
     r, first = data.class_count, data.generator_classes
     tried = set(first)
-    rows = np.zeros((1, r), dtype=np.int64)
+    dtype = modmat.residues(ell)
+    rows = np.zeros((1, r), dtype=dtype)
     rows[0, 0] = 1
     used = []
     for g in [*first, *(g for g in range(1, r) if g not in tried)]:
@@ -447,7 +475,7 @@ def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int
             n = len(orbit)
             lagrange = _inverse_dft(n, ell)
             if not used:
-                rows = np.zeros((n, r), dtype=np.int64)
+                rows = np.zeros((n, r), dtype=dtype)
                 rows[:, orbit] = lagrange.T
         else:
             powers, dependent = _identity_chain(act, r, ell)
@@ -477,8 +505,7 @@ def _all_eigenvectors(rows: np.ndarray, image: np.ndarray, ell: int) -> bool:
     y_j * e_p = y_p * e_j for all j, at a coordinate p where e_p != 0."""
     at = np.arange(len(rows))
     p = (rows != 0).argmax(axis=1)
-    cross = image * rows[at, p][:, None] - rows * image[at, p][:, None]
-    return not (cross % ell).any()
+    return np.array_equal(image * rows[at, p][:, None] % ell, rows * image[at, p][:, None] % ell)
 
 
 def _certify(data: ClassAlgebraData, vectors: np.ndarray, used: list[int], ell: int) -> None:
@@ -517,19 +544,29 @@ def _certify(data: ClassAlgebraData, vectors: np.ndarray, used: list[int], ell: 
             if not np.array_equal(j[k == 0], [star[g]]) or values[0] != sizes[g]:
                 raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
             by_row = np.argsort(j, kind="stable")
-            ks, coefficients = k[by_row], values[by_row] % ell
+            ks, coefficients = k[by_row], (values[by_row] % ell).astype(vectors.dtype)
             # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
             rows = np.searchsorted(j[by_row], np.arange(r))
         for block in groups.blocks(r, len(codes)):
             w = vectors[block]
-            # w_pi(j) for a class of one element; else each sum has at most r terms below ell^2
-            image = w.take(pi, axis=1) if sizes[g] == 1 else np.add.reduceat(w[:, ks] * coefficients, rows, axis=1) % ell
+            # w_pi(j) for a class of one element; else each sum of at most r products runs in int64
+            if sizes[g] == 1:
+                image = w.take(pi, axis=1)
+            else:
+                image = np.add.reduceat(w[:, ks] * coefficients, rows, axis=1, dtype=np.int64) % ell
             if not np.array_equal(image, w[:, g : g + 1] * w % ell):
                 raise EigensplitError(
                     f"a split vector is not a central character on class sum {g}"
                 )
-    if r > 1 and (not used or len(np.unique(vectors[:, used], axis=0)) != r):
+    if r > 1 and (not used or _has_equal_rows(vectors[:, used])):
         raise EigensplitError("two split vectors agree on every class sum used")
+
+
+def _has_equal_rows(keys: np.ndarray) -> bool:
+    """Whether two rows of ``keys`` (at least one column) are equal: they are
+    neighbours once the rows are sorted."""
+    ordered = keys[np.lexsort(keys.T)]
+    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
 def _degree_frequency(data: ClassAlgebraData, vectors: np.ndarray, ell: int) -> DegreeFrequency:
@@ -537,9 +574,9 @@ def _degree_frequency(data: ClassAlgebraData, vectors: np.ndarray, ell: int) -> 
     t's degree is the one d <= isqrt(|G|) with d^2 * T_t = |G| mod ell."""
     order = data.order
     distinct, which = np.unique(data.sizes, return_inverse=True)
-    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=np.int64)[which]
-    # each product is below ell^2, and each row sums r terms below ell
-    t = (vectors * vectors[:, list(data.star)] % ell * inverse_sizes % ell).sum(axis=1) % ell
+    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=vectors.dtype)[which]
+    # each product is reduced in the vectors' dtype, and each row's r terms below ell are summed in int64
+    t = (vectors * vectors[:, list(data.star)] % ell * inverse_sizes % ell).sum(axis=1, dtype=np.int64) % ell
     d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
     # d^2 <= order and t < ell, so the product stays far below 2^63
     match = d * d * t[:, None] % ell == order % ell

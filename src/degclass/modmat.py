@@ -1,4 +1,4 @@
-"""Exact linear algebra over a prime field, on int64 numpy arrays.
+"""Exact linear algebra over a prime field, on numpy integer arrays.
 
 ``chardeg`` uses ``rref``, ``matmul``, ``poly_roots`` and ``inv_mod``: one
 elimination of a Krylov chain gives the minimal polynomial of a class sum of
@@ -12,9 +12,11 @@ and ``tests/test_modmat.py`` checks them by definition.
 
 ``matmul`` multiplies on float64 BLAS and stays exact by summing at most
 2**53 // (p - 1)**2 products at a time; it raises ValueError when one
-product (p - 1)**2 can reach 2**53.  Elsewhere nothing bounds the modulus:
-an int64 product of n-term row sums needs n * p**2 < 2**63 (int64 would
-wrap silently), and ``poly_roots`` allocates an array of length p.
+product (p - 1)**2 can reach 2**53.  Its result, like every residue array
+of ``chardeg``, has the dtype ``residues(p)``, the narrowest that holds a
+product of two residues.  Elsewhere nothing bounds the modulus: an int64
+product of n-term row sums needs n * p**2 < 2**63 (int64 would wrap
+silently), and ``poly_roots`` allocates an array of length p.
 ``chardeg`` keeps both safe by rejecting any dixon prime above its search
 bound, at most ``PRIME_SEARCH_FACTOR * ENUMERATION_CAP`` = 2 * 10**6.
 Polynomials are coefficient lists, constant term first, always
@@ -34,6 +36,15 @@ Poly = list[int]
 PANELS = 8
 
 
+def residues(p: int) -> type:
+    """The narrowest signed integer dtype that holds every product of two
+    residues mod p, (p - 1)**2: int16 for p <= 182, int32 for p <= 46341,
+    else int64.  A product in it is reduced mod p before it meets a third
+    value, and sums of products are accumulated in int64."""
+    square = (p - 1) ** 2
+    return np.int16 if square < 2**15 else np.int32 if square < 2**31 else np.int64
+
+
 def inv_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -42,12 +53,13 @@ def inv_mod(a: int, p: int) -> int:
 
 
 def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (R, pivot_columns).
+    """Reduced row echelon form over GF(p); returns (R, pivot_columns), R in
+    the dtype ``residues(p)``.
 
     Each pivot clears its column in the other rows that have an entry there
     with one outer product, skipped when no other row has one.
     """
-    a = np.array(matrix, dtype=np.int64) % p
+    a = (np.asarray(matrix) % p).astype(residues(p), copy=False)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -66,22 +78,24 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         col[r] = 0
         rest = col.nonzero()[0]
         if len(rest):
-            a[rest, c:] = (a[rest, c:] - np.outer(col[rest], a[r, c:])) % p
+            a[rest, c:] = (a[rest, c:] - np.outer(col[rest], a[r, c:]) % p) % p
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, as int64, for 2-d arrays with entries in 0..p-1.
+    """a @ b mod p, in the dtype ``residues(p)``, for 2-d arrays with entries
+    in 0..p-1.
 
     The product runs on float64 BLAS, exactly.  Each product of two entries
     is at most (p - 1)**2, so a chunk of 2**53 // (p - 1)**2 inner terms
     sums to an integer of at most 2**53, and so does every partial sum in
     whatever order BLAS adds them: float64 holds each exactly, and a fused
     multiply-add rounds an exact integer to itself.  The chunks' sums are
-    added and reduced in int64.  Raises ValueError when not even one term
-    fits, that is when (p - 1)**2 >= 2**53.  Columns go a panel at a time
+    added and reduced in int64, and the last reduction writes straight into
+    the narrow result.  Raises ValueError when not even one term fits, that
+    is when (p - 1)**2 >= 2**53.  Columns go a panel at a time
     (``groups.blocks``), so besides ``a``'s float copy and the result the
     temporaries stay within one panel.  A panel is at least 1/PANELS of the
     columns wide: blocks of BLOCK_CELLS cells alone would make r x r x r
@@ -93,7 +107,7 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     rows, inner = a.shape
     cols = b.shape[1]
-    out = np.empty((rows, cols), dtype=np.int64)
+    out = np.empty((rows, cols), dtype=residues(p))
     for block in groups.blocks(cols, rows + inner, least=-(-cols // PANELS)):
         _chunked_product(a, np.asarray(b[:, block], dtype=np.float64), p, terms, out[:, block])
     return out
@@ -104,11 +118,11 @@ def _chunked_product(a: np.ndarray, b: np.ndarray, p: int, terms: int, out: np.n
 
     A function of its own, so that one block's float temporaries are freed
     before the next block's are made."""
-    out[...] = a[:, :terms] @ b[:terms]
+    total = (a[:, :terms] @ b[:terms]).astype(np.int64)
     for start in range(terms, a.shape[1], terms):
-        out %= p
-        out += (a[:, start : start + terms] @ b[start : start + terms]).astype(np.int64)
-    out %= p
+        total %= p
+        total += (a[:, start : start + terms] @ b[start : start + terms]).astype(np.int64)
+    np.remainder(total, p, out=out, casting="unsafe")
 
 
 def nullspace(matrix: np.ndarray, p: int) -> np.ndarray:

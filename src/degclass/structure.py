@@ -332,9 +332,9 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown deterministically.
 
     Starting from the trivial subgroup, repeatedly adjoin the least-index
-    p-element of N_G(P) \\ P and close; each step multiplies |P| by a power
-    of p, so the loop reaches |G|_p exactly.  Returns the trivial subgroup
-    when p does not divide |G|.
+    p-element x of N_G(P) \\ P and close <P, x> from P's generators and x;
+    each step multiplies |P| by a power of p, so the loop reaches |G|_p
+    exactly.  Returns the trivial subgroup when p does not divide |G|.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -344,7 +344,7 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
     while sub.order < target:
         candidates = normalizer(group, sub).mask() & p_elements
         candidates[sub.members] = False
-        sub = _closure(group, np.append(sub.members, np.argmax(candidates)))
+        sub = _closure(group, np.append(sub.generators, np.argmax(candidates)))
     return sub
 
 

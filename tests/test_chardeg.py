@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -187,6 +188,19 @@ def test_next_admissible_prime_gives_identical_frequency(corpus):
         base = degrees_from_class_algebra(data)
         again = degrees_from_class_algebra(replace(data, dixon_prime=second))
         assert base == again
+
+
+@pytest.mark.parametrize("ell,dtype", [(61, np.int16), (241, np.int32), (46381, np.int64)])
+def test_s6_frequency_is_the_same_in_every_residue_dtype(ell, dtype):
+    # three admissible primes of S6 (exponent 60, order 720), one per dtype
+    g = standard_group("symmetric", 6)
+    data = class_algebra(g, conjugacy_classes(g))
+    assert ell in itertools.takewhile(lambda q: q <= ell, admissible_primes(g.order, data.exponent))
+    assert modmat.residues(ell) is dtype
+    vectors, _ = chardeg._simultaneous_eigenvectors(replace(data, dixon_prime=ell), ell)
+    assert vectors.dtype == dtype
+    freq = degrees_from_class_algebra(replace(data, dixon_prime=ell))
+    assert freq.as_dict() == {1: 2, 5: 4, 9: 2, 10: 2, 16: 1}
 
 
 def test_direct_product_frequency_multiplies():
@@ -458,6 +472,30 @@ def test_certificate_rejects_corrupted_vectors(corrupt, message):
         chardeg._certify(data, corrupt(vectors), used, data.dixon_prime)
 
 
+def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
+    # check (c) sorts the vectors on the class sums used and compares
+    # neighbours: a copy of any vector over any other is caught
+    g = _elementary_abelian(2, 7)
+    data = class_algebra(g, conjugacy_classes(g))
+    ell = data.dixon_prime
+    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
+    chardeg._certify(data, vectors, used, ell)
+    for copy, over in [(0, 1), (5, 127), (127, 64), (3, 2)]:
+        duplicated = vectors.copy()
+        duplicated[over] = vectors[copy]
+        with pytest.raises(EigensplitError, match="two split vectors agree on every class sum used"):
+            chardeg._certify(data, duplicated, used, ell)
+
+
+def test_certificate_of_the_trivial_group_uses_no_class_sum():
+    g = build_group(1, [])
+    data = class_algebra(g, conjugacy_classes(g))
+    vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
+    assert used == [] and vectors.tolist() == [[1]]
+    chardeg._certify(data, vectors, used, data.dixon_prime)
+    assert degrees_from_class_algebra(data).as_dict() == {1: 1}
+
+
 def _certify_corrupted_s4(corrupt):
     # corrupts the column of a class sum the split used, which the certificate
     # reads; the class sizes and inverse classes stay those of S4
@@ -704,13 +742,14 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
-    # the int16 table of C12 takes 288 bytes, its degree layer's arrays 7872;
-    # both groups are enumerated (2448 bytes) before the budget is lowered
+    # the int16 table of C12 takes 288 bytes, its degree layer's arrays 6264
+    # (int16 residues mod 13); both groups are enumerated (2448 bytes) before
+    # the budget is lowered
     records = parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")
     g = standard_group("cyclic", 12)
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
     [block] = run_report(records).document["groups"]
-    assert "class algebra arrays of 12 classes needs 7872 bytes" in block["skipped"]
+    assert "class algebra arrays of 12 classes needs 6264 bytes" in block["skipped"]
     assert "verdicts" not in block
     cs = conjugacy_classes(g)
     assert g.table.nbytes == 288
@@ -729,9 +768,11 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     ],
 )
 def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
-    # six r x r int64 arrays and four of the largest class's gather: on C2^8
-    # and C3^5 the r x r arrays dominate, on S5 x S4 the gather of a class of
-    # 240; C400 splits at once by one central element of order r, its r x r
+    # r x r residue arrays, int16 on C2^8, C3^5 and S5 x S4 and int32 on
+    # C400, plus the blocked steps' transients and the largest class's
+    # gather: on C2^8 and C3^5 the blocked refinement dominates the peak, on
+    # S5 x S4 the gather of its largest class (240 elements) the budget;
+    # C400 splits at once by one central element of order r, its r x r
     # inverse DFT matrix scattered onto the idempotent rows
     g = build()
     cs = conjugacy_classes(g)

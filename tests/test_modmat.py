@@ -50,6 +50,20 @@ def test_matmul_matches_python_ints(monkeypatch, p, block):
         assert np.array_equal(modmat.matmul(a, b, p), _python_product(a, b, p))
 
 
+@pytest.mark.parametrize("p,dtype", [(181, np.int16), (191, np.int32), (46337, np.int32), (46349, np.int64)])
+def test_residues_hold_a_product_of_two_residues(p, dtype):
+    # the primes on either side of 182 and of 46341, where (p - 1)**2 outgrows 2**15 - 1 and 2**31 - 1
+    assert is_prime(p) and modmat.residues(p) is dtype
+    assert (p - 1) ** 2 <= np.iinfo(dtype).max
+    rng = np.random.default_rng(p)
+    for rows, inner, cols in [(5, 7, 3), (40, 40, 40), (3, 300, 2)]:
+        a, b = rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols))
+        a[0], b[:, 0] = p - 1, p - 1  # the largest products
+        product = modmat.matmul(a.astype(dtype), b.astype(dtype), p)
+        assert product.dtype == dtype
+        assert np.array_equal(product, _python_product(a, b, p))
+
+
 @pytest.mark.parametrize(
     "r,widths", [(128, [128]), (300, [109, 109, 82]), (512, [64] * 8), (600, [75] * 8)]
 )

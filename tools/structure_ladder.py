@@ -1,9 +1,9 @@
 """Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
 verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
-layer's one big split on C800, C1600 and C2400 and its ten splits by
-central class sums on C2^10 (r = 1024), and the pure-Python group
-build of C4000 on 4000 points and of D4000 (``dihedral`` 2000, of order
-4000 on 2000 points).
+layer's one big split on C800, C1600 and C2400, its ten and twelve splits
+by central class sums on C2^10 (r = 1024) and C2^12 (r = 4096), and the
+pure-Python group build of C4000 on 4000 points and of D4000 (``dihedral``
+2000, of order 4000 on 2000 points).
 
 Each measurement runs in a fresh interpreter, so that its peak RSS is its
 own.  The S7 rungs run two stages:
@@ -21,13 +21,17 @@ The peak RSS of one D8^3xC2^4 run reads either about 265 or about 291 MB for
 the same code, depending on heap layout, so a single run cannot show a
 change of less than about 26 MB there.
 
-C800, C1600, C2400 and C2^10 run one:
+C800, C1600, C2400, C2^10 and C2^12 run one:
 
 * ``degree``: parse the group and build its classes and Cayley table, then
   time the degree step alone (``class_algebra`` and
-  ``degrees_from_class_algebra``), and record the peak RSS.  The step then
-  runs once more under tracemalloc, whose peak is given in r x r int64
-  arrays, the unit of the degree budget.
+  ``degrees_from_class_algebra``), and record the Dixon prime, the dtype
+  its residues are held in (``modmat.residues``; int64 in a checkout that
+  predates it) and the peak RSS.  The step then runs once more under
+  tracemalloc, whose peak is given in r x r int64 arrays (8 r^2 bytes,
+  whatever the residue dtype), so that checkouts with different dtypes
+  compare.  A group the degree budget refuses gives a skip record: the
+  reason, which holds the budget's byte count, and the peak RSS.
 
 C4000 and D4000 run ``build`` alone: time ``parse_corpus`` of the one-stanza
 corpus (Schreier-Sims, the closure, the element index, inverses and element
@@ -94,6 +98,7 @@ RUNGS = {
     "C1600": (_cycle(1600), ("degree",)),
     "C2400": (_cycle(2400), ("degree",)),
     "C2^10": ("degree 20\n" + _gens(*_transpositions(1, 10)), ("degree",)),
+    "C2^12": ("degree 24\n" + _gens(*_transpositions(1, 12)), ("degree",)),
     "C4000": (_cycle(4000), ("build",)),
     "D4000": (_dihedral(2000), ("build",)),
 }
@@ -135,16 +140,25 @@ def measure(rung: str, stage: str) -> dict:
 
 
 def _measure_degree_step(group) -> dict:
+    import numpy as np
+    from degclass import modmat
     from degclass.chardeg import class_algebra, degrees_from_class_algebra
+    from degclass.group import GroupTooLargeError
     from degclass.structure import conjugacy_classes
 
     classes = conjugacy_classes(group)
     group.table, group.inverses, group.element_orders  # built before the clock starts
     r = len(classes)
+    out = {"order": group.order, "classes": r}
     start = perf_counter()
-    data = class_algebra(group, classes)
+    try:
+        data = class_algebra(group, classes)
+    except GroupTooLargeError as skip:
+        return {**out, "skipped": str(skip), "peak_rss_mb": _peak_rss_mb()}
     degrees = degrees_from_class_algebra(data)
-    out = {"order": group.order, "classes": r, "dixon_prime": data.dixon_prime, "degrees": degrees.as_dict()}
+    residues = getattr(modmat, "residues", lambda ell: np.int64)
+    out.update(dixon_prime=data.dixon_prime, residue_dtype=np.dtype(residues(data.dixon_prime)).name)
+    out["degrees"] = degrees.as_dict()
     out["seconds"] = round(perf_counter() - start, 3)
     out["peak_rss_mb"] = _peak_rss_mb()
     del data, degrees
