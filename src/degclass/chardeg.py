@@ -253,13 +253,13 @@ def _check_degree_budget(sizes: np.ndarray, ell: int) -> None:
 
     Its r x r arrays hold residues mod ell in ``modmat.residues(ell)``, of
     itemsize s, and at most the larger of two sets of arrays coexist: six
-    r x r residue arrays (the Krylov powers and their echelon form with the
-    temporaries of its updates, or the powers and the elimination of
-    ``_lagrange`` with its temporaries), or three of them plus the int64 and
-    float64 transients of the first split's ``modmat.matmul``: a float64
-    copy of the r x r left factor, and three panels of r x r / PANELS cells
-    (a float64 copy of the right factor's panel, the product, its int64
-    copy).  Every other step is blocked, and its int64 sums and float64
+    r x r residue arrays (the Krylov powers and the elimination of
+    ``_lagrange`` with its temporaries), or three of them plus int64 and
+    float64 transients of r^2 + 3 r * r / PANELS cells: the chain's int64
+    copy of the echelon rows it reduces a power against, or the first
+    split's ``modmat.matmul`` with a float64 copy of the r x r left factor
+    and three panels of r x r / PANELS cells (a float64 copy of the right
+    factor's panel, the product, its int64 copy).  Every other step is blocked, and its int64 sums and float64
     panels take at most three arrays of min(r^2, BLOCK_CELLS) 8-byte cells
     beyond the r x r arrays; below r^2 = BLOCK_CELLS a block can be wider
     than r^2 cells (a refinement's chain is n x rows x r), so there the count
@@ -351,7 +351,7 @@ def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.nda
         rest = x
         if len(at):
             # a sum of up to r products, in int64
-            rest = ((x - np.einsum("i,ij->j", coordinates[at], echelon[at], dtype=np.int64)) % ell).astype(dtype)
+            rest = ((x - np.matmul(coordinates[at], echelon[at], dtype=np.int64)) % ell).astype(dtype)
         nz = rest.nonzero()[0]
         if len(nz) == 0:
             return np.array(powers, dtype=dtype).reshape(-1, r), x
