@@ -759,15 +759,17 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build,dtype",
     [
-        pytest.param(lambda: _elementary_abelian(2, 8), id="C2^8"),
-        pytest.param(lambda: _elementary_abelian(3, 5), id="C3^5"),
-        pytest.param(lambda: direct_product(standard_group("symmetric", 5), standard_group("symmetric", 4)), id="S5xS4"),
-        pytest.param(lambda: standard_group("cyclic", 400), id="C400"),
+        pytest.param(lambda: _elementary_abelian(2, 8), np.int16, id="C2^8"),
+        pytest.param(lambda: _elementary_abelian(3, 5), np.int16, id="C3^5"),
+        pytest.param(
+            lambda: direct_product(standard_group("symmetric", 5), standard_group("symmetric", 4)), np.int16, id="S5xS4"
+        ),
+        pytest.param(lambda: standard_group("cyclic", 400), np.int32, id="C400"),
     ],
 )
-def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
+def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build, dtype):
     # r x r residue arrays, int16 on C2^8, C3^5 and S5 x S4 and int32 on
     # C400, plus the blocked steps' transients and the largest class's
     # gather: on C2^8 and C3^5 the blocked refinement dominates the peak, on
@@ -785,6 +787,7 @@ def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    assert modmat.residues(class_algebra(g, cs).dixon_prime) is dtype
     r = len(cs)
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 8 * r * (r + 1))
     with pytest.raises(groups.GroupTooLargeError, match="class algebra arrays") as skip:
