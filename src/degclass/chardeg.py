@@ -37,7 +37,29 @@ the group exponent e and l > 2*sqrt(|G|):
    dtype that holds a product of two residues, ``modmat.residues(l)``:
    int16 for l <= 182, int32 for l <= 46341, else int64.  A product of two
    residues is reduced mod l before it meets a third value, and every sum of
-   such products is accumulated in int64;
+   such products is accumulated in int64.
+   When every class is one element (G is abelian) the split is not run:
+   the central characters are written down from a normal form of G over
+   the class sums.  The class sums are walked in the same order, each
+   through its permutation pi, and z is used exactly when its class lies
+   outside H, the subgroup the class sums used before it generate (the
+   orbit of class 0 under their permutations).  That is the split's own
+   rule: each idempotent found so far is e_psi = |H|^-1 * sum over h in H
+   of psi(h^-1) h for a character psi of H, supported on H, so z acts on
+   it as a scalar when z lies in H and moves it off H otherwise, and the
+   classes used are the ones the split would use.  z_i's relative order
+   m_i is the least m with z_i^m in H, and z_i^m_i = prod_{j<i}
+   z_j^u_ij, so every class x is prod z_i^t_i(x) for one exponent vector
+   t(x) with 0 <= t_i < m_i.  The characters are w_x = zeta^(a . t(x)),
+   zeta a primitive e-th root of unity mod l, for the vectors a with m_i
+   * a_i = sum_j u_ij * a_j (mod e).  m_i divides the order of z_i, which
+   divides e, so relation i has a solution exactly when m_i divides its
+   right side (which every character of H extending to <H, z_i> forces,
+   and which is checked), and then exactly m_i of them, a_i = c / m_i + s
+   * e / m_i: distinct characters, since GF(l) holds e distinct e-th roots
+   of unity because e divides l - 1.  So the prod m_i = r vectors a give r
+   distinct rows, which are made, certified and read a block of rows at a
+   time, and no r x r array is held;
 3. the vectors are certified on the set S of class sums the split used
    (those that split an idempotent): there are r of
    them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
@@ -51,11 +73,13 @@ the group exponent e and l > 2*sqrt(|G|):
    identities: every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
    and a[g][j][0] = |K_g| exactly when j = g*.  For |K_g| = 1 these say the
    column is a permutation pi with pi(g*) = 0, and w_g * w_j = w_pi(j).
-   The sums over k run in int64 on the narrow vectors, and two vectors that
-   agree on all of S are neighbours once the vectors are sorted on S;
+   The sums over k run in int64 on the narrow vectors.  The checks of each
+   row are made a block of rows at a time, and the restrictions to S are
+   gathered, r x |S|: two vectors that agree on all of S are neighbours
+   once those are sorted;
 4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
-   degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read for
-   all r vectors in one array pass.  No two candidates match, because
+   degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read a
+   block of rows at a time.  No two candidates match, because
    l > 2*sqrt(|G|) cannot divide (d1 - d2) * (d1 + d2), and T = 0 matches
    none, because l does not divide |G|; so "exactly one match" is the whole
    check.
@@ -72,10 +96,11 @@ visiting order is a different ``ClassAlgebraData`` (``dataclasses.replace``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -251,33 +276,50 @@ def _check_degree_budget(sizes: np.ndarray, ell: int) -> None:
     """Raise GroupTooLargeError when the arrays the degree layer holds at
     once would outgrow the table budget.
 
-    Its r x r arrays hold residues mod ell in ``modmat.residues(ell)``, of
-    itemsize s, and at most the larger of two sets of arrays coexist: six
-    r x r residue arrays (the Krylov powers and the elimination of
-    ``_lagrange`` with its temporaries), or three of them plus int64 and
-    float64 transients of r^2 + 3 r * r / PANELS cells: the chain's int64
-    copy of the echelon rows it reduces a power against, or the first
-    split's ``modmat.matmul`` with a float64 copy of the r x r left factor
-    and three panels of r x r / PANELS cells (a float64 copy of the right
-    factor's panel, the product, its int64 copy).  Every other step is blocked, and its int64 sums and float64
-    panels take at most three arrays of min(r^2, BLOCK_CELLS) 8-byte cells
-    beyond the r x r arrays; below r^2 = BLOCK_CELLS a block can be wider
-    than r^2 cells (a refinement's chain is n x rows x r), so there the count
-    can fall short by up to about a megabyte (D200: a peak of 1.2 MB against
-    0.7 MB counted), far below any table budget.  Counting the largest class's column takes 18
-    bytes per cell of its |K_g| * r products (its intp index, then the int64
-    codes and np.unique's sorted copy).  tracemalloc puts the whole peak, in
-    r x r int64 arrays, at 2.5 on C2^8 and 2.6 on C3^5 (int16, where the
-    blocked steps dominate), 1.5 on C400, C800 and C1600 (int32, split in
-    closed form by one central element), 0.9 on C2^10 (int16) and 1.8 on
-    D8^3 x C2^4 (int16).  The columns kept for the class sums the split
-    visits, each of at most min(r^2, |K_g| * r) cells, are not counted: on
-    every group measured it visits at most one class sum beyond those it
-    uses."""
-    r = len(sizes)
+    Its residues mod ell are held in ``modmat.residues(ell)``, of itemsize
+    s.  When every class is one element nothing r x r is held: the closed
+    form makes, certifies and reads one block of min(r^2, BLOCK_CELLS) cells
+    at a time, at (8 + 4 s) bytes a cell (the int64 exponents of a block's
+    last factor, and up to four arrays of residues: the block passed on, a
+    product, its reduction and its gather) plus numpy's buffers for the
+    exponents' broadcast product, two int64 operands of up to
+    ``np.getbufsize()`` cells, and holds (48 + 3 s) bytes for
+    each of r * k cells, k <= log2 r the class sums used (each at least
+    doubles H): the characters' exponents and, while a relation is solved,
+    two copies of them; the column and permutation kept for each class sum
+    used; and the rows' restrictions to the class sums used, gathered,
+    joined and sorted.
+    Otherwise at most the larger of two sets of arrays coexist: six r x r
+    residue arrays (the Krylov powers and the elimination of ``_lagrange``
+    with its temporaries), or three of them plus int64 and float64
+    transients of r^2 + 3 r * r / PANELS cells: the chain's int64 copy of
+    the echelon rows it reduces a power against, or the first split's
+    ``modmat.matmul`` with a float64 copy of the r x r left factor and
+    three panels of r x r / PANELS cells (a float64 copy of the right
+    factor's panel, the product, its int64 copy).  Every other step is
+    blocked, and its int64 sums and float64 panels take at most three
+    arrays of min(r^2, BLOCK_CELLS) 8-byte cells beyond the r x r arrays; a
+    refinement chains only the rows its class sum does not act on as a
+    scalar.  Counting the largest class's column takes 18 bytes per cell of
+    its |K_g| * r products (its intp index, then the int64 codes and
+    np.unique's sorted copy).  tracemalloc puts the whole peak at 0.62 MB
+    on C2^8, 0.53 MB on C3^5, 2.65 MB on C2^12 and 3.0 MB on C3^8 (int16),
+    1.39 MB on C400 (int32), 0.08 MB on S5 x S4 (int16), 0.52 MB on D200
+    (int32), 30 MB on D2000 (int32) and 57 MB on D8^3 x C2^4 (int16); the
+    count is 1.35 to 2.6 times these.  Below a few kilobytes fixed Python
+    overhead is not counted: S6 (r = 11) peaks at 37 KB against 34 KB
+    counted.  The columns kept for the class sums the split visits, each of
+    at most min(r^2, |K_g| * r) cells, are not counted for a group with a
+    class of several elements: on every group measured it visits at most
+    one class sum beyond those it uses."""
+    r, largest = len(sizes), int(np.max(sizes))
     s = np.dtype(modmat.residues(ell)).itemsize
-    held = max(6 * s * r * r, 3 * s * r * r + 8 * (r * r + 3 * r * -(-r // modmat.PANELS)))
-    size = held + 24 * min(r * r, groups.BLOCK_CELLS) + 18 * int(np.max(sizes)) * r
+    block = min(r * r, groups.BLOCK_CELLS)
+    if largest == 1:
+        held = (8 + 4 * s) * block + 16 * min(block, np.getbufsize()) + (48 + 3 * s) * r * (r.bit_length() - 1)
+    else:
+        held = max(6 * s * r * r, 3 * s * r * r + 8 * (r * r + 3 * r * -(-r // modmat.PANELS))) + 24 * block
+    size = held + 18 * largest * r
     if size > groups.TABLE_MAX_BYTES:
         raise GroupTooLargeError(
             f"group too large: the class algebra arrays of {r} classes needs {size} bytes, "
@@ -422,6 +464,17 @@ def _inverse_dft(n: int, ell: int) -> np.ndarray:
         raise EigensplitError(
             f"minimal polynomial x^{n} - 1 of a class sum has {math.gcd(n, ell - 1)} distinct roots in GF({ell})"
         )
+    scaled = _roots_of_unity(n, ell) * modmat.inv_mod(n, ell) % ell
+    t = np.arange(n)
+    out = np.empty((n, n), dtype=scaled.dtype)
+    for block in groups.blocks(n, n):
+        out[block] = scaled[-t[block, None] * t % n]
+    return out
+
+
+def _roots_of_unity(n: int, ell: int) -> np.ndarray:
+    """zeta^0, zeta^1, ..., zeta^(n - 1) mod ell in ``modmat.residues(ell)``,
+    for a primitive n-th root of unity zeta; n must divide ell - 1."""
     primes = primes_of(n)
     # a^((ell - 1) / n) has order n for a primitive root a, so the search ends
     zeta = next(
@@ -432,12 +485,7 @@ def _inverse_dft(n: int, ell: int) -> np.ndarray:
     powers = [1]
     for _ in range(n - 1):
         powers.append(powers[-1] * zeta % ell)
-    scaled = np.array(powers, dtype=modmat.residues(ell)) * modmat.inv_mod(n, ell) % ell
-    t = np.arange(n)
-    out = np.empty((n, n), dtype=scaled.dtype)
-    for block in groups.blocks(n, n):
-        out[block] = scaled[-t[block, None] * t % n]
-    return out
+    return np.array(powers, dtype=modmat.residues(ell))
 
 
 def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
@@ -449,8 +497,9 @@ def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int
     over the class sums, starting from the identity.  One action tells
     whether a class sum K acts on every row as a scalar, e * K = lambda * e;
     such a class sum splits nothing and is skipped.  Otherwise K replaces
-    each row e by the nonzero rows e * E_lambda over its Lagrange
-    idempotents, in closed form when K is one central element
+    each row e it does not act on as a scalar by the nonzero rows e *
+    E_lambda over its Lagrange idempotents (a row it acts on as lambda is
+    its own only nonzero product), in closed form when K is one central element
     (``_central_orbit``, ``_inverse_dft``); while the only row is the
     identity, its chain e, e * K, ... is K's identity chain and is not
     acted out again.  Afterwards e * K = lambda * e, so once every class
@@ -468,7 +517,8 @@ def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int
             break
         act = data.action(g, ell)
         image = act(rows)
-        if _all_eigenvectors(rows, image, ell):
+        scalar = _eigenvector_rows(rows, image, ell)
+        if scalar.all():
             continue
         if data.sizes[g] == 1:
             orbit = _central_orbit(data, g)
@@ -484,13 +534,14 @@ def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int
             if not used:
                 rows = modmat.matmul(lagrange.T, powers, ell)
         if used:
-            refined = []
-            for block in groups.blocks(len(rows), n * r):
-                chain = [rows[block], image[block]]
+            # a row K acts on as a scalar is its own only nonzero product
+            refined, split, image = [rows[scalar]], rows[~scalar], image[~scalar]
+            for block in groups.blocks(len(split), n * r):
+                chain = [split[block], image[block]]
                 for _ in range(n - 2):
                     chain.append(act(chain[-1]))
-                split = modmat.matmul(lagrange.T, np.stack(chain).reshape(n, -1), ell).reshape(-1, r)
-                refined.append(split[split.any(axis=1)])
+                products = modmat.matmul(lagrange.T, np.stack(chain).reshape(n, -1), ell).reshape(-1, r)
+                refined.append(products[products.any(axis=1)])
             rows = np.concatenate(refined)
         used.append(g)
     if len(rows) < r:
@@ -500,66 +551,154 @@ def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int
     return rows, used
 
 
-def _all_eigenvectors(rows: np.ndarray, image: np.ndarray, ell: int) -> bool:
-    """Whether every image row is a multiple of its row: y = lambda * e iff
+def _eigenvector_rows(rows: np.ndarray, image: np.ndarray, ell: int) -> np.ndarray:
+    """Whether each image row is a multiple of its row: y = lambda * e iff
     y_j * e_p = y_p * e_j for all j, at a coordinate p where e_p != 0."""
     at = np.arange(len(rows))
     p = (rows != 0).argmax(axis=1)
-    return np.array_equal(image * rows[at, p][:, None] % ell, rows * image[at, p][:, None] % ell)
+    return (image * rows[at, p][:, None] % ell == rows * image[at, p][:, None] % ell).all(axis=1)
 
 
-def _certify(data: ClassAlgebraData, vectors: np.ndarray, used: list[int], ell: int) -> None:
-    """Raise unless ``vectors`` are the r central characters of the class
-    algebra, checked on the class sums ``used`` (see step 3 above).
+def _abelian_characters(data: ClassAlgebraData, ell: int) -> tuple[Iterator[np.ndarray], list[int]]:
+    """The central characters of a class algebra whose classes are all one
+    element, in closed form (step 2 above), as blocks of rows made one at a
+    time, and the class sums used, in the split's visiting order.
 
-    (a) There are r vectors with w_0 = 1.  Then for every g in ``used``,
-    class g's column is checked against the counting identities, in
-    O(nnz_g): every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
-    and a[g][j][0] = |K_g| exactly when j = g*; and (b) for every j,
-    sum_k a[g][j][k] * w_k = w_g * w_j, at r * nnz_g cells.  For |K_g| = 1,
-    (a) is that the column is a permutation pi with pi(g*) = 0, and (b)
-    gathers w_pi(j), with no sums.  (c) No two vectors agree on every class
-    in ``used``.
+    The walk places the classes of H in the order they join it: z_i^s * h,
+    the class pi^s(h), follows all of z_i^(s-1) * H, so a class's place has
+    the mixed-radix digits t(x), t_i the most significant when z_i joins.
+    The characters' exponent vectors are solved one relation at a time, r x
+    |used| in all.  A row is then the Kronecker product over i of the
+    vectors zeta^(a_i * t) for t < m_i, built in H's order and gathered into
+    class order: under 2 r products and reductions mod ell a row.
     """
-    r, sizes, star = data.class_count, data.sizes, data.star
-    if vectors.shape != (r, r):
-        raise EigensplitError(f"found {len(vectors)} vectors, expected {r}")
-    if not (vectors[:, 0] == 1).all():
-        raise EigensplitError("a split vector is not 1 at the identity class")
-    for g in used:
-        codes, values = data.column(g)
-        if sizes[g] == 1:
-            # r unit entries meet the counting identities exactly when they permute the classes with pi(g*) = 0
-            pi = data.permutation(g)
-            if pi[star[g]] != 0:
-                raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
-        else:
-            k, j = np.divmod(codes, r)
-            covered = np.count_nonzero(np.bincount(j, minlength=r))
-            if covered != r:
-                raise EigensplitError(f"coefficients of class sum {g} cover {covered} classes j, expected {r}")
-            ks, starts = np.unique(k, return_index=True)
-            if len(ks) != r or (np.add.reduceat(values, starts) != sizes[g]).any():
-                raise EigensplitError(f"coefficients of class sum {g}: some sum over j of a[g][j][k] differs from |K_g|")
-            if not np.array_equal(j[k == 0], [star[g]]) or values[0] != sizes[g]:
-                raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
-            by_row = np.argsort(j, kind="stable")
-            ks, coefficients = k[by_row], (values[by_row] % ell).astype(vectors.dtype)
-            # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
-            rows = np.searchsorted(j[by_row], np.arange(r))
-        for block in groups.blocks(r, len(codes)):
-            w = vectors[block]
-            # w_pi(j) for a class of one element; else each sum of at most r products runs in int64
-            if sizes[g] == 1:
-                image = w.take(pi, axis=1)
-            else:
-                image = np.add.reduceat(w[:, ks] * coefficients, rows, axis=1, dtype=np.int64) % ell
-            if not np.array_equal(image, w[:, g : g + 1] * w % ell):
-                raise EigensplitError(
-                    f"a split vector is not a central character on class sum {g}"
-                )
-    if r > 1 and (not used or _has_equal_rows(vectors[:, used])):
+    r, e, first = data.class_count, data.exponent, data.generator_classes
+    tried = set(first)
+    place, members = [-1] * r, [0]
+    place[0] = 0
+    orders, relations, used = [], [], []
+    for g in itertools.chain(first, (g for g in range(1, r) if g not in tried)):
+        if len(members) >= r:
+            break
+        if place[g] >= 0:
+            continue
+        pi = data.permutation(g).tolist()
+        m, c = 1, pi[0]
+        while place[c] < 0:
+            m, c = m + 1, pi[c]
+        # z^m lies in H: its exponents are the digits of its place
+        p, digits = place[c], []
+        for radix in orders:
+            p, t = divmod(p, radix)
+            digits.append(t)
+        relations.append(np.array(digits, dtype=np.int64))
+        # the place n + i holds z times the class at place i
+        for i in range((m - 1) * len(members)):
+            x = pi[members[i]]
+            if place[x] >= 0:
+                raise EigensplitError(f"class sum {g} of one element does not permute the cosets of the class sums before it")
+            place[x] = len(members)
+            members.append(x)
+        orders.append(m)
+        used.append(g)
+    if len(members) < r:
+        raise EigensplitError(f"refinement stalled with {len(members)} idempotents for {r} classes")
+    characters = np.zeros((1, 0), dtype=np.int64)
+    for m, u, g in zip(orders, relations, used):
+        c = characters @ u % e
+        if e % m or (c % m).any():
+            raise EigensplitError(f"the relation of class sum {g}, of relative order {m}, has no {m} solutions mod {e}")
+        solutions = (c // m)[:, None] + np.arange(m) * (e // m)
+        characters = np.concatenate([np.repeat(characters, m, axis=0), solutions.reshape(-1, 1)], axis=1)
+    if (ell - 1) % e:
+        raise EigensplitError(f"GF({ell}) holds no root of unity of order {e}")
+    zeta = _roots_of_unity(e, ell)
+    place = np.array(place, dtype=np.intp)
+    rows = (_kronecker_rows(characters[block], orders, zeta, ell).take(place, axis=1) for block in groups.blocks(r, r))
+    return rows, used
+
+
+def _kronecker_rows(characters: np.ndarray, orders: list[int], zeta: np.ndarray, ell: int) -> np.ndarray:
+    """The rows zeta^(a . t) over the places of H (see ``_abelian_characters``)
+    for the exponent vectors a in ``characters``: the Kronecker products over
+    i of zeta^(a_i * t), t < m_i, z_i's digit the most significant."""
+    e = len(zeta)
+    w = np.ones((len(characters), 1), dtype=zeta.dtype)
+    for i, m in enumerate(orders):
+        exponents = characters[:, i : i + 1] * np.arange(m)
+        factor = zeta.take(np.remainder(exponents, e, out=exponents))
+        w = factor[:, :, None] * w[:, None, :]
+        w = np.remainder(w, ell, out=w).reshape(len(characters), -1)
+    return w
+
+
+def _certify(data: ClassAlgebraData, vectors: Iterable[np.ndarray], used: list[int], ell: int) -> Iterator[np.ndarray]:
+    """Yield each block of rows of ``vectors`` once it is checked, and raise
+    unless they are the r central characters of the class algebra, checked
+    on the class sums ``used`` (see step 3 above).
+
+    Before the first block, class g's column, for every g in ``used``, is
+    checked against the counting identities, in O(nnz_g): every class j
+    occurs, sum_j a[g][j][k] = |K_g| for every k, and a[g][j][0] = |K_g|
+    exactly when j = g*.  Then every row has w_0 = 1 and, for every g in
+    ``used`` and every j, sum_k a[g][j][k] * w_k = w_g * w_j, at nnz_g cells
+    a row.  For |K_g| = 1 the identities are that the column is a
+    permutation pi with pi(g*) = 0, and the sums gather w_pi(j).  After the
+    last block: there are r rows, and no two agree on every class in
+    ``used``.
+    """
+    r = data.class_count
+    images = [_transposed_action(data, g, ell) for g in used]
+    keys, count = [], 0
+    for w in vectors:
+        if not (w[:, 0] == 1).all():
+            raise EigensplitError("a split vector is not 1 at the identity class")
+        for g, image in zip(used, images):
+            if not np.array_equal(image(w), w[:, g : g + 1] * w % ell):
+                raise EigensplitError(f"a split vector is not a central character on class sum {g}")
+        keys.append(w[:, used])
+        count += len(w)
+        yield w
+    if count != r:
+        raise EigensplitError(f"found {count} vectors, expected {r}")
+    if r > 1 and (not used or _has_equal_rows(np.concatenate(keys))):
         raise EigensplitError("two split vectors agree on every class sum used")
+
+
+def _transposed_action(data: ClassAlgebraData, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Check class g's column against the counting identities (see
+    ``_certify``) and return w -> M_g w mod ell on rows w: the entry j of a
+    row's image is sum_k a[g][j][k] * w_k."""
+    r, size, star = data.class_count, data.sizes[g], data.star[g]
+    if size == 1:
+        # r unit entries meet the counting identities exactly when they permute the classes with pi(g*) = 0
+        pi = data.permutation(g)
+        if pi[star] != 0:
+            raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
+        return lambda w: w.take(pi, axis=1)
+    codes, values = data.column(g)
+    k, j = np.divmod(codes, r)
+    covered = np.count_nonzero(np.bincount(j, minlength=r))
+    if covered != r:
+        raise EigensplitError(f"coefficients of class sum {g} cover {covered} classes j, expected {r}")
+    ks, starts = np.unique(k, return_index=True)
+    if len(ks) != r or (np.add.reduceat(values, starts) != size).any():
+        raise EigensplitError(f"coefficients of class sum {g}: some sum over j of a[g][j][k] differs from |K_g|")
+    if not np.array_equal(j[k == 0], [star]) or values[0] != size:
+        raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
+    by_row = np.argsort(j, kind="stable")
+    ks, coefficients = k[by_row], (values[by_row] % ell).astype(modmat.residues(ell))
+    # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
+    rows = np.searchsorted(j[by_row], np.arange(r))
+
+    def image(w: np.ndarray) -> np.ndarray:
+        out = np.empty(w.shape, dtype=np.int64)
+        for block in groups.blocks(len(w), len(codes)):
+            # each sum of at most r products runs in int64
+            out[block] = np.add.reduceat(w[block][:, ks] * coefficients, rows, axis=1, dtype=np.int64) % ell
+        return out
+
+    return image
 
 
 def _has_equal_rows(keys: np.ndarray) -> bool:
@@ -569,32 +708,40 @@ def _has_equal_rows(keys: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
-def _degree_frequency(data: ClassAlgebraData, vectors: np.ndarray, ell: int) -> DegreeFrequency:
-    """The degrees of the central characters ``vectors`` (step 4 above): row
-    t's degree is the one d <= isqrt(|G|) with d^2 * T_t = |G| mod ell."""
-    order = data.order
+def _degree_frequency(data: ClassAlgebraData, vectors: Iterable[np.ndarray], ell: int) -> DegreeFrequency:
+    """The degrees of the central characters ``vectors``, blocks of rows
+    (step 4 above): row t's degree is the one d <= isqrt(|G|) with d^2 * T_t
+    = |G| mod ell."""
+    order, star = data.order, np.array(data.star)
     distinct, which = np.unique(data.sizes, return_inverse=True)
-    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=vectors.dtype)[which]
-    # each product is reduced in the vectors' dtype, and each row's r terms below ell are summed in int64
-    t = (vectors * vectors[:, list(data.star)] % ell * inverse_sizes % ell).sum(axis=1, dtype=np.int64) % ell
+    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=modmat.residues(ell))[which]
     d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
-    # d^2 <= order and t < ell, so the product stays far below 2^63
-    match = d * d * t[:, None] % ell == order % ell
-    if not (match.sum(axis=1) == 1).all():
-        raise EigensplitError(
-            f"a central character has no single degree d <= {len(d)} with d^2 * T = {order} mod {ell}"
-        )
-    degrees, counts = np.unique(d[match.argmax(axis=1)], return_counts=True)
+    found = []
+    for w in vectors:
+        # each product is reduced in the residue dtype, and each row's r terms below ell are summed in int64
+        t = (w * w.take(star, axis=1) % ell * inverse_sizes % ell).sum(axis=1, dtype=np.int64) % ell
+        # d^2 <= order and t < ell, so the product stays far below 2^63
+        match = d * d * t[:, None] % ell == order % ell
+        if not (match.sum(axis=1) == 1).all():
+            raise EigensplitError(
+                f"a central character has no single degree d <= {len(d)} with d^2 * T = {order} mod {ell}"
+            )
+        found.append(match.argmax(axis=1))
+    degrees, counts = np.unique(d[np.concatenate(found)], return_counts=True)
     return DegreeFrequency(tuple(zip(degrees.tolist(), counts.tolist())))
 
 
 def degrees_from_class_algebra(data: ClassAlgebraData) -> DegreeFrequency:
-    """Run the eigensplit modulo ``data.dixon_prime`` and aggregate the
-    recovered degrees."""
-    ell = data.dixon_prime
-    vectors, used = _simultaneous_eigenvectors(data, ell)
-    _certify(data, vectors, used, ell)
-    freq = _degree_frequency(data, vectors, ell)
+    """Split modulo ``data.dixon_prime``, in closed form when every class is
+    one element, then certify the central characters and read their
+    degrees a block of rows at a time."""
+    ell, r = data.dixon_prime, data.class_count
+    if max(data.sizes) == 1:
+        vectors, used = _abelian_characters(data, ell)
+    else:
+        rows, used = _simultaneous_eigenvectors(data, ell)
+        vectors = (rows[block] for block in groups.blocks(r, r))
+    freq = _degree_frequency(data, _certify(data, vectors, used, ell), ell)
     _check_consistency(data, freq)
     return freq
 

@@ -8,6 +8,7 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from degclass import chardeg, modmat
@@ -25,7 +26,7 @@ from degclass.chardeg import (
 )
 from degclass.families import standard_group
 from degclass.group import build_group, direct_product
-from degclass.perm import parse_cycles
+from degclass.perm import Permutation, parse_cycles
 from degclass.structure import conjugacy_classes, derived_subgroup
 
 
@@ -250,6 +251,13 @@ def s3_algebra():
     return oracles.class_algebra_data(3, S3_COEFFICIENTS, 7, exponent=6)
 
 
+def _certify(data, vectors, used, ell):
+    # the certificate passes blocks of rows on as it checks them: run it over
+    # one block holding every vector
+    for _ in chardeg._certify(data, [vectors], used, ell):
+        pass
+
+
 def test_hand_built_s3_algebra_gives_s3_degrees():
     # no group and no class set: the degree step reads only the algebra
     data = s3_algebra()
@@ -259,7 +267,7 @@ def test_hand_built_s3_algebra_gives_s3_degrees():
 
 def test_degree_readout_matches_each_vector_to_one_square():
     vectors = np.array([[1, 3, 2], [1, 4, 2], [1, 0, 6]])  # trivial, sign, degree 2
-    freq = chardeg._degree_frequency(s3_algebra(), vectors, 7)
+    freq = chardeg._degree_frequency(s3_algebra(), [vectors[:1], vectors[1:]], 7)
     assert freq == DegreeFrequency(((1, 2), (2, 1)))
 
 
@@ -273,7 +281,7 @@ def test_degree_readout_rejects_a_vector_without_exactly_one_degree(vector, tota
     inverse_sizes = [pow(n, -1, 7) for n in s3_algebra().sizes]
     assert sum(w * w * inv for w, inv in zip(vector, inverse_sizes)) % 7 == total
     with pytest.raises(EigensplitError, match="no single degree d <= 2"):
-        chardeg._degree_frequency(s3_algebra(), vectors, 7)
+        chardeg._degree_frequency(s3_algebra(), [vectors], 7)
 
 
 def test_eigensplit_stall_aborts_loudly():
@@ -342,18 +350,35 @@ def _eigenvalue_counts(monkeypatch):
     return counts
 
 
+def _closed_form_uses(monkeypatch):
+    """The class sums each closed-form run of ``_abelian_characters`` uses."""
+    uses, closed_form = [], chardeg._abelian_characters
+
+    def spy(data, ell):
+        vectors, used = closed_form(data, ell)
+        uses.append(used)
+        return vectors, used
+
+    monkeypatch.setattr(chardeg, "_abelian_characters", spy)
+    return uses
+
+
 def test_cyclic_group_splits_from_one_generator(monkeypatch):
-    # the generator is one central element of order 96: one closed-form split
-    counts = _eigenvalue_counts(monkeypatch)
-    assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
-    assert counts == {"_lagrange": [], "_inverse_dft": [96]}
+    # the generator is one element of order 96: the closed form uses its class
+    # sum alone, and neither the general nor the inverse DFT split runs
+    counts, uses = _eigenvalue_counts(monkeypatch), _closed_form_uses(monkeypatch)
+    g = standard_group("cyclic", 96)
+    assert character_degrees(g).as_dict() == {1: 96}
+    assert counts == {"_lagrange": [], "_inverse_dft": []}
+    assert uses == [list(class_algebra(g, conjugacy_classes(g)).generator_classes)] and len(uses[0]) == 1
 
 
 def test_elementary_abelian_group_splits_by_seven_class_sums(monkeypatch):
-    # every class sum of C2^7 has at most 2 eigenvalues, so none generates
-    counts = _eigenvalue_counts(monkeypatch)
+    # every class sum of C2^7 has relative order 2 over the ones before it
+    counts, uses = _eigenvalue_counts(monkeypatch), _closed_form_uses(monkeypatch)
     assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
-    assert counts == {"_lagrange": [], "_inverse_dft": [2] * 7}
+    assert counts == {"_lagrange": [], "_inverse_dft": []}
+    assert [len(used) for used in uses] == [7]
 
 
 def test_c200_splits_within_seconds():
@@ -423,7 +448,7 @@ def test_non_central_vector_is_rejected():
     with pytest.raises(EigensplitError, match="not a central character"):
         oracles.Reference.check_central_characters(data.coefficients, 3, broken, ell)
     with pytest.raises(EigensplitError, match="not a central character"):
-        chardeg._certify(data, broken, used, ell)
+        _certify(data, broken, used, ell)
 
 
 def _certificate_groups():
@@ -444,7 +469,7 @@ def test_certified_vectors_pass_the_all_pairs_check(g):
     data = class_algebra(g, cs)
     ell = data.dixon_prime
     vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    chardeg._certify(data, vectors, used, ell)
+    _certify(data, vectors, used, ell)
     oracles.Reference.check_central_characters(data.coefficients, len(cs), vectors, ell)
 
 
@@ -467,9 +492,9 @@ def _certified_s4():
 )
 def test_certificate_rejects_corrupted_vectors(corrupt, message):
     data, vectors, used, cs = _certified_s4()
-    chardeg._certify(data, vectors, used, data.dixon_prime)
+    _certify(data, vectors, used, data.dixon_prime)
     with pytest.raises(EigensplitError, match=message):
-        chardeg._certify(data, corrupt(vectors), used, data.dixon_prime)
+        _certify(data, corrupt(vectors), used, data.dixon_prime)
 
 
 def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
@@ -479,12 +504,12 @@ def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
     data = class_algebra(g, conjugacy_classes(g))
     ell = data.dixon_prime
     vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    chardeg._certify(data, vectors, used, ell)
+    _certify(data, vectors, used, ell)
     for copy, over in [(0, 1), (5, 127), (127, 64), (3, 2)]:
         duplicated = vectors.copy()
         duplicated[over] = vectors[copy]
         with pytest.raises(EigensplitError, match="two split vectors agree on every class sum used"):
-            chardeg._certify(data, duplicated, used, ell)
+            _certify(data, duplicated, used, ell)
 
 
 def test_certificate_of_the_trivial_group_uses_no_class_sum():
@@ -492,7 +517,7 @@ def test_certificate_of_the_trivial_group_uses_no_class_sum():
     data = class_algebra(g, conjugacy_classes(g))
     vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
     assert used == [] and vectors.tolist() == [[1]]
-    chardeg._certify(data, vectors, used, data.dixon_prime)
+    _certify(data, vectors, used, data.dixon_prime)
     assert degrees_from_class_algebra(data).as_dict() == {1: 1}
 
 
@@ -502,7 +527,7 @@ def _certify_corrupted_s4(corrupt):
     data, vectors, used, cs = _certified_s4()
     coefficients = corrupt(dict(data.coefficients), used[0], cs)
     corrupted = oracles.class_algebra_data(data.class_count, coefficients, data.dixon_prime)
-    chardeg._certify(replace(data, source=corrupted.source), vectors, used, data.dixon_prime)
+    _certify(replace(data, source=corrupted.source), vectors, used, data.dixon_prime)
 
 
 def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
@@ -557,34 +582,54 @@ def _call_counter(monkeypatch, *names):
 
 
 def test_c2_7_refines_by_its_seven_generator_classes_only(monkeypatch):
+    # the split and the closed form use the same seven class sums; the degree
+    # step runs the closed form, which needs no orbit walk, chain or split
     g = _elementary_abelian(2, 7)
     data = class_algebra(g, conjugacy_classes(g))
     _, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
     assert used == list(data.generator_classes) and len(used) == 7
+    assert chardeg._abelian_characters(data, data.dixon_prime)[1] == used
     calls = _call_counter(monkeypatch, "_central_orbit", "_inverse_dft", "_identity_chain", "_lagrange")
     assert character_degrees(g).as_dict() == {1: 128}
-    assert calls == {"_central_orbit": 7, "_inverse_dft": 7, "_identity_chain": 0, "_lagrange": 0}
+    assert calls == {"_central_orbit": 0, "_inverse_dft": 0, "_identity_chain": 0, "_lagrange": 0}
 
 
-def test_c2_9_skips_the_class_sums_that_split_nothing(monkeypatch):
+def test_c2_9_skips_the_class_sums_that_split_nothing():
     # in class order the ninth independent generator is class 256; every class
-    # sum before it is a product of earlier ones and acts on each row as a scalar
+    # sum before it is a product of earlier ones, so it lies in H (the closed
+    # form skips it) and acts on each row as a scalar (the split skips it)
     g = _elementary_abelian(2, 9)
     data = class_algebra(g, conjugacy_classes(g))
-    calls = _call_counter(monkeypatch, "_inverse_dft", "_lagrange")
-    _, used = chardeg._simultaneous_eigenvectors(
-        replace(data, generator_classes=tuple(range(data.class_count))), data.dixon_prime
-    )
-    assert calls["_inverse_dft"] == len(used) <= 9 and calls["_lagrange"] == 0
-    assert character_degrees(g).as_dict() == {1: 512}
-    assert calls["_inverse_dft"] <= 18 and calls["_lagrange"] == 0
+    in_class_order = replace(data, generator_classes=tuple(range(data.class_count)))
+    vectors, used = chardeg._abelian_characters(in_class_order, data.dixon_prime)
+    assert len(used) == 9 and used[-1] == 256
+    assert chardeg._simultaneous_eigenvectors(in_class_order, data.dixon_prime)[1] == used
+    assert sum(len(block) for block in vectors) == 512
+    assert degrees_from_class_algebra(in_class_order).as_dict() == {1: 512}
 
 
 def test_c96_runs_one_identity_chain(monkeypatch):
-    # the chain of the generator's class sum is the orbit of class 0, walked once
+    # the split walks the generator's chain, the orbit of class 0, once; the
+    # degree step takes the closed form, which walks no chain at all
+    g = standard_group("cyclic", 96)
+    data = class_algebra(g, conjugacy_classes(g))
     calls = _call_counter(monkeypatch, "_central_orbit", "_identity_chain")
-    assert character_degrees(standard_group("cyclic", 96)).as_dict() == {1: 96}
+    chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
     assert calls == {"_central_orbit": 1, "_identity_chain": 0}
+    assert degrees_from_class_algebra(data).as_dict() == {1: 96}
+    assert calls == {"_central_orbit": 1, "_identity_chain": 0}
+
+
+def test_a_central_class_sum_of_a_non_abelian_group_is_split_in_closed_form(monkeypatch):
+    # D8 x C9 has classes of two elements, so it takes the split; the C9
+    # generator is one central element of order 9, whose chain is the orbit
+    # of class 0, walked once, and whose Lagrange matrix is the inverse DFT
+    counts = _eigenvalue_counts(monkeypatch)
+    calls = _call_counter(monkeypatch, "_central_orbit", "_abelian_characters")
+    g = direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9))
+    assert character_degrees(g).as_dict() == {1: 36, 2: 9}
+    assert calls == {"_central_orbit": 1, "_abelian_characters": 0}
+    assert counts == {"_lagrange": [3, 3], "_inverse_dft": [9]}
 
 
 def test_c96_degree_step_clears_no_column(monkeypatch):
@@ -598,12 +643,16 @@ def test_c96_degree_step_clears_no_column(monkeypatch):
 
 
 def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
+    # the split of C2^7 (which the degree step leaves to the closed form):
     # the first split scatters the inverse DFT matrix; each of the six
     # refinements after it is one product by the 2 x 2 Lagrange matrix
+    g = _elementary_abelian(2, 7)
+    data = class_algebra(g, conjugacy_classes(g))
     calls, matmul = [], modmat.matmul
     monkeypatch.setattr(modmat, "matmul", lambda a, b, p: calls.append(len(a)) or matmul(a, b, p))
     monkeypatch.setattr(np, "tensordot", lambda *args, **kwargs: pytest.fail("the refinement called np.tensordot"))
-    assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
+    vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
+    _certify(data, vectors, used, data.dixon_prime)
     assert calls == [2] * 6
 
 
@@ -665,6 +714,104 @@ def test_a_class_of_one_element_that_does_not_permute_the_classes_is_rejected():
     assert fake.sizes == (1, 1)
     with pytest.raises(EigensplitError, match="class sum 1 of one element does not permute the classes"):
         chardeg._simultaneous_eigenvectors(replace(fake, generator_classes=(1,)), 5)
+    # every class is one element, so the degree step takes the closed form
+    with pytest.raises(EigensplitError, match="class sum 1 of one element does not permute the classes"):
+        degrees_from_class_algebra(replace(fake, generator_classes=(1,)))
+
+
+def _permutation_algebra(permutations, dixon_prime, exponent):
+    # class i of one element moves class j to permutations[i][j]: a[i][j][pi(j)] = 1
+    coefficients = {(i, j, k): 1 for i, pi in enumerate(permutations) for j, k in enumerate(pi)}
+    return oracles.class_algebra_data(len(permutations), coefficients, dixon_prime, exponent)
+
+
+def test_closed_form_rejects_permutations_that_are_no_group():
+    # class 1 swaps classes 0 and 1, so H = {0, 1}; class 2 has relative
+    # order 2 over H, but moves H onto {2, 0}, which meets H
+    fake = _permutation_algebra([[0, 1, 2], [1, 0, 2], [2, 0, 1]], 7, 6)
+    with pytest.raises(EigensplitError, match="class sum 2 of one element does not permute the cosets"):
+        degrees_from_class_algebra(fake)
+
+
+@pytest.mark.parametrize(
+    "exponent,ell,message",
+    [
+        (1, 5, "the relation of class sum 1, of relative order 2, has no 2 solutions mod 1"),
+        (4, 7, r"GF\(7\) holds no root of unity of order 4"),
+    ],
+)
+def test_closed_form_rejects_an_exponent_that_does_not_fit(exponent, ell, message):
+    # C2's class of one element has order 2, which the exponent 1 does not
+    # hold, and GF(7) holds no fourth root of unity
+    fake = _permutation_algebra([[0, 1], [1, 0]], ell, exponent)
+    assert degrees_from_class_algebra(_permutation_algebra([[0, 1], [1, 0]], 5, 2)).as_dict() == {1: 2}
+    with pytest.raises(EigensplitError, match=message):
+        degrees_from_class_algebra(fake)
+
+
+def _cycles(orders):
+    """The basis of C_n1 x C_n2 x ...: disjoint cycles of the given lengths
+    (1 for the identity), on sum(orders) points."""
+    degree, basis, start = sum(orders), [], 0
+    for n in orders:
+        images = list(range(degree))
+        images[start : start + n] = [start + (t + 1) % n for t in range(n)]
+        basis.append(Permutation(images))
+        start += n
+    return basis
+
+
+def _closed_form_certifies(gens, order):
+    # the closed form uses the class sums the split would, and its characters
+    # pass the certificate: m = {1: |G|}
+    g = build_group(gens[0].degree, gens)
+    data = class_algebra(g, conjugacy_classes(g))
+    assert g.order == order and max(data.sizes) == 1
+    ell = data.dixon_prime
+    assert chardeg._abelian_characters(data, ell)[1] == chardeg._simultaneous_eigenvectors(data, ell)[1]
+    assert degrees_from_class_algebra(data).as_dict() == {1: order}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=6),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_closed_form_on_generators_that_are_no_basis(orders, moves, redundant, identity_at):
+    # C_n1 x C_n2 x C_n3 from its basis after Nielsen moves (g_i -> g_i * g_j
+    # or g_i * g_j^-1 for i != j, g_i -> g_i^-1 for i = j), which keep the
+    # group, optionally with the redundant g_0 * g_1 and the identity added
+    gens = _cycles(orders)
+    for i, j, invert in moves:
+        gens[i] = gens[i].inverse() if i == j else gens[i] * (gens[j].inverse() if invert else gens[j])
+    if redundant:
+        gens.append(gens[0] * gens[1])
+    gens.insert(identity_at, Permutation(range(sum(orders))))
+    _closed_form_certifies(gens, math.prod(orders))
+
+
+@pytest.mark.parametrize(
+    "orders,words,order",
+    [
+        # C6 by a^2, a^3; C12 by a^4, a^6, a^3 and e; C4 x C4 by y^2 x, x, y
+        ([6], [[2], [3]], 6),
+        ([12], [[4], [6], [3], [0]], 12),
+        ([4, 4], [[1, 2], [1, 0], [0, 1]], 16),
+    ],
+    ids=["C6", "C12", "C4xC4"],
+)
+def test_closed_form_on_named_generating_tuples(orders, words, order):
+    basis = _cycles(orders)
+    gens = []
+    for word in words:
+        x = Permutation(range(sum(orders)))
+        for b, power in zip(basis, word):
+            for _ in range(power):
+                x = x * b
+        gens.append(x)
+    _closed_form_certifies(gens, order)
 
 
 def _move_entry(coefficients, g, source, target):
@@ -689,13 +836,13 @@ def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
     vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
     c = next(c for c in used if data.sizes[c] == 1)
     used = [c, *(u for u in used if u != c)]
-    chardeg._certify(data, vectors, used, ell)
+    _certify(data, vectors, used, ell)
     pi, star = data.permutation(c).tolist(), data.star[c]
     j = next(j for j in range(1, r) if j != star)
 
     def certify_corrupted(coefficients):
         corrupted = oracles.class_algebra_data(r, coefficients, ell)
-        chardeg._certify(replace(data, source=corrupted.source), vectors, used, ell)
+        _certify(replace(data, source=corrupted.source), vectors, used, ell)
 
     # class pi(j) loses its entry and class pi(star) gets a second one
     with pytest.raises(EigensplitError, match=f"class sum {c} of one element does not permute the classes"):
@@ -707,7 +854,7 @@ def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
     broken = vectors.copy()
     broken[1, j] = (broken[1, j] + 1) % ell
     with pytest.raises(EigensplitError, match=f"not a central character on class sum {c}"):
-        chardeg._certify(data, broken, used, ell)
+        _certify(data, broken, used, ell)
 
 
 def test_roots_of_unity_missing_from_the_field_are_rejected():
@@ -742,14 +889,15 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
-    # the int16 table of C12 takes 288 bytes, its degree layer's arrays 6264
-    # (int16 residues mod 13); both groups are enumerated (2448 bytes) before
-    # the budget is lowered
+    # the int16 table of C12 takes 288 bytes, its degree layer's streamed
+    # arrays 6768 (blocks of int16 residues mod 13, and the exponents of at
+    # most three class sums used); both groups are enumerated (2448 bytes)
+    # before the budget is lowered
     records = parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")
     g = standard_group("cyclic", 12)
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
     [block] = run_report(records).document["groups"]
-    assert "class algebra arrays of 12 classes needs 6264 bytes" in block["skipped"]
+    assert "class algebra arrays of 12 classes needs 6768 bytes" in block["skipped"]
     assert "verdicts" not in block
     cs = conjugacy_classes(g)
     assert g.table.nbytes == 288
@@ -767,15 +915,16 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
             lambda: direct_product(standard_group("symmetric", 5), standard_group("symmetric", 4)), np.int16, id="S5xS4"
         ),
         pytest.param(lambda: standard_group("cyclic", 400), np.int32, id="C400"),
+        pytest.param(lambda: standard_group("dihedral", 200), np.int32, id="D200"),
     ],
 )
 def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build, dtype):
-    # r x r residue arrays, int16 on C2^8, C3^5 and S5 x S4 and int32 on
-    # C400, plus the blocked steps' transients and the largest class's
-    # gather: on C2^8 and C3^5 the blocked refinement dominates the peak, on
-    # S5 x S4 the gather of its largest class (240 elements) the budget;
-    # C400 splits at once by one central element of order r, its r x r
-    # inverse DFT matrix scattered onto the idempotent rows
+    # the abelian C2^8, C3^5 (int16) and C400 (int32) are made, certified and
+    # read a block of rows at a time, and their peak is a block's float64
+    # exponents; S5 x S4 (int16) holds r x r residue arrays, but the gather
+    # of its largest class (240 elements) dominates the budget; D200 (int32)
+    # refines by its reflections only the rows of the rotation split they
+    # do not act on as a scalar
     g = build()
     cs = conjugacy_classes(g)
     g.table, g.inverses, g.element_orders  # built before the trace starts
@@ -788,8 +937,7 @@ def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build, dt
     finally:
         tracemalloc.stop()
     assert modmat.residues(class_algebra(g, cs).dixon_prime) is dtype
-    r = len(cs)
-    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 8 * r * (r + 1))
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 0)  # below every count
     with pytest.raises(groups.GroupTooLargeError, match="class algebra arrays") as skip:
         class_algebra(g, cs)
     budget = int(re.search(r"needs (\d+) bytes", str(skip.value))[1])

@@ -1,9 +1,10 @@
 """Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
 verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
-layer's one big split on C800, C1600 and C2400, its ten and twelve splits
-by central class sums on C2^10 (r = 1024) and C2^12 (r = 4096), and the
-pure-Python group build of C4000 on 4000 points and of D4000 (``dihedral``
-2000, of order 4000 on 2000 points).
+layer's closed form on the abelian groups C800, C1600 and C2400 (one class
+sum used), C2^10, C2^12, C2^13 and C2^14 (r = 1024 to 16384, one class sum
+used per generator) and C3^8 (r = 6561), and the pure-Python group build of
+C4000 on 4000 points and of D4000 (``dihedral`` 2000, of order 4000 on 2000
+points).
 
 Each measurement runs in a fresh interpreter, so that its peak RSS is its
 own.  The S7 rungs run two stages:
@@ -15,13 +16,13 @@ own.  The S7 rungs run two stages:
   prefix, so that two checkouts can be seen to give the same bytes, and
   the number of groups skipped.
 
-C2^14 and D8^3xC2^4 run the ``verify`` stage alone.  C2^14 (r = 16384) ends
-as a skip record, refused by the degree budget after its classes are built.
-The peak RSS of one D8^3xC2^4 run reads either about 265 or about 291 MB for
+C2^14 runs the ``verify`` and ``degree`` stages, D8^3xC2^4 the ``verify``
+stage alone.  C2^14's verify runs every criterion on r = 16384 classes,
+whose int16 Cayley table alone takes 537 MB.  The peak RSS of one D8^3xC2^4 run reads either about 265 or about 291 MB for
 the same code, depending on heap layout, so a single run cannot show a
 change of less than about 26 MB there.
 
-C800, C1600, C2400, C2^10 and C2^12 run one:
+C800, C1600, C2400, C2^10, C2^12, C2^13 and C3^8 run one:
 
 * ``degree``: parse the group and build its classes and Cayley table, then
   time the degree step alone (``class_algebra`` and
@@ -92,13 +93,15 @@ RUNGS = {
     "S7": ("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)\n", ("criteria", "verify")),
     "S7xC2": ("degree 9\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9)\n", ("criteria", "verify")),
     "S7xC3": ("degree 10\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9,10)\n", ("criteria", "verify")),
-    "C2^14": ("degree 28\n" + _gens(*_transpositions(1, 14)), ("verify",)),
+    "C2^14": ("degree 28\n" + _gens(*_transpositions(1, 14)), ("verify", "degree")),
     "D8^3xC2^4": ("degree 20\n" + _gens(*_D8_CUBED, *_transpositions(13, 4)), ("verify",)),
     "C800": (_cycle(800), ("degree",)),
     "C1600": (_cycle(1600), ("degree",)),
     "C2400": (_cycle(2400), ("degree",)),
     "C2^10": ("degree 20\n" + _gens(*_transpositions(1, 10)), ("degree",)),
     "C2^12": ("degree 24\n" + _gens(*_transpositions(1, 12)), ("degree",)),
+    "C2^13": ("degree 26\n" + _gens(*_transpositions(1, 13)), ("degree",)),
+    "C3^8": ("degree 24\n" + _gens(*(f"({a},{a + 1},{a + 2})" for a in range(1, 24, 3))), ("degree",)),
     "C4000": (_cycle(4000), ("build",)),
     "D4000": (_dihedral(2000), ("build",)),
 }
@@ -170,7 +173,7 @@ def _measure_degree_step(group) -> dict:
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    out["traced_peak_r2_arrays"] = round(peak / (8 * r * r), 2)
+    out["traced_peak_r2_arrays"] = round(peak / (8 * r * r), 4)
     return out
 
 
