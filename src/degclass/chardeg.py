@@ -58,8 +58,8 @@ the group exponent e and l > 2*sqrt(|G|):
    and which is checked), and then exactly m_i of them, a_i = c / m_i + s
    * e / m_i: distinct characters, since GF(l) holds e distinct e-th roots
    of unity because e divides l - 1.  So the prod m_i = r vectors a give r
-   distinct rows, which are made, certified and read a block of rows at a
-   time, and no r x r array is held;
+   distinct characters, which are certified and read on the normal form
+   (steps 3 and 4) without being made: no row of them is held;
 3. the vectors are certified on the set S of class sums the split used
    (those that split an idempotent): there are r of
    them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
@@ -76,13 +76,31 @@ the group exponent e and l > 2*sqrt(|G|):
    The sums over k run in int64 on the narrow vectors.  The checks of each
    row are made a block of rows at a time, and the restrictions to S are
    gathered, r x |S|: two vectors that agree on all of S are neighbours
-   once those are sorted;
+   once those are sorted.
+   The closed form's rows w_a(x) = zeta^(a . t(x)) are certified without
+   being made.  NF carries a vector v of digits from the top digit down:
+   at digit j, q = v_j // m_j, v_j drops by q * m_j and q * u_j is added to
+   the digits below it (only a digit that may overflow, and only where u_j
+   is nonzero, costs anything).  That changes a . v by q * (u_j . a - m_j * a_j),
+   a multiple of e when a solves relation j, so zeta^(a . v) = zeta^(a .
+   NF(v)).  Then, over the r classes at once, with t(x) the digits of x's
+   place: for every z_i used, the counting identities (pi_i permutes the
+   classes and pi_i(z_i*) = 0), t(z_i) = e_i, and t(pi_i(x)) = NF(t(x) +
+   e_i) for every x, so w_a(z_i) * w_a(x) = w_a(pi_i(x)), which is check
+   (b) for every a at once; t(1) = 0, so w_a(1) = 1; there are r vectors a,
+   distinct, with 0 <= a_i < e and m_i * a_i = u_i . a (mod e); and e
+   divides l - 1.  As zeta has order e, distinct vectors give rows that
+   differ at some z_i.  That is O(r * k) digits per class sum used, k of
+   them, plus r for each nonzero u_ij a carry reaches, held as k x r int64
+   arrays: no r x r array and no row is made;
 4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
-   degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read a
-   block of rows at a time.  No two candidates match, because
+   degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read once
+   for each distinct T.  No two candidates match, because
    l > 2*sqrt(|G|) cannot divide (d1 - d2) * (d1 + d2), and T = 0 matches
    none, because l does not divide |G|; so "exactly one match" is the whole
-   check.
+   check.  T is summed a block of rows at a time, but not for the closed
+   form: NF(t(x) + t(x*)) = 0 is checked for every x, so w_a(x) * w_a(x*) =
+   1, and every one of its characters has T = r.
 
 Both congruence constraints on l force l coprime to |G| (every prime of |G|
 divides e), which is what makes the class algebra split.  Only the degrees
@@ -197,10 +215,13 @@ class ClassAlgebraData:
 
     def permutation(self, g: int) -> np.ndarray:
         """pi with z * K_j = K_pi(j) for a class g = {z} of one element, read off
-        its column, one entry 1 at each (j, pi(j)), on the first call and kept."""
+        its column, one entry 1 at each (j, pi(j)), on the first call and kept
+        in place of the column, which holds the same coefficients in twice
+        the bytes."""
         if g not in self._permutations:
             r = self.class_count
             codes, values = self.column(g)
+            del self._columns[g]
             k, j = np.divmod(codes, r)
             # the codes ascend, so one entry 1 per class k reads k = 0, 1, ..., r - 1, and j = pi^-1
             if len(codes) != r or (values != 1).any() or (k != np.arange(r)).any() or not np.bincount(j, minlength=r).all():
@@ -238,7 +259,7 @@ class ClassAlgebraData:
         def act(x: np.ndarray) -> np.ndarray:
             out = np.zeros_like(x)
             for block in groups.blocks(len(x), len(j)):
-                out[block, ks] = np.add.reduceat(x[block, j] * values, starts, axis=1, dtype=np.int64) % ell
+                out[block, ks] = modmat.reduce(np.add.reduceat(x[block, j] * values, starts, axis=1, dtype=np.int64), ell)
             return out
 
         return act
@@ -272,23 +293,22 @@ def least_admissible_prime(order: int, exponent: int) -> int:
     return next(admissible_primes(order, exponent))
 
 
-def _check_degree_budget(sizes: np.ndarray, ell: int) -> None:
+def _check_degree_budget(sizes: np.ndarray, ell: int, generators: int) -> None:
     """Raise GroupTooLargeError when the arrays the degree layer holds at
     once would outgrow the table budget.
 
     Its residues mod ell are held in ``modmat.residues(ell)``, of itemsize
-    s.  When every class is one element nothing r x r is held: the closed
-    form makes, certifies and reads one block of min(r^2, BLOCK_CELLS) cells
-    at a time, at (8 + 4 s) bytes a cell (the int64 exponents of a block's
-    last factor, and up to four arrays of residues: the block passed on, a
-    product, its reduction and its gather) plus numpy's buffers for the
-    exponents' broadcast product, two int64 operands of up to
-    ``np.getbufsize()`` cells, and holds (48 + 3 s) bytes for
-    each of r * k cells, k <= log2 r the class sums used (each at least
-    doubles H): the characters' exponents and, while a relation is solved,
-    two copies of them; the column and permutation kept for each class sum
-    used; and the rows' restrictions to the class sums used, gathered,
-    joined and sorted.
+    s.  When every class is one element no residue array is made: the
+    closed form holds (48 k + 200) bytes a class, for k <= min(log2 r,
+    ``generators``) the class sums used (each at least doubles H, and the
+    generators' classes, which come first, generate G).  That is six int64
+    cells of each class for each class sum used: its permutation, kept, the
+    characters' exponent vectors, the digits of the places and a shifted
+    copy of them, and two more copies of the vectors while a relation is
+    solved or the vectors are sorted; and 200 bytes: the walk's lists of
+    places, members and two permutations (8 bytes a slot and 32 for an int
+    object), and a few int64 arrays of r entries (the places, their gathers
+    and a carry's quotient).
     Otherwise at most the larger of two sets of arrays coexist: six r x r
     residue arrays (the Krylov powers and the elimination of ``_lagrange``
     with its temporaries), or three of them plus int64 and float64
@@ -302,11 +322,11 @@ def _check_degree_budget(sizes: np.ndarray, ell: int) -> None:
     refinement chains only the rows its class sum does not act on as a
     scalar.  Counting the largest class's column takes 18 bytes per cell of
     its |K_g| * r products (its intp index, then the int64 codes and
-    np.unique's sorted copy).  tracemalloc puts the whole peak at 0.62 MB
-    on C2^8, 0.53 MB on C3^5, 2.65 MB on C2^12 and 3.0 MB on C3^8 (int16),
-    1.39 MB on C400 (int32), 0.08 MB on S5 x S4 (int16), 0.52 MB on D200
-    (int32), 30 MB on D2000 (int32) and 57 MB on D8^3 x C2^4 (int16); the
-    count is 1.35 to 2.6 times these.  Below a few kilobytes fixed Python
+    np.unique's sorted copy).  tracemalloc puts the whole peak at 0.13 MB
+    on C2^8 (k = 8), 0.08 MB on C3^5 (k = 5), 0.04 MB on C400 (k = 1), 2.3
+    MB on C2^12 (k = 12) and 2.5 MB on C3^8 (k = 8), 0.07 MB on S5 x S4
+    (int16), 0.51 MB on D200 (int32), 30 MB on D2000 (int32) and 57 MB on
+    D8^3 x C2^4 (int16); the count is 1.16 to 2.8 times these.  Below a few kilobytes fixed Python
     overhead is not counted: S6 (r = 11) peaks at 37 KB against 34 KB
     counted.  The columns kept for the class sums the split visits, each of
     at most min(r^2, |K_g| * r) cells, are not counted for a group with a
@@ -314,10 +334,10 @@ def _check_degree_budget(sizes: np.ndarray, ell: int) -> None:
     one class sum beyond those it uses."""
     r, largest = len(sizes), int(np.max(sizes))
     s = np.dtype(modmat.residues(ell)).itemsize
-    block = min(r * r, groups.BLOCK_CELLS)
     if largest == 1:
-        held = (8 + 4 * s) * block + 16 * min(block, np.getbufsize()) + (48 + 3 * s) * r * (r.bit_length() - 1)
+        held = (48 * min(generators, r.bit_length() - 1) + 200) * r
     else:
+        block = min(r * r, groups.BLOCK_CELLS)
         held = max(6 * s * r * r, 3 * s * r * r + 8 * (r * r + 3 * r * -(-r // modmat.PANELS))) + 24 * block
     size = held + 18 * largest * r
     if size > groups.TABLE_MAX_BYTES:
@@ -339,16 +359,16 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     r, sizes = len(classes), classes.sizes
     exponent = int(np.lcm.reduce(group.element_orders))
     ell = least_admissible_prime(group.order, exponent)
-    _check_degree_budget(sizes, ell)
     class_of, representatives = classes.class_index, classes.representatives
+    generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
+    generator_classes.pop(0, None)
+    _check_degree_budget(sizes, ell, len(generator_classes))
     offsets = np.arange(r) * r
 
     def column(g: int) -> tuple[np.ndarray, np.ndarray]:
         inverses = group.inverses[classes.members(g)]
         return np.unique(class_of[group.mul(inverses[:, None], representatives)] + offsets, return_counts=True)
 
-    generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
-    generator_classes.pop(0, None)
     return ClassAlgebraData(column, tuple(sizes.tolist()), classes.inverse_pairing, exponent, ell, tuple(generator_classes))
 
 
@@ -366,7 +386,7 @@ def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.nda
     inverse = np.array([modmat.inv_mod(e, ell) for e in distinct.tolist()], dtype=dtype)[which]
     sizes = (np.array(data.sizes, dtype=np.int64) % ell).astype(dtype)
     # take, not rows[:, star], keeps the rows C-contiguous for the certificate's row blocks
-    return rows.take(data.star, axis=1) * sizes % ell * inverse[:, None] % ell, used
+    return modmat.reduce(modmat.reduce(rows.take(data.star, axis=1) * sizes, ell) * inverse[:, None], ell), used
 
 
 def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -393,7 +413,7 @@ def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.nda
         rest = x
         if len(at):
             # a sum of up to r products, in int64
-            rest = ((x - np.matmul(coordinates[at], echelon[at], dtype=np.int64)) % ell).astype(dtype)
+            rest = modmat.reduce(x - np.matmul(coordinates[at], echelon[at], dtype=np.int64), ell).astype(dtype)
         nz = rest.nonzero()[0]
         if len(nz) == 0:
             return np.array(powers, dtype=dtype).reshape(-1, r), x
@@ -401,7 +421,7 @@ def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.nda
         rest = rest * modmat.inv_mod(int(rest[c]), ell) % ell
         hit = echelon[:k, c].nonzero()[0]
         if len(hit):
-            echelon[hit] = (echelon[hit] - np.outer(echelon[hit, c], rest) % ell) % ell
+            echelon[hit] = modmat.reduce(echelon[hit] - modmat.reduce(np.outer(echelon[hit, c], rest), ell), ell)
         echelon[k] = rest
         pivots[k] = c
         powers.append(x)
@@ -556,23 +576,40 @@ def _eigenvector_rows(rows: np.ndarray, image: np.ndarray, ell: int) -> np.ndarr
     y_j * e_p = y_p * e_j for all j, at a coordinate p where e_p != 0."""
     at = np.arange(len(rows))
     p = (rows != 0).argmax(axis=1)
-    return (image * rows[at, p][:, None] % ell == rows * image[at, p][:, None] % ell).all(axis=1)
+    return (modmat.reduce(image * rows[at, p][:, None], ell) == modmat.reduce(rows * image[at, p][:, None], ell)).all(axis=1)
 
 
-def _abelian_characters(data: ClassAlgebraData, ell: int) -> tuple[Iterator[np.ndarray], list[int]]:
-    """The central characters of a class algebra whose classes are all one
-    element, in closed form (step 2 above), as blocks of rows made one at a
-    time, and the class sums used, in the split's visiting order.
+def _abelian_characters(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
+    """The exponent vectors a of the central characters w_a(x) = zeta^(a .
+    t(x)) of a class algebra whose classes are all one element (step 2
+    above), one row each, certified on the normal form (step 3), and the
+    class sums used, in the split's visiting order.  The vectors are solved
+    one relation at a time, r x |used| in all."""
+    e = data.exponent
+    normal_form = _normal_form(data)
+    _, orders, relations, used = normal_form
+    characters = np.zeros((1, 0), dtype=np.int64)
+    for i, (m, g) in enumerate(zip(orders.tolist(), used)):
+        c = characters @ relations[i, :i] % e
+        if e % m or (c % m).any():
+            raise EigensplitError(f"the relation of class sum {g}, of relative order {m}, has no {m} solutions mod {e}")
+        solutions = (c // m)[:, None] + np.arange(m) * (e // m)
+        characters = np.concatenate([np.repeat(characters, m, axis=0), solutions.reshape(-1, 1)], axis=1)
+    _certify_normal_form(data, normal_form, characters, ell)
+    return characters, used
+
+
+def _normal_form(data: ClassAlgebraData) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Walk the class sums of a class algebra whose classes are all one
+    element through their permutations (step 2 above): each class's place,
+    the relative orders m_i, the relations u_i as the rows of a strictly
+    lower triangular matrix, and the class sums used.
 
     The walk places the classes of H in the order they join it: z_i^s * h,
     the class pi^s(h), follows all of z_i^(s-1) * H, so a class's place has
     the mixed-radix digits t(x), t_i the most significant when z_i joins.
-    The characters' exponent vectors are solved one relation at a time, r x
-    |used| in all.  A row is then the Kronecker product over i of the
-    vectors zeta^(a_i * t) for t < m_i, built in H's order and gathered into
-    class order: under 2 r products and reductions mod ell a row.
     """
-    r, e, first = data.class_count, data.exponent, data.generator_classes
+    r, first = data.class_count, data.generator_classes
     tried = set(first)
     place, members = [-1] * r, [0]
     place[0] = 0
@@ -591,7 +628,7 @@ def _abelian_characters(data: ClassAlgebraData, ell: int) -> tuple[Iterator[np.n
         for radix in orders:
             p, t = divmod(p, radix)
             digits.append(t)
-        relations.append(np.array(digits, dtype=np.int64))
+        relations.append(digits)
         # the place n + i holds z times the class at place i
         for i in range((m - 1) * len(members)):
             x = pi[members[i]]
@@ -603,65 +640,94 @@ def _abelian_characters(data: ClassAlgebraData, ell: int) -> tuple[Iterator[np.n
         used.append(g)
     if len(members) < r:
         raise EigensplitError(f"refinement stalled with {len(members)} idempotents for {r} classes")
-    characters = np.zeros((1, 0), dtype=np.int64)
-    for m, u, g in zip(orders, relations, used):
-        c = characters @ u % e
-        if e % m or (c % m).any():
-            raise EigensplitError(f"the relation of class sum {g}, of relative order {m}, has no {m} solutions mod {e}")
-        solutions = (c // m)[:, None] + np.arange(m) * (e // m)
-        characters = np.concatenate([np.repeat(characters, m, axis=0), solutions.reshape(-1, 1)], axis=1)
+    u = np.zeros((len(orders), len(orders)), dtype=np.int64)
+    for i, digits in enumerate(relations):
+        u[i, :i] = digits
+    return np.array(place, dtype=np.intp), np.array(orders, dtype=np.int64), u, used
+
+
+def _carry(v: np.ndarray, orders: np.ndarray, relations: np.ndarray, overflowing: Iterable[int]) -> np.ndarray:
+    """NF of each column of v, one row of digits per class sum used, in
+    place (step 3 above), when only the digits ``overflowing`` may lie
+    outside 0..m_j - 1: from the top down, such a digit keeps its remainder
+    by m_j, and its quotient q adds q * u_j to the digits below, where u_j
+    is nonzero, which may then overflow in turn."""
+    overflowing = set(overflowing)
+    for j in range(max(overflowing, default=-1), -1, -1):
+        if j in overflowing:
+            q, v[j] = np.divmod(v[j], orders[j])
+            for i in np.flatnonzero(relations[j]).tolist():
+                v[i] += q * relations[j, i]
+                overflowing.add(i)
+    return v
+
+
+def _certify_normal_form(data: ClassAlgebraData, normal_form: tuple, characters: np.ndarray, ell: int) -> None:
+    """Raise unless the rows zeta^(a . t(x)), for the exponent vectors a in
+    ``characters`` and the digits t(x) of each class's place in
+    ``normal_form`` (see ``_normal_form``), are the r central characters,
+    checked on the class sums used without making a row (see step 3
+    above): k x r digits at a time, for the k class sums used."""
+    place, orders, relations, used = normal_form
+    r, e, k = data.class_count, data.exponent, len(orders)
     if (ell - 1) % e:
         raise EigensplitError(f"GF({ell}) holds no root of unity of order {e}")
-    zeta = _roots_of_unity(e, ell)
-    place = np.array(place, dtype=np.intp)
-    rows = (_kronecker_rows(characters[block], orders, zeta, ell).take(place, axis=1) for block in groups.blocks(r, r))
-    return rows, used
+    if place[0] != 0:
+        raise EigensplitError("a split vector is not 1 at the identity class")
+    if len(characters) != r:
+        raise EigensplitError(f"found {len(characters)} vectors, expected {r}")
+    for i, g in enumerate(used):
+        a = characters[:, i]
+        if (a < 0).any() or (a >= e).any() or ((a * orders[i] - characters[:, :i] @ relations[i, :i]) % e).any():
+            raise EigensplitError(f"a character's exponents are not residues mod {e} that solve the relation of class sum {g}")
+    if r > 1 and _has_equal_rows(characters):
+        raise EigensplitError("two split vectors agree on every class sum used")
+    strides = np.cumprod([1, *orders.tolist()])
+    for i, g in enumerate(used):
+        if data.permutation(g)[data.star[g]] != 0:
+            raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
+        if place[g] != strides[i]:
+            raise EigensplitError(f"class sum {g} is not the generator of digit {i} of the normal form")
+    digits = place // strides[:k, None] % orders[:, None]
+    products = digits.take(data.star, axis=1)
+    products += digits
+    if _carry(products, orders, relations, range(k)).any():
+        raise EigensplitError("a class and its inverse class do not multiply to 1 in the normal form")
+    del products
+    for i, g in enumerate(used):
+        # adding e_i changes no digit above i
+        step = digits[: i + 1].copy()
+        step[i] += 1
+        moved = strides[: i + 1] @ _carry(step, orders, relations, [i]) + place // strides[i + 1] * strides[i + 1]
+        if not np.array_equal(moved, place.take(data.permutation(g))):
+            raise EigensplitError(f"class sum {g} does not add 1 to digit {i} of the normal form")
 
 
-def _kronecker_rows(characters: np.ndarray, orders: list[int], zeta: np.ndarray, ell: int) -> np.ndarray:
-    """The rows zeta^(a . t) over the places of H (see ``_abelian_characters``)
-    for the exponent vectors a in ``characters``: the Kronecker products over
-    i of zeta^(a_i * t), t < m_i, z_i's digit the most significant."""
-    e = len(zeta)
-    w = np.ones((len(characters), 1), dtype=zeta.dtype)
-    for i, m in enumerate(orders):
-        exponents = characters[:, i : i + 1] * np.arange(m)
-        factor = zeta.take(np.remainder(exponents, e, out=exponents))
-        w = factor[:, :, None] * w[:, None, :]
-        w = np.remainder(w, ell, out=w).reshape(len(characters), -1)
-    return w
+def _certify(data: ClassAlgebraData, rows: np.ndarray, used: list[int], ell: int) -> None:
+    """Raise unless ``rows`` are the r central characters of the class
+    algebra, checked on the class sums ``used`` (see step 3 above).
 
-
-def _certify(data: ClassAlgebraData, vectors: Iterable[np.ndarray], used: list[int], ell: int) -> Iterator[np.ndarray]:
-    """Yield each block of rows of ``vectors`` once it is checked, and raise
-    unless they are the r central characters of the class algebra, checked
-    on the class sums ``used`` (see step 3 above).
-
-    Before the first block, class g's column, for every g in ``used``, is
-    checked against the counting identities, in O(nnz_g): every class j
-    occurs, sum_j a[g][j][k] = |K_g| for every k, and a[g][j][0] = |K_g|
-    exactly when j = g*.  Then every row has w_0 = 1 and, for every g in
-    ``used`` and every j, sum_k a[g][j][k] * w_k = w_g * w_j, at nnz_g cells
-    a row.  For |K_g| = 1 the identities are that the column is a
-    permutation pi with pi(g*) = 0, and the sums gather w_pi(j).  After the
-    last block: there are r rows, and no two agree on every class in
-    ``used``.
+    First class g's column, for every g in ``used``, is checked against the
+    counting identities, in O(nnz_g): every class j occurs, sum_j
+    a[g][j][k] = |K_g| for every k, and a[g][j][0] = |K_g| exactly when j =
+    g*.  Then, a block of rows at a time, every row has w_0 = 1 and, for
+    every g in ``used`` and every j, sum_k a[g][j][k] * w_k = w_g * w_j, at
+    nnz_g cells a row.  For |K_g| = 1 the identities are that the column is
+    a permutation pi with pi(g*) = 0, and the sums gather w_pi(j).  Last:
+    there are r rows, and no two agree on every class in ``used``.
     """
     r = data.class_count
     images = [_transposed_action(data, g, ell) for g in used]
-    keys, count = [], 0
-    for w in vectors:
+    for block in groups.blocks(len(rows), r):
+        w = rows[block]
         if not (w[:, 0] == 1).all():
             raise EigensplitError("a split vector is not 1 at the identity class")
         for g, image in zip(used, images):
-            if not np.array_equal(image(w), w[:, g : g + 1] * w % ell):
+            if not np.array_equal(image(w), modmat.reduce(w[:, g : g + 1] * w, ell)):
                 raise EigensplitError(f"a split vector is not a central character on class sum {g}")
-        keys.append(w[:, used])
-        count += len(w)
-        yield w
-    if count != r:
-        raise EigensplitError(f"found {count} vectors, expected {r}")
-    if r > 1 and (not used or _has_equal_rows(np.concatenate(keys))):
+    if len(rows) != r:
+        raise EigensplitError(f"found {len(rows)} vectors, expected {r}")
+    if r > 1 and (not used or _has_equal_rows(rows[:, used])):
         raise EigensplitError("two split vectors agree on every class sum used")
 
 
@@ -695,7 +761,7 @@ def _transposed_action(data: ClassAlgebraData, g: int, ell: int) -> Callable[[np
         out = np.empty(w.shape, dtype=np.int64)
         for block in groups.blocks(len(w), len(codes)):
             # each sum of at most r products runs in int64
-            out[block] = np.add.reduceat(w[block][:, ks] * coefficients, rows, axis=1, dtype=np.int64) % ell
+            out[block] = modmat.reduce(np.add.reduceat(w[block][:, ks] * coefficients, rows, axis=1, dtype=np.int64), ell)
         return out
 
     return image
@@ -708,40 +774,49 @@ def _has_equal_rows(keys: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
-def _degree_frequency(data: ClassAlgebraData, vectors: Iterable[np.ndarray], ell: int) -> DegreeFrequency:
-    """The degrees of the central characters ``vectors``, blocks of rows
-    (step 4 above): row t's degree is the one d <= isqrt(|G|) with d^2 * T_t
-    = |G| mod ell."""
-    order, star = data.order, np.array(data.star)
+def _inner_products(data: ClassAlgebraData, rows: np.ndarray, ell: int) -> np.ndarray:
+    """T = sum_j w_j * w_{j*} / |K_j| mod ell for each central character w,
+    a row of ``rows`` (step 4 above), a block of rows at a time."""
+    star = np.array(data.star)
     distinct, which = np.unique(data.sizes, return_inverse=True)
     inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=modmat.residues(ell))[which]
-    d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
-    found = []
-    for w in vectors:
+    t = np.empty(len(rows), dtype=np.int64)
+    for block in groups.blocks(len(rows), len(star)):
+        w = rows[block]
         # each product is reduced in the residue dtype, and each row's r terms below ell are summed in int64
-        t = (w * w.take(star, axis=1) % ell * inverse_sizes % ell).sum(axis=1, dtype=np.int64) % ell
-        # d^2 <= order and t < ell, so the product stays far below 2^63
-        match = d * d * t[:, None] % ell == order % ell
-        if not (match.sum(axis=1) == 1).all():
-            raise EigensplitError(
-                f"a central character has no single degree d <= {len(d)} with d^2 * T = {order} mod {ell}"
-            )
-        found.append(match.argmax(axis=1))
-    degrees, counts = np.unique(d[np.concatenate(found)], return_counts=True)
-    return DegreeFrequency(tuple(zip(degrees.tolist(), counts.tolist())))
+        t[block] = modmat.reduce(modmat.reduce(w * w.take(star, axis=1), ell) * inverse_sizes, ell).sum(axis=1, dtype=np.int64)
+    return modmat.reduce(t, ell)
+
+
+def _degree_frequency(order: int, t: np.ndarray, ell: int) -> DegreeFrequency:
+    """The degrees of the central characters whose T values mod ell (step 4
+    above) are ``t``: for each distinct T, the one d <= isqrt(|G|) with d^2 *
+    T = |G| mod ell.  Distinct T give distinct degrees."""
+    values, counts = np.unique(t, return_counts=True)
+    d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
+    # d^2 <= order and T < ell, so the product stays far below 2^63
+    match = d * d * values[:, None] % ell == order % ell
+    if not (match.sum(axis=1) == 1).all():
+        raise EigensplitError(f"a central character has no single degree d <= {len(d)} with d^2 * T = {order} mod {ell}")
+    degrees = d[match.argmax(axis=1)]
+    by_degree = np.argsort(degrees)
+    return DegreeFrequency(tuple(zip(degrees[by_degree].tolist(), counts[by_degree].tolist())))
 
 
 def degrees_from_class_algebra(data: ClassAlgebraData) -> DegreeFrequency:
-    """Split modulo ``data.dixon_prime``, in closed form when every class is
-    one element, then certify the central characters and read their
-    degrees a block of rows at a time."""
+    """Split modulo ``data.dixon_prime`` and certify the central
+    characters, on the normal form when every class is one element, then
+    read their degrees."""
     ell, r = data.dixon_prime, data.class_count
-    if max(data.sizes) == 1:
-        vectors, used = _abelian_characters(data, ell)
+    if set(data.sizes) == {1}:
+        characters, _ = _abelian_characters(data, ell)
+        # every character certified on the normal form has T = r (step 4 above)
+        t = np.full(len(characters), r % ell)
     else:
         rows, used = _simultaneous_eigenvectors(data, ell)
-        vectors = (rows[block] for block in groups.blocks(r, r))
-    freq = _degree_frequency(data, _certify(data, vectors, used, ell), ell)
+        _certify(data, rows, used, ell)
+        t = _inner_products(data, rows, ell)
+    freq = _degree_frequency(data.order, t, ell)
     _check_consistency(data, freq)
     return freq
 

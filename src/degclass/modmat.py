@@ -1,8 +1,9 @@
 """Exact linear algebra over a prime field, on numpy integer arrays.
 
-``chardeg`` uses ``rref``, ``matmul``, ``poly_roots`` and ``inv_mod``: one
-elimination of a Krylov chain gives the minimal polynomial of a class sum of
-several elements, a scan of the field its roots, and ``matmul`` every matrix
+``chardeg`` uses ``rref``, ``matmul``, ``poly_roots``, ``inv_mod`` and
+``reduce``, its one reduction of an array mod p: one elimination of a
+Krylov chain gives the minimal polynomial of a class sum of several
+elements, a scan of the field its roots, and ``matmul`` every matrix
 product of the split but the first split by a class of one element, which
 ``chardeg`` scatters in closed form.
 ``nullspace``, ``solve_right`` and ``minimal_polynomial`` (with the
@@ -35,6 +36,11 @@ Poly = list[int]
 #: panel of BLOCK_CELLS cells would be narrower
 PANELS = 8
 
+#: ``reduce`` takes floor division from this many cells on: on int16, int32
+#: and int64 arrays, x % p and x - x // p * p cost the same near 1024 cells,
+#: and at 16384 cells the latter takes a fifth to a half of the time
+REDUCE_CELLS = 1024
+
 
 def residues(p: int) -> type:
     """The narrowest signed integer dtype that holds every product of two
@@ -43,6 +49,19 @@ def residues(p: int) -> type:
     value, and sums of products are accumulated in int64."""
     square = (p - 1) ** 2
     return np.int16 if square < 2**15 else np.int32 if square < 2**31 else np.int64
+
+
+def reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for an integer array x, and x itself.  From
+    REDUCE_CELLS cells on it is x - (x // p) * p, the same residues as x %
+    p, which numpy does not vectorize, while floor division by a scalar is
+    vectorized; below that one np.remainder call costs less than three."""
+    if x.size < REDUCE_CELLS:
+        return np.remainder(x, p, out=x)
+    q = np.floor_divide(x, p)
+    q *= p
+    x -= q
+    return x
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -78,7 +97,7 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         col[r] = 0
         rest = col.nonzero()[0]
         if len(rest):
-            a[rest, c:] = (a[rest, c:] - np.outer(col[rest], a[r, c:]) % p) % p
+            a[rest, c:] = reduce(a[rest, c:] - reduce(np.outer(col[rest], a[r, c:]), p), p)
         pivots.append(c)
         r += 1
     return a, pivots
@@ -93,9 +112,9 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     sums to an integer of at most 2**53, and so does every partial sum in
     whatever order BLAS adds them: float64 holds each exactly, and a fused
     multiply-add rounds an exact integer to itself.  The chunks' sums are
-    added and reduced in int64, and the last reduction writes straight into
-    the narrow result.  Raises ValueError when not even one term fits, that
-    is when (p - 1)**2 >= 2**53.  Columns go a panel at a time
+    added and reduced in int64 (``reduce``), and the last reduction is
+    copied into the narrow result.  Raises ValueError when not even one term
+    fits, that is when (p - 1)**2 >= 2**53.  Columns go a panel at a time
     (``groups.blocks``), so besides ``a``'s float copy and the result the
     temporaries stay within one panel.  A panel is at least 1/PANELS of the
     columns wide: blocks of BLOCK_CELLS cells alone would make r x r x r
@@ -120,9 +139,9 @@ def _chunked_product(a: np.ndarray, b: np.ndarray, p: int, terms: int, out: np.n
     before the next block's are made."""
     total = (a[:, :terms] @ b[:terms]).astype(np.int64)
     for start in range(terms, a.shape[1], terms):
-        total %= p
+        reduce(total, p)
         total += (a[:, start : start + terms] @ b[start : start + terms]).astype(np.int64)
-    np.remainder(total, p, out=out, casting="unsafe")
+    out[...] = reduce(total, p)
 
 
 def nullspace(matrix: np.ndarray, p: int) -> np.ndarray:
@@ -216,7 +235,7 @@ def poly_roots(f: Poly, p: int) -> list[int]:
     xs = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for coeff in reversed(f):
-        acc = (acc * xs + coeff) % p
+        acc = reduce(acc * xs + coeff, p)
     return [int(x) for x in xs[acc == 0]]
 
 

@@ -251,13 +251,6 @@ def s3_algebra():
     return oracles.class_algebra_data(3, S3_COEFFICIENTS, 7, exponent=6)
 
 
-def _certify(data, vectors, used, ell):
-    # the certificate passes blocks of rows on as it checks them: run it over
-    # one block holding every vector
-    for _ in chardeg._certify(data, [vectors], used, ell):
-        pass
-
-
 def test_hand_built_s3_algebra_gives_s3_degrees():
     # no group and no class set: the degree step reads only the algebra
     data = s3_algebra()
@@ -267,8 +260,9 @@ def test_hand_built_s3_algebra_gives_s3_degrees():
 
 def test_degree_readout_matches_each_vector_to_one_square():
     vectors = np.array([[1, 3, 2], [1, 4, 2], [1, 0, 6]])  # trivial, sign, degree 2
-    freq = chardeg._degree_frequency(s3_algebra(), [vectors[:1], vectors[1:]], 7)
-    assert freq == DegreeFrequency(((1, 2), (2, 1)))
+    t = chardeg._inner_products(s3_algebra(), vectors, 7)
+    assert t.tolist() == [6, 6, 5]
+    assert chardeg._degree_frequency(6, t, 7) == DegreeFrequency(((1, 2), (2, 1)))
 
 
 @pytest.mark.parametrize(
@@ -281,7 +275,7 @@ def test_degree_readout_rejects_a_vector_without_exactly_one_degree(vector, tota
     inverse_sizes = [pow(n, -1, 7) for n in s3_algebra().sizes]
     assert sum(w * w * inv for w, inv in zip(vector, inverse_sizes)) % 7 == total
     with pytest.raises(EigensplitError, match="no single degree d <= 2"):
-        chardeg._degree_frequency(s3_algebra(), [vectors], 7)
+        chardeg._degree_frequency(6, chardeg._inner_products(s3_algebra(), vectors, 7), 7)
 
 
 def test_eigensplit_stall_aborts_loudly():
@@ -448,7 +442,7 @@ def test_non_central_vector_is_rejected():
     with pytest.raises(EigensplitError, match="not a central character"):
         oracles.Reference.check_central_characters(data.coefficients, 3, broken, ell)
     with pytest.raises(EigensplitError, match="not a central character"):
-        _certify(data, broken, used, ell)
+        chardeg._certify(data, broken, used, ell)
 
 
 def _certificate_groups():
@@ -469,7 +463,7 @@ def test_certified_vectors_pass_the_all_pairs_check(g):
     data = class_algebra(g, cs)
     ell = data.dixon_prime
     vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    _certify(data, vectors, used, ell)
+    chardeg._certify(data, vectors, used, ell)
     oracles.Reference.check_central_characters(data.coefficients, len(cs), vectors, ell)
 
 
@@ -492,9 +486,9 @@ def _certified_s4():
 )
 def test_certificate_rejects_corrupted_vectors(corrupt, message):
     data, vectors, used, cs = _certified_s4()
-    _certify(data, vectors, used, data.dixon_prime)
+    chardeg._certify(data, vectors, used, data.dixon_prime)
     with pytest.raises(EigensplitError, match=message):
-        _certify(data, corrupt(vectors), used, data.dixon_prime)
+        chardeg._certify(data, corrupt(vectors), used, data.dixon_prime)
 
 
 def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
@@ -504,12 +498,12 @@ def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
     data = class_algebra(g, conjugacy_classes(g))
     ell = data.dixon_prime
     vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    _certify(data, vectors, used, ell)
+    chardeg._certify(data, vectors, used, ell)
     for copy, over in [(0, 1), (5, 127), (127, 64), (3, 2)]:
         duplicated = vectors.copy()
         duplicated[over] = vectors[copy]
         with pytest.raises(EigensplitError, match="two split vectors agree on every class sum used"):
-            _certify(data, duplicated, used, ell)
+            chardeg._certify(data, duplicated, used, ell)
 
 
 def test_certificate_of_the_trivial_group_uses_no_class_sum():
@@ -517,7 +511,7 @@ def test_certificate_of_the_trivial_group_uses_no_class_sum():
     data = class_algebra(g, conjugacy_classes(g))
     vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
     assert used == [] and vectors.tolist() == [[1]]
-    _certify(data, vectors, used, data.dixon_prime)
+    chardeg._certify(data, vectors, used, data.dixon_prime)
     assert degrees_from_class_algebra(data).as_dict() == {1: 1}
 
 
@@ -527,7 +521,7 @@ def _certify_corrupted_s4(corrupt):
     data, vectors, used, cs = _certified_s4()
     coefficients = corrupt(dict(data.coefficients), used[0], cs)
     corrupted = oracles.class_algebra_data(data.class_count, coefficients, data.dixon_prime)
-    _certify(replace(data, source=corrupted.source), vectors, used, data.dixon_prime)
+    chardeg._certify(replace(data, source=corrupted.source), vectors, used, data.dixon_prime)
 
 
 def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
@@ -601,10 +595,10 @@ def test_c2_9_skips_the_class_sums_that_split_nothing():
     g = _elementary_abelian(2, 9)
     data = class_algebra(g, conjugacy_classes(g))
     in_class_order = replace(data, generator_classes=tuple(range(data.class_count)))
-    vectors, used = chardeg._abelian_characters(in_class_order, data.dixon_prime)
+    characters, used = chardeg._abelian_characters(in_class_order, data.dixon_prime)
     assert len(used) == 9 and used[-1] == 256
     assert chardeg._simultaneous_eigenvectors(in_class_order, data.dixon_prime)[1] == used
-    assert sum(len(block) for block in vectors) == 512
+    assert characters.shape == (512, 9)
     assert degrees_from_class_algebra(in_class_order).as_dict() == {1: 512}
 
 
@@ -652,7 +646,7 @@ def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
     monkeypatch.setattr(modmat, "matmul", lambda a, b, p: calls.append(len(a)) or matmul(a, b, p))
     monkeypatch.setattr(np, "tensordot", lambda *args, **kwargs: pytest.fail("the refinement called np.tensordot"))
     vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
-    _certify(data, vectors, used, data.dixon_prime)
+    chardeg._certify(data, vectors, used, data.dixon_prime)
     assert calls == [2] * 6
 
 
@@ -749,6 +743,92 @@ def test_closed_form_rejects_an_exponent_that_does_not_fit(exponent, ell, messag
         degrees_from_class_algebra(fake)
 
 
+def _c3_squared():
+    """C3 x C3's class algebra, the class sums its closed form uses, and the
+    permutations of every class."""
+    g = _elementary_abelian(3, 2)
+    data = class_algebra(g, conjugacy_classes(g))
+    _, used = chardeg._abelian_characters(data, data.dixon_prime)
+    return data, used, [data.permutation(c).tolist() for c in range(data.class_count)]
+
+
+def test_closed_form_rejects_a_permutation_that_breaks_the_mixed_radix_step():
+    # the walk reads the first class sum's permutation only on the orbit of
+    # class 0; swapping two images off it leaves the walk as it was and a
+    # permutation with pi(z*) = 0, but z no longer adds 1 to digit 0
+    data, used, permutations = _c3_squared()
+    z = used[0]
+    orbit = chardeg._central_orbit(data, z).tolist()
+    x, y = [c for c in range(data.class_count) if c not in orbit][:2]
+    permutations[z][x], permutations[z][y] = permutations[z][y], permutations[z][x]
+    fake = _permutation_algebra(permutations, data.dixon_prime, data.exponent)
+    with pytest.raises(EigensplitError, match=f"class sum {z} does not add 1 to digit 0 of the normal form"):
+        degrees_from_class_algebra(replace(fake, generator_classes=data.generator_classes))
+
+
+def test_closed_form_rejects_an_inverse_pairing_off_the_normal_form():
+    # two classes outside the class sums used swap their inverse classes:
+    # t(x) + t(x*) no longer carries to 0
+    data, used, _ = _c3_squared()
+    star = list(data.star)
+    x, y = [c for c in range(1, data.class_count) if c not in used][:2]
+    star[x], star[y] = star[y], star[x]
+    assert degrees_from_class_algebra(data).as_dict() == {1: 9}
+    with pytest.raises(EigensplitError, match="a class and its inverse class do not multiply to 1 in the normal form"):
+        degrees_from_class_algebra(replace(data, star=tuple(star)))
+
+
+def test_closed_form_rejects_a_column_that_does_not_move_the_identity_to_its_class():
+    # class i of C5 is a^i; class 1 moves 0 -> 2 -> 1 -> 3 -> 4 -> 0: a
+    # 5-cycle with pi(1*) = pi(4) = 0, so the walk and the relations pass,
+    # but pi(0) = 2, so class 1 is not at the place of digit 0
+    permutations = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    assert degrees_from_class_algebra(_permutation_algebra(permutations, 11, 5)).as_dict() == {1: 5}
+    permutations[1] = [2, 3, 1, 4, 0]
+    fake = _permutation_algebra(permutations, 11, 5)
+    with pytest.raises(EigensplitError, match="class sum 1 is not the generator of digit 0 of the normal form"):
+        degrees_from_class_algebra(fake)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda a, e: np.concatenate([a[:-1], a[:1]]), "two split vectors agree on every class sum used"),
+        (lambda a, e: a[:-1], "found 8 vectors, expected 9"),
+        (lambda a, e: np.concatenate([a[:-1], a[-1:] + [e, 0]]), "are not residues mod 3"),
+        (lambda a, e: np.concatenate([a[:-1], a[:1] - [0, 1]]), "are not residues mod 3"),
+    ],
+    ids=["duplicate", "r-minus-1", "above-e", "negative"],
+)
+def test_closed_form_certificate_rejects_corrupted_exponents(corrupt, message):
+    data, used, _ = _c3_squared()
+    ell = data.dixon_prime
+    normal_form = chardeg._normal_form(data)
+    characters, _ = chardeg._abelian_characters(data, ell)
+    assert normal_form[3] == used and characters[-1].tolist() == [2, 2]
+    chardeg._certify_normal_form(data, normal_form, characters, ell)
+    with pytest.raises(EigensplitError, match=message):
+        chardeg._certify_normal_form(data, normal_form, corrupt(characters, data.exponent), ell)
+
+
+def test_closed_form_certificate_rejects_exponents_that_solve_no_relation():
+    # C4 by a^2 and a: z_1 = a has relative order 2 over <a^2>, and z_1^2 =
+    # z_0, so m_1 * a_1 = a_0 (mod 4); the vectors a with a_0 odd solve it
+    # with a_1 = a_0 / 2 + 2 only in the rationals
+    a = _cycles([4])[0]
+    g = build_group(4, [a * a, a])
+    data = class_algebra(g, conjugacy_classes(g))
+    ell = data.dixon_prime
+    normal_form = chardeg._normal_form(data)
+    _, orders, relations, used = normal_form
+    assert orders.tolist() == [2, 2] and relations.tolist() == [[0, 0], [1, 0]]
+    characters, _ = chardeg._abelian_characters(data, ell)
+    broken = characters.copy()
+    broken[:, 1] = (broken[:, 1] + 1) % 4
+    with pytest.raises(EigensplitError, match=f"solve the relation of class sum {used[1]}"):
+        chardeg._certify_normal_form(data, normal_form, broken, ell)
+
+
 def _cycles(orders):
     """The basis of C_n1 x C_n2 x ...: disjoint cycles of the given lengths
     (1 for the identity), on sum(orders) points."""
@@ -836,13 +916,13 @@ def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
     vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
     c = next(c for c in used if data.sizes[c] == 1)
     used = [c, *(u for u in used if u != c)]
-    _certify(data, vectors, used, ell)
+    chardeg._certify(data, vectors, used, ell)
     pi, star = data.permutation(c).tolist(), data.star[c]
     j = next(j for j in range(1, r) if j != star)
 
     def certify_corrupted(coefficients):
         corrupted = oracles.class_algebra_data(r, coefficients, ell)
-        _certify(replace(data, source=corrupted.source), vectors, used, ell)
+        chardeg._certify(replace(data, source=corrupted.source), vectors, used, ell)
 
     # class pi(j) loses its entry and class pi(star) gets a second one
     with pytest.raises(EigensplitError, match=f"class sum {c} of one element does not permute the classes"):
@@ -854,7 +934,7 @@ def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
     broken = vectors.copy()
     broken[1, j] = (broken[1, j] + 1) % ell
     with pytest.raises(EigensplitError, match=f"not a central character on class sum {c}"):
-        _certify(data, broken, used, ell)
+        chardeg._certify(data, broken, used, ell)
 
 
 def test_roots_of_unity_missing_from_the_field_are_rejected():
@@ -889,15 +969,15 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
-    # the int16 table of C12 takes 288 bytes, its degree layer's streamed
-    # arrays 6768 (blocks of int16 residues mod 13, and the exponents of at
-    # most three class sums used); both groups are enumerated (2448 bytes)
-    # before the budget is lowered
+    # the int16 table of C12 takes 288 bytes, its degree layer's closed form
+    # 3192 (248 bytes a class for its one generator's class sum, the one it
+    # can use, and 18 for counting a column); both groups are enumerated
+    # (2448 bytes) before the budget is lowered
     records = parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")
     g = standard_group("cyclic", 12)
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
     [block] = run_report(records).document["groups"]
-    assert "class algebra arrays of 12 classes needs 6768 bytes" in block["skipped"]
+    assert "class algebra arrays of 12 classes needs 3192 bytes" in block["skipped"]
     assert "verdicts" not in block
     cs = conjugacy_classes(g)
     assert g.table.nbytes == 288
@@ -919,9 +999,9 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     ],
 )
 def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build, dtype):
-    # the abelian C2^8, C3^5 (int16) and C400 (int32) are made, certified and
-    # read a block of rows at a time, and their peak is a block's float64
-    # exponents; S5 x S4 (int16) holds r x r residue arrays, but the gather
+    # the abelian C2^8, C3^5 (int16) and C400 (int32) are certified on their
+    # normal form, in k x r int64 digits for k = 8, 5 and 1 class sums used,
+    # with no row made; S5 x S4 (int16) holds r x r residue arrays, but the gather
     # of its largest class (240 elements) dominates the budget; D200 (int32)
     # refines by its reflections only the rows of the rotation split they
     # do not act on as a scalar

@@ -50,6 +50,19 @@ def test_matmul_matches_python_ints(monkeypatch, p, block):
         assert np.array_equal(modmat.matmul(a, b, p), _python_product(a, b, p))
 
 
+@pytest.mark.parametrize("cells", [7, modmat.REDUCE_CELLS - 1, modmat.REDUCE_CELLS, 5000])
+@pytest.mark.parametrize("p,dtype", [(37, np.int16), (401, np.int32), (1999993, np.int64)])
+def test_reduce_gives_the_residues_of_remainder_in_place(p, dtype, cells):
+    # below REDUCE_CELLS by np.remainder, from it on by floor division; both
+    # take negative values to 0..p-1, as % does
+    square = (p - 1) ** 2
+    x = np.random.default_rng(cells).integers(-square, square + 1, cells).astype(dtype)
+    want = x % p
+    got = modmat.reduce(x, p)
+    assert got is x and got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("p,dtype", [(181, np.int16), (191, np.int32), (46337, np.int32), (46349, np.int64)])
 def test_residues_hold_a_product_of_two_residues(p, dtype):
     # the primes on either side of 182 and of 46341, where (p - 1)**2 outgrows 2**15 - 1 and 2**31 - 1

@@ -2,7 +2,9 @@
 verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
 layer's closed form on the abelian groups C800, C1600 and C2400 (one class
 sum used), C2^10, C2^12, C2^13 and C2^14 (r = 1024 to 16384, one class sum
-used per generator) and C3^8 (r = 6561), and the pure-Python group build of
+used per generator), C3^8 (r = 6561) and C3^9 (r = 19683, the largest
+elementary abelian group under the enumeration cap, whose int16 Cayley
+table takes 775 MB), and the pure-Python group build of
 C4000 on 4000 points and of D4000 (``dihedral`` 2000, of order 4000 on 2000
 points).
 
@@ -22,7 +24,7 @@ whose int16 Cayley table alone takes 537 MB.  The peak RSS of one D8^3xC2^4 run 
 the same code, depending on heap layout, so a single run cannot show a
 change of less than about 26 MB there.
 
-C800, C1600, C2400, C2^10, C2^12, C2^13 and C3^8 run one:
+C800, C1600, C2400, C2^10, C2^12, C2^13, C3^8 and C3^9 run one:
 
 * ``degree``: parse the group and build its classes and Cayley table, then
   time the degree step alone (``class_algebra`` and
@@ -84,6 +86,11 @@ def _transpositions(first: int, count: int) -> list[str]:
     return [f"({a},{a + 1})" for a in range(first, first + 2 * count, 2)]
 
 
+def _three_cycles(first: int, count: int) -> list[str]:
+    """Generators of C3^count on the points first, first + 1, ..."""
+    return [f"({a},{a + 1},{a + 2})" for a in range(first, first + 3 * count, 3)]
+
+
 #: D8^3 on points 1-12, one square and one reflection each
 _D8_CUBED = [c for a in (1, 5, 9) for c in (f"({a},{a + 1},{a + 2},{a + 3})", f"({a},{a + 2})")]
 
@@ -101,7 +108,8 @@ RUNGS = {
     "C2^10": ("degree 20\n" + _gens(*_transpositions(1, 10)), ("degree",)),
     "C2^12": ("degree 24\n" + _gens(*_transpositions(1, 12)), ("degree",)),
     "C2^13": ("degree 26\n" + _gens(*_transpositions(1, 13)), ("degree",)),
-    "C3^8": ("degree 24\n" + _gens(*(f"({a},{a + 1},{a + 2})" for a in range(1, 24, 3))), ("degree",)),
+    "C3^8": ("degree 24\n" + _gens(*_three_cycles(1, 8)), ("degree",)),
+    "C3^9": ("degree 27\n" + _gens(*_three_cycles(1, 9)), ("degree",)),
     "C4000": (_cycle(4000), ("build",)),
     "D4000": (_dihedral(2000), ("build",)),
 }
