@@ -322,11 +322,11 @@ def _check_degree_budget(sizes: np.ndarray, ell: int, generators: int) -> None:
     refinement chains only the rows its class sum does not act on as a
     scalar.  Counting the largest class's column takes 18 bytes per cell of
     its |K_g| * r products (its intp index, then the int64 codes and
-    np.unique's sorted copy).  tracemalloc puts the whole peak at 0.13 MB
-    on C2^8 (k = 8), 0.08 MB on C3^5 (k = 5), 0.04 MB on C400 (k = 1), 2.3
-    MB on C2^12 (k = 12) and 2.5 MB on C3^8 (k = 8), 0.07 MB on S5 x S4
+    np.unique's sorted copy).  tracemalloc puts the whole peak at 0.10 MB
+    on C2^8 (k = 8), 0.07 MB on C3^5 (k = 5), 0.04 MB on C400 (k = 1), 2.1
+    MB on C2^12 (k = 12) and 2.3 MB on C3^8 (k = 8), 0.07 MB on S5 x S4
     (int16), 0.51 MB on D200 (int32), 30 MB on D2000 (int32) and 57 MB on
-    D8^3 x C2^4 (int16); the count is 1.16 to 2.8 times these.  Below a few kilobytes fixed Python
+    D8^3 x C2^4 (int16); the count is 1.35 to 2.8 times these.  Below a few kilobytes fixed Python
     overhead is not counted: S6 (r = 11) peaks at 37 KB against 34 KB
     counted.  The columns kept for the class sums the split visits, each of
     at most min(r^2, |K_g| * r) cells, are not counted for a group with a
