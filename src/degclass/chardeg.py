@@ -8,99 +8,90 @@ the group exponent e and l > 2*sqrt(|G|):
    Class i's coefficients are counted only when the split or the
    certificate first reads them, by one gather of |K_i| * r products, so
    the r * min(r^2, |G|) table is never built;
-2. the r matrices M_i with (M_i)[j][k] = a[i][j][k] commute and are
-   simultaneously diagonalizable over GF(l), so the identity splits into r
-   primitive idempotents.  The class sums are visited generators' classes
-   first (Dixon and Schneider split by a generator's class sum), then in
-   class order, and one sparse action (the coordinates of x*K are x @ M, a
-   gather of columns when |K| = 1) tells whether a class sum K acts as a
-   scalar on every idempotent found so far.  If not, the Krylov chain 1, K,
-   K^2, ... gives K's minimal polynomial, whose n distinct roots are its
-   eigenvalues, and each idempotent e is replaced by the nonzero products
-   e * E_lambda with the Lagrange idempotents E_lambda = prod over mu !=
-   lambda of (K - mu) / (lambda - mu).  The identity's products are read off
-   the chain itself, so a class sum with r distinct eigenvalues splits the
-   whole algebra with one elimination and one r x r x r product, exact on
-   float64 BLAS (``modmat.matmul``).  A class of one element z (|K| = 1, so
-   z is central) needs neither: z permutes the class sums, z * K_j =
-   K_pi(j), so the chain is the orbit of the identity class, n = o(z) unit
-   vectors; the minimal polynomial is x^n - 1, whose roots are the powers of
-   a primitive n-th root of unity zeta (n divides e, which divides l - 1);
-   and E_{zeta^s} = n^-1 * sum_t zeta^(-ts) K^t is a row of the inverse DFT
-   matrix.  So a generator of a cyclic group splits the whole algebra in
-   O(r^2), and a later refinement by a central class sum multiplies by that
-   matrix.  A primitive idempotent e gives the central character w_j = |K_j|
-   * e_{j*} / e_0.  The split is deterministic: no random linear
-   combinations.  Every array of residues mod l (the idempotent rows and
-   their images, the chain powers and their echelon form, the Lagrange and
-   inverse DFT matrices, the central characters) has the narrowest signed
-   dtype that holds a product of two residues, ``modmat.residues(l)``:
-   int16 for l <= 182, int32 for l <= 46341, else int64.  A product of two
-   residues is reduced mod l before it meets a third value, and every sum of
-   such products is accumulated in int64.
-   When every class is one element (G is abelian) the split is not run:
-   the central characters are written down from a normal form of G over
-   the class sums.  The class sums are walked in the same order, each
-   through its permutation pi, and z is used exactly when its class lies
-   outside H, the subgroup the class sums used before it generate (the
-   orbit of class 0 under their permutations).  That is the split's own
-   rule: each idempotent found so far is e_psi = |H|^-1 * sum over h in H
-   of psi(h^-1) h for a character psi of H, supported on H, so z acts on
-   it as a scalar when z lies in H and moves it off H otherwise, and the
-   classes used are the ones the split would use.  z_i's relative order
-   m_i is the least m with z_i^m in H, and z_i^m_i = prod_{j<i}
-   z_j^u_ij, so every class x is prod z_i^t_i(x) for one exponent vector
-   t(x) with 0 <= t_i < m_i.  The characters are w_x = zeta^(a . t(x)),
-   zeta a primitive e-th root of unity mod l, for the vectors a with m_i
-   * a_i = sum_j u_ij * a_j (mod e).  m_i divides the order of z_i, which
-   divides e, so relation i has a solution exactly when m_i divides its
-   right side (which every character of H extending to <H, z_i> forces,
-   and which is checked), and then exactly m_i of them, a_i = c / m_i + s
-   * e / m_i: distinct characters, since GF(l) holds e distinct e-th roots
-   of unity because e divides l - 1.  So the prod m_i = r vectors a give r
-   distinct characters, which are certified and read on the normal form
-   (steps 3 and 4) without being made: no row of them is held;
-3. the vectors are certified on the set S of class sums the split used
-   (those that split an idempotent): there are r of
-   them with w_0 = 1, w_g * w_j = sum_k a[g][j][k] * w_k for every g in S and
-   every j, and no two agree on all of S.  The set A of elements a with
-   w(a * x) = w(a) * w(x) for all x is a subalgebra containing S, so each w
-   is multiplicative on the algebra generated by S; r distinct
-   homomorphisms there are linearly independent (Dedekind), so that algebra
-   is the whole class algebra and every w is a central character.  The
-   argument needs an associative table, which a table counted from a group
-   is; the coefficients of every g in S are checked against the counting
+2. the class algebra is split one character of its centre at a time
+   (Isaacs, ch. 2).  The classes of one element form Z = Z(G), and z * K_j
+   = K_pi(j) for a permutation pi read off z's column.  They are walked in
+   the split's visiting order (generators' classes first, then class
+   order): z is used exactly when it lies outside the subgroup H the ones
+   used before it generate, its relative order m_i is the least m with z^m
+   in H, and z_i^m_i = prod_{j<i} z_j^u_ij.  So every z in Z is prod
+   z_i^t_i for one vector of digits t, 0 <= t_i < m_i, and the characters
+   of Z are lambda_a(z) = zeta^(a . t), zeta a primitive e-th root of unity
+   mod l, for the vectors a with m_i * a_i = u_i . a (mod e): relation i has
+   m_i solutions when m_i divides its right side (checked), so |Z| in all.
+   The same walk from the least class c_o of each Z-orbit o places each
+   class j of o at digits t(j), with j = z^t(j) * c_o, in the normal form of
+   Z over the stabiliser of c_o; lambda_a is trivial on that stabiliser
+   exactly when a solves its relations.  e_lambda = |Z|^-1 sum_z
+   lambda(z^-1) z cuts the class algebra into blocks e_lambda * Z(FG) with
+   basis b_o = e_lambda * K_c_o over the orbits o whose stabiliser lambda is
+   trivial on, since e_lambda * K_(z*c_o) = lambda(z) * b_o, and that is 0
+   when z * c_o = c_o and lambda(z) != 1; there are r_lambda of them, the
+   characters over lambda, and sum r_lambda = r.  A class sum K_g of several
+   elements acts on a block by (F_g)[o][o'] = sum over k in o' of
+   a[g][c_o][k] * lambda(z_k), its column read at the representatives and
+   folded; one of one element acts as the scalar lambda(z) and is never
+   visited.  An abelian group is one orbit, and every lambda's block is 1 x
+   1 and needs no split; a group with trivial centre is one block, the
+   whole algebra.  The blocks of the other lambda are split together, a
+   direct sum of as many as keep its arrays within one block of cells, and
+   a lambda whose folded columns agree with one in the sum on every class
+   sum the split visits shares its idempotents.  The split: the matrices
+   commute and are simultaneously diagonalizable, so the identity splits
+   into primitive idempotents.  One sparse action (x @ M) tells whether a
+   class sum K acts as a scalar on every idempotent found so far.  If not,
+   the Krylov chain 1, K, K^2, ... gives K's minimal polynomial, whose n
+   distinct roots are its eigenvalues, and each idempotent e is replaced by
+   the nonzero products e * E_mu with the Lagrange idempotents E_mu = prod
+   over nu != mu of (K - nu) / (mu - nu), read off the chain itself for the
+   identity, which is then cut into its blocks.  The split is deterministic:
+   no random linear combinations.  A primitive idempotent y of a block gives
+   the central character at the representatives, w(c_o) = |K_c_o| * |Z| /
+   |o| * lambda(z)^-1 * y_o' / y_0 for (c_o)* = z * c_o'; elsewhere w(z *
+   c_o) = lambda(z) * w(c_o), and w is 0 off the block.  Every array of
+   residues mod l has the narrowest signed dtype that holds a product of
+   two residues, ``modmat.residues(l)``: int16 for l <= 182, int32 for l <=
+   46341, else int64; a product is reduced mod l before it meets a third
+   value, and every sum of such products is accumulated in int64;
+3. the vectors are certified on the class sums of one element used and the
+   set S_lambda of class sums that split lambda's block: w_0 = 1, w_g * w_j
+   = sum_k a[g][j][k] * w_k for every g used and every j, and the vectors
+   over one lambda, r_lambda of them, differ on S_lambda.  For a class sum
+   z_i of one element, with NF carrying digits from the top down (a digit
+   v_j >= m_j drops by q * m_j and adds q * u_j below it, which changes a .
+   v by a multiple of e when a solves relation j): pi_i(z_i*) = 0, t(z_i) =
+   e_i, and for every class x, pi_i keeps x's orbit and t(pi_i(x)) =
+   NF(t(x) + e_i) in x's orbit's normal form, so w_(pi_i(x)) = lambda(z_i)
+   * w_x; each orbit's representative is at place 0, and the orbit has as
+   many classes as places, so the class at digits t is z^t * c_o; each a
+   lies in 0..e - 1 and solves Z's relations, the |Z| vectors a differ, and
+   e divides l - 1, so they are the characters of Z; each lambda's orbits
+   are exactly those whose relations a solves.  For g in S_lambda the
+   equation is checked at the representatives only, (F_g w)_o = w_g * w_o.
+   The set A of elements x with w(x * y) = w(x) * w(y) for all y is a
+   subalgebra holding every z_i, hence Z, and w(K_g * K_(z*c_o)) = w(z * K_g
+   * K_c_o) = w(z) * w_g * w(c_o) = w_g * w(z * c_o), so the equation holds
+   at every class of o; at a class of an orbit off the block it reads 0 = 0,
+   since some s with s * c_o = c_o and lambda(s) != 1 gives w(K_g * K_c_o) =
+   lambda(s) * w(K_g * K_c_o).  So A holds Z and S_lambda, and w(e_lambda)
+   = 1: the vectors over lambda, distinct homomorphisms on the algebra C
+   they generate, are linearly independent on e_lambda * C, which is then
+   all of the block (dimension r_lambda), so w(x * y) = w(e_lambda * x *
+   e_lambda * y) = w(x) * w(y): every w is a central character.  Check (c)
+   compares the pairs (lambda, w on S_lambda).  The argument needs an
+   associative table, which a table counted from a group is; the
+   coefficients of every class sum used are checked against the counting
    identities: every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
-   and a[g][j][0] = |K_g| exactly when j = g*.  For |K_g| = 1 these say the
-   column is a permutation pi with pi(g*) = 0, and w_g * w_j = w_pi(j).
-   The sums over k run in int64 on the narrow vectors.  The checks of each
-   row are made a block of rows at a time, and the restrictions to S are
-   gathered, r x |S|: two vectors that agree on all of S are neighbours
-   once those are sorted.
-   The closed form's rows w_a(x) = zeta^(a . t(x)) are certified without
-   being made.  NF carries a vector v of digits from the top digit down:
-   at digit j, q = v_j // m_j, v_j drops by q * m_j and q * u_j is added to
-   the digits below it (only a digit that may overflow, and only where u_j
-   is nonzero, costs anything).  That changes a . v by q * (u_j . a - m_j * a_j),
-   a multiple of e when a solves relation j, so zeta^(a . v) = zeta^(a .
-   NF(v)).  Then, over the r classes at once, with t(x) the digits of x's
-   place: for every z_i used, the counting identities (pi_i permutes the
-   classes and pi_i(z_i*) = 0), t(z_i) = e_i, and t(pi_i(x)) = NF(t(x) +
-   e_i) for every x, so w_a(z_i) * w_a(x) = w_a(pi_i(x)), which is check
-   (b) for every a at once; t(1) = 0, so w_a(1) = 1; there are r vectors a,
-   distinct, with 0 <= a_i < e and m_i * a_i = u_i . a (mod e); and e
-   divides l - 1.  As zeta has order e, distinct vectors give rows that
-   differ at some z_i.  That is O(r * k) digits per class sum used, k of
-   them, plus r for each nonzero u_ij a carry reaches, held as k x r int64
-   arrays: no r x r array and no row is made;
+   and a[g][j][0] = |K_g| exactly when j = g*, which for |K_g| = 1 says the
+   column is a permutation pi with pi(g*) = 0;
 4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
    degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read once
-   for each distinct T.  No two candidates match, because
-   l > 2*sqrt(|G|) cannot divide (d1 - d2) * (d1 + d2), and T = 0 matches
-   none, because l does not divide |G|; so "exactly one match" is the whole
-   check.  T is summed a block of rows at a time, but not for the closed
-   form: NF(t(x) + t(x*)) = 0 is checked for every x, so w_a(x) * w_a(x*) =
-   1, and every one of its characters has T = r.
+   for each distinct T.  No two candidates match, because l > 2*sqrt(|G|)
+   cannot divide (d1 - d2) * (d1 + d2), and T = 0 matches none, because l
+   does not divide |G|; so "exactly one match" is the whole check.  T is
+   summed orbit by orbit: NF(t(j) + t(j*)) = t((c_o)*) is checked for every
+   class j of o, so w_j * w_(j*) = lambda(z) * w(c_o) * w(c_o') for (c_o)*
+   = z * c_o', and a lambda alone in Z's orbit has T = sum over Z of 1 / |K_j|.
 
 Both congruence constraints on l force l coprime to |G| (every prime of |G|
 divides e), which is what makes the class algebra split.  Only the degrees
@@ -117,8 +108,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -240,29 +231,11 @@ class ClassAlgebraData:
             out.update(zip(zip([i] * len(codes), j.tolist(), k.tolist()), values.tolist()))
         return out
 
-    def action(self, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> x @ M_g mod ell on rows x reduced mod ell, in x's dtype: row t of
-        the image is the coordinate row of x_t * K_g.  A class g = {z} of one
-        element moves coordinate j to pi(j) (``permutation``), so a call
-        gathers len(x) * r cells, with no sums.  Otherwise a call costs
-        len(x) * nnz_g cells, a block of rows at a time; the products fit x's
-        dtype ``modmat.residues(ell)`` and each sum of at most r of them is
-        accumulated in int64."""
-        if self.sizes[g] == 1:
-            inverse = np.argsort(self.permutation(g))
-            return lambda x: x.take(inverse, axis=1)
-        codes, values = self.column(g)
-        k, j = np.divmod(codes, self.class_count)
-        ks, starts = np.unique(k, return_index=True)
-        values = (values % ell).astype(modmat.residues(ell))
-
-        def act(x: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(x)
-            for block in groups.blocks(len(x), len(j)):
-                out[block, ks] = modmat.reduce(np.add.reduceat(x[block, j] * values, starts, axis=1, dtype=np.int64), ell)
-            return out
-
-        return act
+    @cached_property
+    def centre(self) -> "_Centre":
+        """The orbits of the centre on the classes and their normal forms,
+        walked on the first read (``_walk_centre``)."""
+        return _walk_centre(self)
 
     def matrix(self, i: int) -> np.ndarray:
         codes, values = self.column(i)
@@ -293,53 +266,42 @@ def least_admissible_prime(order: int, exponent: int) -> int:
     return next(admissible_primes(order, exponent))
 
 
-def _check_degree_budget(sizes: np.ndarray, ell: int, generators: int) -> None:
+def _check_degree_budget(sizes: np.ndarray, ell: int, k: int, orbits: int) -> None:
     """Raise GroupTooLargeError when the arrays the degree layer holds at
-    once would outgrow the table budget.
+    once would outgrow the table budget, for k class sums of one element
+    used (k <= log2 |Z|) and b Z-orbits (``orbits``), the largest block.
 
-    Its residues mod ell are held in ``modmat.residues(ell)``, of itemsize
-    s.  When every class is one element no residue array is made: the
-    closed form holds (48 k + 200) bytes a class, for k <= min(log2 r,
-    ``generators``) the class sums used (each at least doubles H, and the
-    generators' classes, which come first, generate G).  That is six int64
-    cells of each class for each class sum used: its permutation, kept, the
-    characters' exponent vectors, the digits of the places and a shifted
-    copy of them, and two more copies of the vectors while a relation is
-    solved or the vectors are sorted; and 200 bytes: the walk's lists of
-    places, members and two permutations (8 bytes a slot and 32 for an int
-    object), and a few int64 arrays of r entries (the places, their gathers
-    and a carry's quotient).
-    Otherwise at most the larger of two sets of arrays coexist: six r x r
-    residue arrays (the Krylov powers and the elimination of ``_lagrange``
-    with its temporaries), or three of them plus int64 and float64
-    transients of r^2 + 3 r * r / PANELS cells: the chain's int64 copy of
-    the echelon rows it reduces a power against, or the first split's
-    ``modmat.matmul`` with a float64 copy of the r x r left factor and
-    three panels of r x r / PANELS cells (a float64 copy of the right
-    factor's panel, the product, its int64 copy).  Every other step is
-    blocked, and its int64 sums and float64 panels take at most three
-    arrays of min(r^2, BLOCK_CELLS) 8-byte cells beyond the r x r arrays; a
-    refinement chains only the rows its class sum does not act on as a
-    scalar.  Counting the largest class's column takes 18 bytes per cell of
-    its |K_g| * r products (its intp index, then the int64 codes and
-    np.unique's sorted copy).  tracemalloc puts the whole peak at 0.10 MB
-    on C2^8 (k = 8), 0.07 MB on C3^5 (k = 5), 0.04 MB on C400 (k = 1), 2.1
-    MB on C2^12 (k = 12) and 2.3 MB on C3^8 (k = 8), 0.07 MB on S5 x S4
-    (int16), 0.51 MB on D200 (int32), 30 MB on D2000 (int32) and 57 MB on
-    D8^3 x C2^4 (int16); the count is 1.35 to 2.8 times these.  Below a few kilobytes fixed Python
-    overhead is not counted: S6 (r = 11) peaks at 37 KB against 34 KB
-    counted.  The columns kept for the class sums the split visits, each of
-    at most min(r^2, |K_g| * r) cells, are not counted for a group with a
-    class of several elements: on every group measured it visits at most
-    one class sum beyond those it uses."""
-    r, largest = len(sizes), int(np.max(sizes))
+    Residues take s bytes (``modmat.residues(ell)``).  The centre's walk and
+    normal forms hold (64 k + 200) bytes a class: eight int64 cells of each
+    class for each class sum of one element used (its permutation, the
+    digits and their strides, a shifted copy, and the exponent vectors of
+    Z's characters with two copies), and 200 bytes (the walk's lists and a
+    few int64 arrays of r entries).  A split's direct sum of d = b
+    coordinates, or up to isqrt(BLOCK_CELLS) of several blocks, holds the
+    larger of six d x d residue arrays (the Krylov powers and the
+    elimination of ``_lagrange``) and three plus int64 and float64
+    transients of d^2 + 3 d * d / PANELS cells (the chain's echelon rows, or
+    ``modmat.matmul``'s copies and panels); every other step is blocked,
+    within three arrays of min(d^2, BLOCK_CELLS) 8-byte cells.  The vectors,
+    sum r_lambda^2 <= b * r residues, are held with a copy; the folded
+    columns, two of at most |G| * min(b, |K|^2) int64 cells, exist only when
+    an orbit holds several classes; counting the largest class's column
+    takes 18 bytes per cell of its |K| * r products.  tracemalloc puts the
+    peak at 0.15 MB on C2^8 (k = 8), 0.10 MB on C3^5 (k = 5), 0.06 MB on
+    C400 (k = 1), 3.3 MB on C2^12 and 3.6 MB on C3^8, 0.13 MB on S5 x S4,
+    0.50 MB on D200, 27 MB on D2000, 0.07 MB on D8 x C9, 0.57 MB on D8 x
+    C2^5 and 5.8 MB on D8^3 x C2^4; the count is 1.2 to 2.5 times these.
+    Below a few kilobytes fixed Python overhead is not counted: S6 (r = 11)
+    peaks at 43 KB against 36 KB counted.  The columns kept for the class
+    sums visited, each of at most min(r^2, |K_g| * r) cells, are not counted:
+    on every group measured it visits at most one beyond those it uses."""
+    r, largest, b = len(sizes), int(np.max(sizes)), orbits
     s = np.dtype(modmat.residues(ell)).itemsize
-    if largest == 1:
-        held = (48 * min(generators, r.bit_length() - 1) + 200) * r
-    else:
-        block = min(r * r, groups.BLOCK_CELLS)
-        held = max(6 * s * r * r, 3 * s * r * r + 8 * (r * r + 3 * r * -(-r // modmat.PANELS))) + 24 * block
-    size = held + 18 * largest * r
+    # a split's direct sum: one block, or blocks of several characters within one block of cells
+    d = max(b, min(r, math.isqrt(groups.BLOCK_CELLS))) if b > 1 else 0
+    split = max(6 * s * d * d, 3 * s * d * d + 8 * (d * d + 3 * d * -(-d // modmat.PANELS))) + 24 * min(d * d, groups.BLOCK_CELLS)
+    folds = 16 * int(np.sum(sizes)) * min(b, largest * largest) if 1 < b < r else 0
+    size = (64 * k + 200) * r + split + 2 * s * b * r + folds + 18 * largest * r
     if size > groups.TABLE_MAX_BYTES:
         raise GroupTooLargeError(
             f"group too large: the class algebra arrays of {r} classes needs {size} bytes, "
@@ -353,8 +315,10 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
 
     a[g][j][k] counts the x in class g with x^-1 * z_k in class j, z_k the
     representative of class k: class g's column is one gather of |K_g| * r
-    cells, counted by (k, j).  Raises GroupTooLargeError, before anything is
-    allocated, when the degree layer would exceed the table budget.
+    cells, counted by (k, j).  Raises GroupTooLargeError when the degree
+    layer would exceed the table budget: before anything is allocated when
+    the centre is 1 or G (r orbits or one), else once the centre's orbits
+    are walked (step 2 above), which the budget counts.
     """
     r, sizes = len(classes), classes.sizes
     exponent = int(np.lcm.reduce(group.element_orders))
@@ -362,50 +326,381 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     class_of, representatives = classes.class_index, classes.representatives
     generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
-    _check_degree_budget(sizes, ell, len(generator_classes))
     offsets = np.arange(r) * r
 
     def column(g: int) -> tuple[np.ndarray, np.ndarray]:
         inverses = group.inverses[classes.members(g)]
         return np.unique(class_of[group.mul(inverses[:, None], representatives)] + offsets, return_counts=True)
 
-    return ClassAlgebraData(column, tuple(sizes.tolist()), classes.inverse_pairing, exponent, ell, tuple(generator_classes))
+    data = ClassAlgebraData(column, tuple(sizes.tolist()), classes.inverse_pairing, exponent, ell, tuple(generator_classes))
+    z = data.sizes.count(1)
+    if z in (1, r):
+        _check_degree_budget(sizes, ell, min(len(generator_classes), z.bit_length() - 1), r - z + 1)
+    else:
+        _check_degree_budget(sizes, ell, len(data.centre.used), len(data.centre.reps))
+    return data
 
 
-def _simultaneous_eigenvectors(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
-    """Central-character vectors over GF(ell) as the rows of an array, in no
-    particular order, from the primitive idempotents of the class algebra
-    (see ``_idempotents``), and the class sums that split one.  A primitive
-    idempotent e gives w_j = |K_j| * e_{j*} / e_0."""
-    rows, used = _idempotents(data, ell)
-    if not rows[:, 0].all():
+class _Centre(NamedTuple):
+    """The orbits of Z = Z(G) on the classes and their normal forms (step 2
+    above).  class -> its orbit, numbered by least class (orbit 0 is Z), its
+    place in the orbit's normal form and the k x r digits t(j); orbit -> its
+    least class c_o and its normal form, a row of orders (the relative
+    orders m_i), relations (the strictly lower triangular u_i) and strides
+    (each digit's place value, the size last), kind 0 being Z's own; the
+    classes z_i of one element used; class -> its inverse class."""
+
+    orbit: np.ndarray
+    place: np.ndarray
+    digits: np.ndarray
+    reps: np.ndarray
+    kind: np.ndarray
+    orders: np.ndarray
+    relations: np.ndarray
+    strides: np.ndarray
+    used: list[int]
+    inverse: np.ndarray
+
+
+class _Split(NamedTuple):
+    """The central characters over the lambda_a of Z not alone in their
+    block (step 2 above): row t of ``vectors`` is one over lambda_a, a =
+    characters[owner[t]], read at the representative of every orbit (0 off
+    its block), and ``folds`` holds the folded column (``_fold``) of each
+    class sum that split one."""
+
+    characters: np.ndarray
+    vectors: np.ndarray
+    owner: np.ndarray
+    folds: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _walk_centre(data: ClassAlgebraData) -> _Centre:
+    """Walk the classes of one element through their permutations in the
+    split's visiting order, then each other orbit from its least class
+    through the same permutations (step 2 above)."""
+    r, first = data.class_count, data.generator_classes
+    tried, central = set(first), data.sizes.count(1)
+    if central == 1:
+        # Z = 1: every class is an orbit of its own, at place 0
+        every, one = np.arange(r), np.ones((1, 1), dtype=np.int64)
+        return _Centre(every, np.zeros(r, dtype=np.intp), np.zeros((0, r), dtype=np.int64), every, np.zeros(r, dtype=np.intp), one[:, :0], one[:, :0, None][:, :0], one, [], np.array(data.star))
+    orbit, place = [-1] * r, [-1] * r
+    orbit[0] = place[0] = 0
+    members, forms, permutations, used = [0], [([], [])], [], []
+    for g in itertools.chain(first, (g for g in range(1, r) if g not in tried)):
+        if len(members) >= central:
+            break
+        if data.sizes[g] == 1 and orbit[g] < 0:
+            permutations.append(data.permutation(g).tolist())
+            used.append(g)
+            _adjoin(g, permutations[-1], members, orbit, place, *forms[0])
+    if len(members) < central:
+        raise EigensplitError(f"refinement stalled with {len(members)} idempotents for {central} classes")
+    reps = [0]
+    for c in range(r) if central < r else ():
+        if orbit[c] < 0:
+            orbit[c], place[c], members = len(reps), 0, [c]
+            reps.append(c)
+            forms.append(([], []))
+            for g, pi in zip(used, permutations):
+                _adjoin(g, pi, members, orbit, place, *forms[-1])
+    kinds, k = {}, len(used)
+    kind = np.array([kinds.setdefault((tuple(m), tuple(map(tuple, u))), len(kinds)) for m, u in forms])
+    orders, relations = np.array([m for m, _ in kinds], dtype=np.int64).reshape(len(kinds), k), np.zeros((len(kinds), k, k), dtype=np.int64)
+    for c, (_, u) in enumerate(kinds):
+        for i, digits in enumerate(u):
+            relations[c, i, :i] = digits
+    strides = np.ones((len(kinds), k + 1), dtype=np.int64)
+    np.cumprod(orders, axis=1, out=strides[:, 1:])
+    orbit, place = np.array(orbit) if central < r else np.zeros(r, dtype=np.intp), np.array(place)
+    # with one kind every class has Z's normal form
+    of_class = kind[orbit] if len(kinds) > 1 else slice(0, 1)
+    digits = place // strides[of_class, :k].T % orders[of_class].T
+    return _Centre(orbit, place, digits, np.array(reps), kind, orders, relations, strides, used, np.array(data.star))
+
+
+def _adjoin(g: int, pi: list[int], members: list[int], orbit: list[int], place: list[int], orders: list, relations: list) -> None:
+    """Adjoin z = g, which moves class x to pi[x], to the walk of the orbit
+    of members[0]: z's relative order m is the least m with z^m * members[0]
+    in the orbit so far, the digits of that class's place are its relation,
+    and z^s * x, the class pi^s(x), takes the place s * n + (the place of x)
+    for the n members so far, 0 < s < m."""
+    label = orbit[members[0]]
+    m, c = 1, pi[members[0]]
+    while orbit[c] != label:
+        m, c = m + 1, pi[c]
+    p, digits = place[c], []
+    for radix in orders:
+        p, t = divmod(p, radix)
+        digits.append(t)
+    relations.append(digits)
+    orders.append(m)
+    n = len(members)
+    for i in range((m - 1) * n):
+        x = pi[members[i]]
+        if orbit[x] >= 0:
+            raise EigensplitError(f"class sum {g} of one element does not permute the cosets of the class sums before it")
+        orbit[x] = label
+        place[x] = n + i
+        members.append(x)
+
+
+def _characters_of_centre(data: ClassAlgebraData, centre: _Centre) -> np.ndarray:
+    """The exponent vectors a of the characters lambda_a(z) = zeta^(a . t(z))
+    of Z (step 2 above), one row each, solved one relation at a time."""
+    e, orders, relations = data.exponent, centre.orders[0], centre.relations[0]
+    characters = np.zeros((1, 0), dtype=np.int64)
+    for i, (m, g) in enumerate(zip(orders.tolist(), centre.used)):
+        c = characters @ relations[i, :i] % e
+        if e % m or (c % m).any():
+            raise EigensplitError(f"the relation of class sum {g}, of relative order {m}, has no {m} solutions mod {e}")
+        solutions = (c // m)[:, None] + np.arange(m) * (e // m)
+        characters = np.concatenate([np.repeat(characters, m, axis=0), solutions.reshape(-1, 1)], axis=1)
+    return characters
+
+
+def _trivial_on_stabilisers(centre: _Centre, characters: np.ndarray, e: int) -> np.ndarray:
+    """Whether lambda_a is trivial on the stabiliser of the orbits of each
+    kind, that is whether a solves their relations: characters x kinds."""
+    defects = characters * centre.orders[:, None] - characters @ centre.relations.transpose(0, 2, 1)
+    return (defects % e == 0).all(axis=2).T
+
+
+@cache
+def _roots_of_unity(n: int, ell: int) -> np.ndarray:
+    """zeta^0, zeta^1, ..., zeta^(n - 1) mod ell in int64, read-only and made
+    once for each (n, ell), for a primitive n-th root of unity zeta, which
+    GF(ell) has exactly when n divides ell - 1."""
+    if (ell - 1) % n:
+        raise EigensplitError(f"GF({ell}) holds no root of unity of order {n}")
+    primes = primes_of(n)
+    # a^((ell - 1) / n) has order n for a primitive root a, so the search ends
+    zeta = next(z for z in (pow(a, (ell - 1) // n, ell) for a in range(2, ell)) if all(pow(z, n // q, ell) != 1 for q in primes))
+    powers = np.fromiter(itertools.accumulate(range(n - 1), lambda z, _: z * zeta % ell, initial=1), dtype=np.int64, count=n)
+    powers.setflags(write=False)
+    return powers
+
+
+def _fold(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class sum g's column read at the orbits' representatives and folded
+    for each lambda_a in ``characters`` (step 2 above): codes o' * R + o
+    ascending over the R orbits, and a row of values sum over k in o' of
+    a[g][c_o][k] * lambda(z_k) mod ell per character."""
+    r, n, e, ell = data.class_count, len(centre.reps), data.exponent, data.dixon_prime
+    codes, values = data.column(g)
+    if n == r:
+        # every class is its own orbit: the column is folded already
+        return codes, values[None] % ell
+    k, j = np.divmod(codes, r)
+    kept = np.flatnonzero(centre.reps[centre.orbit[j]] == j)
+    folded = centre.orbit[k[kept]] * n + centre.orbit[j[kept]]
+    by_code = np.argsort(folded, kind="stable")
+    codes, starts = _runs(folded[by_code])
+    kept = kept[by_code]
+    terms = _roots_of_unity(e, ell)[characters @ centre.digits[:, k[kept]] % e] * (values[kept] % ell)
+    return codes, np.add.reduceat(terms, starts, axis=1) % ell
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted ``keys`` and where each run starts."""
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(fresh)
+    return keys[starts], starts
+
+
+def _action(codes: np.ndarray, values: np.ndarray, r: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> x @ M mod ell on rows x reduced mod ell, in x's dtype, for the r x
+    r matrix M with entries ``values`` at codes k * r + j (M[j][k])
+    ascending: row t of the image is the coordinate row of x_t * K.  A call
+    costs len(x) * len(codes) cells, a block of rows at a time; the products
+    fit x's dtype ``modmat.residues(ell)`` and each sum of at most r of them
+    is accumulated in int64."""
+    k, j = np.divmod(codes, r)
+    ks, starts = _runs(k)
+    values = (values % ell).astype(modmat.residues(ell))
+
+    def act(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        for block in groups.blocks(len(x), len(j)):
+            out[block, ks] = modmat.reduce(np.add.reduceat(x[block, j] * values, starts, axis=1, dtype=np.int64), ell)
+        return out
+
+    return act
+
+
+def _pairs(data: ClassAlgebraData, centre: _Centre) -> tuple[np.ndarray, np.ndarray]:
+    """orbit o -> the orbit o' of the inverse class (c_o)* = z * c_o', and
+    the digits of that class, whose z gives w((c_o)*) = lambda(z) * w(c_o')."""
+    inverses = centre.inverse[centre.reps]
+    return centre.orbit[inverses], centre.digits[:, inverses]
+
+
+def _blocks(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray) -> tuple[np.ndarray, _Split | None]:
+    """Split the class algebra one block at a time (step 2 above): the
+    characters of Z whose block is Z's orbit alone, which need no split, and
+    the central characters over the others.  A split runs on the direct sum
+    of the blocks of pending characters, in order, while it keeps its arrays
+    within one block of cells (at least one block); a pending character of
+    the same orbits as one in the sum, whose folded columns agree with that
+    one's on every class sum the split visits, shares its idempotents.  The
+    class sums of several elements are visited generators' classes first,
+    then in class order."""
+    if len(centre.reps) == 1:
+        return characters, None
+    e, ell, n = data.exponent, data.dixon_prime, len(centre.reps)
+    if centre.used:
+        good = _trivial_on_stabilisers(centre, characters, e)[:, centre.kind]
+        sizes = good.sum(axis=1)
+        alone, characters, good, sizes = characters[sizes == 1], characters[sizes > 1], good[sizes > 1], sizes[sizes > 1]
+        by_block = np.lexsort(good.T)
+        characters, good, sizes = characters[by_block], good[by_block], sizes[by_block]
+    else:
+        # Z = 1: the one character's block holds every orbit
+        alone, good, sizes = characters[:0], np.ones((1, n), dtype=bool), np.array([n])
+    first, rest = np.array(data.generator_classes, dtype=np.intp), centre.orbit != 0
+    order = first[rest[first]].tolist()
+    rest[first] = False
+    order += np.flatnonzero(rest).tolist()
+    pair, pair_digits = _pairs(data, centre)
+    twist = (np.array([data.sizes[c] for c in centre.reps.tolist()], dtype=np.int64) * (centre.strides[0, -1] // centre.strides[centre.kind, -1]) % ell)[None]
+    if centre.used:
+        twist = _roots_of_unity(e, ell)[-(characters @ pair_digits) % e] * twist % ell
+    folds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    pending, rows_of, owners, splitting, most = np.ones(len(characters), dtype=bool), [], [], set(), math.isqrt(groups.BLOCK_CELLS)
+    while pending.any():
+        waiting = np.flatnonzero(pending)
+        taken = waiting[: max(1, np.searchsorted(np.cumsum(sizes[waiting]), most, side="right"))]
+        offsets = np.cumsum(sizes[taken]) - sizes[taken]
+        size, inside = int(sizes[taken].sum()), good[taken]
+        # the coordinate of orbit o in the part of the t-th character taken; one block of every orbit keeps them
+        whole = len(taken) == 1 and size == n
+        rank = None if whole else np.cumsum(inside, axis=1) - 1 + offsets[:, None]
+
+        def action(g: int) -> Callable[[np.ndarray], np.ndarray]:
+            if g not in folds:
+                folds[g] = _fold(data, centre, characters, g)
+            codes, values = folds[g]
+            if whole:
+                return _action(codes, values[taken[0]], n, ell)
+            col, row = np.divmod(codes, n)
+            mask = inside[:, col] & inside[:, row]
+            return _action((rank[:, col] * size + rank[:, row])[mask], values[taken][mask], size, ell)
+
+        rows, used, visited = _idempotents(action, size, offsets.tolist(), order, ell)
+        pending[taken] = False
+        owner = np.full(len(rows), taken[0]) if len(taken) == 1 else taken[np.searchsorted(offsets, (rows != 0).argmax(axis=1), side="right") - 1]
+        # a character waiting with the same orbits as the first one taken with them shares its rows
+        leads = taken[np.flatnonzero(np.r_[True, (good[taken[1:]] != good[taken[:-1]]).any(axis=1)])] if pending.any() else ()
+        for lead in leads:
+            same = np.flatnonzero(pending & (good == good[lead]).all(axis=1))
+            for g in visited:
+                codes, values = folds[g]
+                mask = good[lead][codes // n] & good[lead][codes % n]
+                same = same[(values[same][:, mask] == values[lead][mask]).all(axis=1)]
+            pending[same] = False
+            mine = np.flatnonzero(owner == lead)
+            rows, owner = np.concatenate([rows, np.tile(rows[mine], (len(same), 1))]), np.concatenate([owner, np.repeat(same, len(mine))])
+        # the rows in orbit coordinates: a row lies in its own part, where each orbit has one coordinate
+        if not whole:
+            at, y = rows.nonzero(), np.zeros((len(rows), n), dtype=rows.dtype)
+            y[at[0], (np.flatnonzero(inside.ravel()) % n)[at[1]]] = rows[at]
+            rows = y
+        rows_of.append(rows)
+        owners.append(owner)
+        splitting.update(used)
+    y, owner = (rows_of[0], owners[0]) if len(rows_of) == 1 else (np.concatenate(rows_of), np.concatenate(owners))
+    # y_0 = |Z| * chi(1)^2 / |G| takes one value per degree
+    first = y[:, 0].tolist()
+    if 0 in first:
         raise EigensplitError("idempotent vanishes at the identity class")
-    # e_0 = chi(1)^2 / |G| takes one value per degree
-    distinct, which = np.unique(rows[:, 0], return_inverse=True)
+    inverse = {v: pow(v, -1, ell) for v in set(first)}
     dtype = modmat.residues(ell)
-    inverse = np.array([modmat.inv_mod(e, ell) for e in distinct.tolist()], dtype=dtype)[which]
-    sizes = (np.array(data.sizes, dtype=np.int64) % ell).astype(dtype)
-    # take, not rows[:, star], keeps the rows C-contiguous for the certificate's row blocks
-    return modmat.reduce(modmat.reduce(rows.take(data.star, axis=1) * sizes, ell) * inverse[:, None], ell), used
+    inverse = np.array([inverse[v] for v in first], dtype=dtype)
+    vectors = modmat.reduce(twist.astype(dtype)[owner] * modmat.reduce(y.take(pair, axis=1) * inverse[:, None], ell), ell)
+    return alone, _Split(characters, vectors, owner, {g: folds[g] for g in sorted(splitting)})
 
 
-def _identity_chain(act: Callable, r: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Krylov chain 1, K, K^2, ... of the class sum K whose action is ``act``.
+def _idempotents(action: Callable[[int], Callable], r: int, starts: list[int], order: list[int], ell: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """The primitive idempotents of an algebra of dimension r over GF(ell),
+    a direct sum of blocks starting at the coordinates ``starts``, the class
+    sums that split one and those visited, in ``order``; ``action(g)`` is
+    class sum g's action on coordinate rows.
+
+    ``rows`` holds orthogonal idempotents summing to 1, starting from the
+    identity.  A class sum K that acts on every row as a scalar, e * K =
+    lambda * e, is skipped.  Otherwise K replaces each row e it does not act
+    on as a scalar by the nonzero rows e * E_lambda over its Lagrange
+    idempotents; while the only row is the identity, its chain e, e * K, ...
+    is K's identity chain, and its products are cut into their blocks.
+    Afterwards e * K = lambda * e, so one pass suffices; it stops at r rows.
+    """
+    dtype = modmat.residues(ell)
+    one = np.zeros(r, dtype=dtype)
+    one[starts] = 1
+    rows, used, visited = one[None], [], []
+    for g in order:
+        if len(rows) >= r:
+            break
+        act = action(g)
+        visited.append(g)
+        image = act(rows)
+        scalar = _eigenvector_rows(rows, image, ell)
+        if scalar.all():
+            continue
+        powers, dependent = _identity_chain(act, one, ell)
+        n = len(powers)
+        lagrange = _lagrange(powers, dependent, ell)
+        if len(rows) == 1:
+            rows = _separate(modmat.matmul(lagrange.T, powers, ell), starts)
+        else:
+            # a row K acts on as a scalar is its own only nonzero product
+            refined, split, image = [rows[scalar]], rows[~scalar], image[~scalar]
+            for block in groups.blocks(len(split), n * r):
+                chain = [split[block], image[block]]
+                for _ in range(n - 2):
+                    chain.append(act(chain[-1]))
+                products = modmat.matmul(lagrange.T, np.stack(chain).reshape(n, -1), ell).reshape(-1, r)
+                refined.append(products[products.any(axis=1)])
+            rows = np.concatenate(refined)
+        used.append(g)
+    rows = _separate(rows, starts) if len(rows) == 1 else rows
+    if len(rows) < r:
+        raise EigensplitError(f"refinement stalled with {len(rows)} idempotents for {r} classes")
+    if len(rows) != r:
+        raise EigensplitError(f"found {len(rows)} primitive idempotents, expected {r}")
+    return rows, used, visited
+
+
+def _separate(rows: np.ndarray, starts: list[int]) -> np.ndarray:
+    """The nonzero parts of ``rows`` in each block of a direct sum starting
+    at the coordinates ``starts``: a block's identity is a central
+    idempotent, and multiplying by it keeps a row's coordinates in it."""
+    parts = []
+    for s, t in zip(starts, [*starts[1:], rows.shape[1]]):
+        mine = rows[rows[:, s:t].any(axis=1)]
+        parts.append(np.zeros_like(mine))
+        parts[-1][:, s:t] = mine[:, s:t]
+    return np.concatenate(parts) if len(parts) > 1 else rows
+
+
+def _identity_chain(act: Callable, one: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Krylov chain 1, K, K^2, ... of the class sum K whose action is ``act``,
+    from the identity ``one``.
 
     Returns the independent powers as rows (their number is the number of
     distinct eigenvalues of K) and the first power that depends on them.
     Each power is reduced against the earlier ones, kept in reduced echelon
     form: only against the echelon rows at its nonzero pivot coordinates,
     and the new pivot column is cleared only in the rows with an entry
-    there.  The split reads the chain of a class sum of one element from
-    ``_central_orbit`` instead.
+    there.
     """
-    dtype = modmat.residues(ell)
+    r, dtype = len(one), modmat.residues(ell)
     echelon = np.zeros((r, r), dtype=dtype)
     pivots = np.zeros(r, dtype=np.intp)
     powers = []
-    x = np.zeros(r, dtype=dtype)
-    x[0] = 1
+    x = one
     while True:
         k = len(powers)
         coordinates = x[pivots[:k]]
@@ -459,118 +754,6 @@ def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray
     return quotients * scale % ell
 
 
-def _central_orbit(data: ClassAlgebraData, g: int) -> np.ndarray:
-    """The identity chain of a class sum K = z of one central element z, as
-    the classes of 1, z, z^2, ...: the orbit of class 0 under the permutation
-    pi of ``ClassAlgebraData.permutation``, whose length n is the order of z."""
-    pi = data.permutation(g).tolist()
-    orbit, c = [0], pi[0]
-    while c:
-        orbit.append(c)
-        c = pi[c]
-    return np.array(orbit, dtype=np.intp)
-
-
-def _inverse_dft(n: int, ell: int) -> np.ndarray:
-    """L with E_lambda = sum_t L[t, lambda] K^t, the Lagrange idempotents of a
-    class sum K with minimal polynomial x^n - 1 (see ``_lagrange``).
-
-    Its roots are the powers of a primitive n-th root of unity zeta, which
-    GF(ell) has exactly when n divides ell - 1, and E_{zeta^s} = n^-1 * sum_t
-    zeta^(-ts) K^t: L is the inverse DFT matrix, one gather from the n powers
-    of zeta.
-    """
-    if (ell - 1) % n:
-        raise EigensplitError(
-            f"minimal polynomial x^{n} - 1 of a class sum has {math.gcd(n, ell - 1)} distinct roots in GF({ell})"
-        )
-    scaled = _roots_of_unity(n, ell) * modmat.inv_mod(n, ell) % ell
-    t = np.arange(n)
-    out = np.empty((n, n), dtype=scaled.dtype)
-    for block in groups.blocks(n, n):
-        out[block] = scaled[-t[block, None] * t % n]
-    return out
-
-
-def _roots_of_unity(n: int, ell: int) -> np.ndarray:
-    """zeta^0, zeta^1, ..., zeta^(n - 1) mod ell in ``modmat.residues(ell)``,
-    for a primitive n-th root of unity zeta; n must divide ell - 1."""
-    primes = primes_of(n)
-    # a^((ell - 1) / n) has order n for a primitive root a, so the search ends
-    zeta = next(
-        z
-        for z in (pow(a, (ell - 1) // n, ell) for a in range(2, ell))
-        if all(pow(z, n // q, ell) != 1 for q in primes)
-    )
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * zeta % ell)
-    return np.array(powers, dtype=modmat.residues(ell))
-
-
-def _idempotents(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
-    """The primitive idempotents of the class algebra over GF(ell), and the
-    class sums that split one, visited generators' classes first, then in
-    class order.
-
-    ``rows`` holds orthogonal idempotents summing to 1, as coordinate rows
-    over the class sums, starting from the identity.  One action tells
-    whether a class sum K acts on every row as a scalar, e * K = lambda * e;
-    such a class sum splits nothing and is skipped.  Otherwise K replaces
-    each row e it does not act on as a scalar by the nonzero rows e *
-    E_lambda over its Lagrange idempotents (a row it acts on as lambda is
-    its own only nonzero product), in closed form when K is one central element
-    (``_central_orbit``, ``_inverse_dft``); while the only row is the
-    identity, its chain e, e * K, ... is K's identity chain and is not
-    acted out again.  Afterwards e * K = lambda * e, so once every class
-    sum is used each row spans a one-dimensional ideal: one pass suffices,
-    and it stops at r rows.
-    """
-    r, first = data.class_count, data.generator_classes
-    tried = set(first)
-    dtype = modmat.residues(ell)
-    rows = np.zeros((1, r), dtype=dtype)
-    rows[0, 0] = 1
-    used = []
-    for g in [*first, *(g for g in range(1, r) if g not in tried)]:
-        if len(rows) >= r:
-            break
-        act = data.action(g, ell)
-        image = act(rows)
-        scalar = _eigenvector_rows(rows, image, ell)
-        if scalar.all():
-            continue
-        if data.sizes[g] == 1:
-            orbit = _central_orbit(data, g)
-            n = len(orbit)
-            lagrange = _inverse_dft(n, ell)
-            if not used:
-                rows = np.zeros((n, r), dtype=dtype)
-                rows[:, orbit] = lagrange.T
-        else:
-            powers, dependent = _identity_chain(act, r, ell)
-            n = len(powers)
-            lagrange = _lagrange(powers, dependent, ell)
-            if not used:
-                rows = modmat.matmul(lagrange.T, powers, ell)
-        if used:
-            # a row K acts on as a scalar is its own only nonzero product
-            refined, split, image = [rows[scalar]], rows[~scalar], image[~scalar]
-            for block in groups.blocks(len(split), n * r):
-                chain = [split[block], image[block]]
-                for _ in range(n - 2):
-                    chain.append(act(chain[-1]))
-                products = modmat.matmul(lagrange.T, np.stack(chain).reshape(n, -1), ell).reshape(-1, r)
-                refined.append(products[products.any(axis=1)])
-            rows = np.concatenate(refined)
-        used.append(g)
-    if len(rows) < r:
-        raise EigensplitError(f"refinement stalled with {len(rows)} idempotents for {r} classes")
-    if len(rows) != r:
-        raise EigensplitError(f"found {len(rows)} primitive idempotents, expected {r}")
-    return rows, used
-
-
 def _eigenvector_rows(rows: np.ndarray, image: np.ndarray, ell: int) -> np.ndarray:
     """Whether each image row is a multiple of its row: y = lambda * e iff
     y_j * e_p = y_p * e_j for all j, at a coordinate p where e_p != 0."""
@@ -579,192 +762,133 @@ def _eigenvector_rows(rows: np.ndarray, image: np.ndarray, ell: int) -> np.ndarr
     return (modmat.reduce(image * rows[at, p][:, None], ell) == modmat.reduce(rows * image[at, p][:, None], ell)).all(axis=1)
 
 
-def _abelian_characters(data: ClassAlgebraData, ell: int) -> tuple[np.ndarray, list[int]]:
-    """The exponent vectors a of the central characters w_a(x) = zeta^(a .
-    t(x)) of a class algebra whose classes are all one element (step 2
-    above), one row each, certified on the normal form (step 3), and the
-    class sums used, in the split's visiting order.  The vectors are solved
-    one relation at a time, r x |used| in all."""
-    e = data.exponent
-    normal_form = _normal_form(data)
-    _, orders, relations, used = normal_form
-    characters = np.zeros((1, 0), dtype=np.int64)
-    for i, (m, g) in enumerate(zip(orders.tolist(), used)):
-        c = characters @ relations[i, :i] % e
-        if e % m or (c % m).any():
-            raise EigensplitError(f"the relation of class sum {g}, of relative order {m}, has no {m} solutions mod {e}")
-        solutions = (c // m)[:, None] + np.arange(m) * (e // m)
-        characters = np.concatenate([np.repeat(characters, m, axis=0), solutions.reshape(-1, 1)], axis=1)
-    _certify_normal_form(data, normal_form, characters, ell)
-    return characters, used
-
-
-def _normal_form(data: ClassAlgebraData) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Walk the class sums of a class algebra whose classes are all one
-    element through their permutations (step 2 above): each class's place,
-    the relative orders m_i, the relations u_i as the rows of a strictly
-    lower triangular matrix, and the class sums used.
-
-    The walk places the classes of H in the order they join it: z_i^s * h,
-    the class pi^s(h), follows all of z_i^(s-1) * H, so a class's place has
-    the mixed-radix digits t(x), t_i the most significant when z_i joins.
-    """
-    r, first = data.class_count, data.generator_classes
-    tried = set(first)
-    place, members = [-1] * r, [0]
-    place[0] = 0
-    orders, relations, used = [], [], []
-    for g in itertools.chain(first, (g for g in range(1, r) if g not in tried)):
-        if len(members) >= r:
-            break
-        if place[g] >= 0:
-            continue
-        pi = data.permutation(g).tolist()
-        m, c = 1, pi[0]
-        while place[c] < 0:
-            m, c = m + 1, pi[c]
-        # z^m lies in H: its exponents are the digits of its place
-        p, digits = place[c], []
-        for radix in orders:
-            p, t = divmod(p, radix)
-            digits.append(t)
-        relations.append(digits)
-        # the place n + i holds z times the class at place i
-        for i in range((m - 1) * len(members)):
-            x = pi[members[i]]
-            if place[x] >= 0:
-                raise EigensplitError(f"class sum {g} of one element does not permute the cosets of the class sums before it")
-            place[x] = len(members)
-            members.append(x)
-        orders.append(m)
-        used.append(g)
-    if len(members) < r:
-        raise EigensplitError(f"refinement stalled with {len(members)} idempotents for {r} classes")
-    u = np.zeros((len(orders), len(orders)), dtype=np.int64)
-    for i, digits in enumerate(relations):
-        u[i, :i] = digits
-    return np.array(place, dtype=np.intp), np.array(orders, dtype=np.int64), u, used
-
-
-def _carry(v: np.ndarray, orders: np.ndarray, relations: np.ndarray, overflowing: Iterable[int]) -> np.ndarray:
-    """NF of each column of v, one row of digits per class sum used, in
-    place (step 3 above), when only the digits ``overflowing`` may lie
+def _carry(v: np.ndarray, orders: np.ndarray, relations: np.ndarray, kinds: np.ndarray, overflowing: Iterable[int]) -> np.ndarray:
+    """NF of each column of v, one row of digits per class sum used, in the
+    normal form of kind ``kinds`` (a row of ``orders`` and ``relations``),
+    in place (step 3 above), when only the digits ``overflowing`` may lie
     outside 0..m_j - 1: from the top down, such a digit keeps its remainder
-    by m_j, and its quotient q adds q * u_j to the digits below, where u_j
-    is nonzero, which may then overflow in turn."""
+    by m_j, and its quotient q adds q * u_j to the digits below, where some
+    u_j is nonzero, which may then overflow in turn."""
     overflowing = set(overflowing)
     for j in range(max(overflowing, default=-1), -1, -1):
         if j in overflowing:
-            q, v[j] = np.divmod(v[j], orders[j])
-            for i in np.flatnonzero(relations[j]).tolist():
-                v[i] += q * relations[j, i]
+            q, v[j] = np.divmod(v[j], orders[kinds, j])
+            for i in np.flatnonzero(relations[:, j].any(axis=0)).tolist():
+                v[i] += q * relations[kinds, j, i]
                 overflowing.add(i)
     return v
 
 
-def _certify_normal_form(data: ClassAlgebraData, normal_form: tuple, characters: np.ndarray, ell: int) -> None:
-    """Raise unless the rows zeta^(a . t(x)), for the exponent vectors a in
-    ``characters`` and the digits t(x) of each class's place in
-    ``normal_form`` (see ``_normal_form``), are the r central characters,
-    checked on the class sums used without making a row (see step 3
-    above): k x r digits at a time, for the k class sums used."""
-    place, orders, relations, used = normal_form
-    r, e, k = data.class_count, data.exponent, len(orders)
-    if (ell - 1) % e:
-        raise EigensplitError(f"GF({ell}) holds no root of unity of order {e}")
-    if place[0] != 0:
+def _certify_centre(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray) -> None:
+    """Raise unless the orbits' normal forms and the exponent vectors of Z's
+    characters meet the checks of step 3 above on the classes of one
+    element used, over the r classes at once: k x r digits at a time."""
+    e, k, used, star = data.exponent, len(centre.used), centre.used, centre.inverse
+    orbit, place, digits, orders, relations = centre.orbit, centre.place, centre.digits, centre.orders, centre.relations
+    # with one kind every class has Z's normal form, and with one orbit every class is in Z
+    kinds, strides, several = centre.kind[orbit] if len(orders) > 1 else slice(0, 1), centre.strides, len(centre.reps) > 1
+    size = strides[centre.kind, k]
+    if (data.dixon_prime - 1) % e:
+        raise EigensplitError(f"GF({data.dixon_prime}) holds no root of unity of order {e}")
+    if orbit[0] != 0 or place[0] != 0:
         raise EigensplitError("a split vector is not 1 at the identity class")
-    if len(characters) != r:
-        raise EigensplitError(f"found {len(characters)} vectors, expected {r}")
-    for i, g in enumerate(used):
-        a = characters[:, i]
-        if (a < 0).any() or (a >= e).any() or ((a * orders[i] - characters[:, :i] @ relations[i, :i]) % e).any():
-            raise EigensplitError(f"a character's exponents are not residues mod {e} that solve the relation of class sum {g}")
-    if r > 1 and _has_equal_rows(characters):
+    if several and ((orbit[centre.reps] != np.arange(len(size))).any() or place[centre.reps].any()) or not np.array_equal(np.bincount(orbit), size):
+        raise EigensplitError("an orbit's classes are not its representative and as many as the places of its normal form")
+    if len(characters) != size[0]:
+        raise EigensplitError(f"found {len(characters)} vectors, expected {size[0]}")
+    if not k:
+        # Z = 1: every orbit is one class at place 0, and lambda = 1
+        return
+    bad = ((characters < 0) | (characters >= e) | ((characters * orders[0] - characters @ relations[0].T) % e != 0)).any(axis=0)
+    if bad.any():
+        raise EigensplitError(f"a character's exponents are not residues mod {e} that solve the relation of class sum {used[bad.argmax()]}")
+    if len(characters) > 1 and _has_equal_rows(characters):
         raise EigensplitError("two split vectors agree on every class sum used")
-    strides = np.cumprod([1, *orders.tolist()])
+    strides = strides[kinds].T
     for i, g in enumerate(used):
-        if data.permutation(g)[data.star[g]] != 0:
+        if data.permutation(g)[star[g]] != 0:
             raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
-        if place[g] != strides[i]:
+        if orbit[g] != 0 or place[g] != strides[i, 0]:
             raise EigensplitError(f"class sum {g} is not the generator of digit {i} of the normal form")
-    digits = place // strides[:k, None] % orders[:, None]
-    products = digits.take(data.star, axis=1)
-    products += digits
-    if _carry(products, orders, relations, range(k)).any():
+    expected = star[centre.reps[orbit]] if several else np.zeros_like(star)
+    if several and ((orbit[star] != orbit[expected]).any() or (len(orders) > 1 and (kinds[star] != kinds).any())) or not np.array_equal(
+        (strides[:k] * _carry(digits + digits[:, star], orders, relations, kinds, range(k))).sum(axis=0), place[expected]
+    ):
         raise EigensplitError("a class and its inverse class do not multiply to 1 in the normal form")
-    del products
     for i, g in enumerate(used):
         # adding e_i changes no digit above i
         step = digits[: i + 1].copy()
         step[i] += 1
-        moved = strides[: i + 1] @ _carry(step, orders, relations, [i]) + place // strides[i + 1] * strides[i + 1]
-        if not np.array_equal(moved, place.take(data.permutation(g))):
+        moved = (strides[: i + 1] * _carry(step, orders, relations, kinds, [i])).sum(axis=0) + place // strides[i + 1] * strides[i + 1]
+        image = data.permutation(g)
+        if several and (orbit[image] != orbit).any() or not np.array_equal(moved, place[image]):
             raise EigensplitError(f"class sum {g} does not add 1 to digit {i} of the normal form")
 
 
-def _certify(data: ClassAlgebraData, rows: np.ndarray, used: list[int], ell: int) -> None:
-    """Raise unless ``rows`` are the r central characters of the class
-    algebra, checked on the class sums ``used`` (see step 3 above).
+def _certify(data: ClassAlgebraData, centre: _Centre, lone: np.ndarray, split: _Split | None) -> None:
+    """Raise unless lambda_a on Z and 0 elsewhere, for the exponent vectors a
+    of ``lone``, and the vectors of ``split`` are the r central characters
+    of the class algebra (step 3 above): the centre's normal forms and the
+    characters of Z first, then the blocks, then the count."""
+    characters = lone if split is None else np.concatenate([lone, split.characters])
+    _certify_centre(data, centre, characters)
+    found = len(characters) if split is None else len(lone) + len(split.vectors)
+    if found != data.class_count:
+        raise EigensplitError(f"found {found} vectors, expected {data.class_count}")
+    # with one orbit, Z's, every character's block is that orbit alone
+    if len(centre.reps) > 1:
+        good = _trivial_on_stabilisers(centre, characters, data.exponent)[:, centre.kind] if centre.used else np.ones((1, len(centre.reps)), dtype=bool)
+        if len(lone) and (good[: len(lone)].sum(axis=1) != 1).any():
+            raise EigensplitError("a block's orbits are not those on whose stabiliser its characters of the centre are trivial")
+        _certify_split(data, centre, split, good[len(lone) :])
 
-    First class g's column, for every g in ``used``, is checked against the
-    counting identities, in O(nnz_g): every class j occurs, sum_j
-    a[g][j][k] = |K_g| for every k, and a[g][j][0] = |K_g| exactly when j =
-    g*.  Then, a block of rows at a time, every row has w_0 = 1 and, for
-    every g in ``used`` and every j, sum_k a[g][j][k] * w_k = w_g * w_j, at
-    nnz_g cells a row.  For |K_g| = 1 the identities are that the column is
-    a permutation pi with pi(g*) = 0, and the sums gather w_pi(j).  Last:
-    there are r rows, and no two agree on every class in ``used``.
-    """
-    r = data.class_count
-    images = [_transposed_action(data, g, ell) for g in used]
-    for block in groups.blocks(len(rows), r):
-        w = rows[block]
-        if not (w[:, 0] == 1).all():
-            raise EigensplitError("a split vector is not 1 at the identity class")
-        for g, image in zip(used, images):
-            if not np.array_equal(image(w), modmat.reduce(w[:, g : g + 1] * w, ell)):
+
+def _certify_split(data: ClassAlgebraData, centre: _Centre, split: _Split, good: np.ndarray) -> None:
+    """Raise unless each vector of ``split`` is 1 at Z's orbit and 0 off its
+    character's block, each character has as many as its block has orbits
+    (``good``, characters x orbits), and they meet checks (b) at the
+    representatives and (c) on the class sums of the folds (step 3 above),
+    a block of rows at a time."""
+    ell, e, n = data.dixon_prime, data.exponent, len(centre.reps)
+    v, owner = split.vectors, split.owner
+    if (v[:, 0] != 1).any():
+        raise EigensplitError("a split vector is not 1 at the identity class")
+    if (np.bincount(owner, minlength=len(good)) != good.sum(axis=1)).any() or (not good.all() and v[~good[owner]].any()):
+        raise EigensplitError("a block's orbits are not those on whose stabiliser its characters of the centre are trivial")
+    keys = [owner]
+    for g, (codes, values) in split.folds.items():
+        _check_column(data, g)
+        col, row = np.divmod(codes, n)
+        by_row = np.argsort(row, kind="stable")
+        rows, starts = _runs(row[by_row])
+        # w_g, 0 off the block
+        value = _roots_of_unity(e, ell)[split.characters @ centre.digits[:, g] % e][owner] * v[:, centre.orbit[g]] % ell
+        for chunk in groups.blocks(len(v), len(codes)):
+            image = np.zeros((len(owner[chunk]), n), dtype=np.int64)
+            # each sum of products of two residues runs in int64
+            image[:, rows] = modmat.reduce(np.add.reduceat(v[chunk][:, col[by_row]] * values[owner[chunk]][:, by_row], starts, axis=1), ell)
+            if not np.array_equal(image, modmat.reduce(value[chunk, None] * v[chunk], ell)):
                 raise EigensplitError(f"a split vector is not a central character on class sum {g}")
-    if len(rows) != r:
-        raise EigensplitError(f"found {len(rows)} vectors, expected {r}")
-    if r > 1 and (not used or _has_equal_rows(rows[:, used])):
+        keys.append(value)
+    if _has_equal_rows(np.stack(keys, axis=1)):
         raise EigensplitError("two split vectors agree on every class sum used")
 
 
-def _transposed_action(data: ClassAlgebraData, g: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Check class g's column against the counting identities (see
-    ``_certify``) and return w -> M_g w mod ell on rows w: the entry j of a
-    row's image is sum_k a[g][j][k] * w_k."""
+def _check_column(data: ClassAlgebraData, g: int) -> None:
+    """Raise unless class g's column meets the counting identities (step 3
+    above): every class j occurs, sum_j a[g][j][k] = |K_g| for every k, and
+    a[g][j][0] = |K_g| exactly when j = g*; O(nnz_g)."""
     r, size, star = data.class_count, data.sizes[g], data.star[g]
-    if size == 1:
-        # r unit entries meet the counting identities exactly when they permute the classes with pi(g*) = 0
-        pi = data.permutation(g)
-        if pi[star] != 0:
-            raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
-        return lambda w: w.take(pi, axis=1)
     codes, values = data.column(g)
     k, j = np.divmod(codes, r)
     covered = np.count_nonzero(np.bincount(j, minlength=r))
     if covered != r:
         raise EigensplitError(f"coefficients of class sum {g} cover {covered} classes j, expected {r}")
-    ks, starts = np.unique(k, return_index=True)
+    ks, starts = _runs(k)
     if len(ks) != r or (np.add.reduceat(values, starts) != size).any():
         raise EigensplitError(f"coefficients of class sum {g}: some sum over j of a[g][j][k] differs from |K_g|")
     if not np.array_equal(j[k == 0], [star]) or values[0] != size:
         raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
-    by_row = np.argsort(j, kind="stable")
-    ks, coefficients = k[by_row], (values[by_row] % ell).astype(modmat.residues(ell))
-    # every class j occurs, so the regrouped entries hold the r rows j of M_g in order
-    rows = np.searchsorted(j[by_row], np.arange(r))
-
-    def image(w: np.ndarray) -> np.ndarray:
-        out = np.empty(w.shape, dtype=np.int64)
-        for block in groups.blocks(len(w), len(codes)):
-            # each sum of at most r products runs in int64
-            out[block] = modmat.reduce(np.add.reduceat(w[block][:, ks] * coefficients, rows, axis=1, dtype=np.int64), ell)
-        return out
-
-    return image
 
 
 def _has_equal_rows(keys: np.ndarray) -> bool:
@@ -774,18 +898,25 @@ def _has_equal_rows(keys: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
-def _inner_products(data: ClassAlgebraData, rows: np.ndarray, ell: int) -> np.ndarray:
-    """T = sum_j w_j * w_{j*} / |K_j| mod ell for each central character w,
-    a row of ``rows`` (step 4 above), a block of rows at a time."""
-    star = np.array(data.star)
-    distinct, which = np.unique(data.sizes, return_inverse=True)
-    inverse_sizes = np.array([modmat.inv_mod(n, ell) for n in distinct.tolist()], dtype=modmat.residues(ell))[which]
-    t = np.empty(len(rows), dtype=np.int64)
-    for block in groups.blocks(len(rows), len(star)):
-        w = rows[block]
-        # each product is reduced in the residue dtype, and each row's r terms below ell are summed in int64
-        t[block] = modmat.reduce(modmat.reduce(w * w.take(star, axis=1), ell) * inverse_sizes, ell).sum(axis=1, dtype=np.int64)
-    return modmat.reduce(t, ell)
+def _inner_products(data: ClassAlgebraData, centre: _Centre, lone: np.ndarray, split: _Split | None) -> np.ndarray:
+    """T = sum_j w_j * w_{j*} / |K_j| mod ell for each central character w
+    (step 4 above), orbit by orbit: w_j * w_{j*} = lambda(z) * w(c_o) *
+    w(c_o') over the orbit o of j, for (c_o)* = z * c_o', which is sum over
+    Z of 1 / |K_j| for each of ``lone``."""
+    ell, e, dtype = data.dixon_prime, data.exponent, modmat.residues(data.dixon_prime)
+    if split is None:
+        # one orbit: every class is in Z, of one element
+        return np.full(len(lone), data.class_count % ell)
+    inverse = {n: pow(n, -1, ell) for n in set(data.sizes)}
+    # at most r terms below ell: exact in float64
+    weights = np.bincount(centre.orbit, weights=list(map(inverse.__getitem__, data.sizes))).astype(np.int64) % ell
+    pair, pair_digits = _pairs(data, centre)
+    twist = (_roots_of_unity(e, ell)[split.characters @ pair_digits % e] * weights % ell).astype(dtype)
+    v, owner, t = split.vectors, split.owner, [np.full(len(lone), weights[0])]
+    for chunk in groups.blocks(len(v), len(pair)):
+        # each product is reduced in the residue dtype, and each row's terms below ell are summed in int64
+        t.append(modmat.reduce(modmat.reduce(v[chunk] * v[chunk].take(pair, axis=1), ell) * twist[owner[chunk]], ell).sum(axis=1, dtype=np.int64))
+    return modmat.reduce(np.concatenate(t), ell)
 
 
 def _degree_frequency(order: int, t: np.ndarray, ell: int) -> DegreeFrequency:
@@ -804,19 +935,12 @@ def _degree_frequency(order: int, t: np.ndarray, ell: int) -> DegreeFrequency:
 
 
 def degrees_from_class_algebra(data: ClassAlgebraData) -> DegreeFrequency:
-    """Split modulo ``data.dixon_prime`` and certify the central
-    characters, on the normal form when every class is one element, then
-    read their degrees."""
-    ell, r = data.dixon_prime, data.class_count
-    if set(data.sizes) == {1}:
-        characters, _ = _abelian_characters(data, ell)
-        # every character certified on the normal form has T = r (step 4 above)
-        t = np.full(len(characters), r % ell)
-    else:
-        rows, used = _simultaneous_eigenvectors(data, ell)
-        _certify(data, rows, used, ell)
-        t = _inner_products(data, rows, ell)
-    freq = _degree_frequency(data.order, t, ell)
+    """Split modulo ``data.dixon_prime`` one block of the centre's characters
+    at a time, certify the central characters, then read their degrees."""
+    ell, centre = data.dixon_prime, data.centre
+    lone, split = _blocks(data, centre, _characters_of_centre(data, centre))
+    _certify(data, centre, lone, split)
+    freq = _degree_frequency(data.order, _inner_products(data, centre, lone, split), ell)
     _check_consistency(data, freq)
     return freq
 
@@ -824,13 +948,9 @@ def degrees_from_class_algebra(data: ClassAlgebraData) -> DegreeFrequency:
 def _check_consistency(data: ClassAlgebraData, freq: DegreeFrequency) -> None:
     order, class_count = data.order, data.class_count
     if freq.sum_of_squares() != order:
-        raise EigensplitError(
-            f"degree squares sum to {freq.sum_of_squares()}, group order is {order}"
-        )
+        raise EigensplitError(f"degree squares sum to {freq.sum_of_squares()}, group order is {order}")
     if freq.irreducible_count() != class_count:
-        raise EigensplitError(
-            f"{freq.irreducible_count()} characters found for {class_count} classes"
-        )
+        raise EigensplitError(f"{freq.irreducible_count()} characters found for {class_count} classes")
     for d, _ in freq.entries:
         if order % d != 0:
             raise EigensplitError(f"degree {d} does not divide the group order {order}")

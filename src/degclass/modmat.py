@@ -4,8 +4,7 @@
 ``reduce``, its one reduction of an array mod p: one elimination of a
 Krylov chain gives the minimal polynomial of a class sum of several
 elements, a scan of the field its roots, and ``matmul`` every matrix
-product of the split but the first split by a class of one element, which
-``chardeg`` scatters in closed form.
+product of the split.
 ``nullspace``, ``solve_right`` and ``minimal_polynomial`` (with the
 polynomial helpers it needs) have no caller in the package; they stay
 because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name,

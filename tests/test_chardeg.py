@@ -198,8 +198,8 @@ def test_s6_frequency_is_the_same_in_every_residue_dtype(ell, dtype):
     data = class_algebra(g, conjugacy_classes(g))
     assert ell in itertools.takewhile(lambda q: q <= ell, admissible_primes(g.order, data.exponent))
     assert modmat.residues(ell) is dtype
-    vectors, _ = chardeg._simultaneous_eigenvectors(replace(data, dixon_prime=ell), ell)
-    assert vectors.dtype == dtype
+    _, _, split = _split(replace(data, dixon_prime=ell))
+    assert split.vectors.dtype == dtype
     freq = degrees_from_class_algebra(replace(data, dixon_prime=ell))
     assert freq.as_dict() == {1: 2, 5: 4, 9: 2, 10: 2, 16: 1}
 
@@ -251,6 +251,13 @@ def s3_algebra():
     return oracles.class_algebra_data(3, S3_COEFFICIENTS, 7, exponent=6)
 
 
+def _s3_inner_products(vectors):
+    # S3's centre is trivial: one block of its three classes, over the trivial character of Z
+    data = s3_algebra()
+    split = chardeg._Split(np.zeros((1, 0), dtype=np.int64), np.array(vectors), np.zeros(len(vectors), dtype=np.intp), {})
+    return chardeg._inner_products(data, data.centre, np.zeros((0, 0), dtype=np.int64), split)
+
+
 def test_hand_built_s3_algebra_gives_s3_degrees():
     # no group and no class set: the degree step reads only the algebra
     data = s3_algebra()
@@ -259,8 +266,8 @@ def test_hand_built_s3_algebra_gives_s3_degrees():
 
 
 def test_degree_readout_matches_each_vector_to_one_square():
-    vectors = np.array([[1, 3, 2], [1, 4, 2], [1, 0, 6]])  # trivial, sign, degree 2
-    t = chardeg._inner_products(s3_algebra(), vectors, 7)
+    vectors = [[1, 3, 2], [1, 4, 2], [1, 0, 6]]  # trivial, sign, degree 2
+    t = _s3_inner_products(vectors)
     assert t.tolist() == [6, 6, 5]
     assert chardeg._degree_frequency(6, t, 7) == DegreeFrequency(((1, 2), (2, 1)))
 
@@ -271,11 +278,11 @@ def test_degree_readout_matches_each_vector_to_one_square():
     ids=["T-vanishes", "T-matches-no-degree"],
 )
 def test_degree_readout_rejects_a_vector_without_exactly_one_degree(vector, total):
-    vectors = np.array([[1, 3, 2], vector])
+    vectors = [[1, 3, 2], vector]
     inverse_sizes = [pow(n, -1, 7) for n in s3_algebra().sizes]
     assert sum(w * w * inv for w, inv in zip(vector, inverse_sizes)) % 7 == total
     with pytest.raises(EigensplitError, match="no single degree d <= 2"):
-        chardeg._degree_frequency(6, chardeg._inner_products(s3_algebra(), vectors, 7), 7)
+        chardeg._degree_frequency(6, _s3_inner_products(vectors), 7)
 
 
 def test_eigensplit_stall_aborts_loudly():
@@ -283,7 +290,7 @@ def test_eigensplit_stall_aborts_loudly():
     # coefficients the refinement must abort instead of returning junk
     fake = oracles.class_algebra_data(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 0): 1, (1, 1, 1): 1}, 5)
     with pytest.raises(EigensplitError, match="stalled"):
-        chardeg._simultaneous_eigenvectors(fake, 5)
+        degrees_from_class_algebra(fake)
 
 
 # --- the split ----------------------------------------------------------------
@@ -307,6 +314,29 @@ def _split_groups():
     yield pytest.param(standard_group("dihedral", 100), id="dihedral-100")
 
 
+def _split(data):
+    """The degree step's centre, the characters of Z whose block is Z's
+    orbit alone, and the split of the others, at ``data.dixon_prime``."""
+    centre = data.centre
+    return (centre, *chardeg._blocks(data, centre, chardeg._characters_of_centre(data, centre)))
+
+
+def _expanded(data, centre, lone, split):
+    """Every central character as a row over the r classes: lambda(z) *
+    w(c_o) at the class z * c_o of an orbit o, which is 0 off its block."""
+    e, ell = data.exponent, data.dixon_prime
+    zeta = chardeg._roots_of_unity(e, ell)
+    rows = [zeta[lone @ centre.digits % e] * (centre.orbit == 0)]
+    if split is not None:
+        rows.append(zeta[split.characters[split.owner] @ centre.digits % e] * split.vectors[:, centre.orbit].astype(np.int64) % ell)
+    return np.concatenate(rows)
+
+
+def _vectors(data):
+    """The central characters the degree step finds, as rows over the classes."""
+    return _expanded(data, *_split(data))
+
+
 @pytest.mark.parametrize("g", _split_groups())
 def test_generator_and_refinement_paths_agree(g):
     # the split does not depend on the order of the class sums: generators'
@@ -318,52 +348,47 @@ def test_generator_and_refinement_paths_agree(g):
     primes = admissible_primes(g.order, data.exponent)
     frequencies = []
     for ell in (next(primes), next(primes)):
-        vectors, _ = chardeg._simultaneous_eigenvectors(data, ell)
-        refined, _ = chardeg._simultaneous_eigenvectors(replace(data, generator_classes=tuple(range(len(cs)))), ell)
+        at = replace(data, dixon_prime=ell)
+        vectors = _vectors(at)
+        refined = _vectors(replace(at, generator_classes=tuple(range(len(cs)))))
         assert sorted(vectors.tolist()) == sorted(refined.tolist()), ell
-        frequencies.append(degrees_from_class_algebra(replace(data, dixon_prime=ell)))
+        frequencies.append(degrees_from_class_algebra(at))
     assert frequencies[0] == frequencies[1]
 
 
 def _eigenvalue_counts(monkeypatch):
-    """The number of eigenvalues of each class sum the split uses: by the
-    general path (``_lagrange``) and in closed form (``_inverse_dft``)."""
-    counts = {"_lagrange": [], "_inverse_dft": []}
-    lagrange, inverse_dft = chardeg._lagrange, chardeg._inverse_dft
+    """The number of eigenvalues of each class sum a split uses (``_lagrange``)."""
+    counts = {"_lagrange": []}
+    lagrange = chardeg._lagrange
 
     def spy_lagrange(powers, dependent, ell):
         counts["_lagrange"].append(len(powers))
         return lagrange(powers, dependent, ell)
 
-    def spy_inverse_dft(n, ell):
-        counts["_inverse_dft"].append(n)
-        return inverse_dft(n, ell)
-
     monkeypatch.setattr(chardeg, "_lagrange", spy_lagrange)
-    monkeypatch.setattr(chardeg, "_inverse_dft", spy_inverse_dft)
     return counts
 
 
 def _closed_form_uses(monkeypatch):
-    """The class sums each closed-form run of ``_abelian_characters`` uses."""
-    uses, closed_form = [], chardeg._abelian_characters
+    """The class sums of one element each walk of the centre uses."""
+    uses, walk = [], chardeg._walk_centre
 
-    def spy(data, ell):
-        vectors, used = closed_form(data, ell)
-        uses.append(used)
-        return vectors, used
+    def spy(data):
+        centre = walk(data)
+        uses.append(centre.used)
+        return centre
 
-    monkeypatch.setattr(chardeg, "_abelian_characters", spy)
+    monkeypatch.setattr(chardeg, "_walk_centre", spy)
     return uses
 
 
 def test_cyclic_group_splits_from_one_generator(monkeypatch):
-    # the generator is one element of order 96: the closed form uses its class
-    # sum alone, and neither the general nor the inverse DFT split runs
+    # the generator is one element of order 96: the walk of the centre uses
+    # its class sum alone, and every block is Z's orbit alone, so no split runs
     counts, uses = _eigenvalue_counts(monkeypatch), _closed_form_uses(monkeypatch)
     g = standard_group("cyclic", 96)
     assert character_degrees(g).as_dict() == {1: 96}
-    assert counts == {"_lagrange": [], "_inverse_dft": []}
+    assert counts == {"_lagrange": []}
     assert uses == [list(class_algebra(g, conjugacy_classes(g)).generator_classes)] and len(uses[0]) == 1
 
 
@@ -371,7 +396,7 @@ def test_elementary_abelian_group_splits_by_seven_class_sums(monkeypatch):
     # every class sum of C2^7 has relative order 2 over the ones before it
     counts, uses = _eigenvalue_counts(monkeypatch), _closed_form_uses(monkeypatch)
     assert character_degrees(_elementary_abelian(2, 7)).as_dict() == {1: 128}
-    assert counts == {"_lagrange": [], "_inverse_dft": []}
+    assert counts == {"_lagrange": []}
     assert [len(used) for used in uses] == [7]
 
 
@@ -408,11 +433,11 @@ def test_class_sum_whose_minimal_polynomial_does_not_split_is_rejected(square):
         coefficients[(1, 1, 0)] = square
     fake = oracles.class_algebra_data(2, coefficients, 5)
     with pytest.raises(EigensplitError, match="distinct roots"):
-        chardeg._simultaneous_eigenvectors(replace(fake, generator_classes=(1, 0)), 5)
+        degrees_from_class_algebra(replace(fake, generator_classes=(1, 0)))
 
 
 def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
-    g = _elementary_abelian(2, 7)
+    g = direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3))
     data = class_algebra(g, conjugacy_classes(g))
     called = []
 
@@ -422,11 +447,9 @@ def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
     monkeypatch.setattr(ClassAlgebraData, "matrix", spy("matrix"))
     for name in ("nullspace", "solve_right", "minimal_polynomial"):
         monkeypatch.setattr(modmat, name, spy(name))
-    vectors, _ = chardeg._simultaneous_eigenvectors(
-        replace(data, generator_classes=tuple(range(data.class_count))), data.dixon_prime
-    )
+    vectors = _vectors(replace(data, generator_classes=tuple(range(data.class_count))))
     oracles.Reference.check_central_characters(data.coefficients, data.class_count, vectors, data.dixon_prime)
-    assert character_degrees(g).as_dict() == {1: 128}
+    assert character_degrees(g).as_dict() == {1: 32, 2: 8}
     assert called == []
 
 
@@ -435,14 +458,17 @@ def test_non_central_vector_is_rejected():
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     ell = data.dixon_prime
-    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
+    centre, lone, split = _split(data)
+    vectors = _expanded(data, centre, lone, split)
     oracles.Reference.check_central_characters(data.coefficients, 3, vectors, ell)
     broken = vectors.copy()
     broken[-1] = (broken[-1] + np.eye(3, dtype=np.int64)[1]) % ell
     with pytest.raises(EigensplitError, match="not a central character"):
         oracles.Reference.check_central_characters(data.coefficients, 3, broken, ell)
+    perturbed = split.vectors.copy()
+    perturbed[-1, centre.orbit[1]] = (perturbed[-1, centre.orbit[1]] + 1) % ell
     with pytest.raises(EigensplitError, match="not a central character"):
-        chardeg._certify(data, broken, used, ell)
+        chardeg._certify(data, centre, lone, split._replace(vectors=perturbed))
 
 
 def _certificate_groups():
@@ -457,22 +483,22 @@ def _certificate_groups():
 
 @pytest.mark.parametrize("g", _certificate_groups())
 def test_certified_vectors_pass_the_all_pairs_check(g):
-    # the certificate reads only the class sums the split used; the oracle
-    # checks every vector against all r^2 coefficient pairs
+    # the certificate reads the class sums the blocks used, at their orbits'
+    # representatives; the oracle checks every expanded vector against all
+    # r^2 coefficient pairs
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    ell = data.dixon_prime
-    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    chardeg._certify(data, vectors, used, ell)
-    oracles.Reference.check_central_characters(data.coefficients, len(cs), vectors, ell)
+    centre, lone, split = _split(data)
+    chardeg._certify(data, centre, lone, split)
+    oracles.Reference.check_central_characters(data.coefficients, len(cs), _expanded(data, centre, lone, split), data.dixon_prime)
 
 
 def _certified_s4():
     g = standard_group("symmetric", 4)
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
-    return data, vectors, used, cs
+    centre, lone, split = _split(data)
+    return data, centre, lone, split, cs
 
 
 @pytest.mark.parametrize(
@@ -485,43 +511,45 @@ def _certified_s4():
     ids=["duplicate", "w0-not-1", "r-minus-1"],
 )
 def test_certificate_rejects_corrupted_vectors(corrupt, message):
-    data, vectors, used, cs = _certified_s4()
-    chardeg._certify(data, vectors, used, data.dixon_prime)
+    # S4's centre is trivial: one block of its five classes
+    data, centre, lone, split, cs = _certified_s4()
+    chardeg._certify(data, centre, lone, split)
+    vectors = corrupt(split.vectors)
     with pytest.raises(EigensplitError, match=message):
-        chardeg._certify(data, corrupt(vectors), used, data.dixon_prime)
+        chardeg._certify(data, centre, lone, split._replace(vectors=vectors, owner=split.owner[: len(vectors)]))
 
 
 def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
-    # check (c) sorts the vectors on the class sums used and compares
-    # neighbours: a copy of any vector over any other is caught
+    # check (c) sorts the characters of Z on the class sums used and
+    # compares neighbours: a copy of any one over any other is caught
     g = _elementary_abelian(2, 7)
     data = class_algebra(g, conjugacy_classes(g))
-    ell = data.dixon_prime
-    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    chardeg._certify(data, vectors, used, ell)
+    centre, lone, split = _split(data)
+    assert split is None and len(lone) == 128
+    chardeg._certify(data, centre, lone, split)
     for copy, over in [(0, 1), (5, 127), (127, 64), (3, 2)]:
-        duplicated = vectors.copy()
-        duplicated[over] = vectors[copy]
+        duplicated = lone.copy()
+        duplicated[over] = lone[copy]
         with pytest.raises(EigensplitError, match="two split vectors agree on every class sum used"):
-            chardeg._certify(data, duplicated, used, ell)
+            chardeg._certify(data, centre, duplicated, split)
 
 
 def test_certificate_of_the_trivial_group_uses_no_class_sum():
     g = build_group(1, [])
     data = class_algebra(g, conjugacy_classes(g))
-    vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
-    assert used == [] and vectors.tolist() == [[1]]
-    chardeg._certify(data, vectors, used, data.dixon_prime)
+    centre, lone, split = _split(data)
+    assert centre.used == [] and split is None and lone.shape == (1, 0)
+    chardeg._certify(data, centre, lone, split)
     assert degrees_from_class_algebra(data).as_dict() == {1: 1}
 
 
 def _certify_corrupted_s4(corrupt):
     # corrupts the column of a class sum the split used, which the certificate
     # reads; the class sizes and inverse classes stay those of S4
-    data, vectors, used, cs = _certified_s4()
-    coefficients = corrupt(dict(data.coefficients), used[0], cs)
+    data, centre, lone, split, cs = _certified_s4()
+    coefficients = corrupt(dict(data.coefficients), next(iter(split.folds)), cs)
     corrupted = oracles.class_algebra_data(data.class_count, coefficients, data.dixon_prime)
-    chardeg._certify(replace(data, source=corrupted.source), vectors, used, data.dixon_prime)
+    chardeg._certify(replace(data, source=corrupted.source), centre, lone, split)
 
 
 def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
@@ -576,60 +604,62 @@ def _call_counter(monkeypatch, *names):
 
 
 def test_c2_7_refines_by_its_seven_generator_classes_only(monkeypatch):
-    # the split and the closed form use the same seven class sums; the degree
-    # step runs the closed form, which needs no orbit walk, chain or split
+    # the walk of the centre uses the seven generators' class sums, and every
+    # block is Z's orbit alone, so no chain or split runs
     g = _elementary_abelian(2, 7)
     data = class_algebra(g, conjugacy_classes(g))
-    _, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
-    assert used == list(data.generator_classes) and len(used) == 7
-    assert chardeg._abelian_characters(data, data.dixon_prime)[1] == used
-    calls = _call_counter(monkeypatch, "_central_orbit", "_inverse_dft", "_identity_chain", "_lagrange")
+    assert data.centre.used == list(data.generator_classes) and len(data.centre.used) == 7
+    calls = _call_counter(monkeypatch, "_identity_chain", "_lagrange")
     assert character_degrees(g).as_dict() == {1: 128}
-    assert calls == {"_central_orbit": 0, "_inverse_dft": 0, "_identity_chain": 0, "_lagrange": 0}
+    assert calls == {"_identity_chain": 0, "_lagrange": 0}
 
 
 def test_c2_9_skips_the_class_sums_that_split_nothing():
     # in class order the ninth independent generator is class 256; every class
-    # sum before it is a product of earlier ones, so it lies in H (the closed
-    # form skips it) and acts on each row as a scalar (the split skips it)
+    # sum before it is a product of earlier ones, so it lies in H and the walk
+    # of the centre skips it
     g = _elementary_abelian(2, 9)
     data = class_algebra(g, conjugacy_classes(g))
     in_class_order = replace(data, generator_classes=tuple(range(data.class_count)))
-    characters, used = chardeg._abelian_characters(in_class_order, data.dixon_prime)
-    assert len(used) == 9 and used[-1] == 256
-    assert chardeg._simultaneous_eigenvectors(in_class_order, data.dixon_prime)[1] == used
-    assert characters.shape == (512, 9)
+    centre = in_class_order.centre
+    assert len(centre.used) == 9 and centre.used[-1] == 256
+    assert chardeg._characters_of_centre(in_class_order, centre).shape == (512, 9)
     assert degrees_from_class_algebra(in_class_order).as_dict() == {1: 512}
 
 
 def test_c96_runs_one_identity_chain(monkeypatch):
-    # the split walks the generator's chain, the orbit of class 0, once; the
-    # degree step takes the closed form, which walks no chain at all
+    # the walk of the centre is the one chain C96 runs: the orbit of class 0
+    # under its generator's permutation; no Krylov chain is computed
     g = standard_group("cyclic", 96)
     data = class_algebra(g, conjugacy_classes(g))
-    calls = _call_counter(monkeypatch, "_central_orbit", "_identity_chain")
-    chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
-    assert calls == {"_central_orbit": 1, "_identity_chain": 0}
+    calls = _call_counter(monkeypatch, "_walk_centre", "_identity_chain")
     assert degrees_from_class_algebra(data).as_dict() == {1: 96}
-    assert calls == {"_central_orbit": 1, "_identity_chain": 0}
+    assert calls == {"_walk_centre": 1, "_identity_chain": 0}
+    assert degrees_from_class_algebra(data).as_dict() == {1: 96}
+    assert calls == {"_walk_centre": 1, "_identity_chain": 0}
 
 
 def test_a_central_class_sum_of_a_non_abelian_group_is_split_in_closed_form(monkeypatch):
-    # D8 x C9 has classes of two elements, so it takes the split; the C9
-    # generator is one central element of order 9, whose chain is the orbit
-    # of class 0, walked once, and whose Lagrange matrix is the inverse DFT
-    counts = _eigenvalue_counts(monkeypatch)
-    calls = _call_counter(monkeypatch, "_central_orbit", "_abelian_characters")
+    # D8 x C9's class sums of one element act on every block as the scalar
+    # lambda(z), so the split folds and visits only class sums of two
+    # elements; the nine characters of Z trivial on D8's centre share one
+    # split of a block of four orbits, the other nine are Z's orbit alone
+    counts, folded = _eigenvalue_counts(monkeypatch), []
+    fold = chardeg._fold
+    monkeypatch.setattr(chardeg, "_fold", lambda data, centre, characters, g: folded.append(g) or fold(data, centre, characters, g))
     g = direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9))
-    assert character_degrees(g).as_dict() == {1: 36, 2: 9}
-    assert calls == {"_central_orbit": 1, "_abelian_characters": 0}
-    assert counts == {"_lagrange": [3, 3], "_inverse_dft": [9]}
+    data = class_algebra(g, conjugacy_classes(g))
+    assert degrees_from_class_algebra(data).as_dict() == {1: 36, 2: 9}
+    assert folded and all(data.sizes[c] == 2 for c in folded)
+    centre, lone, split = _split(data)
+    assert len(lone) == 9 and split.vectors.shape == (36, 4)
+    assert counts["_lagrange"] == [2, 2, 2, 2]
 
 
 def test_c96_degree_step_clears_no_column(monkeypatch):
-    # C96's generator is one central element, so its chain is the orbit of
-    # class 0 and its Lagrange matrix the inverse DFT: nothing is reduced or
-    # eliminated, and no column is cleared
+    # C96 is one orbit of the centre: every character of Z is a block of its
+    # own, certified on the normal form, so nothing is reduced or eliminated,
+    # and no column is cleared
     g = standard_group("cyclic", 96)
     cs = conjugacy_classes(g)
     monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("the degree step called np.outer"))
@@ -637,17 +667,18 @@ def test_c96_degree_step_clears_no_column(monkeypatch):
 
 
 def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
-    # the split of C2^7 (which the degree step leaves to the closed form):
-    # the first split scatters the inverse DFT matrix; each of the six
+    # the split of C2^7's class algebra as one algebra (the degree step needs
+    # none): the first split reads the chain, and each of the six
     # refinements after it is one product by the 2 x 2 Lagrange matrix
     g = _elementary_abelian(2, 7)
     data = class_algebra(g, conjugacy_classes(g))
+    r, ell = data.class_count, data.dixon_prime
     calls, matmul = [], modmat.matmul
     monkeypatch.setattr(modmat, "matmul", lambda a, b, p: calls.append(len(a)) or matmul(a, b, p))
     monkeypatch.setattr(np, "tensordot", lambda *args, **kwargs: pytest.fail("the refinement called np.tensordot"))
-    vectors, used = chardeg._simultaneous_eigenvectors(data, data.dixon_prime)
-    chardeg._certify(data, vectors, used, data.dixon_prime)
-    assert calls == [2] * 6
+    rows, used, _ = chardeg._idempotents(lambda c: chardeg._action(*data.column(c), r, ell), r, [0], list(data.generator_classes), ell)
+    assert len(rows) == r and used == list(data.generator_classes)
+    assert calls == [2] * 7
 
 
 @pytest.mark.parametrize(
@@ -666,24 +697,22 @@ def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
     ],
 )
 def test_closed_form_split_matches_the_general_path(g):
-    # for every central class sum K = z: the orbit of class 0 is the chain
-    # 1, K, K^2, ... of unit vectors that _identity_chain finds, with z^n = 1
-    # next, and the inverse DFT matrix holds the Lagrange idempotents over
-    # it, as a set of columns
+    # every central class sum K = z acts on each central character in closed
+    # form, as the scalar lambda(z), which the split never visits: its general
+    # sparse action on the expanded vectors, w -> M_z w, gives w_z * w
     data = class_algebra(g, conjugacy_classes(g))
     r = data.class_count
     central = [c for c in range(1, r) if data.sizes[c] == 1]
     assert central
-    unit = np.eye(r, dtype=np.int64)
     primes = admissible_primes(g.order, data.exponent)
     for ell in (next(primes), next(primes)):
+        vectors = _vectors(replace(data, dixon_prime=ell))
         for c in central:
-            powers, dependent = chardeg._identity_chain(data.action(c, ell), r, ell)
-            orbit = chardeg._central_orbit(data, c)
-            assert np.array_equal(powers, unit[orbit]) and np.array_equal(dependent, unit[0])
-            general = chardeg._lagrange(powers, dependent, ell)
-            closed = chardeg._inverse_dft(len(orbit), ell)
-            assert sorted(closed.T.tolist()) == sorted(general.T.tolist()), (ell, c)
+            codes, values = data.column(c)
+            k, j = np.divmod(codes, r)
+            transposed = np.argsort(j * r + k, kind="stable")
+            image = chardeg._action((j * r + k)[transposed], values[transposed], r, ell)(vectors.astype(modmat.residues(ell)))
+            assert np.array_equal(image, vectors[:, c : c + 1] * vectors % ell), (ell, c)
 
 
 def test_a_class_sum_of_several_elements_takes_the_general_path(monkeypatch):
@@ -692,12 +721,10 @@ def test_a_class_sum_of_several_elements_takes_the_general_path(monkeypatch):
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     t = cs.sizes.tolist().index(3)
-    for name in ("_central_orbit", "_inverse_dft"):
-        monkeypatch.setattr(chardeg, name, lambda *args: pytest.fail("a class of 3 elements took the closed form"))
     calls = _call_counter(monkeypatch, "_lagrange")
     order = (t, *(c for c in range(1, 3) if c != t))
-    _, used = chardeg._simultaneous_eigenvectors(replace(data, generator_classes=order), data.dixon_prime)
-    assert used[0] == t and calls["_lagrange"] == len(used)
+    _, _, split = _split(replace(data, generator_classes=order))
+    assert list(split.folds) == [t] and calls["_lagrange"] == 1
 
 
 def test_a_class_of_one_element_that_does_not_permute_the_classes_is_rejected():
@@ -707,8 +734,8 @@ def test_a_class_of_one_element_that_does_not_permute_the_classes_is_rejected():
     fake = oracles.class_algebra_data(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}, 5)
     assert fake.sizes == (1, 1)
     with pytest.raises(EigensplitError, match="class sum 1 of one element does not permute the classes"):
-        chardeg._simultaneous_eigenvectors(replace(fake, generator_classes=(1,)), 5)
-    # every class is one element, so the degree step takes the closed form
+        replace(fake, generator_classes=(1,)).centre
+    # the degree step walks the centre first
     with pytest.raises(EigensplitError, match="class sum 1 of one element does not permute the classes"):
         degrees_from_class_algebra(replace(fake, generator_classes=(1,)))
 
@@ -744,12 +771,11 @@ def test_closed_form_rejects_an_exponent_that_does_not_fit(exponent, ell, messag
 
 
 def _c3_squared():
-    """C3 x C3's class algebra, the class sums its closed form uses, and the
-    permutations of every class."""
+    """C3 x C3's class algebra, the class sums its walk of the centre uses,
+    and the permutations of every class."""
     g = _elementary_abelian(3, 2)
     data = class_algebra(g, conjugacy_classes(g))
-    _, used = chardeg._abelian_characters(data, data.dixon_prime)
-    return data, used, [data.permutation(c).tolist() for c in range(data.class_count)]
+    return data, data.centre.used, [data.permutation(c).tolist() for c in range(data.class_count)]
 
 
 def test_closed_form_rejects_a_permutation_that_breaks_the_mixed_radix_step():
@@ -758,7 +784,9 @@ def test_closed_form_rejects_a_permutation_that_breaks_the_mixed_radix_step():
     # permutation with pi(z*) = 0, but z no longer adds 1 to digit 0
     data, used, permutations = _c3_squared()
     z = used[0]
-    orbit = chardeg._central_orbit(data, z).tolist()
+    orbit = [0]
+    while permutations[z][orbit[-1]]:
+        orbit.append(permutations[z][orbit[-1]])
     x, y = [c for c in range(data.class_count) if c not in orbit][:2]
     permutations[z][x], permutations[z][y] = permutations[z][y], permutations[z][x]
     fake = _permutation_algebra(permutations, data.dixon_prime, data.exponent)
@@ -801,14 +829,14 @@ def test_closed_form_rejects_a_column_that_does_not_move_the_identity_to_its_cla
     ids=["duplicate", "r-minus-1", "above-e", "negative"],
 )
 def test_closed_form_certificate_rejects_corrupted_exponents(corrupt, message):
+    # C3 x C3 is one orbit: each of its nine characters of Z is a central
+    # character whose block is Z's orbit alone
     data, used, _ = _c3_squared()
-    ell = data.dixon_prime
-    normal_form = chardeg._normal_form(data)
-    characters, _ = chardeg._abelian_characters(data, ell)
-    assert normal_form[3] == used and characters[-1].tolist() == [2, 2]
-    chardeg._certify_normal_form(data, normal_form, characters, ell)
+    centre, lone, split = _split(data)
+    assert centre.used == used and split is None and lone[-1].tolist() == [2, 2]
+    chardeg._certify(data, centre, lone, split)
     with pytest.raises(EigensplitError, match=message):
-        chardeg._certify_normal_form(data, normal_form, corrupt(characters, data.exponent), ell)
+        chardeg._certify(data, centre, corrupt(lone, data.exponent), split)
 
 
 def test_closed_form_certificate_rejects_exponents_that_solve_no_relation():
@@ -818,15 +846,12 @@ def test_closed_form_certificate_rejects_exponents_that_solve_no_relation():
     a = _cycles([4])[0]
     g = build_group(4, [a * a, a])
     data = class_algebra(g, conjugacy_classes(g))
-    ell = data.dixon_prime
-    normal_form = chardeg._normal_form(data)
-    _, orders, relations, used = normal_form
-    assert orders.tolist() == [2, 2] and relations.tolist() == [[0, 0], [1, 0]]
-    characters, _ = chardeg._abelian_characters(data, ell)
-    broken = characters.copy()
+    centre, lone, split = _split(data)
+    assert centre.orders.tolist() == [[2, 2]] and centre.relations.tolist() == [[[0, 0], [1, 0]]]
+    broken = lone.copy()
     broken[:, 1] = (broken[:, 1] + 1) % 4
-    with pytest.raises(EigensplitError, match=f"solve the relation of class sum {used[1]}"):
-        chardeg._certify_normal_form(data, normal_form, broken, ell)
+    with pytest.raises(EigensplitError, match=f"solve the relation of class sum {centre.used[1]}"):
+        chardeg._certify(data, centre, broken, split)
 
 
 def _cycles(orders):
@@ -842,13 +867,13 @@ def _cycles(orders):
 
 
 def _closed_form_certifies(gens, order):
-    # the closed form uses the class sums the split would, and its characters
-    # pass the certificate: m = {1: |G|}
+    # the walk of the centre uses class sums that each leave the subgroup
+    # the ones before it generate, and its characters pass the certificate:
+    # m = {1: |G|}
     g = build_group(gens[0].degree, gens)
     data = class_algebra(g, conjugacy_classes(g))
     assert g.order == order and max(data.sizes) == 1
-    ell = data.dixon_prime
-    assert chardeg._abelian_characters(data, ell)[1] == chardeg._simultaneous_eigenvectors(data, ell)[1]
+    assert (data.centre.orders > 1).all() and math.prod(data.centre.orders[0].tolist()) == order
     assert degrees_from_class_algebra(data).as_dict() == {1: order}
 
 
@@ -909,20 +934,19 @@ def _move_entry(coefficients, g, source, target):
     ],
 )
 def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
-    # the first used class sum of one element is checked first; its column is
-    # one entry 1 at each (j, pi(j))
+    # the first class sum of one element the walk used: its column is one
+    # entry 1 at each (j, pi(j)), checked by the certificate as a permutation
     data = class_algebra(g, conjugacy_classes(g))
     ell, r = data.dixon_prime, data.class_count
-    vectors, used = chardeg._simultaneous_eigenvectors(data, ell)
-    c = next(c for c in used if data.sizes[c] == 1)
-    used = [c, *(u for u in used if u != c)]
-    chardeg._certify(data, vectors, used, ell)
+    centre, lone, split = _split(data)
+    chardeg._certify(data, centre, lone, split)
+    c = centre.used[0]
     pi, star = data.permutation(c).tolist(), data.star[c]
     j = next(j for j in range(1, r) if j != star)
 
     def certify_corrupted(coefficients):
         corrupted = oracles.class_algebra_data(r, coefficients, ell)
-        chardeg._certify(replace(data, source=corrupted.source), vectors, used, ell)
+        chardeg._certify(replace(data, source=corrupted.source), centre, lone, split)
 
     # class pi(j) loses its entry and class pi(star) gets a second one
     with pytest.raises(EigensplitError, match=f"class sum {c} of one element does not permute the classes"):
@@ -931,35 +955,36 @@ def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
     swapped = _move_entry(dict(data.coefficients), c, (j, pi[j]), (j, 0))
     with pytest.raises(EigensplitError, match=r"a\[g\]\[j\]\[0\] is not \|K_g\| exactly at j = g\*"):
         certify_corrupted(_move_entry(swapped, c, (star, 0), (star, pi[j])))
-    broken = vectors.copy()
-    broken[1, j] = (broken[1, j] + 1) % ell
-    with pytest.raises(EigensplitError, match=f"not a central character on class sum {c}"):
-        chardeg._certify(data, broken, used, ell)
 
 
 def test_roots_of_unity_missing_from_the_field_are_rejected():
-    # the generator of C12 has minimal polynomial x^12 - 1, which has only
-    # gcd(12, 6) = 6 roots in GF(7)
+    # C12's characters of Z take the values of twelfth roots of unity, and
+    # GF(7) holds only gcd(12, 6) = 6 of them
     g = standard_group("cyclic", 12)
     data = class_algebra(g, conjugacy_classes(g))
-    with pytest.raises(EigensplitError, match=r"x\^12 - 1 of a class sum has 6 distinct roots in GF\(7\)"):
-        chardeg._simultaneous_eigenvectors(data, 7)
+    with pytest.raises(EigensplitError, match=r"GF\(7\) holds no root of unity of order 12"):
+        degrees_from_class_algebra(replace(data, dixon_prime=7))
+    with pytest.raises(EigensplitError, match=r"GF\(7\) holds no root of unity of order 12"):
+        chardeg._roots_of_unity(12, 7)
 
 
 def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
-    # no class sum of D8 generates, so the split uses several generator
-    # classes, and builds the chain of each once
+    # no class sum of D8 generates, so the split of its block of four orbits
+    # uses several generator classes, and builds the chain of each once
     chains, class_of_action = [], {}
-    action, original = ClassAlgebraData.action, chardeg._identity_chain
+    idempotents, original = chardeg._idempotents, chardeg._identity_chain
 
-    def spy(data, g, ell):
-        act = action(data, g, ell)
-        class_of_action[act] = g
-        return act
+    def spy(action, r, starts, order, ell):
+        def spied(g):
+            act = action(g)
+            class_of_action[act] = g
+            return act
 
-    monkeypatch.setattr(ClassAlgebraData, "action", spy)
+        return idempotents(spied, r, starts, order, ell)
+
+    monkeypatch.setattr(chardeg, "_idempotents", spy)
     monkeypatch.setattr(
-        chardeg, "_identity_chain", lambda act, r, ell: chains.append(class_of_action[act]) or original(act, r, ell)
+        chardeg, "_identity_chain", lambda act, one, ell: chains.append(class_of_action[act]) or original(act, one, ell)
     )
     assert character_degrees(standard_group("dihedral", 4)).as_dict() == {1: 4, 2: 1}
     assert len(chains) == len(set(chains)) >= 2
@@ -969,15 +994,16 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
-    # the int16 table of C12 takes 288 bytes, its degree layer's closed form
-    # 3192 (248 bytes a class for its one generator's class sum, the one it
-    # can use, and 18 for counting a column); both groups are enumerated
-    # (2448 bytes) before the budget is lowered
+    # the int16 table of C12 takes 288 bytes, its degree layer 3432 (264
+    # bytes a class for the walk of its centre by its one generator's class
+    # sum, the one it can use, 4 for the characters' vectors and 18 for
+    # counting a column); both groups are enumerated (2448 bytes) before the
+    # budget is lowered
     records = parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")
     g = standard_group("cyclic", 12)
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
     [block] = run_report(records).document["groups"]
-    assert "class algebra arrays of 12 classes needs 3192 bytes" in block["skipped"]
+    assert "class algebra arrays of 12 classes needs 3432 bytes" in block["skipped"]
     assert "verdicts" not in block
     cs = conjugacy_classes(g)
     assert g.table.nbytes == 288
@@ -996,15 +1022,18 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
         ),
         pytest.param(lambda: standard_group("cyclic", 400), np.int32, id="C400"),
         pytest.param(lambda: standard_group("dihedral", 200), np.int32, id="D200"),
+        pytest.param(lambda: direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9)), np.int16, id="D8xC9"),
+        pytest.param(lambda: direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 5)), np.int16, id="D8xC2^5"),
     ],
 )
 def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build, dtype):
-    # the abelian C2^8, C3^5 (int16) and C400 (int32) are certified on their
-    # normal form, in k x r int64 digits for k = 8, 5 and 1 class sums used,
-    # with no row made; S5 x S4 (int16) holds r x r residue arrays, but the gather
-    # of its largest class (240 elements) dominates the budget; D200 (int32)
-    # refines by its reflections only the rows of the rotation split they
-    # do not act on as a scalar
+    # the abelian C2^8, C3^5 (int16) and C400 (int32) are one orbit, certified
+    # on their normal form in k x r int64 digits for k = 8, 5 and 1 class sums
+    # used; S5 x S4 (int16) is one block of r x r residue arrays, but the
+    # gather of its largest class (240 elements) dominates the budget; D200
+    # (int32) splits its two blocks of 50 and 53 orbits as one direct sum;
+    # D8 x C9 and D8 x C2^5 (int16) split the 4-orbit blocks of 9 and 32
+    # characters of Z as direct sums of 36 and 128 coordinates
     g = build()
     cs = conjugacy_classes(g)
     g.table, g.inverses, g.element_orders  # built before the trace starts
@@ -1090,7 +1119,7 @@ def test_sparse_action_matches_class_matrix(monkeypatch, block):
     ell = data.dixon_prime
     x = np.random.default_rng(0).integers(0, ell, (6, data.class_count))
     for i in range(data.class_count):
-        assert np.array_equal(data.action(i, ell)(x), x @ data.matrix(i) % ell)
+        assert np.array_equal(chardeg._action(*data.column(i), data.class_count, ell)(x), x @ data.matrix(i) % ell)
 
 
 @pytest.mark.parametrize(
@@ -1103,12 +1132,12 @@ def test_sparse_action_matches_class_matrix(monkeypatch, block):
     ],
 )
 def test_action_of_every_class_sum_is_its_class_matrix(g):
-    # a class of one element acts by a gather, any other by sparse sums
+    # a class of one element takes the same sparse sums as any other
     data = class_algebra(g, conjugacy_classes(g))
     ell = data.dixon_prime
     x = np.random.default_rng(1).integers(0, ell, (4, data.class_count))
     for c in range(data.class_count):
-        assert np.array_equal(data.action(c, ell)(x), x @ data.matrix(c) % ell), c
+        assert np.array_equal(chardeg._action(*data.column(c), data.class_count, ell)(x), x @ data.matrix(c) % ell), c
 
 
 @pytest.mark.parametrize(
@@ -1135,3 +1164,69 @@ def test_degree_frequency_accessors():
     assert freq.irreducible_count() == 3
     assert freq.sum_of_squares() == 6
     assert freq.degrees() == [1, 2]
+
+
+# --- blocks of the characters of the centre ---------------------------------
+
+
+@pytest.mark.parametrize("g", _certificate_groups())
+def test_blocks_partition_the_characters(g):
+    # sum r_lambda = r, and the largest block, the trivial character's, holds
+    # every Z-orbit (the class number of G/Z)
+    data = class_algebra(g, conjugacy_classes(g))
+    centre, lone, split = _split(data)
+    sizes = [1] * len(lone) + ([] if split is None else np.bincount(split.owner).tolist())
+    assert sum(sizes) == data.class_count
+    assert max(sizes) == len(centre.reps)
+
+
+def test_large_centres_split_one_block_at_a_time():
+    # the Sylow subgroups of the centre are direct factors: the blocks have at
+    # most 4, 3 and 16 orbits, far below r
+    d8, s3, c2, c5 = (standard_group(*a) for a in [("dihedral", 4), ("symmetric", 3), ("cyclic", 2), ("cyclic", 5)])
+    cases = [(direct_product(d8, _elementary_abelian(2, k)), {1: 4 * 2**k, 2: 2**k}) for k in range(3, 7)]
+    cases.append((direct_product(direct_product(s3, c5), c5), {1: 50, 2: 25}))
+    cases.append((direct_product(direct_product(direct_product(d8, d8), c2), c2), {1: 64, 2: 32, 4: 4}))
+    start = perf_counter()
+    for g, expected in cases:
+        assert character_degrees(g).as_dict() == expected
+    assert perf_counter() - start < 5
+
+
+def _d8_x_c9():
+    g = direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9))
+    data = class_algebra(g, conjugacy_classes(g))
+    centre, lone, split = _split(data)
+    chardeg._certify(data, centre, lone, split)
+    return data, centre, lone, split
+
+
+def test_certificate_rejects_a_perturbed_block_vector():
+    data, centre, lone, split = _d8_x_c9()
+    vectors = split.vectors.copy()
+    vectors[17, 2] = (vectors[17, 2] + 1) % data.dixon_prime
+    with pytest.raises(EigensplitError, match="not a central character on class sum"):
+        chardeg._certify(data, centre, lone, split._replace(vectors=vectors))
+
+
+def test_certificate_rejects_an_orbit_outside_its_characters_block():
+    # a character of Z that is not trivial on the stabiliser of orbit 1 (its
+    # block is Z's orbit alone) is given a vector that is not 0 at orbit 1
+    data, centre, lone, split = _d8_x_c9()
+    vectors = np.concatenate([split.vectors, np.array([[1, 1, 0, 0]], dtype=split.vectors.dtype)])
+    owner = np.concatenate([split.owner, [len(split.characters)]])
+    wrong = split._replace(characters=np.concatenate([split.characters, lone[:1]]), vectors=vectors, owner=owner)
+    with pytest.raises(EigensplitError, match="a block's orbits are not those on whose stabiliser"):
+        chardeg._certify(data, centre, lone[1:], wrong)
+
+
+def test_certificate_rejects_an_offset_off_its_class():
+    # two classes of orbit 1 swap their places: the offset z_j of each no
+    # longer moves the orbit's representative to it, which the normal form's
+    # inverse classes and steps both see
+    data, centre, lone, split = _d8_x_c9()
+    x, y = np.flatnonzero(centre.orbit == 1)[1:3]
+    place, digits = centre.place.copy(), centre.digits.copy()
+    place[[x, y]], digits[:, [x, y]] = place[[y, x]], digits[:, [y, x]]
+    with pytest.raises(EigensplitError, match="do not multiply to 1 in the normal form|does not add 1 to digit"):
+        chardeg._certify(data, centre._replace(place=place, digits=digits), lone, split)

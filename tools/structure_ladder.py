@@ -1,10 +1,12 @@
 """Time the structure layer on the S7 ladder (S7, S7xC2 and S7xC3), a whole
 verify on two groups of many classes (C2^14 and D8^3xC2^4), the degree
-layer's closed form on the abelian groups C800, C1600 and C2400 (one class
-sum used), C2^10, C2^12, C2^13 and C2^14 (r = 1024 to 16384, one class sum
-used per generator), C3^8 (r = 6561) and C3^9 (r = 19683, the largest
-elementary abelian group under the enumeration cap, whose int16 Cayley
-table takes 775 MB), and the pure-Python group build of
+layer on the abelian groups C800, C1600 and C2400 (one class sum used),
+C2^10, C2^12, C2^13 and C2^14 (r = 1024 to 16384, one class sum used per
+generator), C3^8 (r = 6561) and C3^9 (r = 19683, the largest elementary
+abelian group under the enumeration cap, whose int16 Cayley table takes
+775 MB), and on three groups with a large centre that is a direct factor,
+S3xC5^5 (r = 9375), D8xC2^11 (r = 10240) and D8^2xC2^8 (r = 6400), whose
+largest blocks have 3, 4 and 16 orbits; and the pure-Python group build of
 C4000 on 4000 points and of D4000 (``dihedral`` 2000, of order 4000 on 2000
 points).
 
@@ -24,7 +26,8 @@ whose int16 Cayley table alone takes 537 MB.  The peak RSS of one D8^3xC2^4 run 
 the same code, depending on heap layout, so a single run cannot show a
 change of less than about 26 MB there.
 
-C800, C1600, C2400, C2^10, C2^12, C2^13, C3^8 and C3^9 run one:
+C800, C1600, C2400, C2^10, C2^12, C2^13, C3^8, C3^9, S3xC5^5, D8xC2^11
+and D8^2xC2^8 run one:
 
 * ``degree``: parse the group and build its classes and Cayley table, then
   time the degree step alone (``class_algebra`` and
@@ -81,14 +84,9 @@ def _gens(*cycles: str) -> str:
     return "".join(f"gen {c}\n" for c in cycles)
 
 
-def _transpositions(first: int, count: int) -> list[str]:
-    """Generators of C2^count on the points first, first + 1, ..."""
-    return [f"({a},{a + 1})" for a in range(first, first + 2 * count, 2)]
-
-
-def _three_cycles(first: int, count: int) -> list[str]:
-    """Generators of C3^count on the points first, first + 1, ..."""
-    return [f"({a},{a + 1},{a + 2})" for a in range(first, first + 3 * count, 3)]
+def _cycles(length: int, first: int, count: int) -> list[str]:
+    """Generators of C_length^count on the points first, first + 1, ..."""
+    return ["(" + ",".join(map(str, range(a, a + length))) + ")" for a in range(first, first + length * count, length)]
 
 
 #: D8^3 on points 1-12, one square and one reflection each
@@ -100,16 +98,19 @@ RUNGS = {
     "S7": ("degree 7\ngen (1,2,3,4,5,6,7)\ngen (1,2)\n", ("criteria", "verify")),
     "S7xC2": ("degree 9\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9)\n", ("criteria", "verify")),
     "S7xC3": ("degree 10\ngen (1,2,3,4,5,6,7)\ngen (1,2)\ngen (8,9,10)\n", ("criteria", "verify")),
-    "C2^14": ("degree 28\n" + _gens(*_transpositions(1, 14)), ("verify", "degree")),
-    "D8^3xC2^4": ("degree 20\n" + _gens(*_D8_CUBED, *_transpositions(13, 4)), ("verify",)),
+    "C2^14": ("degree 28\n" + _gens(*_cycles(2, 1, 14)), ("verify", "degree")),
+    "D8^3xC2^4": ("degree 20\n" + _gens(*_D8_CUBED, *_cycles(2, 13, 4)), ("verify",)),
     "C800": (_cycle(800), ("degree",)),
     "C1600": (_cycle(1600), ("degree",)),
     "C2400": (_cycle(2400), ("degree",)),
-    "C2^10": ("degree 20\n" + _gens(*_transpositions(1, 10)), ("degree",)),
-    "C2^12": ("degree 24\n" + _gens(*_transpositions(1, 12)), ("degree",)),
-    "C2^13": ("degree 26\n" + _gens(*_transpositions(1, 13)), ("degree",)),
-    "C3^8": ("degree 24\n" + _gens(*_three_cycles(1, 8)), ("degree",)),
-    "C3^9": ("degree 27\n" + _gens(*_three_cycles(1, 9)), ("degree",)),
+    "C2^10": ("degree 20\n" + _gens(*_cycles(2, 1, 10)), ("degree",)),
+    "C2^12": ("degree 24\n" + _gens(*_cycles(2, 1, 12)), ("degree",)),
+    "C2^13": ("degree 26\n" + _gens(*_cycles(2, 1, 13)), ("degree",)),
+    "C3^8": ("degree 24\n" + _gens(*_cycles(3, 1, 8)), ("degree",)),
+    "C3^9": ("degree 27\n" + _gens(*_cycles(3, 1, 9)), ("degree",)),
+    "S3xC5^5": ("degree 28\n" + _gens("(1,2,3)", "(1,2)", *_cycles(5, 4, 5)), ("degree",)),
+    "D8xC2^11": ("degree 26\n" + _gens(*_D8_CUBED[:2], *_cycles(2, 5, 11)), ("degree",)),
+    "D8^2xC2^8": ("degree 24\n" + _gens(*_D8_CUBED[:4], *_cycles(2, 9, 8)), ("degree",)),
     "C4000": (_cycle(4000), ("build",)),
     "D4000": (_dihedral(2000), ("build",)),
 }
