@@ -10,88 +10,84 @@ the group exponent e and l > 2*sqrt(|G|):
    the r * min(r^2, |G|) table is never built;
 2. the class algebra is split one character of its centre at a time
    (Isaacs, ch. 2).  The classes of one element form Z = Z(G), and z * K_j
-   = K_pi(j) for a permutation pi read off z's column.  They are walked in
-   the split's visiting order (generators' classes first, then class
-   order): z is used exactly when it lies outside the subgroup H the ones
-   used before it generate, its relative order m_i is the least m with z^m
-   in H, and z_i^m_i = prod_{j<i} z_j^u_ij.  So every z in Z is prod
-   z_i^t_i for one vector of digits t, 0 <= t_i < m_i, and the characters
-   of Z are lambda_a(z) = zeta^(a . t), zeta a primitive e-th root of unity
-   mod l, for the vectors a with m_i * a_i = u_i . a (mod e): relation i has
-   m_i solutions when m_i divides its right side (checked), so |Z| in all.
-   The same walk from the least class c_o of each Z-orbit o places each
-   class j of o at digits t(j), with j = z^t(j) * c_o, in the normal form of
-   Z over the stabiliser of c_o; lambda_a is trivial on that stabiliser
-   exactly when a solves its relations.  e_lambda = |Z|^-1 sum_z
-   lambda(z^-1) z cuts the class algebra into blocks e_lambda * Z(FG) with
-   basis b_o = e_lambda * K_c_o over the orbits o whose stabiliser lambda is
-   trivial on, since e_lambda * K_(z*c_o) = lambda(z) * b_o, and that is 0
-   when z * c_o = c_o and lambda(z) != 1; there are r_lambda of them, the
-   characters over lambda, and sum r_lambda = r.  A class sum K_g of several
-   elements acts on a block by (F_g)[o][o'] = sum over k in o' of
-   a[g][c_o][k] * lambda(z_k), its column read at the representatives and
-   folded; one of one element acts as the scalar lambda(z) and is never
-   visited.  An abelian group is one orbit, and every lambda's block is 1 x
-   1 and needs no split; a group with trivial centre is one block, the
-   whole algebra.  The blocks of the other lambda are split together, a
-   direct sum of as many as keep its arrays within one block of cells, and
-   a lambda whose folded columns agree with one in the sum on every class
-   sum the split visits shares its idempotents.  The split: the matrices
-   commute and are simultaneously diagonalizable, so the identity splits
-   into primitive idempotents.  One sparse action (x @ M) tells whether a
-   class sum K acts as a scalar on every idempotent found so far.  If not,
-   the Krylov chain 1, K, K^2, ... gives K's minimal polynomial, whose n
-   distinct roots are its eigenvalues, and each idempotent e is replaced by
-   the nonzero products e * E_mu with the Lagrange idempotents E_mu = prod
-   over nu != mu of (K - nu) / (mu - nu), read off the chain itself for the
-   identity, which is then cut into its blocks.  The split is deterministic:
-   no random linear combinations.  A primitive idempotent y of a block gives
-   the central character at the representatives, w(c_o) = |K_c_o| * |Z| /
-   |o| * lambda(z)^-1 * y_o' / y_0 for (c_o)* = z * c_o'; elsewhere w(z *
-   c_o) = lambda(z) * w(c_o), and w is 0 off the block.  Every array of
-   residues mod l has the narrowest signed dtype that holds a product of
-   two residues, ``modmat.residues(l)``: int16 for l <= 182, int32 for l <=
-   46341, else int64; a product is reduced mod l before it meets a third
-   value, and every sum of such products is accumulated in int64;
-3. the vectors are certified on the class sums of one element used and the
-   set S_lambda of class sums that split lambda's block: w_0 = 1, w_g * w_j
-   = sum_k a[g][j][k] * w_k for every g used and every j, and the vectors
-   over one lambda, r_lambda of them, differ on S_lambda.  For a class sum
-   z_i of one element, with NF carrying digits from the top down (a digit
-   v_j >= m_j drops by q * m_j and adds q * u_j below it, which changes a .
-   v by a multiple of e when a solves relation j): pi_i(z_i*) = 0, t(z_i) =
-   e_i, and for every class x, pi_i keeps x's orbit and t(pi_i(x)) =
-   NF(t(x) + e_i) in x's orbit's normal form, so w_(pi_i(x)) = lambda(z_i)
-   * w_x; each orbit's representative is at place 0, and the orbit has as
-   many classes as places, so the class at digits t is z^t * c_o; each a
-   lies in 0..e - 1 and solves Z's relations, the |Z| vectors a differ, and
-   e divides l - 1, so they are the characters of Z; each lambda's orbits
-   are exactly those whose relations a solves.  For g in S_lambda the
-   equation is checked at the representatives only, (F_g w)_o = w_g * w_o.
-   The set A of elements x with w(x * y) = w(x) * w(y) for all y is a
-   subalgebra holding every z_i, hence Z, and w(K_g * K_(z*c_o)) = w(z * K_g
-   * K_c_o) = w(z) * w_g * w(c_o) = w_g * w(z * c_o), so the equation holds
-   at every class of o; at a class of an orbit off the block it reads 0 = 0,
-   since some s with s * c_o = c_o and lambda(s) != 1 gives w(K_g * K_c_o) =
-   lambda(s) * w(K_g * K_c_o).  So A holds Z and S_lambda, and w(e_lambda)
-   = 1: the vectors over lambda, distinct homomorphisms on the algebra C
-   they generate, are linearly independent on e_lambda * C, which is then
-   all of the block (dimension r_lambda), so w(x * y) = w(e_lambda * x *
-   e_lambda * y) = w(x) * w(y): every w is a central character.  Check (c)
-   compares the pairs (lambda, w on S_lambda).  The argument needs an
-   associative table, which a table counted from a group is; the
-   coefficients of every class sum used are checked against the counting
-   identities: every class j occurs, sum_j a[g][j][k] = |K_g| for every k,
-   and a[g][j][0] = |K_g| exactly when j = g*, which for |K_g| = 1 says the
-   column is a permutation pi with pi(g*) = 0;
+   = K_pi(j) for a permutation pi read off z's column.  They are walked
+   generators' classes first, then in class order: z is used exactly when
+   it lies outside the subgroup H the ones used before it generate, its
+   relative order m_i is the least m with z^m in H, and z_i^m_i = prod_{j<i}
+   z_j^u_ij.  So every z in Z is prod z_i^t_i for one vector of digits t, 0
+   <= t_i < m_i, and the characters of Z are lambda_a(z) = zeta^(a . t),
+   zeta a primitive e-th root of unity mod l, for the vectors a with m_i *
+   a_i = u_i . a (mod e): relation i has m_i solutions when m_i divides its
+   right side (checked), so |Z| in all.  The same walk from the least class
+   c_o of each Z-orbit o places each class j of o at digits t(j), j =
+   z^t(j) * c_o, in the normal form of Z over the stabiliser of c_o, and
+   lambda_a is trivial on that stabiliser exactly when a solves its
+   relations.  e_lambda = |Z|^-1 sum_z lambda(z^-1) z cuts the class algebra
+   into blocks e_lambda * Z(FG) with basis b_o = e_lambda * K_c_o over the
+   orbits o whose stabiliser lambda is trivial on, since e_lambda *
+   K_(z*c_o) = lambda(z) * b_o, which is 0 when z * c_o = c_o and lambda(z)
+   != 1; there are r_lambda of them, the characters over lambda, and sum
+   r_lambda = r.  A block of Z's orbit alone is lambda on Z and 0 elsewhere
+   (every block, when Z = G).  A class sum K_g of several elements acts on
+   a block by (F_g)[o][o'] = sum over k in o' of a[g][c_o][k] *
+   lambda(z_k), its column read at the representatives and folded, so the
+   class sums of one orbit act as multiples of one another, and one of one
+   element as the scalar lambda(z): one class sum of each other orbit is
+   visited.  The other blocks are split in turns, the pending ones of the
+   same orbits as one direct sum within one block of cells.  The split: the
+   matrices commute and are simultaneously diagonalizable, so the identity
+   splits into primitive idempotents.  One sparse action (x @ M) tells
+   whether a class sum K acts as a scalar on every idempotent found so far.
+   If not, the Krylov chain 1, K, K^2, ... gives K's minimal polynomial,
+   whose n distinct roots are its eigenvalues, and each idempotent e is
+   replaced by the nonzero products e * E_mu with the Lagrange idempotents
+   E_mu = prod over nu != mu of (K - nu) / (mu - nu), read off the chain
+   itself for the identity, whose products are cut into the blocks.  The
+   split is deterministic: no random linear combinations.  A primitive
+   idempotent y of a block gives the central character at the
+   representatives, w(c_o) = |K_c_o| * |Z| / |o| * lambda(z)^-1 * y_o' /
+   y_0 for (c_o)* = z * c_o'; elsewhere w(z * c_o) = lambda(z) * w(c_o), and
+   w is 0 off the block.  Every array of residues mod l has the narrowest
+   signed dtype that holds a product of two residues,
+   ``modmat.residues(l)``: int16 for l <= 182, int32 for l <= 46341, else
+   int64; a product is reduced mod l before it meets a third value, and
+   every sum of such products is accumulated in int64;
+3. the vectors are certified on the class sums z_i of one element used and
+   the set S of class sums that split a block: w_0 = 1, w_g * w_j = sum_k
+   a[g][j][k] * w_k for every g used and every j, and the vectors over one
+   lambda differ on S.  For z_i, with NF carrying digits from the top down
+   (a digit v_j >= m_j drops by q * m_j and adds q * u_j below it, which
+   changes a . v by a multiple of e when a solves relation j): pi_i(z_i*) =
+   0, t(z_i) = e_i, and for every class x, pi_i keeps x's orbit and
+   t(pi_i(x)) = NF(t(x) + e_i) in its orbit's normal form, so w_(pi_i(x)) =
+   lambda(z_i) * w_x; each orbit's representative is at place 0 and the
+   orbit has as many classes as places, so the class at digits t is z^t *
+   c_o; each a lies in 0..e - 1 and solves Z's relations, the |Z| vectors a
+   differ, and e divides l - 1, so they are the characters of Z; each
+   lambda has a vector for each orbit whose relations a solves, 0 off
+   them.  For g in S, folded again from its checked column, the equation is
+   checked at the representatives only, (F_g w)_o = w_g * w_o.  The set A
+   of elements x with w(x * y) = w(x) * w(y) for all y is a subalgebra
+   holding every z_i, hence Z, and w(K_g * K_(z*c_o)) = w(z * K_g * K_c_o)
+   = w_g * w(z * c_o), so the equation holds at every class of o; at a
+   class of an orbit off the block it reads 0 = 0, since some s with s *
+   c_o = c_o and lambda(s) != 1 gives w(K_g * K_c_o) = lambda(s) * w(K_g *
+   K_c_o).  So A holds Z and S, and w(e_lambda) = 1: the vectors over
+   lambda, distinct homomorphisms on the algebra C they generate, are
+   linearly independent on e_lambda * C, which is then all of the block
+   (dimension r_lambda), so w(x * y) = w(e_lambda * x * e_lambda * y) =
+   w(x) * w(y): every w is a central character.  The argument needs an
+   associative table, which a table counted from a group is; each column
+   read is checked against the counting identities: every class j occurs,
+   sum_j a[g][j][k] = |K_g| for every k, and a[g][j][0] = |K_g| exactly
+   when j = g*, which for |K_g| = 1 says it is a permutation with pi(g*) = 0;
 4. chi(1)^2 * T = |G| mod l with T = sum_j w_j * w_{j*} / |K_j|, so the
-   degree is the one d in 1..isqrt(|G|) with d^2 * T = |G| mod l, read once
-   for each distinct T.  No two candidates match, because l > 2*sqrt(|G|)
+   degree is the one d in 1..isqrt(|G|) with d^2 = |G| / T mod l, read once
+   for each distinct T: no two d have one square, because l > 2*sqrt(|G|)
    cannot divide (d1 - d2) * (d1 + d2), and T = 0 matches none, because l
-   does not divide |G|; so "exactly one match" is the whole check.  T is
-   summed orbit by orbit: NF(t(j) + t(j*)) = t((c_o)*) is checked for every
-   class j of o, so w_j * w_(j*) = lambda(z) * w(c_o) * w(c_o') for (c_o)*
-   = z * c_o', and a lambda alone in Z's orbit has T = sum over Z of 1 / |K_j|.
+   does not divide |G|.  T is summed orbit by orbit: NF(t(j) + t(j*)) =
+   t((c_o)*) for every class j of o, so w_j * w_(j*) = lambda(z) * w(c_o) *
+   w(c_o') for (c_o)* = z * c_o', and T = |Z| for a lambda alone in Z's orbit.
 
 Both congruence constraints on l force l coprime to |G| (every prime of |G|
 divides e), which is what makes the class algebra split.  Only the degrees
@@ -105,6 +101,7 @@ visiting order is a different ``ClassAlgebraData`` (``dataclasses.replace``).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -215,7 +212,7 @@ class ClassAlgebraData:
             del self._columns[g]
             k, j = np.divmod(codes, r)
             # the codes ascend, so one entry 1 per class k reads k = 0, 1, ..., r - 1, and j = pi^-1
-            if len(codes) != r or (values != 1).any() or (k != np.arange(r)).any() or not np.bincount(j, minlength=r).all():
+            if len(codes) != r or np.count_nonzero(values != 1) or np.count_nonzero(k != np.arange(r)) or np.count_nonzero(np.bincount(j, minlength=r)) != r:
                 raise EigensplitError(f"class sum {g} of one element does not permute the classes")
             self._permutations[g] = np.argsort(j)
         return self._permutations[g]
@@ -266,41 +263,27 @@ def least_admissible_prime(order: int, exponent: int) -> int:
     return next(admissible_primes(order, exponent))
 
 
-def _check_degree_budget(sizes: np.ndarray, ell: int, k: int, orbits: int) -> None:
+def _check_degree_budget(sizes: tuple[int, ...], ell: int, k: int, orbits: int) -> None:
     """Raise GroupTooLargeError when the arrays the degree layer holds at
     once would outgrow the table budget, for k class sums of one element
     used (k <= log2 |Z|) and b Z-orbits (``orbits``), the largest block.
 
-    Residues take s bytes (``modmat.residues(ell)``).  The centre's walk and
-    normal forms hold (64 k + 200) bytes a class: eight int64 cells of each
-    class for each class sum of one element used (its permutation, the
-    digits and their strides, a shifted copy, and the exponent vectors of
-    Z's characters with two copies), and 200 bytes (the walk's lists and a
-    few int64 arrays of r entries).  A split's direct sum of d = b
-    coordinates, or up to isqrt(BLOCK_CELLS) of several blocks, holds the
-    larger of six d x d residue arrays (the Krylov powers and the
-    elimination of ``_lagrange``) and three plus int64 and float64
-    transients of d^2 + 3 d * d / PANELS cells (the chain's echelon rows, or
-    ``modmat.matmul``'s copies and panels); every other step is blocked,
-    within three arrays of min(d^2, BLOCK_CELLS) 8-byte cells.  The vectors,
-    sum r_lambda^2 <= b * r residues, are held with a copy; the folded
-    columns, two of at most |G| * min(b, |K|^2) int64 cells, exist only when
-    an orbit holds several classes; counting the largest class's column
-    takes 18 bytes per cell of its |K| * r products.  tracemalloc puts the
-    peak at 0.15 MB on C2^8 (k = 8), 0.10 MB on C3^5 (k = 5), 0.06 MB on
-    C400 (k = 1), 3.3 MB on C2^12 and 3.6 MB on C3^8, 0.13 MB on S5 x S4,
-    0.50 MB on D200, 27 MB on D2000, 0.07 MB on D8 x C9, 0.57 MB on D8 x
-    C2^5 and 5.8 MB on D8^3 x C2^4; the count is 1.2 to 2.5 times these.
-    Below a few kilobytes fixed Python overhead is not counted: S6 (r = 11)
-    peaks at 43 KB against 36 KB counted.  The columns kept for the class
-    sums visited, each of at most min(r^2, |K_g| * r) cells, are not counted:
-    on every group measured it visits at most one beyond those it uses."""
-    r, largest, b = len(sizes), int(np.max(sizes)), orbits
-    s = np.dtype(modmat.residues(ell)).itemsize
-    # a split's direct sum: one block, or blocks of several characters within one block of cells
+    Residues take s bytes.  The centre's walk and normal forms hold (64 k +
+    200) bytes a class.  With several orbits, a split's direct sum of d =
+    max(b, min(r, isqrt(BLOCK_CELLS))) coordinates holds the larger of six d
+    x d residue arrays (the Krylov powers and their elimination) and three
+    plus the transients of d^2 + 3 d * d / PANELS 8-byte cells
+    (``modmat.matmul``), besides three blocked arrays of min(d^2,
+    BLOCK_CELLS) 8-byte cells, and two folded columns of |Z| x min(b^2, |K|
+    * b) int64 cells; the vectors, at most b * r residues, are held with a
+    copy; counting the largest class's column takes 18 bytes per cell of its
+    |K| * r products.  The columns kept for the class sums visited are not
+    counted.  ``BENCH_27.json`` holds the tracemalloc peaks this covers."""
+    r, largest, b, s = len(sizes), max(sizes), orbits, np.dtype(modmat.residues(ell)).itemsize
+    # a split runs only with several orbits
     d = max(b, min(r, math.isqrt(groups.BLOCK_CELLS))) if b > 1 else 0
     split = max(6 * s * d * d, 3 * s * d * d + 8 * (d * d + 3 * d * -(-d // modmat.PANELS))) + 24 * min(d * d, groups.BLOCK_CELLS)
-    folds = 16 * int(np.sum(sizes)) * min(b, largest * largest) if 1 < b < r else 0
+    folds = 16 * sizes.count(1) * min(b * b, largest * b) if b > 1 else 0
     size = (64 * k + 200) * r + split + 2 * s * b * r + folds + 18 * largest * r
     if size > groups.TABLE_MAX_BYTES:
         raise GroupTooLargeError(
@@ -311,15 +294,11 @@ def _check_degree_budget(sizes: np.ndarray, ell: int, k: int, orbits: int) -> No
 
 def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraData:
     """The class algebra's coefficients, counted one class at a time when the
-    split first reads them, plus exponent and dixon prime.
-
-    a[g][j][k] counts the x in class g with x^-1 * z_k in class j, z_k the
-    representative of class k: class g's column is one gather of |K_g| * r
-    cells, counted by (k, j).  Raises GroupTooLargeError when the degree
-    layer would exceed the table budget: before anything is allocated when
-    the centre is 1 or G (r orbits or one), else once the centre's orbits
-    are walked (step 2 above), which the budget counts.
-    """
+    split first reads them, plus exponent and dixon prime: a[g][j][k] counts
+    the x in class g with x^-1 * z_k in class j, z_k the representative of
+    class k, one gather of |K_g| * r cells.  Raises GroupTooLargeError when
+    the degree layer would exceed the table budget: before anything is
+    allocated when the centre is 1 or G, else once its orbits are walked."""
     r, sizes = len(classes), classes.sizes
     exponent = int(np.lcm.reduce(group.element_orders))
     ell = least_admissible_prime(group.order, exponent)
@@ -330,25 +309,27 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
 
     def column(g: int) -> tuple[np.ndarray, np.ndarray]:
         inverses = group.inverses[classes.members(g)]
-        return np.unique(class_of[group.mul(inverses[:, None], representatives)] + offsets, return_counts=True)
+        codes, starts = _runs(np.sort(class_of[group.mul(inverses[:, None], representatives)] + offsets, axis=None))
+        return codes, np.concatenate([starts[1:], [len(inverses) * r]]) - starts
 
     data = ClassAlgebraData(column, tuple(sizes.tolist()), classes.inverse_pairing, exponent, ell, tuple(generator_classes))
     z = data.sizes.count(1)
     if z in (1, r):
-        _check_degree_budget(sizes, ell, min(len(generator_classes), z.bit_length() - 1), r - z + 1)
+        _check_degree_budget(data.sizes, ell, min(len(generator_classes), z.bit_length() - 1), r - z + 1)
     else:
-        _check_degree_budget(sizes, ell, len(data.centre.used), len(data.centre.reps))
+        _check_degree_budget(data.sizes, ell, len(data.centre.used), len(data.centre.reps))
     return data
 
 
 class _Centre(NamedTuple):
     """The orbits of Z = Z(G) on the classes and their normal forms (step 2
     above).  class -> its orbit, numbered by least class (orbit 0 is Z), its
-    place in the orbit's normal form and the k x r digits t(j); orbit -> its
-    least class c_o and its normal form, a row of orders (the relative
-    orders m_i), relations (the strictly lower triangular u_i) and strides
-    (each digit's place value, the size last), kind 0 being Z's own; the
-    classes z_i of one element used; class -> its inverse class."""
+    place in the orbit's normal form (0 exactly at the orbit's least class)
+    and the k x r digits t(j); orbit -> its least class c_o and its normal
+    form, a row of orders (the relative orders m_i), relations (the strictly
+    lower triangular u_i) and strides (each digit's place value, the size
+    last), kind 0 being Z's own; the classes z_i of one element used;
+    class -> its inverse class."""
 
     orbit: np.ndarray
     place: np.ndarray
@@ -359,20 +340,18 @@ class _Centre(NamedTuple):
     relations: np.ndarray
     strides: np.ndarray
     used: list[int]
-    inverse: np.ndarray
+    star: np.ndarray
 
 
 class _Split(NamedTuple):
-    """The central characters over the lambda_a of Z not alone in their
-    block (step 2 above): row t of ``vectors`` is one over lambda_a, a =
-    characters[owner[t]], read at the representative of every orbit (0 off
-    its block), and ``folds`` holds the folded column (``_fold``) of each
-    class sum that split one."""
+    """The central characters over the characters of Z not alone in their
+    block (step 2 above): row t of ``vectors`` is one over the character
+    ``owner[t]``, read at every orbit's representative (0 off its block);
+    ``used`` holds the class sums that split a block."""
 
-    characters: np.ndarray
     vectors: np.ndarray
     owner: np.ndarray
-    folds: dict[int, tuple[np.ndarray, np.ndarray]]
+    used: list[int]
 
 
 def _walk_centre(data: ClassAlgebraData) -> _Centre:
@@ -381,10 +360,6 @@ def _walk_centre(data: ClassAlgebraData) -> _Centre:
     through the same permutations (step 2 above)."""
     r, first = data.class_count, data.generator_classes
     tried, central = set(first), data.sizes.count(1)
-    if central == 1:
-        # Z = 1: every class is an orbit of its own, at place 0
-        every, one = np.arange(r), np.ones((1, 1), dtype=np.int64)
-        return _Centre(every, np.zeros(r, dtype=np.intp), np.zeros((0, r), dtype=np.int64), every, np.zeros(r, dtype=np.intp), one[:, :0], one[:, :0, None][:, :0], one, [], np.array(data.star))
     orbit, place = [-1] * r, [-1] * r
     orbit[0] = place[0] = 0
     members, forms, permutations, used = [0], [([], [])], [], []
@@ -398,7 +373,7 @@ def _walk_centre(data: ClassAlgebraData) -> _Centre:
     if len(members) < central:
         raise EigensplitError(f"refinement stalled with {len(members)} idempotents for {central} classes")
     reps = [0]
-    for c in range(r) if central < r else ():
+    for c in range(r):
         if orbit[c] < 0:
             orbit[c], place[c], members = len(reps), 0, [c]
             reps.append(c)
@@ -411,11 +386,9 @@ def _walk_centre(data: ClassAlgebraData) -> _Centre:
     for c, (_, u) in enumerate(kinds):
         for i, digits in enumerate(u):
             relations[c, i, :i] = digits
-    strides = np.ones((len(kinds), k + 1), dtype=np.int64)
-    np.cumprod(orders, axis=1, out=strides[:, 1:])
-    orbit, place = np.array(orbit) if central < r else np.zeros(r, dtype=np.intp), np.array(place)
-    # with one kind every class has Z's normal form
-    of_class = kind[orbit] if len(kinds) > 1 else slice(0, 1)
+    strides = np.array([[math.prod(m[:i]) for i in range(k + 1)] for m, _ in kinds], dtype=np.int64)
+    orbit, place = np.array(orbit), np.array(place)
+    of_class = kind[orbit]
     digits = place // strides[of_class, :k].T % orders[of_class].T
     return _Centre(orbit, place, digits, np.array(reps), kind, orders, relations, strides, used, np.array(data.star))
 
@@ -453,18 +426,18 @@ def _characters_of_centre(data: ClassAlgebraData, centre: _Centre) -> np.ndarray
     characters = np.zeros((1, 0), dtype=np.int64)
     for i, (m, g) in enumerate(zip(orders.tolist(), centre.used)):
         c = characters @ relations[i, :i] % e
-        if e % m or (c % m).any():
+        if e % m or np.count_nonzero(c % m):
             raise EigensplitError(f"the relation of class sum {g}, of relative order {m}, has no {m} solutions mod {e}")
         solutions = (c // m)[:, None] + np.arange(m) * (e // m)
         characters = np.concatenate([np.repeat(characters, m, axis=0), solutions.reshape(-1, 1)], axis=1)
     return characters
 
 
-def _trivial_on_stabilisers(centre: _Centre, characters: np.ndarray, e: int) -> np.ndarray:
-    """Whether lambda_a is trivial on the stabiliser of the orbits of each
-    kind, that is whether a solves their relations: characters x kinds."""
-    defects = characters * centre.orders[:, None] - characters @ centre.relations.transpose(0, 2, 1)
-    return (defects % e == 0).all(axis=2).T
+def _block_orbits(centre: _Centre, characters: np.ndarray, e: int) -> np.ndarray:
+    """characters x orbits: whether lambda_a is trivial on the orbit's
+    stabiliser, that is whether a solves the relations of its kind."""
+    defects = (characters * centre.orders[:, None] - characters @ centre.relations.transpose(0, 2, 1)) % e
+    return ~defects.any(axis=2).T[:, centre.kind]
 
 
 @cache
@@ -490,10 +463,10 @@ def _fold(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, g: in
     r, n, e, ell = data.class_count, len(centre.reps), data.exponent, data.dixon_prime
     codes, values = data.column(g)
     if n == r:
-        # every class is its own orbit: the column is folded already
+        # every class is an orbit, so Z = 1 and lambda = 1: the column is folded already
         return codes, values[None] % ell
     k, j = np.divmod(codes, r)
-    kept = np.flatnonzero(centre.reps[centre.orbit[j]] == j)
+    kept = (centre.place[j] == 0).nonzero()[0]
     folded = centre.orbit[k[kept]] * n + centre.orbit[j[kept]]
     by_code = np.argsort(folded, kind="stable")
     codes, starts = _runs(folded[by_code])
@@ -506,17 +479,15 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the sorted ``keys`` and where each run starts."""
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(fresh)
+    starts = fresh.nonzero()[0]
     return keys[starts], starts
 
 
 def _action(codes: np.ndarray, values: np.ndarray, r: int, ell: int) -> Callable[[np.ndarray], np.ndarray]:
     """x -> x @ M mod ell on rows x reduced mod ell, in x's dtype, for the r x
     r matrix M with entries ``values`` at codes k * r + j (M[j][k])
-    ascending: row t of the image is the coordinate row of x_t * K.  A call
-    costs len(x) * len(codes) cells, a block of rows at a time; the products
-    fit x's dtype ``modmat.residues(ell)`` and each sum of at most r of them
-    is accumulated in int64."""
+    ascending: row t of the image is the coordinate row of x_t * K, a block
+    of rows at a time, each sum of at most r products in int64."""
     k, j = np.divmod(codes, r)
     ks, starts = _runs(k)
     values = (values % ell).astype(modmat.residues(ell))
@@ -530,130 +501,91 @@ def _action(codes: np.ndarray, values: np.ndarray, r: int, ell: int) -> Callable
     return act
 
 
-def _pairs(data: ClassAlgebraData, centre: _Centre) -> tuple[np.ndarray, np.ndarray]:
-    """orbit o -> the orbit o' of the inverse class (c_o)* = z * c_o', and
-    the digits of that class, whose z gives w((c_o)*) = lambda(z) * w(c_o')."""
-    inverses = centre.inverse[centre.reps]
-    return centre.orbit[inverses], centre.digits[:, inverses]
-
-
-def _blocks(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray) -> tuple[np.ndarray, _Split | None]:
-    """Split the class algebra one block at a time (step 2 above): the
-    characters of Z whose block is Z's orbit alone, which need no split, and
-    the central characters over the others.  A split runs on the direct sum
-    of the blocks of pending characters, in order, while it keeps its arrays
-    within one block of cells (at least one block); a pending character of
-    the same orbits as one in the sum, whose folded columns agree with that
-    one's on every class sum the split visits, shares its idempotents.  The
-    class sums of several elements are visited generators' classes first,
-    then in class order."""
-    if len(centre.reps) == 1:
-        return characters, None
-    e, ell, n = data.exponent, data.dixon_prime, len(centre.reps)
-    if centre.used:
-        good = _trivial_on_stabilisers(centre, characters, e)[:, centre.kind]
-        sizes = good.sum(axis=1)
-        alone, characters, good, sizes = characters[sizes == 1], characters[sizes > 1], good[sizes > 1], sizes[sizes > 1]
-        by_block = np.lexsort(good.T)
-        characters, good, sizes = characters[by_block], good[by_block], sizes[by_block]
-    else:
-        # Z = 1: the one character's block holds every orbit
-        alone, good, sizes = characters[:0], np.ones((1, n), dtype=bool), np.array([n])
-    first, rest = np.array(data.generator_classes, dtype=np.intp), centre.orbit != 0
-    order = first[rest[first]].tolist()
-    rest[first] = False
-    order += np.flatnonzero(rest).tolist()
-    pair, pair_digits = _pairs(data, centre)
-    twist = (np.array([data.sizes[c] for c in centre.reps.tolist()], dtype=np.int64) * (centre.strides[0, -1] // centre.strides[centre.kind, -1]) % ell)[None]
-    if centre.used:
-        twist = _roots_of_unity(e, ell)[-(characters @ pair_digits) % e] * twist % ell
-    folds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    pending, rows_of, owners, splitting, most = np.ones(len(characters), dtype=bool), [], [], set(), math.isqrt(groups.BLOCK_CELLS)
-    while pending.any():
-        waiting = np.flatnonzero(pending)
-        taken = waiting[: max(1, np.searchsorted(np.cumsum(sizes[waiting]), most, side="right"))]
-        offsets = np.cumsum(sizes[taken]) - sizes[taken]
-        size, inside = int(sizes[taken].sum()), good[taken]
-        # the coordinate of orbit o in the part of the t-th character taken; one block of every orbit keeps them
-        whole = len(taken) == 1 and size == n
-        rank = None if whole else np.cumsum(inside, axis=1) - 1 + offsets[:, None]
+def _blocks(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, good: np.ndarray) -> _Split:
+    """Split the blocks ``good`` of several orbits in turns (step 2 above):
+    the first pending character's block with the pending ones of the same
+    orbits, as many as keep their direct sum within one block of cells,
+    from the blocks' identities, on the folded columns of the class sums of
+    several elements, generators' classes first, then in class order."""
+    e, ell, n, dtype = data.exponent, data.dixon_prime, len(centre.reps), modmat.residues(data.dixon_prime)
+    pending, folds, used = good.sum(axis=1) > 1, {}, set()
+    vectors, owners = [np.zeros((0, n), dtype=dtype)], [np.zeros(0, dtype=np.intp)]
+    # the class sums of one orbit act on a block as multiples of one another: one of each is visited
+    first = {}
+    for g in itertools.chain(data.generator_classes, centre.reps.tolist()):
+        first.setdefault(int(centre.orbit[g]), g)
+    order = [g for o, g in first.items() if o]
+    # w(c_o) = |K_c_o| * |Z| / |o| * lambda(z)^-1 * y_o' / y_0 for (c_o)* = z * c_o'
+    pair = centre.star[centre.reps]
+    twist = np.array(data.sizes)[centre.reps] * (centre.strides[0, -1] // centre.strides[centre.kind, -1]) % ell
+    twist = _roots_of_unity(e, ell)[-(characters @ centre.digits[:, pair]) % e] * twist % ell
+    while np.count_nonzero(pending):
+        inside = good[pending.argmax()]
+        size, rank = int(inside.sum()), np.cumsum(inside) - 1
+        batch = (pending & (good == inside).all(axis=1)).nonzero()[0][: max(1, math.isqrt(groups.BLOCK_CELLS) // size)]
+        pending[batch] = False
+        # the t-th character's part holds the coordinates t * size + rank[o]: code t * size * (d + 1) + rank[k] * d + rank[j]
+        d = len(batch) * size
+        t = np.arange(len(batch))[:, None] * size * (d + 1)
 
         def action(g: int) -> Callable[[np.ndarray], np.ndarray]:
             if g not in folds:
                 folds[g] = _fold(data, centre, characters, g)
             codes, values = folds[g]
-            if whole:
-                return _action(codes, values[taken[0]], n, ell)
+            if size == d == n:
+                # one block of every orbit: the folded column is its action
+                return _action(codes, values[batch[0]], n, ell)
             col, row = np.divmod(codes, n)
-            mask = inside[:, col] & inside[:, row]
-            return _action((rank[:, col] * size + rank[:, row])[mask], values[taken][mask], size, ell)
+            keep = (inside[col] & inside[row]).nonzero()[0]
+            return _action((rank[col[keep]] * d + rank[row[keep]] + t).ravel(), values[batch][:, keep].ravel(), d, ell)
 
-        rows, used, visited = _idempotents(action, size, offsets.tolist(), order, ell)
-        pending[taken] = False
-        owner = np.full(len(rows), taken[0]) if len(taken) == 1 else taken[np.searchsorted(offsets, (rows != 0).argmax(axis=1), side="right") - 1]
-        # a character waiting with the same orbits as the first one taken with them shares its rows
-        leads = taken[np.flatnonzero(np.r_[True, (good[taken[1:]] != good[taken[:-1]]).any(axis=1)])] if pending.any() else ()
-        for lead in leads:
-            same = np.flatnonzero(pending & (good == good[lead]).all(axis=1))
-            for g in visited:
-                codes, values = folds[g]
-                mask = good[lead][codes // n] & good[lead][codes % n]
-                same = same[(values[same][:, mask] == values[lead][mask]).all(axis=1)]
-            pending[same] = False
-            mine = np.flatnonzero(owner == lead)
-            rows, owner = np.concatenate([rows, np.tile(rows[mine], (len(same), 1))]), np.concatenate([owner, np.repeat(same, len(mine))])
-        # the rows in orbit coordinates: a row lies in its own part, where each orbit has one coordinate
-        if not whole:
-            at, y = rows.nonzero(), np.zeros((len(rows), n), dtype=rows.dtype)
-            y[at[0], (np.flatnonzero(inside.ravel()) % n)[at[1]]] = rows[at]
-            rows = y
-        rows_of.append(rows)
-        owners.append(owner)
-        splitting.update(used)
-    y, owner = (rows_of[0], owners[0]) if len(rows_of) == 1 else (np.concatenate(rows_of), np.concatenate(owners))
-    # y_0 = |Z| * chi(1)^2 / |G| takes one value per degree
-    first = y[:, 0].tolist()
-    if 0 in first:
-        raise EigensplitError("idempotent vanishes at the identity class")
-    inverse = {v: pow(v, -1, ell) for v in set(first)}
-    dtype = modmat.residues(ell)
-    inverse = np.array([inverse[v] for v in first], dtype=dtype)
-    vectors = modmat.reduce(twist.astype(dtype)[owner] * modmat.reduce(y.take(pair, axis=1) * inverse[:, None], ell), ell)
-    return alone, _Split(characters, vectors, owner, {g: folds[g] for g in sorted(splitting)})
+        rows, splitting = _idempotents(action, np.eye(d, dtype=dtype)[::size].sum(axis=0, dtype=dtype), size, order, ell)
+        used.update(splitting)
+        part = (rows != 0).argmax(axis=1) // size
+        y = np.zeros((len(rows), n), dtype=np.int64)
+        y[:, inside] = rows.reshape(len(rows), len(batch), size)[np.arange(len(rows)), part]
+        # y_0 = |Z| * chi(1)^2 / |G| takes one value per degree
+        y0 = y[:, 0].tolist()
+        if 0 in y0:
+            raise EigensplitError("idempotent vanishes at the identity class")
+        inverse = {v: pow(v, -1, ell) for v in set(y0)}
+        owners.append(batch[part])
+        scale = np.array([inverse[v] for v in y0])[:, None] * twist[owners[-1]] % ell
+        vectors.append((y.take(centre.orbit[pair], axis=1) * scale % ell).astype(dtype))
+    return _Split(np.concatenate(vectors), np.concatenate(owners), sorted(used))
 
 
-def _idempotents(action: Callable[[int], Callable], r: int, starts: list[int], order: list[int], ell: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """The primitive idempotents of an algebra of dimension r over GF(ell),
-    a direct sum of blocks starting at the coordinates ``starts``, the class
-    sums that split one and those visited, in ``order``; ``action(g)`` is
-    class sum g's action on coordinate rows.
+def _idempotents(action: Callable[[int], Callable], one: np.ndarray, size: int, order: list[int], ell: int) -> tuple[np.ndarray, list[int]]:
+    """The primitive idempotents, as coordinate rows, of an algebra over
+    GF(ell), a direct sum of blocks of ``size`` coordinates with identity
+    ``one``, and the class sums that split one, visited in ``order``;
+    ``action(g)`` is class sum g's action on coordinate rows.
 
     ``rows`` holds orthogonal idempotents summing to 1, starting from the
-    identity.  A class sum K that acts on every row as a scalar, e * K =
-    lambda * e, is skipped.  Otherwise K replaces each row e it does not act
-    on as a scalar by the nonzero rows e * E_lambda over its Lagrange
-    idempotents; while the only row is the identity, its chain e, e * K, ...
-    is K's identity chain, and its products are cut into their blocks.
-    Afterwards e * K = lambda * e, so one pass suffices; it stops at r rows.
-    """
-    dtype = modmat.residues(ell)
-    one = np.zeros(r, dtype=dtype)
-    one[starts] = 1
-    rows, used, visited = one[None], [], []
+    identity.  A class sum K that acts on every row as a scalar is skipped;
+    otherwise each row e it does not act on as a scalar is replaced by the
+    nonzero rows e * E_lambda over K's Lagrange idempotents, read off K's
+    identity chain for the identity and cut into the blocks, whose
+    identities are central.  One pass suffices, ending at as many rows as
+    coordinates."""
+    r, rows, used = len(one), one[None], []
     for g in order:
         if len(rows) >= r:
             break
         act = action(g)
-        visited.append(g)
         image = act(rows)
         scalar = _eigenvector_rows(rows, image, ell)
-        if scalar.all():
+        if np.count_nonzero(scalar) == len(rows):
             continue
-        powers, dependent = _identity_chain(act, one, ell)
+        powers, coefficients = _identity_chain(act, one, ell)
         n = len(powers)
-        lagrange = _lagrange(powers, dependent, ell)
+        lagrange = _lagrange(powers, coefficients, ell)
         if len(rows) == 1:
-            rows = _separate(modmat.matmul(lagrange.T, powers, ell), starts)
+            parts = modmat.matmul(lagrange.T, powers, ell).reshape(n, -1, size)
+            at = parts.any(axis=2).nonzero()
+            rows = np.zeros((len(at[0]), r // size, size), dtype=parts.dtype)
+            rows[np.arange(len(at[0])), at[1]] = parts[at]
+            rows = rows.reshape(-1, r)
         else:
             # a row K acts on as a scalar is its own only nonzero product
             refined, split, image = [rows[scalar]], rows[~scalar], image[~scalar]
@@ -665,77 +597,38 @@ def _idempotents(action: Callable[[int], Callable], r: int, starts: list[int], o
                 refined.append(products[products.any(axis=1)])
             rows = np.concatenate(refined)
         used.append(g)
-    rows = _separate(rows, starts) if len(rows) == 1 else rows
     if len(rows) < r:
         raise EigensplitError(f"refinement stalled with {len(rows)} idempotents for {r} classes")
     if len(rows) != r:
         raise EigensplitError(f"found {len(rows)} primitive idempotents, expected {r}")
-    return rows, used, visited
-
-
-def _separate(rows: np.ndarray, starts: list[int]) -> np.ndarray:
-    """The nonzero parts of ``rows`` in each block of a direct sum starting
-    at the coordinates ``starts``: a block's identity is a central
-    idempotent, and multiplying by it keeps a row's coordinates in it."""
-    parts = []
-    for s, t in zip(starts, [*starts[1:], rows.shape[1]]):
-        mine = rows[rows[:, s:t].any(axis=1)]
-        parts.append(np.zeros_like(mine))
-        parts[-1][:, s:t] = mine[:, s:t]
-    return np.concatenate(parts) if len(parts) > 1 else rows
+    return rows, used
 
 
 def _identity_chain(act: Callable, one: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Krylov chain 1, K, K^2, ... of the class sum K whose action is ``act``,
-    from the identity ``one``.
-
-    Returns the independent powers as rows (their number is the number of
-    distinct eigenvalues of K) and the first power that depends on them.
-    Each power is reduced against the earlier ones, kept in reduced echelon
-    form: only against the echelon rows at its nonzero pivot coordinates,
-    and the new pivot column is cleared only in the rows with an entry
-    there.
-    """
-    r, dtype = len(one), modmat.residues(ell)
-    echelon = np.zeros((r, r), dtype=dtype)
-    pivots = np.zeros(r, dtype=np.intp)
-    powers = []
-    x = one
+    from the identity ``one``: the first n powers, which are independent (n
+    is the number of distinct eigenvalues of K), and the c with K^n = sum_t
+    c_t K^t.  The chain grows in runs, eight powers and then four times as
+    many, each run eliminated once as the columns of one matrix: once K^n
+    depends on the powers before it so does every later power, so the
+    pivots are the first n columns, and column n holds c."""
+    powers = [one]
     while True:
-        k = len(powers)
-        coordinates = x[pivots[:k]]
-        at = coordinates.nonzero()[0]
-        rest = x
-        if len(at):
-            # a sum of up to r products, in int64
-            rest = modmat.reduce(x - np.matmul(coordinates[at], echelon[at], dtype=np.int64), ell).astype(dtype)
-        nz = rest.nonzero()[0]
-        if len(nz) == 0:
-            return np.array(powers, dtype=dtype).reshape(-1, r), x
-        c = int(nz[0])
-        rest = rest * modmat.inv_mod(int(rest[c]), ell) % ell
-        hit = echelon[:k, c].nonzero()[0]
-        if len(hit):
-            echelon[hit] = modmat.reduce(echelon[hit] - modmat.reduce(np.outer(echelon[hit, c], rest), ell), ell)
-        echelon[k] = rest
-        pivots[k] = c
-        powers.append(x)
-        x = act(x[None])[0]
+        for _ in range(min(len(one) + 1, max(8, 4 * len(powers))) - len(powers)):
+            powers.append(act(powers[-1][None])[0])
+        reduced, pivots = modmat.rref(np.array(powers).T, ell)
+        if len(pivots) < len(powers):
+            return np.array(powers[: len(pivots)]), reduced[: len(pivots), len(pivots)]
 
 
-def _lagrange(powers: np.ndarray, dependent: np.ndarray, ell: int) -> np.ndarray:
+def _lagrange(powers: np.ndarray, coefficients: np.ndarray, ell: int) -> np.ndarray:
     """L with E_lambda = sum_t L[t, lambda] K^t, the Lagrange idempotents of
-    the class sum K whose identity chain is (powers, dependent).
-
-    One elimination of [C | K^n] gives K's minimal polynomial f, which must
-    have n distinct roots in GF(ell).  Then E_lambda = f(K) / ((K - lambda)
-    * f'(lambda)); the quotients f / (x - lambda) come by synthetic division,
-    and L is the inverse of the Vandermonde matrix of the roots.
-    """
+    the class sum K whose identity chain is (powers, coefficients), which
+    give K's minimal polynomial f; it must have n distinct roots in GF(ell).
+    Then E_lambda = f(K) / ((K - lambda) * f'(lambda)); the quotients f / (x
+    - lambda) come by synthetic division."""
     n = len(powers)
-    # the powers are independent and the dependent power lies in their span
-    reduced, _ = modmat.rref(np.concatenate([powers.T, dependent[:, None]], axis=1), ell)
-    f = [(-int(c)) % ell for c in reduced[:n, n]] + [1]
+    f = [(-int(c)) % ell for c in coefficients] + [1]
     roots = modmat.poly_roots(f, ell)
     if len(roots) != n:
         raise EigensplitError(
@@ -762,115 +655,98 @@ def _eigenvector_rows(rows: np.ndarray, image: np.ndarray, ell: int) -> np.ndarr
     return (modmat.reduce(image * rows[at, p][:, None], ell) == modmat.reduce(rows * image[at, p][:, None], ell)).all(axis=1)
 
 
-def _carry(v: np.ndarray, orders: np.ndarray, relations: np.ndarray, kinds: np.ndarray, overflowing: Iterable[int]) -> np.ndarray:
-    """NF of each column of v, one row of digits per class sum used, in the
-    normal form of kind ``kinds`` (a row of ``orders`` and ``relations``),
-    in place (step 3 above), when only the digits ``overflowing`` may lie
-    outside 0..m_j - 1: from the top down, such a digit keeps its remainder
-    by m_j, and its quotient q adds q * u_j to the digits below, where some
-    u_j is nonzero, which may then overflow in turn."""
-    overflowing = set(overflowing)
-    for j in range(max(overflowing, default=-1), -1, -1):
-        if j in overflowing:
-            q, v[j] = np.divmod(v[j], orders[kinds, j])
-            for i in np.flatnonzero(relations[:, j].any(axis=0)).tolist():
-                v[i] += q * relations[kinds, j, i]
-                overflowing.add(i)
-    return v
-
-
 def _certify_centre(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray) -> None:
     """Raise unless the orbits' normal forms and the exponent vectors of Z's
     characters meet the checks of step 3 above on the classes of one
     element used, over the r classes at once: k x r digits at a time."""
-    e, k, used, star = data.exponent, len(centre.used), centre.used, centre.inverse
-    orbit, place, digits, orders, relations = centre.orbit, centre.place, centre.digits, centre.orders, centre.relations
-    # with one kind every class has Z's normal form, and with one orbit every class is in Z
-    kinds, strides, several = centre.kind[orbit] if len(orders) > 1 else slice(0, 1), centre.strides, len(centre.reps) > 1
-    size = strides[centre.kind, k]
+    e, k, used, star = data.exponent, len(centre.used), centre.used, centre.star
+    orbit, place, digits, orders, relations, reps = centre.orbit, centre.place, centre.digits, centre.orders, centre.relations, centre.reps
+    kinds, size = centre.kind[orbit], centre.strides[centre.kind, k]
     if (data.dixon_prime - 1) % e:
         raise EigensplitError(f"GF({data.dixon_prime}) holds no root of unity of order {e}")
-    if orbit[0] != 0 or place[0] != 0:
+    if orbit[0] or place[0]:
         raise EigensplitError("a split vector is not 1 at the identity class")
-    if several and ((orbit[centre.reps] != np.arange(len(size))).any() or place[centre.reps].any()) or not np.array_equal(np.bincount(orbit), size):
+    counts = np.bincount(orbit)
+    if len(counts) != len(size) or np.count_nonzero(counts != size) or np.count_nonzero(orbit[reps] != np.arange(len(reps))) or np.count_nonzero(place[reps]):
         raise EigensplitError("an orbit's classes are not its representative and as many as the places of its normal form")
     if len(characters) != size[0]:
         raise EigensplitError(f"found {len(characters)} vectors, expected {size[0]}")
     if not k:
-        # Z = 1: every orbit is one class at place 0, and lambda = 1
+        # Z = 1: every orbit is one class at place 0, so the checks below hold with no digits
         return
-    bad = ((characters < 0) | (characters >= e) | ((characters * orders[0] - characters @ relations[0].T) % e != 0)).any(axis=0)
-    if bad.any():
-        raise EigensplitError(f"a character's exponents are not residues mod {e} that solve the relation of class sum {used[bad.argmax()]}")
+    bad = ((characters % e != characters) | ((characters * orders[0] - characters @ relations[0].T) % e != 0)).any(axis=0).nonzero()[0]
+    if len(bad):
+        raise EigensplitError(f"a character's exponents are not residues mod {e} that solve the relation of class sum {used[bad[0]]}")
     if len(characters) > 1 and _has_equal_rows(characters):
         raise EigensplitError("two split vectors agree on every class sum used")
-    strides = strides[kinds].T
+    strides, m = centre.strides[kinds].T, orders[kinds].T
+    lower = [relations[:, j].any(axis=0).nonzero()[0].tolist() for j in range(k)]
+
+    def carry(v: np.ndarray, overflowing: Iterable[int]) -> np.ndarray:
+        # NF of each column of v in place, when only the digits ``overflowing`` may lie outside 0..m_j - 1:
+        # from the top down, such a digit's quotient q by m_j adds q * u_j to the digits below
+        overflowing = set(overflowing)
+        for j in range(max(overflowing), -1, -1):
+            if j in overflowing:
+                q, v[j] = np.divmod(v[j], m[j])
+                for i in lower[j]:
+                    v[i] += q * relations[kinds, j, i]
+                    overflowing.add(i)
+        return v
+
     for i, g in enumerate(used):
         if data.permutation(g)[star[g]] != 0:
             raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
         if orbit[g] != 0 or place[g] != strides[i, 0]:
             raise EigensplitError(f"class sum {g} is not the generator of digit {i} of the normal form")
-    expected = star[centre.reps[orbit]] if several else np.zeros_like(star)
-    if several and ((orbit[star] != orbit[expected]).any() or (len(orders) > 1 and (kinds[star] != kinds).any())) or not np.array_equal(
-        (strides[:k] * _carry(digits + digits[:, star], orders, relations, kinds, range(k))).sum(axis=0), place[expected]
-    ):
+    expected = star[reps[orbit]]
+    product = (strides[:k] * carry(digits + digits[:, star], range(k))).sum(axis=0)
+    if np.count_nonzero(orbit[star] != orbit[expected]) or np.count_nonzero(kinds[star] != kinds) or np.count_nonzero(product != place[expected]):
         raise EigensplitError("a class and its inverse class do not multiply to 1 in the normal form")
     for i, g in enumerate(used):
         # adding e_i changes no digit above i
         step = digits[: i + 1].copy()
         step[i] += 1
-        moved = (strides[: i + 1] * _carry(step, orders, relations, kinds, [i])).sum(axis=0) + place // strides[i + 1] * strides[i + 1]
+        moved = (strides[: i + 1] * carry(step, [i])).sum(axis=0) + place // strides[i + 1] * strides[i + 1]
         image = data.permutation(g)
-        if several and (orbit[image] != orbit).any() or not np.array_equal(moved, place[image]):
+        if np.count_nonzero(orbit[image] != orbit) or np.count_nonzero(moved != place[image]):
             raise EigensplitError(f"class sum {g} does not add 1 to digit {i} of the normal form")
 
 
-def _certify(data: ClassAlgebraData, centre: _Centre, lone: np.ndarray, split: _Split | None) -> None:
-    """Raise unless lambda_a on Z and 0 elsewhere, for the exponent vectors a
-    of ``lone``, and the vectors of ``split`` are the r central characters
-    of the class algebra (step 3 above): the centre's normal forms and the
-    characters of Z first, then the blocks, then the count."""
-    characters = lone if split is None else np.concatenate([lone, split.characters])
-    _certify_centre(data, centre, characters)
-    found = len(characters) if split is None else len(lone) + len(split.vectors)
-    if found != data.class_count:
-        raise EigensplitError(f"found {found} vectors, expected {data.class_count}")
-    # with one orbit, Z's, every character's block is that orbit alone
-    if len(centre.reps) > 1:
-        good = _trivial_on_stabilisers(centre, characters, data.exponent)[:, centre.kind] if centre.used else np.ones((1, len(centre.reps)), dtype=bool)
-        if len(lone) and (good[: len(lone)].sum(axis=1) != 1).any():
-            raise EigensplitError("a block's orbits are not those on whose stabiliser its characters of the centre are trivial")
-        _certify_split(data, centre, split, good[len(lone) :])
-
-
-def _certify_split(data: ClassAlgebraData, centre: _Centre, split: _Split, good: np.ndarray) -> None:
-    """Raise unless each vector of ``split`` is 1 at Z's orbit and 0 off its
-    character's block, each character has as many as its block has orbits
-    (``good``, characters x orbits), and they meet checks (b) at the
-    representatives and (c) on the class sums of the folds (step 3 above),
-    a block of rows at a time."""
-    ell, e, n = data.dixon_prime, data.exponent, len(centre.reps)
-    v, owner = split.vectors, split.owner
-    if (v[:, 0] != 1).any():
-        raise EigensplitError("a split vector is not 1 at the identity class")
-    if (np.bincount(owner, minlength=len(good)) != good.sum(axis=1)).any() or (not good.all() and v[~good[owner]].any()):
+def _certify(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, good: np.ndarray, split: _Split) -> None:
+    """Raise unless lambda on Z and 0 elsewhere, for each of the certified
+    ``characters`` alone in its block of ``good``, and the vectors of
+    ``split`` are the r central characters (step 3 above): one for each
+    orbit of a character's block, 1 at Z's orbit, 0 off the block, and
+    checks (b) and (c) on each class sum of ``split.used``, folded from its
+    checked column, a block of rows at a time."""
+    ell, e, n, v, owner = data.dixon_prime, data.exponent, len(centre.reps), split.vectors, split.owner
+    sizes = good.sum(axis=1)
+    # a character alone in its block counts its own
+    counts = np.bincount(owner, minlength=len(sizes)) + (sizes == 1)
+    if counts.sum() != data.class_count:
+        raise EigensplitError(f"found {counts.sum()} vectors, expected {data.class_count}")
+    if len(counts) != len(sizes) or np.count_nonzero(counts != sizes) or np.count_nonzero(v[~good[owner]]):
         raise EigensplitError("a block's orbits are not those on whose stabiliser its characters of the centre are trivial")
+    if np.count_nonzero(v[:, 0] != 1):
+        raise EigensplitError("a split vector is not 1 at the identity class")
     keys = [owner]
-    for g, (codes, values) in split.folds.items():
+    for g in split.used:
         _check_column(data, g)
+        codes, values = _fold(data, centre, characters, g)
         col, row = np.divmod(codes, n)
         by_row = np.argsort(row, kind="stable")
         rows, starts = _runs(row[by_row])
         # w_g, 0 off the block
-        value = _roots_of_unity(e, ell)[split.characters @ centre.digits[:, g] % e][owner] * v[:, centre.orbit[g]] % ell
+        value = _roots_of_unity(e, ell)[characters[owner] @ centre.digits[:, g] % e] * v[:, centre.orbit[g]] % ell
         for chunk in groups.blocks(len(v), len(codes)):
             image = np.zeros((len(owner[chunk]), n), dtype=np.int64)
             # each sum of products of two residues runs in int64
             image[:, rows] = modmat.reduce(np.add.reduceat(v[chunk][:, col[by_row]] * values[owner[chunk]][:, by_row], starts, axis=1), ell)
-            if not np.array_equal(image, modmat.reduce(value[chunk, None] * v[chunk], ell)):
+            if np.count_nonzero(image != modmat.reduce(value[chunk, None] * v[chunk], ell)):
                 raise EigensplitError(f"a split vector is not a central character on class sum {g}")
         keys.append(value)
-    if _has_equal_rows(np.stack(keys, axis=1)):
+    if len(v) > 1 and _has_equal_rows(np.stack(keys, axis=1)):
         raise EigensplitError("two split vectors agree on every class sum used")
 
 
@@ -885,9 +761,9 @@ def _check_column(data: ClassAlgebraData, g: int) -> None:
     if covered != r:
         raise EigensplitError(f"coefficients of class sum {g} cover {covered} classes j, expected {r}")
     ks, starts = _runs(k)
-    if len(ks) != r or (np.add.reduceat(values, starts) != size).any():
+    if len(ks) != r or np.count_nonzero(np.add.reduceat(values, starts) != size):
         raise EigensplitError(f"coefficients of class sum {g}: some sum over j of a[g][j][k] differs from |K_g|")
-    if not np.array_equal(j[k == 0], [star]) or values[0] != size:
+    if k[1:2].tolist() == [0] or j[0] != star or values[0] != size:
         raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
 
 
@@ -895,52 +771,52 @@ def _has_equal_rows(keys: np.ndarray) -> bool:
     """Whether two rows of ``keys`` (at least one column) are equal: they are
     neighbours once the rows are sorted."""
     ordered = keys[np.lexsort(keys.T)]
-    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
+    return bool(np.count_nonzero((ordered[1:] == ordered[:-1]).all(axis=1)))
 
 
-def _inner_products(data: ClassAlgebraData, centre: _Centre, lone: np.ndarray, split: _Split | None) -> np.ndarray:
+def _inner_products(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, split: _Split) -> np.ndarray:
     """T = sum_j w_j * w_{j*} / |K_j| mod ell for each central character w
-    (step 4 above), orbit by orbit: w_j * w_{j*} = lambda(z) * w(c_o) *
-    w(c_o') over the orbit o of j, for (c_o)* = z * c_o', which is sum over
-    Z of 1 / |K_j| for each of ``lone``."""
-    ell, e, dtype = data.dixon_prime, data.exponent, modmat.residues(data.dixon_prime)
-    if split is None:
-        # one orbit: every class is in Z, of one element
-        return np.full(len(lone), data.class_count % ell)
+    (step 4 above): |Z| for each character of Z alone in its block, and for
+    each vector of ``split``, orbit by orbit, w_j * w_{j*} = lambda(z) *
+    w(c_o) * w(c_o') for the |o| classes j of o, each of |K_c_o| elements,
+    and (c_o)* = z * c_o'."""
+    ell, e, dtype, reps, v, owner = data.dixon_prime, data.exponent, modmat.residues(data.dixon_prime), centre.reps, split.vectors, split.owner
+    t = [np.full(data.class_count - len(v), len(characters) % ell)]
     inverse = {n: pow(n, -1, ell) for n in set(data.sizes)}
-    # at most r terms below ell: exact in float64
-    weights = np.bincount(centre.orbit, weights=list(map(inverse.__getitem__, data.sizes))).astype(np.int64) % ell
-    pair, pair_digits = _pairs(data, centre)
-    twist = (_roots_of_unity(e, ell)[split.characters @ pair_digits % e] * weights % ell).astype(dtype)
-    v, owner, t = split.vectors, split.owner, [np.full(len(lone), weights[0])]
+    pair, weights = centre.star[reps], centre.strides[centre.kind, -1] * [inverse[data.sizes[c]] for c in reps.tolist()] % ell
     for chunk in groups.blocks(len(v), len(pair)):
+        twist = (_roots_of_unity(e, ell)[characters[owner[chunk]] @ centre.digits[:, pair] % e] * weights % ell).astype(dtype)
         # each product is reduced in the residue dtype, and each row's terms below ell are summed in int64
-        t.append(modmat.reduce(modmat.reduce(v[chunk] * v[chunk].take(pair, axis=1), ell) * twist[owner[chunk]], ell).sum(axis=1, dtype=np.int64))
-    return modmat.reduce(np.concatenate(t), ell)
+        t.append(modmat.reduce(modmat.reduce(v[chunk] * v[chunk].take(centre.orbit[pair], axis=1), ell) * twist, ell).sum(axis=1, dtype=np.int64))
+    return np.concatenate(t) % ell
 
 
 def _degree_frequency(order: int, t: np.ndarray, ell: int) -> DegreeFrequency:
-    """The degrees of the central characters whose T values mod ell (step 4
-    above) are ``t``: for each distinct T, the one d <= isqrt(|G|) with d^2 *
-    T = |G| mod ell.  Distinct T give distinct degrees."""
-    values, counts = np.unique(t, return_counts=True)
-    d = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
-    # d^2 <= order and T < ell, so the product stays far below 2^63
-    match = d * d * values[:, None] % ell == order % ell
-    if not (match.sum(axis=1) == 1).all():
-        raise EigensplitError(f"a central character has no single degree d <= {len(d)} with d^2 * T = {order} mod {ell}")
-    degrees = d[match.argmax(axis=1)]
-    by_degree = np.argsort(degrees)
-    return DegreeFrequency(tuple(zip(degrees[by_degree].tolist(), counts[by_degree].tolist())))
+    """The degrees of the central characters whose T values mod ell are
+    ``t``: for each distinct T, the one d <= isqrt(|G|) with d^2 = |G| / T
+    mod ell (step 4 above)."""
+    square_root = {d * d % ell: d for d in range(1, math.isqrt(order) + 1)}
+    counts = collections.Counter(t.tolist())
+    degrees = {v: square_root.get(order * pow(v, -1, ell) % ell) if v else None for v in counts}
+    if None in degrees.values():
+        raise EigensplitError(f"a central character has no single degree d <= {math.isqrt(order)} with d^2 * T = {order} mod {ell}")
+    return DegreeFrequency(tuple(sorted((degrees[v], c) for v, c in counts.items())))
 
 
 def degrees_from_class_algebra(data: ClassAlgebraData) -> DegreeFrequency:
-    """Split modulo ``data.dixon_prime`` one block of the centre's characters
-    at a time, certify the central characters, then read their degrees."""
-    ell, centre = data.dixon_prime, data.centre
-    lone, split = _blocks(data, centre, _characters_of_centre(data, centre))
-    _certify(data, centre, lone, split)
-    freq = _degree_frequency(data.order, _inner_products(data, centre, lone, split), ell)
+    """Split modulo ``data.dixon_prime`` the blocks of the centre's
+    characters, certify the central characters, then read their degrees."""
+    centre = data.centre
+    characters = _characters_of_centre(data, centre)
+    _certify_centre(data, centre, characters)
+    # with one orbit, Z = G, every character of Z is alone in its block, with T = |Z|
+    t = np.full(len(characters), len(characters) % data.dixon_prime)
+    if len(centre.reps) > 1:
+        good = _block_orbits(centre, characters, data.exponent)
+        split = _blocks(data, centre, characters, good)
+        _certify(data, centre, characters, good, split)
+        t = _inner_products(data, centre, characters, split)
+    freq = _degree_frequency(data.order, t, data.dixon_prime)
     _check_consistency(data, freq)
     return freq
 

@@ -198,7 +198,7 @@ def test_s6_frequency_is_the_same_in_every_residue_dtype(ell, dtype):
     data = class_algebra(g, conjugacy_classes(g))
     assert ell in itertools.takewhile(lambda q: q <= ell, admissible_primes(g.order, data.exponent))
     assert modmat.residues(ell) is dtype
-    _, _, split = _split(replace(data, dixon_prime=ell))
+    split = _split(replace(data, dixon_prime=ell))[-1]
     assert split.vectors.dtype == dtype
     freq = degrees_from_class_algebra(replace(data, dixon_prime=ell))
     assert freq.as_dict() == {1: 2, 5: 4, 9: 2, 10: 2, 16: 1}
@@ -254,8 +254,8 @@ def s3_algebra():
 def _s3_inner_products(vectors):
     # S3's centre is trivial: one block of its three classes, over the trivial character of Z
     data = s3_algebra()
-    split = chardeg._Split(np.zeros((1, 0), dtype=np.int64), np.array(vectors), np.zeros(len(vectors), dtype=np.intp), {})
-    return chardeg._inner_products(data, data.centre, np.zeros((0, 0), dtype=np.int64), split)
+    split = chardeg._Split(np.array(vectors), np.zeros(len(vectors), dtype=np.intp), [])
+    return chardeg._inner_products(data, data.centre, np.zeros((1, 0), dtype=np.int64), split)
 
 
 def test_hand_built_s3_algebra_gives_s3_degrees():
@@ -315,20 +315,28 @@ def _split_groups():
 
 
 def _split(data):
-    """The degree step's centre, the characters of Z whose block is Z's
-    orbit alone, and the split of the others, at ``data.dixon_prime``."""
+    """The degree step's centre, the characters of Z, their blocks and the
+    split of the blocks of several orbits, at ``data.dixon_prime``."""
     centre = data.centre
-    return (centre, *chardeg._blocks(data, centre, chardeg._characters_of_centre(data, centre)))
+    characters = chardeg._characters_of_centre(data, centre)
+    good = chardeg._block_orbits(centre, characters, data.exponent)
+    return centre, characters, good, chardeg._blocks(data, centre, characters, good)
 
 
-def _expanded(data, centre, lone, split):
+def _certify(data, centre, characters, good, split):
+    """The degree step's certificate: the centre, then the central characters."""
+    chardeg._certify_centre(data, centre, characters)
+    chardeg._certify(data, centre, characters, good, split)
+
+
+def _expanded(data, centre, characters, good, split):
     """Every central character as a row over the r classes: lambda(z) *
     w(c_o) at the class z * c_o of an orbit o, which is 0 off its block."""
     e, ell = data.exponent, data.dixon_prime
     zeta = chardeg._roots_of_unity(e, ell)
+    lone = characters[good.sum(axis=1) == 1]
     rows = [zeta[lone @ centre.digits % e] * (centre.orbit == 0)]
-    if split is not None:
-        rows.append(zeta[split.characters[split.owner] @ centre.digits % e] * split.vectors[:, centre.orbit].astype(np.int64) % ell)
+    rows.append(zeta[characters[split.owner] @ centre.digits % e] * split.vectors[:, centre.orbit].astype(np.int64) % ell)
     return np.concatenate(rows)
 
 
@@ -458,8 +466,8 @@ def test_non_central_vector_is_rejected():
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
     ell = data.dixon_prime
-    centre, lone, split = _split(data)
-    vectors = _expanded(data, centre, lone, split)
+    centre, characters, good, split = _split(data)
+    vectors = _expanded(data, centre, characters, good, split)
     oracles.Reference.check_central_characters(data.coefficients, 3, vectors, ell)
     broken = vectors.copy()
     broken[-1] = (broken[-1] + np.eye(3, dtype=np.int64)[1]) % ell
@@ -468,7 +476,7 @@ def test_non_central_vector_is_rejected():
     perturbed = split.vectors.copy()
     perturbed[-1, centre.orbit[1]] = (perturbed[-1, centre.orbit[1]] + 1) % ell
     with pytest.raises(EigensplitError, match="not a central character"):
-        chardeg._certify(data, centre, lone, split._replace(vectors=perturbed))
+        _certify(data, centre, characters, good, split._replace(vectors=perturbed))
 
 
 def _certificate_groups():
@@ -488,17 +496,16 @@ def test_certified_vectors_pass_the_all_pairs_check(g):
     # r^2 coefficient pairs
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    centre, lone, split = _split(data)
-    chardeg._certify(data, centre, lone, split)
-    oracles.Reference.check_central_characters(data.coefficients, len(cs), _expanded(data, centre, lone, split), data.dixon_prime)
+    split = _split(data)
+    _certify(data, *split)
+    oracles.Reference.check_central_characters(data.coefficients, len(cs), _expanded(data, *split), data.dixon_prime)
 
 
 def _certified_s4():
     g = standard_group("symmetric", 4)
     cs = conjugacy_classes(g)
     data = class_algebra(g, cs)
-    centre, lone, split = _split(data)
-    return data, centre, lone, split, cs
+    return data, *_split(data), cs
 
 
 @pytest.mark.parametrize(
@@ -512,11 +519,11 @@ def _certified_s4():
 )
 def test_certificate_rejects_corrupted_vectors(corrupt, message):
     # S4's centre is trivial: one block of its five classes
-    data, centre, lone, split, cs = _certified_s4()
-    chardeg._certify(data, centre, lone, split)
+    data, centre, characters, good, split, cs = _certified_s4()
+    _certify(data, centre, characters, good, split)
     vectors = corrupt(split.vectors)
     with pytest.raises(EigensplitError, match=message):
-        chardeg._certify(data, centre, lone, split._replace(vectors=vectors, owner=split.owner[: len(vectors)]))
+        _certify(data, centre, characters, good, split._replace(vectors=vectors, owner=split.owner[: len(vectors)]))
 
 
 def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
@@ -524,32 +531,32 @@ def test_certificate_finds_a_duplicated_vector_wherever_it_sorts():
     # compares neighbours: a copy of any one over any other is caught
     g = _elementary_abelian(2, 7)
     data = class_algebra(g, conjugacy_classes(g))
-    centre, lone, split = _split(data)
-    assert split is None and len(lone) == 128
-    chardeg._certify(data, centre, lone, split)
+    centre, characters, good, split = _split(data)
+    assert len(split.vectors) == 0 and len(characters) == 128
+    _certify(data, centre, characters, good, split)
     for copy, over in [(0, 1), (5, 127), (127, 64), (3, 2)]:
-        duplicated = lone.copy()
-        duplicated[over] = lone[copy]
+        duplicated = characters.copy()
+        duplicated[over] = characters[copy]
         with pytest.raises(EigensplitError, match="two split vectors agree on every class sum used"):
-            chardeg._certify(data, centre, duplicated, split)
+            chardeg._certify_centre(data, centre, duplicated)
 
 
 def test_certificate_of_the_trivial_group_uses_no_class_sum():
     g = build_group(1, [])
     data = class_algebra(g, conjugacy_classes(g))
-    centre, lone, split = _split(data)
-    assert centre.used == [] and split is None and lone.shape == (1, 0)
-    chardeg._certify(data, centre, lone, split)
+    split = _split(data)
+    assert split[0].used == [] and split[1].shape == (1, 0) and split[3].used == []
+    _certify(data, *split)
     assert degrees_from_class_algebra(data).as_dict() == {1: 1}
 
 
 def _certify_corrupted_s4(corrupt):
     # corrupts the column of a class sum the split used, which the certificate
     # reads; the class sizes and inverse classes stay those of S4
-    data, centre, lone, split, cs = _certified_s4()
-    coefficients = corrupt(dict(data.coefficients), next(iter(split.folds)), cs)
+    data, centre, characters, good, split, cs = _certified_s4()
+    coefficients = corrupt(dict(data.coefficients), split.used[0], cs)
     corrupted = oracles.class_algebra_data(data.class_count, coefficients, data.dixon_prime)
-    chardeg._certify(replace(data, source=corrupted.source), centre, lone, split)
+    _certify(replace(data, source=corrupted.source), centre, characters, good, split)
 
 
 def test_certificate_rejects_a_table_whose_column_sums_are_not_class_sizes():
@@ -642,8 +649,10 @@ def test_c96_runs_one_identity_chain(monkeypatch):
 def test_a_central_class_sum_of_a_non_abelian_group_is_split_in_closed_form(monkeypatch):
     # D8 x C9's class sums of one element act on every block as the scalar
     # lambda(z), so the split folds and visits only class sums of two
-    # elements; the nine characters of Z trivial on D8's centre share one
-    # split of a block of four orbits, the other nine are Z's orbit alone
+    # elements; the blocks of four orbits of the nine characters of Z
+    # trivial on D8's centre are split as one direct sum, by two class sums
+    # of two eigenvalues each (the degree step, then _split), and the other
+    # nine characters are Z's orbit alone
     counts, folded = _eigenvalue_counts(monkeypatch), []
     fold = chardeg._fold
     monkeypatch.setattr(chardeg, "_fold", lambda data, centre, characters, g: folded.append(g) or fold(data, centre, characters, g))
@@ -651,8 +660,8 @@ def test_a_central_class_sum_of_a_non_abelian_group_is_split_in_closed_form(monk
     data = class_algebra(g, conjugacy_classes(g))
     assert degrees_from_class_algebra(data).as_dict() == {1: 36, 2: 9}
     assert folded and all(data.sizes[c] == 2 for c in folded)
-    centre, lone, split = _split(data)
-    assert len(lone) == 9 and split.vectors.shape == (36, 4)
+    centre, characters, good, split = _split(data)
+    assert np.count_nonzero(good.sum(axis=1) == 1) == 9 and split.vectors.shape == (36, 4)
     assert counts["_lagrange"] == [2, 2, 2, 2]
 
 
@@ -676,7 +685,8 @@ def test_c2_7_refinement_multiplies_through_matmul(monkeypatch):
     calls, matmul = [], modmat.matmul
     monkeypatch.setattr(modmat, "matmul", lambda a, b, p: calls.append(len(a)) or matmul(a, b, p))
     monkeypatch.setattr(np, "tensordot", lambda *args, **kwargs: pytest.fail("the refinement called np.tensordot"))
-    rows, used, _ = chardeg._idempotents(lambda c: chardeg._action(*data.column(c), r, ell), r, [0], list(data.generator_classes), ell)
+    one = np.eye(1, r, dtype=modmat.residues(ell))[0]
+    rows, used = chardeg._idempotents(lambda c: chardeg._action(*data.column(c), r, ell), one, r, list(data.generator_classes), ell)
     assert len(rows) == r and used == list(data.generator_classes)
     assert calls == [2] * 7
 
@@ -723,8 +733,8 @@ def test_a_class_sum_of_several_elements_takes_the_general_path(monkeypatch):
     t = cs.sizes.tolist().index(3)
     calls = _call_counter(monkeypatch, "_lagrange")
     order = (t, *(c for c in range(1, 3) if c != t))
-    _, _, split = _split(replace(data, generator_classes=order))
-    assert list(split.folds) == [t] and calls["_lagrange"] == 1
+    split = _split(replace(data, generator_classes=order))[-1]
+    assert split.used == [t] and calls["_lagrange"] == 1
 
 
 def test_a_class_of_one_element_that_does_not_permute_the_classes_is_rejected():
@@ -832,11 +842,11 @@ def test_closed_form_certificate_rejects_corrupted_exponents(corrupt, message):
     # C3 x C3 is one orbit: each of its nine characters of Z is a central
     # character whose block is Z's orbit alone
     data, used, _ = _c3_squared()
-    centre, lone, split = _split(data)
-    assert centre.used == used and split is None and lone[-1].tolist() == [2, 2]
-    chardeg._certify(data, centre, lone, split)
+    centre, characters, good, split = _split(data)
+    assert centre.used == used and len(split.vectors) == 0 and characters[-1].tolist() == [2, 2]
+    _certify(data, centre, characters, good, split)
     with pytest.raises(EigensplitError, match=message):
-        chardeg._certify(data, centre, corrupt(lone, data.exponent), split)
+        chardeg._certify_centre(data, centre, corrupt(characters, data.exponent))
 
 
 def test_closed_form_certificate_rejects_exponents_that_solve_no_relation():
@@ -846,12 +856,12 @@ def test_closed_form_certificate_rejects_exponents_that_solve_no_relation():
     a = _cycles([4])[0]
     g = build_group(4, [a * a, a])
     data = class_algebra(g, conjugacy_classes(g))
-    centre, lone, split = _split(data)
+    centre, characters, _, _ = _split(data)
     assert centre.orders.tolist() == [[2, 2]] and centre.relations.tolist() == [[[0, 0], [1, 0]]]
-    broken = lone.copy()
+    broken = characters.copy()
     broken[:, 1] = (broken[:, 1] + 1) % 4
     with pytest.raises(EigensplitError, match=f"solve the relation of class sum {centre.used[1]}"):
-        chardeg._certify(data, centre, broken, split)
+        chardeg._certify_centre(data, centre, broken)
 
 
 def _cycles(orders):
@@ -938,15 +948,15 @@ def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
     # entry 1 at each (j, pi(j)), checked by the certificate as a permutation
     data = class_algebra(g, conjugacy_classes(g))
     ell, r = data.dixon_prime, data.class_count
-    centre, lone, split = _split(data)
-    chardeg._certify(data, centre, lone, split)
+    centre, characters, good, split = _split(data)
+    _certify(data, centre, characters, good, split)
     c = centre.used[0]
     pi, star = data.permutation(c).tolist(), data.star[c]
     j = next(j for j in range(1, r) if j != star)
 
     def certify_corrupted(coefficients):
         corrupted = oracles.class_algebra_data(r, coefficients, ell)
-        chardeg._certify(replace(data, source=corrupted.source), centre, lone, split)
+        _certify(replace(data, source=corrupted.source), centre, characters, good, split)
 
     # class pi(j) loses its entry and class pi(star) gets a second one
     with pytest.raises(EigensplitError, match=f"class sum {c} of one element does not permute the classes"):
@@ -974,13 +984,13 @@ def test_refinement_reuses_the_generator_classes_chains(monkeypatch):
     chains, class_of_action = [], {}
     idempotents, original = chardeg._idempotents, chardeg._identity_chain
 
-    def spy(action, r, starts, order, ell):
+    def spy(action, one, size, order, ell):
         def spied(g):
             act = action(g)
             class_of_action[act] = g
             return act
 
-        return idempotents(spied, r, starts, order, ell)
+        return idempotents(spied, one, size, order, ell)
 
     monkeypatch.setattr(chardeg, "_idempotents", spy)
     monkeypatch.setattr(
@@ -1031,9 +1041,9 @@ def test_degree_budget_covers_the_peak_of_the_degree_step(monkeypatch, build, dt
     # on their normal form in k x r int64 digits for k = 8, 5 and 1 class sums
     # used; S5 x S4 (int16) is one block of r x r residue arrays, but the
     # gather of its largest class (240 elements) dominates the budget; D200
-    # (int32) splits its two blocks of 50 and 53 orbits as one direct sum;
-    # D8 x C9 and D8 x C2^5 (int16) split the 4-orbit blocks of 9 and 32
-    # characters of Z as direct sums of 36 and 128 coordinates
+    # (int32) splits its blocks of 50 and 53 orbits in two turns; D8 x C9 and
+    # D8 x C2^5 (int16) split the 4-orbit blocks of 9 and 32 characters of Z
+    # as direct sums of 36 and 128 coordinates
     g = build()
     cs = conjugacy_classes(g)
     g.table, g.inverses, g.element_orders  # built before the trace starts
@@ -1174,10 +1184,11 @@ def test_blocks_partition_the_characters(g):
     # sum r_lambda = r, and the largest block, the trivial character's, holds
     # every Z-orbit (the class number of G/Z)
     data = class_algebra(g, conjugacy_classes(g))
-    centre, lone, split = _split(data)
-    sizes = [1] * len(lone) + ([] if split is None else np.bincount(split.owner).tolist())
-    assert sum(sizes) == data.class_count
-    assert max(sizes) == len(centre.reps)
+    centre, characters, good, split = _split(data)
+    sizes = good.sum(axis=1)
+    assert sizes.sum() == data.class_count and sizes.max() == len(centre.reps)
+    # the split finds as many central characters over each character of Z as its block has orbits
+    assert np.array_equal(np.bincount(split.owner, minlength=len(sizes))[sizes > 1], sizes[sizes > 1])
 
 
 def test_large_centres_split_one_block_at_a_time():
@@ -1196,37 +1207,57 @@ def test_large_centres_split_one_block_at_a_time():
 def _d8_x_c9():
     g = direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9))
     data = class_algebra(g, conjugacy_classes(g))
-    centre, lone, split = _split(data)
-    chardeg._certify(data, centre, lone, split)
-    return data, centre, lone, split
+    split = _split(data)
+    _certify(data, *split)
+    return data, *split
 
 
 def test_certificate_rejects_a_perturbed_block_vector():
-    data, centre, lone, split = _d8_x_c9()
+    data, centre, characters, good, split = _d8_x_c9()
     vectors = split.vectors.copy()
     vectors[17, 2] = (vectors[17, 2] + 1) % data.dixon_prime
     with pytest.raises(EigensplitError, match="not a central character on class sum"):
-        chardeg._certify(data, centre, lone, split._replace(vectors=vectors))
+        _certify(data, centre, characters, good, split._replace(vectors=vectors))
 
 
 def test_certificate_rejects_an_orbit_outside_its_characters_block():
-    # a character of Z that is not trivial on the stabiliser of orbit 1 (its
-    # block is Z's orbit alone) is given a vector that is not 0 at orbit 1
-    data, centre, lone, split = _d8_x_c9()
-    vectors = np.concatenate([split.vectors, np.array([[1, 1, 0, 0]], dtype=split.vectors.dtype)])
-    owner = np.concatenate([split.owner, [len(split.characters)]])
-    wrong = split._replace(characters=np.concatenate([split.characters, lone[:1]]), vectors=vectors, owner=owner)
+    # a vector is moved to a character of Z that is not trivial on the
+    # stabiliser of orbit 1 (its block is Z's orbit alone), where it is not 0
+    data, centre, characters, good, split = _d8_x_c9()
+    alone = np.flatnonzero(good.sum(axis=1) == 1)[0]
+    t = np.flatnonzero(split.vectors[:, 1])[0]
+    owner = split.owner.copy()
+    owner[t] = alone
     with pytest.raises(EigensplitError, match="a block's orbits are not those on whose stabiliser"):
-        chardeg._certify(data, centre, lone[1:], wrong)
+        _certify(data, centre, characters, good, split._replace(owner=owner))
 
 
 def test_certificate_rejects_an_offset_off_its_class():
     # two classes of orbit 1 swap their places: the offset z_j of each no
     # longer moves the orbit's representative to it, which the normal form's
     # inverse classes and steps both see
-    data, centre, lone, split = _d8_x_c9()
+    data, centre, characters, good, split = _d8_x_c9()
     x, y = np.flatnonzero(centre.orbit == 1)[1:3]
     place, digits = centre.place.copy(), centre.digits.copy()
     place[[x, y]], digits[:, [x, y]] = place[[y, x]], digits[:, [y, x]]
     with pytest.raises(EigensplitError, match="do not multiply to 1 in the normal form|does not add 1 to digit"):
-        chardeg._certify(data, centre._replace(place=place, digits=digits), lone, split)
+        _certify(data, centre._replace(place=place, digits=digits), characters, good, split)
+
+
+def test_certificate_folds_the_certified_column():
+    # a class sum the split used keeps its counting identities but moves one
+    # coefficient between two pairs (j, k) at the orbits' representatives:
+    # the certificate folds the column it checked, and the vectors no longer
+    # meet it
+    data, centre, characters, good, split = _d8_x_c9()
+    g, r = split.used[0], data.class_count
+    coefficients, reps = dict(data.coefficients), centre.reps.tolist()
+    (j1, k1), (j2, k2) = [(j, k) for (i, j, k) in coefficients if i == g and j in reps and k and (i, j, k) != (g, j, 0)][:2]
+    assert j1 != j2 and k1 != k2
+    for key, step in [((g, j1, k1), -1), ((g, j2, k1), 1), ((g, j2, k2), -1), ((g, j1, k2), 1)]:
+        coefficients[key] = coefficients.get(key, 0) + step
+    coefficients = {key: v for key, v in coefficients.items() if v}
+    corrupted = replace(data, source=oracles.class_algebra_data(r, coefficients, data.dixon_prime).source)
+    chardeg._check_column(corrupted, g)
+    with pytest.raises(EigensplitError, match=f"not a central character on class sum {g}"):
+        _certify(corrupted, centre, characters, good, split)
