@@ -532,9 +532,6 @@ def _blocks(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, goo
             if g not in folds:
                 folds[g] = _fold(data, centre, characters, g)
             codes, values = folds[g]
-            if size == d == n:
-                # one block of every orbit: the folded column is its action
-                return _action(codes, values[batch[0]], n, ell)
             col, row = np.divmod(codes, n)
             keep = (inside[col] & inside[row]).nonzero()[0]
             return _action((rank[col[keep]] * d + rank[row[keep]] + t).ravel(), values[batch][:, keep].ravel(), d, ell)
@@ -671,9 +668,6 @@ def _certify_centre(data: ClassAlgebraData, centre: _Centre, characters: np.ndar
         raise EigensplitError("an orbit's classes are not its representative and as many as the places of its normal form")
     if len(characters) != size[0]:
         raise EigensplitError(f"found {len(characters)} vectors, expected {size[0]}")
-    if not k:
-        # Z = 1: every orbit is one class at place 0, so the checks below hold with no digits
-        return
     bad = ((characters % e != characters) | ((characters * orders[0] - characters @ relations[0].T) % e != 0)).any(axis=0).nonzero()[0]
     if len(bad):
         raise EigensplitError(f"a character's exponents are not residues mod {e} that solve the relation of class sum {used[bad[0]]}")
@@ -686,7 +680,7 @@ def _certify_centre(data: ClassAlgebraData, centre: _Centre, characters: np.ndar
         # NF of each column of v in place, when only the digits ``overflowing`` may lie outside 0..m_j - 1:
         # from the top down, such a digit's quotient q by m_j adds q * u_j to the digits below
         overflowing = set(overflowing)
-        for j in range(max(overflowing), -1, -1):
+        for j in range(max(overflowing, default=-1), -1, -1):
             if j in overflowing:
                 q, v[j] = np.divmod(v[j], m[j])
                 for i in lower[j]:
