@@ -278,7 +278,12 @@ def _check_degree_budget(sizes: tuple[int, ...], ell: int, k: int, orbits: int) 
     * b) int64 cells; the vectors, at most b * r residues, are held with a
     copy; counting the largest class's column takes 18 bytes per cell of its
     |K| * r products.  The columns kept for the class sums visited are not
-    counted.  ``BENCH_27.json`` holds the tracemalloc peaks this covers."""
+    counted.  tracemalloc puts the peak at 0.16 MB on C2^8, 0.11 MB on C3^5,
+    0.07 MB on C400, 3.7 MB on C2^12, 4.0 MB on C3^8, 0.13 MB on S5 x S4,
+    0.38 MB on D200, 21 MB on D2000, 0.07 MB on D8 x C9, 0.58 MB on D8 x
+    C2^5 and 3.9 MB on D8^3 x C2^4, 1.1 to 2.3 times below the count; S6
+    (r = 11) peaks at 45 KB against 38 KB, fixed overhead the count leaves
+    out (``BENCH_27.json``)."""
     r, largest, b, s = len(sizes), max(sizes), orbits, np.dtype(modmat.residues(ell)).itemsize
     # a split runs only with several orbits
     d = max(b, min(r, math.isqrt(groups.BLOCK_CELLS))) if b > 1 else 0
@@ -504,9 +509,9 @@ def _action(codes: np.ndarray, values: np.ndarray, r: int, ell: int) -> Callable
 def _blocks(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, good: np.ndarray) -> _Split:
     """Split the blocks ``good`` of several orbits in turns (step 2 above):
     the first pending character's block with the pending ones of the same
-    orbits, as many as keep their direct sum within one block of cells,
-    from the blocks' identities, on the folded columns of the class sums of
-    several elements, generators' classes first, then in class order."""
+    orbits, as many as keep their direct sum within one block of cells, on
+    the folded columns of one class sum of each Z-orbit but Z's,
+    generators' classes first, then in class order."""
     e, ell, n, dtype = data.exponent, data.dixon_prime, len(centre.reps), modmat.residues(data.dixon_prime)
     pending, folds, used = good.sum(axis=1) > 1, {}, set()
     vectors, owners = [np.zeros((0, n), dtype=dtype)], [np.zeros(0, dtype=np.intp)]
