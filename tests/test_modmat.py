@@ -147,6 +147,34 @@ def test_solve_right_solves_full_column_rank_systems(p):
                 modmat.solve_right(b, (c + outside[:, None]) % p, p)
 
 
+def test_poly_roots_drops_trailing_zero_coefficients():
+    # x - 1, written with two zero coefficients of x^2 and x^3
+    assert modmat.poly_roots([6, 1, 0, 0], 7) == modmat.poly_roots([6, 1], 7) == [1]
+    assert modmat.poly_roots([3, 0, 7], 7) == []  # 7 = 0 mod 7: the constant 3
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_roots_of_a_product_of_distinct_linear_factors_are_its_roots(p):
+    rng = np.random.default_rng(p)
+    for count in range(p + 1):
+        mus = sorted(rng.choice(p, count, replace=False).tolist())
+        f = [1]
+        for mu in mus:  # f * (x - mu)
+            f = [(a - mu * b) % p for a, b in zip([0] + f, f + [0])]
+        assert modmat.poly_roots(f, p) == mus
+
+
+def test_poly_roots_of_an_irreducible_quadratic_are_none():
+    # 2 is no square mod 5: the squares are 0, 1, 4
+    assert modmat.poly_roots([-2, 0, 1], 5) == []
+
+
+@pytest.mark.parametrize("f", [[0], [0, 0, 0], [5, 10], []])
+def test_poly_roots_of_the_zero_polynomial_raise(f):
+    with pytest.raises(ValueError, match="zero polynomial"):
+        modmat.poly_roots(f, 5)
+
+
 def _evaluate(f, a, p):
     out = np.zeros_like(a)
     for coeff in reversed(f):
