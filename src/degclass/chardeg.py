@@ -10,7 +10,9 @@ the group exponent e and l > 2*sqrt(|G|):
    the r * min(r^2, |G|) table is never built;
 2. the class algebra is split one character of its centre at a time
    (Isaacs, ch. 2).  The classes of one element form Z = Z(G), and z * K_j
-   = K_pi(j) for a permutation pi read off z's column.  They are walked
+   = K_pi(j) for a permutation pi read off z's column; the columns of the
+   generators' classes of one element are read in one gather and checked
+   as permutations in one pass, a block of cells at a time.  They are walked
    generators' classes first, then in class order: z is used exactly when
    it lies outside the subgroup H the ones used before it generate, its
    relative order m_i is the least m with z^m in H, and z_i^m_i = prod_{j<i}
@@ -59,7 +61,8 @@ the group exponent e and l > 2*sqrt(|G|):
    (a digit v_j >= m_j drops by q * m_j and adds q * u_j below it, which
    changes a . v by a multiple of e when a solves relation j): pi_i(z_i*) =
    0, t(z_i) = e_i, and for every class x, pi_i keeps x's orbit and
-   t(pi_i(x)) = NF(t(x) + e_i) in its orbit's normal form, so w_(pi_i(x)) =
+   t(pi_i(x)) = NF(t(x) + e_i) in its orbit's normal form, checked for
+   every i at once, a block of cells at a time, so w_(pi_i(x)) =
    lambda(z_i) * w_x; each orbit's representative is at place 0 and the
    orbit has as many classes as places, so the class at digits t is z^t *
    c_o; each a lies in 0..e - 1 and solves Z's relations, the |Z| vectors a
@@ -172,9 +175,9 @@ class ClassAlgebraData:
     first read, plus the data needed to split them: the one input of the
     degree step."""
 
-    #: class g -> its nonzero a[g][j][k] as codes k * r + j in ascending order,
-    #: and their values: (M_g)[j][k] column by column
-    source: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    #: classes -> for each class g, its nonzero a[g][j][k] as codes k * r + j in
+    #: ascending order, and their values: (M_g)[j][k] column by column
+    source: Callable[[list[int]], list[tuple[np.ndarray, np.ndarray]]]
     #: the class sizes |K_j| and the inverse classes j*
     sizes: tuple[int, ...]
     star: tuple[int, ...]
@@ -198,24 +201,35 @@ class ClassAlgebraData:
     def column(self, g: int) -> tuple[np.ndarray, np.ndarray]:
         """Class g's codes and values from ``source``, computed on the first read."""
         if g not in self._columns:
-            self._columns[g] = self.source(g)
+            self._columns[g] = self.source([g])[0]
         return self._columns[g]
 
-    def permutation(self, g: int) -> np.ndarray:
-        """pi with z * K_j = K_pi(j) for a class g = {z} of one element, read off
-        its column, one entry 1 at each (j, pi(j)), on the first call and kept
-        in place of the column, which holds the same coefficients in twice
-        the bytes."""
-        if g not in self._permutations:
-            r = self.class_count
-            codes, values = self.column(g)
-            del self._columns[g]
-            k, j = np.divmod(codes, r)
-            # the codes ascend, so one entry 1 per class k reads k = 0, 1, ..., r - 1, and j = pi^-1
-            if len(codes) != r or np.count_nonzero(values != 1) or np.count_nonzero(k != np.arange(r)) or np.count_nonzero(np.bincount(j, minlength=r)) != r:
-                raise EigensplitError(f"class sum {g} of one element does not permute the classes")
-            self._permutations[g] = np.argsort(j)
-        return self._permutations[g]
+    def permutations(self, classes: list[int]) -> np.ndarray:
+        """Row i is pi with z * K_j = K_pi(j) for the class classes[i] = {z}
+        of one element, read off its column, one entry 1 at each (j, pi(j)).
+        The columns not read before are read through ``source`` and checked
+        together, a block of at most BLOCK_CELLS cells at a time, and each pi
+        is kept in place of its column, which holds the same coefficients in
+        twice the bytes."""
+        r = self.class_count
+        fresh = [g for g in classes if g not in self._permutations]
+        for block in groups.blocks(len(fresh), r):
+            read = fresh[block]
+            self._columns.update(zip(read, self.source(read)))
+            codes, values = zip(*map(self.column, read))
+            for g in read:
+                del self._columns[g]
+            wrong = np.array([len(c) != r for c in codes])
+            if not wrong.any():
+                # the codes ascend, so the entry at k is in row k exactly when j = code - k * r lies in 0..r - 1,
+                # and the row of j is pi^-1 when, sorted, it reads 0, 1, ..., r - 1
+                j = np.array(codes) - np.arange(0, r * r, r)
+                pi = j.argsort()
+                wrong = (j[np.arange(len(read))[:, None], pi] != np.arange(r)) | (np.array(values) != 1)
+            if np.count_nonzero(wrong):
+                raise EigensplitError(f"class sum {read[wrong.reshape(len(read), -1).any(axis=1).argmax()]} of one element does not permute the classes")
+            self._permutations.update(zip(read, pi))
+        return np.array([self._permutations[g] for g in classes], dtype=np.intp).reshape(-1, r)
 
     @cached_property
     def coefficients(self) -> dict[tuple[int, int, int], int]:
@@ -266,10 +280,13 @@ def least_admissible_prime(order: int, exponent: int) -> int:
 def _check_degree_budget(sizes: tuple[int, ...], ell: int, k: int, orbits: int) -> None:
     """Raise GroupTooLargeError when the arrays the degree layer holds at
     once would outgrow the table budget, for k class sums of one element
-    used (k <= log2 |Z|) and b Z-orbits (``orbits``), the largest block.
+    read (the ones the walk of the centre uses, k <= log2 |Z|, and the
+    generators' other ones) and b Z-orbits (``orbits``), the largest block.
 
-    Residues take s bytes.  The centre's walk and normal forms hold (64 k +
-    200) bytes a class.  With several orbits, a split's direct sum of d =
+    Residues take s bytes.  The centre's walk and normal forms, with the
+    stacked permutations, hold (80 k + 200) bytes a class, and the
+    certificate's step for c = min(k, max(1, BLOCK_CELLS / r)) digits at once
+    48 c more.  With several orbits, a split's direct sum of d =
     max(b, min(r, isqrt(BLOCK_CELLS))) coordinates holds the larger of six d
     x d residue arrays (the Krylov powers and their elimination) and three
     plus the transients of d^2 + 3 d * d / PANELS 8-byte cells
@@ -278,18 +295,19 @@ def _check_degree_budget(sizes: tuple[int, ...], ell: int, k: int, orbits: int) 
     * b) int64 cells; the vectors, at most b * r residues, are held with a
     copy; counting the largest class's column takes 18 bytes per cell of its
     |K| * r products.  The columns kept for the class sums visited are not
-    counted.  tracemalloc puts the peak at 0.16 MB on C2^8, 0.11 MB on C3^5,
-    0.07 MB on C400, 3.7 MB on C2^12, 4.0 MB on C3^8, 0.13 MB on S5 x S4,
+    counted.  tracemalloc puts the peak at 0.22 MB on C2^8, 0.14 MB on C3^5,
+    0.07 MB on C400, 4.4 MB on C2^12, 4.8 MB on C3^8, 0.13 MB on S5 x S4,
     0.38 MB on D200, 21 MB on D2000, 0.07 MB on D8 x C9, 0.58 MB on D8 x
-    C2^5 and 3.9 MB on D8^3 x C2^4, 1.1 to 2.3 times below the count; S6
+    C2^5 and 3.9 MB on D8^3 x C2^4, 1.4 to 2.3 times below the count; S6
     (r = 11) peaks at 45 KB against 38 KB, fixed overhead the count leaves
-    out (``BENCH_27.json``)."""
+    out (``BENCH_29.json``)."""
     r, largest, b, s = len(sizes), max(sizes), orbits, np.dtype(modmat.residues(ell)).itemsize
+    c = min(k, max(1, groups.BLOCK_CELLS // r))
     # a split runs only with several orbits
     d = max(b, min(r, math.isqrt(groups.BLOCK_CELLS))) if b > 1 else 0
     split = max(6 * s * d * d, 3 * s * d * d + 8 * (d * d + 3 * d * -(-d // modmat.PANELS))) + 24 * min(d * d, groups.BLOCK_CELLS)
     folds = 16 * sizes.count(1) * min(b * b, largest * b) if b > 1 else 0
-    size = (64 * k + 200) * r + split + 2 * s * b * r + folds + 18 * largest * r
+    size = (80 * k + 200 + 48 * c) * r + split + 2 * s * b * r + folds + 18 * largest * r
     if size > groups.TABLE_MAX_BYTES:
         raise GroupTooLargeError(
             f"group too large: the class algebra arrays of {r} classes needs {size} bytes, "
@@ -310,19 +328,35 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     class_of, representatives = classes.class_index, classes.representatives
     generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
-    offsets = np.arange(r) * r
+    offsets, ones = np.arange(r) * r, np.ones(r, dtype=np.intp)
+    ones.flags.writeable = False
 
-    def column(g: int) -> tuple[np.ndarray, np.ndarray]:
-        inverses = group.inverses[classes.members(g)]
-        codes, starts = _runs(np.sort(class_of[group.mul(inverses[:, None], representatives)] + offsets, axis=None))
-        return codes, np.concatenate([starts[1:], [len(inverses) * r]]) - starts
+    def source(read: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        # one gather for all the classes read; the column of a class of one element z is one entry 1 for
+        # each k, at j the class of z^-1 * z_k, so its row of codes ascends already
+        members = [classes.members(g) for g in read]
+        keys = class_of[group.mul(group.inverses[np.concatenate(members)][:, None], representatives)] + offsets
+        columns, start = [], 0
+        for m in members:
+            if len(m) == 1:
+                columns.append((keys[start], ones))
+            else:
+                # sorted in place: the class's rows of keys are read only here
+                run = keys[start : start + len(m)].reshape(-1)
+                run.sort()
+                codes, starts = _runs(run)
+                columns.append((codes, np.concatenate([starts[1:], [len(m) * r]]) - starts))
+            start += len(m)
+        return columns
 
-    data = ClassAlgebraData(column, tuple(sizes.tolist()), classes.inverse_pairing, exponent, ell, tuple(generator_classes))
+    data = ClassAlgebraData(source, tuple(sizes.tolist()), classes.inverse_pairing, exponent, ell, tuple(generator_classes))
     z = data.sizes.count(1)
     if z in (1, r):
-        _check_degree_budget(data.sizes, ell, min(len(generator_classes), z.bit_length() - 1), r - z + 1)
+        _check_degree_budget(data.sizes, ell, len(generator_classes) if z == r else 0, r - z + 1)
     else:
-        _check_degree_budget(data.sizes, ell, len(data.centre.used), len(data.centre.reps))
+        centre = data.centre
+        # the permutations its walk read, every one its certificate checks among them
+        _check_degree_budget(data.sizes, ell, len(data._permutations), len(centre.reps))
     return data
 
 
@@ -368,15 +402,18 @@ def _walk_centre(data: ClassAlgebraData) -> _Centre:
     orbit, place = [-1] * r, [-1] * r
     orbit[0] = place[0] = 0
     members, forms, permutations, used = [0], [([], [])], [], []
-    for g in itertools.chain(first, (g for g in range(1, r) if g not in tried)):
+    # the generators' classes of one element are read in one pass, any other class when it is used
+    singles = [g for g in first if data.sizes[g] == 1]
+    read = dict(zip(singles, data.permutations(singles).tolist()))
+    for g in itertools.chain(singles, (g for g in range(1, r) if g not in tried)):
         if len(members) >= central:
             break
         if data.sizes[g] == 1 and orbit[g] < 0:
-            permutations.append(data.permutation(g).tolist())
+            permutations.append(read[g] if g in read else data.permutations([g])[0].tolist())
             used.append(g)
             _adjoin(g, permutations[-1], members, orbit, place, *forms[0])
     if len(members) < central:
-        raise EigensplitError(f"refinement stalled with {len(members)} idempotents for {central} classes")
+        raise EigensplitError(f"the walk of the centre stalled: the class sums of one element reached only {len(members)} of the {central} classes of one element")
     reps = [0]
     for c in range(r):
         if orbit[c] < 0:
@@ -695,8 +732,9 @@ def _certify_centre(data: ClassAlgebraData, centre: _Centre, characters: np.ndar
                     overflowing.add(i)
         return v
 
+    image = data.permutations(used)
     for i, g in enumerate(used):
-        if data.permutation(g)[star[g]] != 0:
+        if image[i, star[g]] != 0:
             raise EigensplitError(f"coefficients of class sum {g}: a[g][j][0] is not |K_g| exactly at j = g*")
         if orbit[g] != 0 or place[g] != strides[i, 0]:
             raise EigensplitError(f"class sum {g} is not the generator of digit {i} of the normal form")
@@ -704,14 +742,20 @@ def _certify_centre(data: ClassAlgebraData, centre: _Centre, characters: np.ndar
     product = (strides[:k] * carry(digits + digits[:, star], range(k))).sum(axis=0)
     if np.count_nonzero(orbit[star] != orbit[expected]) or np.count_nonzero(kinds[star] != kinds) or np.count_nonzero(product != place[expected]):
         raise EigensplitError("a class and its inverse class do not multiply to 1 in the normal form")
-    for i, g in enumerate(used):
-        # adding e_i changes no digit above i
-        step = digits[: i + 1].copy()
-        step[i] += 1
-        moved = (strides[: i + 1] * carry(step, [i])).sum(axis=0) + place // strides[i + 1] * strides[i + 1]
-        image = data.permutation(g)
-        if np.count_nonzero(orbit[image] != orbit) or np.count_nonzero(moved != place[image]):
-            raise EigensplitError(f"class sum {g} does not add 1 to digit {i} of the normal form")
+    for block in groups.blocks(k, len(orbit)):
+        # the place of NF(t(x) + e_i) for every digit i of the block at once: digit i turns to (t_i + 1) mod
+        # m_i, no digit above it changes, and its carry q adds q * u_i to the digits below, carried down for
+        # each i whose relation is not 0
+        q, last = np.divmod(digits[block] + 1, m[block])
+        moved = place + (last - digits[block]) * strides[:k][block]
+        for t, i in enumerate(range(k)[block]):
+            if lower[i]:
+                below = digits[:i] + q[t] * relations[kinds, i, :i].T
+                moved[t] += ((carry(below, lower[i]) - digits[:i]) * strides[:i]).sum(axis=0)
+        wrong = (orbit[image[block]] != orbit) | (moved != place[image[block]])
+        if np.count_nonzero(wrong):
+            i = range(k)[block][wrong.any(axis=1).argmax()]
+            raise EigensplitError(f"class sum {used[i]} does not add 1 to digit {i} of the normal form")
 
 
 def _certify(data: ClassAlgebraData, centre: _Centre, characters: np.ndarray, good: np.ndarray, split: _Split) -> None:

@@ -42,7 +42,7 @@ def class_algebra_data(class_count, coefficients, dixon_prime, exponent=1, gener
         codes, values = np.array(entries, dtype=np.int64).reshape(-1, 2).T
         return codes, values
 
-    return ClassAlgebraData(column, tuple(sizes), tuple(star), exponent, dixon_prime, generator_classes)
+    return ClassAlgebraData(lambda classes: [column(g) for g in classes], tuple(sizes), tuple(star), exponent, dixon_prime, generator_classes)
 
 
 def closure_of(degree, gens):

@@ -779,6 +779,18 @@ def _permutation_algebra(permutations, dixon_prime, exponent):
     return oracles.class_algebra_data(len(permutations), coefficients, dixon_prime, exponent)
 
 
+def test_a_walk_of_the_centre_that_stalls_names_the_classes_of_one_element():
+    # class 1 is one element that fixes every class, so its class sum adds
+    # no class to the orbit of class 0, and the walk reaches one of the two
+    # classes of one element
+    fake = _permutation_algebra([[0, 1], [0, 1]], 5, 2)
+    message = "the walk of the centre stalled: the class sums of one element reached only 1 of the 2 classes of one element"
+    with pytest.raises(EigensplitError, match=message):
+        fake.centre
+    with pytest.raises(EigensplitError, match=message):
+        degrees_from_class_algebra(fake)
+
+
 def test_closed_form_rejects_permutations_that_are_no_group():
     # class 1 swaps classes 0 and 1, so H = {0, 1}; class 2 has relative
     # order 2 over H, but moves H onto {2, 0}, which meets H
@@ -808,7 +820,7 @@ def _c3_squared():
     and the permutations of every class."""
     g = _elementary_abelian(3, 2)
     data = class_algebra(g, conjugacy_classes(g))
-    return data, data.centre.used, [data.permutation(c).tolist() for c in range(data.class_count)]
+    return data, data.centre.used, data.permutations(list(range(data.class_count))).tolist()
 
 
 def test_closed_form_rejects_a_permutation_that_breaks_the_mixed_radix_step():
@@ -825,6 +837,30 @@ def test_closed_form_rejects_a_permutation_that_breaks_the_mixed_radix_step():
     fake = _permutation_algebra(permutations, data.dixon_prime, data.exponent)
     with pytest.raises(EigensplitError, match=f"class sum {z} does not add 1 to digit 0 of the normal form"):
         degrees_from_class_algebra(replace(fake, generator_classes=data.generator_classes))
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["one-block", "a-digit-a-block"])
+@pytest.mark.parametrize("broken,digit", [((1,), 1), ((0, 1), 0)], ids=["last", "both"])
+def test_the_stacked_mixed_radix_check_names_the_first_digit_that_fails(monkeypatch, cells, broken, digit):
+    # C3 x C3 by z_0 and z_1: the walk reads pi_1 on the six classes of the
+    # cosets H and z_1 H of H = <z_0>, so swapping the images of two classes
+    # of z_1^2 H other than z_1^2 = z_1* leaves the walk and pi_1(z_1*) = 0
+    # as they were; with pi_0 broken as well, digit 0 fails first, whether
+    # the digits are carried in one block or one a block
+    data, used, permutations = _c3_squared()
+    if cells:
+        monkeypatch.setattr(groups, "BLOCK_CELLS", cells)
+    a, z = (permutations[c] for c in used)
+    subgroup = [0, a[0], a[a[0]]]
+    x, y = [z[z[c]] for c in subgroup][1:]
+    z[x], z[y] = z[y], z[x]
+    if 0 in broken:
+        orbit = [0, a[0], a[a[0]]]
+        u, v = [c for c in range(data.class_count) if c not in orbit][:2]
+        a[u], a[v] = a[v], a[u]
+    fake = replace(_permutation_algebra(permutations, data.dixon_prime, data.exponent), generator_classes=data.generator_classes)
+    with pytest.raises(EigensplitError, match=f"class sum {used[digit]} does not add 1 to digit {digit} of the normal form"):
+        degrees_from_class_algebra(fake)
 
 
 def test_closed_form_rejects_an_inverse_pairing_off_the_normal_form():
@@ -974,7 +1010,7 @@ def test_certificate_checks_a_class_of_one_element_as_a_permutation(g):
     centre, characters, good, split = _split(data)
     _certify(data, centre, characters, good, split)
     c = centre.used[0]
-    pi, star = data.permutation(c).tolist(), data.star[c]
+    pi, star = data.permutations([c])[0].tolist(), data.star[c]
     j = next(j for j in range(1, r) if j != star)
 
     def certify_corrupted(coefficients):
@@ -1027,16 +1063,16 @@ def test_degree_budget_skips_before_allocating(monkeypatch):
     from degclass.corpus import parse_corpus
     from degclass.report import run_report
 
-    # the int16 table of C12 takes 288 bytes, its degree layer 3432 (264
+    # the int16 table of C12 takes 288 bytes, its degree layer 4200 (328
     # bytes a class for the walk of its centre by its one generator's class
-    # sum, the one it can use, 4 for the characters' vectors and 18 for
-    # counting a column); both groups are enumerated (2448 bytes) before the
-    # budget is lowered
+    # sum, the one it can use, and the certificate's step on its one digit,
+    # 4 for the characters' vectors and 18 for counting a column); both
+    # groups are enumerated (2448 bytes) before the budget is lowered
     records = parse_corpus("group C12\ndegree 12\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\nend\n")
     g = standard_group("cyclic", 12)
     monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 1000)
     [block] = run_report(records).document["groups"]
-    assert "class algebra arrays of 12 classes needs 3432 bytes" in block["skipped"]
+    assert "class algebra arrays of 12 classes needs 4200 bytes" in block["skipped"]
     assert "verdicts" not in block
     cs = conjugacy_classes(g)
     assert g.table.nbytes == 288
@@ -1101,6 +1137,51 @@ def test_degree_step_counts_only_the_columns_it_reads(monkeypatch, g, count):
     data = class_algebra(g, cs)
     assert degrees_from_class_algebra(data).as_dict() == {1: g.order}
     assert set(read) == set(data.generator_classes) and len(set(read)) == count
+
+
+def test_classes_and_the_centre_gather_once_for_all_the_generators(monkeypatch):
+    # while the k x |G| cells of C2^k's maps fit one block, the classes build
+    # the k conjugation maps in two gathers, and the walk of the centre reads
+    # the columns of the k generators' classes in one
+    gathers, mul = [], groups.Group.mul
+    monkeypatch.setattr(groups.Group, "mul", lambda group, a, b: gathers.append(1) or mul(group, a, b))
+    counts = []
+    for k in (1, 3, 5, 7):
+        g = _elementary_abelian(2, k)
+        assert k * g.order <= groups.BLOCK_CELLS
+        g.table
+        gathers.clear()
+        cs = conjugacy_classes(g)
+        counts.append(len(gathers))
+        data = class_algebra(g, cs)
+        gathers.clear()
+        assert len(data.centre.used) == k
+        counts.append(len(gathers))
+    assert counts == [2, 1] * 4
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(_elementary_abelian(2, 5), id="C2^5"),
+        pytest.param(_elementary_abelian(3, 3), id="C3^3"),
+        pytest.param(direct_product(standard_group("dihedral", 4), _elementary_abelian(2, 3)), id="D8xC2^3"),
+        pytest.param(standard_group("symmetric", 4), id="S4"),
+    ],
+)
+def test_blocks_of_a_few_cells_give_the_same_classes_and_degrees(monkeypatch, g):
+    # with a block of one cell every stacked step takes one generator, one
+    # column and one digit at a time: the classes, the centre and the
+    # degrees are those of one block
+    cs = conjugacy_classes(g)
+    data = class_algebra(g, cs)
+    centre, degrees = data.centre, degrees_from_class_algebra(data)
+    monkeypatch.setattr(groups, "BLOCK_CELLS", 1)
+    blocked = conjugacy_classes(g)
+    assert np.array_equal(blocked.class_index, cs.class_index) and blocked.size_counts == cs.size_counts
+    data = class_algebra(g, blocked)
+    assert data.centre.used == centre.used and np.array_equal(data.centre.place, centre.place)
+    assert degrees_from_class_algebra(data) == degrees
 
 
 def test_d8_4_x_c2_is_evaluated_within_seconds():

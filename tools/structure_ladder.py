@@ -29,8 +29,10 @@ change of less than about 26 MB there.
 C800, C1600, C2400, C2^10, C2^12, C2^13, C3^8, C3^9, S3xC5^5, D8xC2^11
 and D8^2xC2^8 run one:
 
-* ``degree``: parse the group and build its classes and Cayley table, then
-  time the degree step alone (``class_algebra`` and
+* ``degree``: parse the group and build its Cayley table, time its
+  conjugacy classes (``classes_seconds``; C2^13, C2^14 and C3^9 stack the
+  largest conjugation maps, of 13, 14 and 9 generators at |G| = 8192,
+  16384 and 19683), then time the degree step alone (``class_algebra`` and
   ``degrees_from_class_algebra``), and record the Dixon prime, the dtype
   its residues are held in (``modmat.residues``; int64 in a checkout that
   predates it) and the peak RSS.  The step then runs once more under
@@ -158,10 +160,11 @@ def _measure_degree_step(group) -> dict:
     from degclass.group import GroupTooLargeError
     from degclass.structure import conjugacy_classes
 
-    classes = conjugacy_classes(group)
     group.table, group.inverses, group.element_orders  # built before the clock starts
+    start = perf_counter()
+    classes = conjugacy_classes(group)
     r = len(classes)
-    out = {"order": group.order, "classes": r}
+    out = {"order": group.order, "classes": r, "classes_seconds": round(perf_counter() - start, 4)}
     start = perf_counter()
     try:
         data = class_algebra(group, classes)
