@@ -215,6 +215,7 @@ class ClassAlgebraData:
         fresh = [g for g in classes if g not in self._permutations]
         for block in groups.blocks(len(fresh), r):
             read = fresh[block]
+            # one gather through ``source``, read back through ``column``, which every read of a column passes
             self._columns.update(zip(read, self.source(read)))
             codes, values = zip(*map(self.column, read))
             for g in read:
@@ -328,24 +329,19 @@ def class_algebra(group: Group, classes: "ConjugacyClassSet") -> ClassAlgebraDat
     class_of, representatives = classes.class_index, classes.representatives
     generator_classes = dict.fromkeys(class_of[group.generator_indices].tolist())
     generator_classes.pop(0, None)
-    offsets, ones = np.arange(r) * r, np.ones(r, dtype=np.intp)
-    ones.flags.writeable = False
+    offsets = np.arange(r) * r
 
     def source(read: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-        # one gather for all the classes read; the column of a class of one element z is one entry 1 for
-        # each k, at j the class of z^-1 * z_k, so its row of codes ascends already
+        # one gather for all the classes read
         members = [classes.members(g) for g in read]
         keys = class_of[group.mul(group.inverses[np.concatenate(members)][:, None], representatives)] + offsets
         columns, start = [], 0
         for m in members:
-            if len(m) == 1:
-                columns.append((keys[start], ones))
-            else:
-                # sorted in place: the class's rows of keys are read only here
-                run = keys[start : start + len(m)].reshape(-1)
-                run.sort()
-                codes, starts = _runs(run)
-                columns.append((codes, np.concatenate([starts[1:], [len(m) * r]]) - starts))
+            # sorted in place: the class's rows of keys are read only here
+            run = keys[start : start + len(m)].reshape(-1)
+            run.sort()
+            codes, starts = _runs(run)
+            columns.append((codes, np.concatenate([starts[1:], [len(m) * r]]) - starts))
             start += len(m)
         return columns
 

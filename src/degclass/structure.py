@@ -25,9 +25,9 @@ property kept by conjugation holds on S iff on those representatives
 Every blocked step takes its rows from ``_rows`` (a word - a commutator, a
 commuting test, a conjugation, a product - on x by every y of a list), at
 most ``group.BLOCK_CELLS`` cells a block.  The class maps of the k
-generators, k |G| cells in all, are stacked a block of generators at a
-time.  c gathers |G| cells unblocked, which stays within a block because
-``group.ENUMERATION_CAP <= group.BLOCK_CELLS``.
+generators, k |G| <= |G|^2 cells of the table's dtype in all, are stacked
+a block of generators at a time.  c gathers |G| cells unblocked, which
+stays within a block because ``group.ENUMERATION_CAP <= group.BLOCK_CELLS``.
 
 Every subset of the group - a subgroup, a conjugacy class, a set of
 pi-elements - is a sorted, read-only ``np.intp`` index array into the parent
@@ -101,33 +101,29 @@ class ConjugacyClassSet:
     G = <S>, so the class of x is its orbit under x -> s^-1 x s for s in S.
     The conjugation maps of the generators are stacked as rows, a block of
     at most BLOCK_CELLS cells at a time: two gathers build a block's maps,
-    and a scatter each map its inverse.  Each pass pulls the least label along
-    every map and every inverse, a block's rows in one gather, then jumps
-    pointers, until the label settles on each orbit's least member.  No step
-    works class by class: one stable sort of ``class_index`` lists every
-    class's members.
+    held in the table's dtype; there are k <= |G| distinct generators, so
+    the maps take no more bytes than the table.  Each pass pulls the least
+    label from every x's images, a block's rows in one gather, then jumps
+    pointers, until nothing changes.  Labels only fall, so then label[x] <=
+    label[s^-1 x s] for every s and x: the label is constant along every
+    cycle of every map, so on every class, and it is the class's least
+    member.  No step works class by class: one stable sort of
+    ``class_index`` lists every class's members.
     """
 
     def __init__(self, group: Group):
         self.group = group
         everyone = np.arange(group.order)
         generators = group.generator_indices
-        maps = []
-        for block in blocks(len(generators), group.order):
-            s = generators[block, None]
-            # intp rows: gathering by an int16 index array takes about three times as long
-            conj = group.mul(group.mul(group.inverses[s], everyone), s).astype(np.intp)
-            back = np.empty_like(conj)
-            # a scatter a row: by the rows and the columns at once, C3^8's classes take 20% longer
-            for row, inverse in zip(conj, back):
-                inverse[row] = everyone
-            maps += [conj, back]
+        stacked = (generators[block, None] for block in blocks(len(generators), group.order))
+        maps = [group.mul(group.mul(group.inverses[s], everyone), s) for s in stacked]
         # label[x] is always a member of x's class no larger than x
         label = everyone
         while True:
             new = label
             for rows in maps:
-                new = np.minimum(new, np.minimum.reduce(new[rows]))
+                # cast a block at a time: gathering by the table's int16 rows takes longer
+                new = np.minimum(new, np.minimum.reduce(new[rows.astype(np.intp)]))
             new = new[new]
             if not np.count_nonzero(new != label):
                 break
