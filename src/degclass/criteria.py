@@ -1,11 +1,15 @@
 """Two-sided verification of every degree/class-size criterion.
 
 Each criterion evaluates an invariant-side condition and a structure-side
-condition through disjoint code paths and reports whether they agree:
+condition, through code paths disjoint but where named, and reports whether
+they agree:
 
-* invariant sides read only |G|, the degree frequency m (note m(1) = |G:G'|)
+* invariant sides read |G|, the degree frequency m (note m(1) = |G:G'|)
   and the class size frequency w (note w(1) = |Z(G)|), via the metrics
-  module;
+  module, and an oracle only for what their statement names: the subgroup
+  order an identity or divisibility relates to them, the Hall subgroups of
+  direct_product_necessity_u and _s, and direct_product_by_u_p_commuting's
+  commuting q- and r-elements (structure.q_r_elements_commute);
 * structure sides call only the brute-force oracles of the structure module.
 
 CATALOG holds one row per criterion: its id, its kind, its scope (global,

@@ -1,32 +1,30 @@
-"""Permutation groups, their order from Schreier-Sims and their elements by
-enumeration.
+"""Permutation groups: their order and their elements from one Schreier-Sims
+run.
 
-Construction does two independent things and cross-checks them:
+A deterministic (non-randomized) Schreier-Sims run yields the transversals
+U_1, ..., U_k of a stabilizer chain, and raises GroupTooLargeError as soon as
+they would outgrow the table budget (see ``TRANSVERSAL_BYTES_PER_CELL``).
+G = U_k ... U_1 writes every element exactly once, so the order is the
+product of the basic orbit lengths.  Groups no larger than
+``ENUMERATION_CAP``, whose enumeration fits the byte budget (see
+``ENUMERATION_BYTES_PER_CELL``), take these products as their elements,
+sorted lexicographically by image tuple.  Base points are always the first
+moved points, and orbits are explored in FIFO order with generators applied
+in input order, so the same generator sequence always repeats the same run.
 
-* a deterministic (non-randomized) Schreier-Sims run yields the exact group
-  order as a product of basic orbit lengths; it raises GroupTooLargeError as
-  soon as the transversals would outgrow the table budget (see
-  ``TRANSVERSAL_BYTES_PER_CELL``), and they are dropped when it returns, so
-  a build never holds them and the enumeration at once;
-* for groups no larger than ``ENUMERATION_CAP``, and whose enumeration fits
-  the byte budget (see ``ENUMERATION_BYTES_PER_CELL``), a breadth-first
-  closure of the generating set yields the full element list, sorted
-  lexicographically by image tuple.
+The left maps of the generators, kept for the Cayley table, check that the
+enumeration is the group: it holds 1, so if every g * e is in it and no
+element repeats, it is <S>, of the Schreier-Sims order.  A failure is an
+internal bug and raises RuntimeError.
 
-If the two orders ever disagree the constructor raises: that is an internal
-bug, never a recoverable condition.  Base points are always the first moved
-points, and orbits are explored in FIFO order with generators applied in
-input order, so the same generator sequence always repeats the same run.
-
-Groups are immutable after construction.  The element index and, as
-read-only arrays, the inverses and element orders are computed here.  The
-index also answers membership (``p in group``), so a group without an
-element cache refuses ``in`` with GroupTooLargeError, as it refuses
-``index_of`` and ``enumerate_elements``.  The Cayley table ``table[i, j]``
-(the index of ``elements[i] * elements[j]``) is built on first use, because
-it costs n^2 * 2 bytes for order n < 2^15 (n^2 * 4 above) and only the
-structure oracles and the class algebra need it.  Two readers racing to
-build it build identical tables, and either one may be kept.
+Groups are immutable after construction.  The element index also answers
+membership (``p in group``), so a group without an element cache refuses
+``in`` with GroupTooLargeError, as it refuses ``index_of`` and
+``enumerate_elements``.  The Cayley table ``table[i, j]`` (the index of
+``elements[i] * elements[j]``) is built on first use, because it costs
+n^2 * 2 bytes for order n < 2^15 (n^2 * 4 above) and only the structure
+oracles and the class algebra need it.  Two readers racing to build it
+build identical tables, and either one may be kept.
 
 Every blocked array step, in the structure oracles and in the degree layer
 alike, takes its rows a block at a time from :func:`blocks`, so one
@@ -36,6 +34,7 @@ constant, ``BLOCK_CELLS``, bounds their temporaries.
 from __future__ import annotations
 
 import math
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -59,14 +58,14 @@ TABLE_MAX_BYTES = 800 * 10**6
 BLOCK_CELLS = 1 << 16
 
 #: bytes a group holds per order x degree cell once enumerated, checked
-#: against TABLE_MAX_BYTES from the Schreier-Sims order before the closure
-#: runs: tracemalloc puts the peak of a whole build at 8.2-9.5 bytes a cell
-#: on C300, C400 and C2000 on their own points and on the dihedral groups of
-#: degree 300 and 1500, the wide groups where this budget can bind (the tuple
-#: closure, its Permutation objects and the element index).  Narrow groups
-#: read more, because the per-element overhead dominates there (Hol(C97)
-#: 10.4, S7 44), but at a few points per element they stay far below the
-#: budget
+#: against TABLE_MAX_BYTES from the Schreier-Sims order before the
+#: enumeration runs: tracemalloc puts the peak of a whole build at 8.2-9.5
+#: bytes a cell on C300, C400 and C2000 on their own points and on the
+#: dihedral groups of degree 300 and 1500, the wide groups where this budget
+#: can bind (the image tuples, their Permutation objects and the element
+#: index).  Narrow groups read more, because the per-element overhead
+#: dominates there (Hol(C97) 10.4, S7 44), but at a few points per element
+#: they stay far below the budget
 ENUMERATION_BYTES_PER_CELL = 10
 
 #: bytes a Schreier-Sims transversal holds per orbit point x degree cell (one
@@ -126,7 +125,9 @@ def _first_moved(a: _RawPerm) -> int:
     raise ValueError("identity moves no point")
 
 
-def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> int:
+def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> list[list[_RawPerm]]:
+    """The transversals of a stabilizer chain of <raw_gens>, the first base
+    point's first, each as its list of coset representatives."""
     ident = tuple(range(degree))
     gens = [g for g in dict.fromkeys(raw_gens) if g != ident]
     base: list[int] = []
@@ -174,50 +175,43 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> int:
 
     i = len(levels) - 1
     while i >= 0:
-        lvl = levels[i]
-        added = False
-        for x in sorted(lvl.transversal):
-            ux = lvl.transversal[x]
-            for s in lvl.gens:
-                uy = lvl.transversal[s[x]]
-                sch = _mul(_mul(ux, s), _inv(uy))  # fixes base[: i + 1]
-                if sch == ident:
-                    continue
-                h, j = strip(sch, i + 1)
-                if h == ident:
-                    continue
-                if j == len(levels):
-                    base.append(_first_moved(h))
-                    levels.append(_Level(base[-1], degree))
-                for k in range(i + 1, j + 1):
-                    levels[k].gens.append(h)
-                    rebuild_orbit(levels[k])
-                i = j
-                added = True
-                break
-            if added:
-                break
-        if not added:
+        tr = levels[i].transversal
+        for x, s in product(sorted(tr), levels[i].gens):
+            sch = _mul(_mul(tr[x], s), _inv(tr[s[x]]))  # fixes base[: i + 1]
+            if sch == ident:
+                continue
+            h, j = strip(sch, i + 1)
+            if h == ident:
+                continue
+            if j == len(levels):
+                base.append(_first_moved(h))
+                levels.append(_Level(base[-1], degree))
+            for k in range(i + 1, j + 1):
+                levels[k].gens.append(h)
+                rebuild_orbit(levels[k])
+            i = j
+            break
+        else:
             i -= 1
 
-    return math.prod(len(lvl.transversal) for lvl in levels)
+    return [list(lvl.transversal.values()) for lvl in levels]
 
 
-def _closure(degree: int, raw_gens: list[_RawPerm]) -> list[_RawPerm]:
+def _enumerate(degree: int, transversals: list[list[_RawPerm]]) -> list[_RawPerm]:
+    """Every product u_k * ... * u_1 of one representative a level, sorted.
+
+    The levels are popped as they are used, the deepest first, and the
+    product of the identity with a representative is the representative
+    itself, so no transversal is held beside a copy of it.  There is a level
+    only if a generator moves a point, so the degree is at least 2 and
+    itemgetter(*e)(u), the image tuple of e * u, is a tuple."""
     ident = tuple(range(degree))
-    members = {ident}
-    frontier = [ident]
-    gens = [g for g in dict.fromkeys(raw_gens) if g != ident]
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in gens:
-                prod = tuple(g[x] for x in m)
-                if prod not in members:
-                    members.add(prod)
-                    fresh.append(prod)
-        frontier = fresh
-    return sorted(members)
+    elements = [ident]
+    while transversals:
+        reps = transversals.pop()
+        elements = [u for e in elements for u in (reps if e == ident else map(itemgetter(*e), reps))]
+    elements.sort()
+    return elements
 
 
 class Group:
@@ -231,6 +225,7 @@ class Group:
         "elements",
         "inverses",
         "_index",
+        "_lefts",
         "element_orders",
         "_generator_indices",
         "_table",
@@ -241,42 +236,47 @@ class Group:
         self.generators = generators
 
         raw_gens = [g.images for g in generators]
-        # the transversals die with this call, before the closure runs
-        order = _schreier_sims(degree, raw_gens)
-        self.order = order
-        self._table = None
+        transversals = _schreier_sims(degree, raw_gens)
+        self.order = order = math.prod(map(len, transversals))
+        self._table = self.elements = self._index = self._lefts = None
+        self.inverses = self.element_orders = self._generator_indices = self.uncached_reason = None
 
         size = order * degree * ENUMERATION_BYTES_PER_CELL
         if order > ENUMERATION_CAP:
             self.uncached_reason = f"order {order} exceeds enumeration cap {ENUMERATION_CAP}"
-        elif size > TABLE_MAX_BYTES:
+            return
+        if size > TABLE_MAX_BYTES:
             self.uncached_reason = (
                 f"the enumeration of order {order} on {degree} points needs {size} bytes, "
                 f"above the table budget of {TABLE_MAX_BYTES}"
             )
-        else:
-            self.uncached_reason = None
-        if self.uncached_reason is None:
-            raw = _closure(degree, raw_gens)
-            if len(raw) != order:
-                raise RuntimeError(
-                    f"internal error: BSGS order {order} != closure size {len(raw)}"
-                )
-            self.elements = tuple(Permutation(t) for t in raw)
-            self._index = {t: i for i, t in enumerate(raw)}
-            self.inverses = np.array([self._index[_inv(t)] for t in raw], dtype=_index_dtype(order))
-            self.inverses.flags.writeable = False
-            self.element_orders = np.array([p.order() for p in self.elements], dtype=np.int64)
-            self.element_orders.flags.writeable = False
-            gens = [self._index[g] for g in dict.fromkeys(raw_gens)]
-            self._generator_indices = np.array(gens, dtype=np.intp)
-            self._generator_indices.flags.writeable = False
-        else:
-            self.elements = None
-            self._index = None
-            self.inverses = None
-            self.element_orders = None
-            self._generator_indices = None
+            return
+        raw = _enumerate(degree, transversals)
+        self.elements = tuple(Permutation(t) for t in raw)
+        self._index = index = {t: i for i, t in enumerate(raw)}
+        if len(index) < order:
+            raise RuntimeError(f"internal error: the enumeration of order {order} repeats an element")
+        dtype = _index_dtype(order)
+        gens = dict.fromkeys(raw_gens)
+        try:
+            # the left map of s holds the index of s * elements[k] at k; the
+            # identity, elements[0], needs none, so at degree 1 there is none
+            # and itemgetter(*s) never returns a bare point
+            self._lefts = [
+                np.fromiter(map(index.__getitem__, map(itemgetter(*s), raw)), dtype, order)
+                for s in gens
+                if s != raw[0]
+            ]
+        except KeyError:
+            raise RuntimeError(
+                f"internal error: the enumeration of order {order} is not closed under the generators"
+            ) from None
+        self.inverses = np.array([index[_inv(t)] for t in raw], dtype=dtype)
+        self.inverses.flags.writeable = False
+        self.element_orders = np.array([p.order() for p in self.elements], dtype=np.int64)
+        self.element_orders.flags.writeable = False
+        self._generator_indices = np.array([index[g] for g in gens], dtype=np.intp)
+        self._generator_indices.flags.writeable = False
 
     # -- membership ----------------------------------------------------
 
@@ -323,18 +323,11 @@ class Group:
         # of left multiplication by the generator g
         table = np.empty((n, n), dtype=dtype)
         table[0] = np.arange(n)
-        # itemgetter(*g)(e) is the image tuple of g * e; at degree 1 it would
-        # be a bare point, but there the identity's row is the whole table
-        raw = [p.images for p in self.elements]
-        lefts = [
-            np.fromiter(map(self._index.__getitem__, map(itemgetter(*raw[gi]), raw)), dtype, n)
-            for gi in (self._generator_indices if self.degree > 1 else ())
-        ]
         done = np.zeros(n, dtype=bool)
         done[0] = True
         queue = [0]
         for k in queue:
-            for left in lefts:
+            for left in self._lefts:
                 c = int(left[k])
                 if not done[c]:
                     done[c] = True

@@ -469,3 +469,44 @@ def test_verdicts_are_immutable_and_compare_by_value(s3):
     for obj, attr in ((v, "agrees"), (v, "primes"), (v.structure_side, "holds"), (v, "note")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
+
+
+def test_invariant_sides_reach_a_structure_oracle_only_where_the_statement_does(monkeypatch, corpus_by_name):
+    # with every oracle but the classes raising, an invariant side that still
+    # evaluates reads only |G|, m and w; the ones that reach an oracle are
+    # the identities and divisibilities, which relate an invariant to a
+    # subgroup order, the necessity rows, whose hypothesis is a Hall
+    # decomposition, and the commuting row, whose hypothesis holds that q-
+    # and r-elements commute
+    import inspect
+
+    from degclass import structure
+    from degclass.arith import pi_sets
+    from degclass.criteria import DIVISIBILITY, GLOBAL, IDENTITY
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name, oracle in vars(structure).items():
+        public = inspect.isfunction(oracle) and oracle.__module__ == structure.__name__ and not name.startswith("_")
+        if public and name != "conjugacy_classes":
+            monkeypatch.setattr(structure, name, reached)
+    rows = set()
+    for name in ("S4", "A5", "S3xC5", "D8xC9"):
+        d = GroupData(corpus_by_name[name].group, name)
+        for row in CATALOG:
+            if row.scope == GLOBAL:
+                sets = [d.primes]
+            else:
+                sets = [(p,) for p in d.primes] if row.scope == PER_PRIME else pi_sets(d.primes, 2)
+            for ps in sets:
+                try:
+                    row.invariant(d, ps)
+                except Reached:
+                    rows.add(row.id)
+    relations = {row.id for row in CATALOG if row.kind in (IDENTITY, DIVISIBILITY)}
+    hypotheses = {"direct_product_necessity_u", "direct_product_necessity_s", "direct_product_by_u_p_commuting"}
+    assert rows == relations | hypotheses

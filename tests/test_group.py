@@ -150,12 +150,12 @@ def test_cap_exceeded_is_loud(monkeypatch, cap):
             identity(4) in g
 
 
-def test_enumeration_budget_is_checked_before_the_closure(monkeypatch):
+def test_enumeration_budget_is_checked_before_the_enumeration(monkeypatch):
     # S4 on 4 points holds 24 * 4 * 10 = 960 bytes once enumerated
     gens = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
     monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", 24 * 4 * group_module.ENUMERATION_BYTES_PER_CELL - 1)
     with monkeypatch.context() as mp:
-        mp.setattr(group_module, "_closure", lambda *args: pytest.fail("the closure ran"))
+        mp.setattr(group_module, "_enumerate", lambda *args: pytest.fail("the enumeration ran"))
         g = build_group(4, gens)
     assert g.order == 24 and not g.has_element_cache
     assert g.uncached_reason == "the enumeration of order 24 on 4 points needs 960 bytes, above the table budget of 959"
@@ -164,6 +164,30 @@ def test_enumeration_budget_is_checked_before_the_closure(monkeypatch):
     monkeypatch.setattr(group_module, "TABLE_MAX_BYTES", 24 * 4 * group_module.ENUMERATION_BYTES_PER_CELL)
     g = build_group(4, gens)
     assert g.has_element_cache and g.uncached_reason is None
+
+
+def test_an_enumeration_not_closed_under_the_generators_raises(monkeypatch):
+    # without its deepest level the chain of S4 writes 12 products, which
+    # the Schreier-Sims order then claims are the group
+    schreier_sims = group_module._schreier_sims
+    monkeypatch.setattr(group_module, "_schreier_sims", lambda *args: schreier_sims(*args)[:-1])
+    with pytest.raises(RuntimeError, match="enumeration of order 12 is not closed under the generators"):
+        build_group(4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)])
+
+
+def test_an_enumeration_that_repeats_an_element_raises(monkeypatch):
+    # a transversal entry written twice writes 4 * 3 * 3 products of S4, and
+    # the order read off the orbit lengths claims 36 distinct elements
+    schreier_sims = group_module._schreier_sims
+
+    def repeated(*args):
+        transversals = schreier_sims(*args)
+        transversals[-1].append(transversals[-1][-1])
+        return transversals
+
+    monkeypatch.setattr(group_module, "_schreier_sims", repeated)
+    with pytest.raises(RuntimeError, match="enumeration of order 36 repeats an element"):
+        build_group(4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)])
 
 
 def test_enumeration_budget_covers_the_peak_of_a_build():

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,8 @@ import degclass.group
 from degclass.cli import main
 from degclass.corpus import parse_corpus
 from degclass.criteria import CATALOG
+from degclass.group import build_group
+from degclass.perm import Permutation
 from degclass.report import Report, ReportOptions, run_report
 
 S8_STANZA = """\
@@ -56,6 +60,33 @@ def test_report_deterministic(corpus, builtin_report):
     again = run_report(corpus)
     assert again.text == builtin_report.text
     assert builtin_report.exit_code == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_report_does_not_depend_on_the_point_labels(corpus, builtin_report, seed):
+    # relabelling the points conjugates every generator, which changes the
+    # enumeration, the class order and the split's visiting order, yet no
+    # group block may change beyond its generators and source
+    rng = random.Random(seed)
+    relabelled = []
+    for rec in corpus:
+        sigma = list(range(rec.degree))
+        rng.shuffle(sigma)
+        gens = []
+        for g in rec.group.generators:
+            images = [0] * rec.degree
+            for x, y in enumerate(g.images):
+                images[sigma[x]] = sigma[y]
+            gens.append(Permutation(images))
+        relabelled.append(dataclasses.replace(rec, group=build_group(rec.degree, gens)))
+    assert any(a.group.elements != b.group.elements for a, b in zip(corpus, relabelled))
+    document = run_report(relabelled).document
+
+    def unlabelled(doc):
+        return [{k: v for k, v in block.items() if k not in ("generators", "source")} for block in doc["groups"]]
+
+    assert unlabelled(document) == unlabelled(builtin_report.document)
+    assert document["summary"] == builtin_report.document["summary"]
 
 
 def test_report_round_trips_as_json(builtin_report):

@@ -42,8 +42,10 @@ and D8^2xC2^8 run one:
   reason, which holds the budget's byte count, and the peak RSS.
 
 C4000 and D4000 run ``build`` alone: time ``parse_corpus`` of the one-stanza
-corpus (Schreier-Sims, the closure, the element index, inverses and element
-orders), and record the peak RSS it leaves.
+corpus (Schreier-Sims, the enumeration from its transversals, the element
+index, the generators' left maps, inverses and element orders), then the
+Cayley table built from those maps (``table_seconds``), and record the peak
+RSS both leave.
 
 Usage::
 
@@ -131,8 +133,11 @@ def measure(rung: str, stage: str) -> dict:
     start = perf_counter()
     records = parse_corpus(f"group {rung}\n{RUNGS[rung][0]}end\n")
     if stage == "build":
-        seconds = round(perf_counter() - start, 3)
-        return {"order": records[0].group.order, "seconds": seconds, "peak_rss_mb": _peak_rss_mb()}
+        group = records[0].group
+        out = {"order": group.order, "seconds": round(perf_counter() - start, 3)}
+        start = perf_counter()
+        group.table
+        return {**out, "table_seconds": round(perf_counter() - start, 3), "peak_rss_mb": _peak_rss_mb()}
     if stage == "degree":
         return _measure_degree_step(records[0].group)
     if stage == "criteria":
