@@ -187,7 +187,7 @@ class GroupData:
 
     @_memoized
     def residual(self, p: int) -> Subgroup:
-        return structure.p_residual(self.group, p)
+        return structure.p_residual(self.classes, p)
 
     @_memoized
     def prime_residual(self, p: int) -> Subgroup:

@@ -97,14 +97,17 @@ def _index_dtype(n: int) -> type:
 
 class _Level:
     """One stabilizer level: base point, generators fixing all earlier points,
-    and a transversal mapping each orbit point to a coset representative."""
+    a transversal mapping each orbit point to a coset representative, and
+    the tree edges (x, j) that made an entry tr[s(x)] = tr[x] * s for s the
+    generator gens[j]."""
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "edges")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[_RawPerm] = []
         self.transversal: dict[int, _RawPerm] = {point: tuple(range(degree))}
+        self.edges: set[tuple[int, int]] = set()
 
 
 def _mul(a: _RawPerm, b: _RawPerm) -> _RawPerm:
@@ -137,11 +140,12 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> list[list[_RawPerm]
         held = sum(len(lvl.transversal) for lvl in levels if lvl is not level)
         room = TABLE_MAX_BYTES // (degree * TRANSVERSAL_BYTES_PER_CELL) - held
         tr = {level.point: ident}
+        edges = set()
         queue = [level.point]
         while queue:
             x = queue.pop(0)
             ux = tr[x]
-            for s in level.gens:
+            for j, s in enumerate(level.gens):
                 y = s[x]
                 if y not in tr:
                     if len(tr) >= room:
@@ -151,8 +155,10 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> list[list[_RawPerm]
                             f"more than {size} bytes, above the table budget of {TABLE_MAX_BYTES}"
                         )
                     tr[y] = _mul(ux, s)
+                    edges.add((x, j))
                     queue.append(y)
         level.transversal = tr
+        level.edges = edges
 
     def strip(g: _RawPerm, start: int) -> tuple[_RawPerm, int]:
         for i in range(start, len(levels)):
@@ -173,10 +179,13 @@ def _schreier_sims(degree: int, raw_gens: list[_RawPerm]) -> list[list[_RawPerm]
         lvl.gens = [g for g in gens if all(g[b] == b for b in base[:i])]
         rebuild_orbit(lvl)
 
+    # the Schreier generator of a tree edge is the identity by construction
     i = len(levels) - 1
     while i >= 0:
-        tr = levels[i].transversal
-        for x, s in product(sorted(tr), levels[i].gens):
+        tr, edges = levels[i].transversal, levels[i].edges
+        for x, (j, s) in product(sorted(tr), enumerate(levels[i].gens)):
+            if (x, j) in edges:
+                continue
             sch = _mul(_mul(tr[x], s), _inv(tr[s[x]]))  # fixes base[: i + 1]
             if sch == ident:
                 continue

@@ -6,7 +6,7 @@ table budget and fails with GroupTooLargeError beyond them.  Oracles are
 deliberately exhaustive: every definition is evaluated on every element it
 quantifies over, as array gathers on the table, and normality checks
 conjugate members explicitly instead of trusting theory, so theorem
-verification stays genuinely two-sided.  Four identities of sets, not
+verification stays genuinely two-sided.  Five identities of sets, not
 theorems, cut the gathers without dropping any x or y.  G = <S>, so Cl(x)
 is x's orbit under x -> s^-1 x s for s in S: the classes come from one
 |G|-cell map per generator, not one |G|-cell gather per class
@@ -20,7 +20,13 @@ centralizers and normalizers test the generators a subgroup was closed
 from (``Subgroup.generators``).  A union S
 of classes is {g^-1 r g : g in G, r a class representative in S}, so a
 property kept by conjugation holds on S iff on those representatives
-(``ConjugacyClassSet.representatives``): one row a class.
+(``ConjugacyClassSet.representatives``): one row a class.  For a union K
+of classes, K K = U_r (r K)^G, the classes that meet r K for r the
+representatives of K's classes, since x = g^-1 r g gives
+x k = g^-1 (r (g k g^-1)) g with g k g^-1 in K.  So <K> is K with the
+identity, grown to K K until it stops, (classes in K) x |K| cells a round
+(``_class_closure``); that is at most |G|^1.5 cells when r^2 <= |G|, the
+size rule that sends a union to this route and not to Dimino's algorithm.
 
 Every blocked step takes its rows from ``_rows`` (a word - a commutator, a
 commuting test, a conjugation, a product - on x by every y of a list), at
@@ -82,10 +88,43 @@ def _class_commutators(classes: ConjugacyClassSet) -> np.ndarray:
 def _commutator_closure(classes: ConjugacyClassSet, c: np.ndarray, members: np.ndarray) -> Subgroup:
     """[N, G] for the union N of classes with these members: the closure of
     {[x, y] : x in N, y in G}, the union of the classes that meet c[N]."""
-    cls = classes.class_index
     meets = np.zeros(len(classes), dtype=bool)
-    meets[cls[c[members]]] = True
-    return _closure(classes.group, np.flatnonzero(meets[cls]))
+    meets[classes.class_index[c[members]]] = True
+    return _union_closure(classes, meets)
+
+
+def _class_products(classes: ConjugacyClassSet, kept: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows r K, a block at a time, for K the union of the kept classes
+    (a mask over the classes) and r the representatives of those classes:
+    K K is the union of the classes these rows meet."""
+    members = np.flatnonzero(kept[classes.class_index])
+    return (row for _, row in _rows(classes.representatives[kept], members, classes.group.mul))
+
+
+def _union_closure(classes: ConjugacyClassSet, kept: np.ndarray) -> Subgroup:
+    """<K> for K the union of the kept classes (a mask over the classes):
+    grown from classes when there are at most sqrt(|G|) of them, so that a
+    round gathers at most |G|^1.5 cells, else closed by Dimino's algorithm."""
+    if len(classes) ** 2 <= classes.group.order:
+        return _class_closure(classes, kept)
+    return _closure(classes.group, np.flatnonzero(kept[classes.class_index]))
+
+
+def _class_closure(classes: ConjugacyClassSet, kept: np.ndarray) -> Subgroup:
+    """<K> for K the union of the kept classes: K with the identity grows to
+    K K, the classes its product rows meet, until it stops, since a nonempty
+    finite set closed under products is a subgroup.  Its generators are its
+    members."""
+    group, cls = classes.group, classes.class_index
+    kept = kept.copy()
+    kept[cls[group.identity_index]] = True
+    while True:
+        grown = kept.copy()
+        for row in _class_products(classes, kept):
+            grown[cls[row]] = True
+        if np.array_equal(grown, kept):
+            return Subgroup(group, np.flatnonzero(kept[cls]))
+        kept = grown
 
 
 class ConjugacyClassSet:
@@ -158,7 +197,8 @@ def conjugacy_classes(group: Group) -> ConjugacyClassSet:
 class Subgroup:
     """A subgroup as a sorted index array into the parent's element
     enumeration.  ``generators`` generate it: the seeds ``_closure`` adjoined
-    for a closure-built subgroup, the members for any other.  Both arrays
+    for a subgroup Dimino's algorithm built, the members for any other, a
+    union of classes ``_class_closure`` grew among them.  Both arrays
     are made read-only, and the attributes cannot be reassigned."""
 
     __slots__ = ("parent", "members", "generators")
@@ -211,19 +251,22 @@ def _closure(group: Group, seed: np.ndarray) -> Subgroup:
     with the seeds it adjoined as its generators.
 
     Dimino's algorithm: seeds are taken in increasing order and adjoined only
-    when not yet members.  The first one gives its cyclic group, power by
-    power; each later seed s extends H = <gens> to <H, s> as a union of right
-    cosets Hw, found by multiplying every coset representative w by every
-    generator.  Each new coset is one table gather.
+    when not yet members; the seeds already inside are dropped in one mask
+    operation per adjoined seed.  The first one gives its cyclic group, power
+    by power; each later seed s extends H = <gens> to <H, s> as a union of
+    right cosets Hw, found by multiplying every coset representative w by
+    every generator, one read of w's row of the table.  Each new coset is
+    one take of the flat table at H's offsets, computed once per extension.
     """
-    e = group.identity_index
-    inside = np.zeros(group.order, dtype=bool)
+    e, n = group.identity_index, group.order
+    flat = group.table.ravel()
+    inside = np.zeros(n, dtype=bool)
     inside[e] = True
-    members = np.array([e], dtype=np.intp)
+    seeds = np.unique(np.asarray(seed, dtype=np.intp))
+    seeds = seeds[~inside[seeds]]
     gens: list[int] = []
-    for s in np.unique(seed).tolist():
-        if inside[s]:
-            continue
+    while len(seeds):
+        s = int(seeds[0])
         gens.append(s)
         if len(gens) == 1:
             powers = [e, s]
@@ -231,17 +274,19 @@ def _closure(group: Group, seed: np.ndarray) -> Subgroup:
                 powers.append(w)
             members = np.array(powers, dtype=np.intp)
             inside[members] = True
-            continue
-        cosets = [members, group.mul(members, s)]
-        inside[cosets[-1]] = True
-        reps = [s]
-        for w in reps:
-            for wg in group.mul(w, np.array(gens)).tolist():
-                if not inside[wg]:
-                    cosets.append(group.mul(members, wg))
-                    inside[cosets[-1]] = True
-                    reps.append(wg)
-        members = np.concatenate(cosets)
+        else:
+            offsets, columns = members * n, np.array(gens, dtype=np.intp)
+            cosets = [members, flat.take(offsets + s)]
+            inside[cosets[-1]] = True
+            reps = [s]
+            for w in reps:
+                for wg in flat.take(w * n + columns).tolist():
+                    if not inside[wg]:
+                        cosets.append(flat.take(offsets + wg))
+                        inside[cosets[-1]] = True
+                        reps.append(wg)
+            members = np.concatenate(cosets)
+        seeds = seeds[~inside[seeds]]
     return Subgroup(group, np.flatnonzero(inside), np.array(gens, dtype=np.intp))
 
 
@@ -319,12 +364,12 @@ def hypercentre(classes: ConjugacyClassSet, centre: Subgroup) -> Subgroup:
         current = nxt
 
 
-def p_residual(group: Group, p: int) -> Subgroup:
-    """Smallest normal subgroup with p-group quotient: closure of all p'-elements."""
+def p_residual(classes: ConjugacyClassSet, p: int) -> Subgroup:
+    """Smallest normal subgroup with p-group quotient: closure of all
+    p'-elements, the union of the classes whose representative is one."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    group._require_cache()
-    return _closure(group, np.flatnonzero(group.element_orders % p != 0))
+    return _union_closure(classes, classes.group.element_orders[classes.representatives] % p != 0)
 
 
 def p_prime_residual(group: Group, p: int) -> Subgroup:
@@ -366,14 +411,14 @@ def pi_elements_subgroup(classes: ConjugacyClassSet, pi: Iterable[int]) -> Optio
     """The set S of pi-elements as a Subgroup iff it is product-closed, else None.
 
     S is a union of classes, so S S lies in S iff r S does for each class
-    representative r in S (x = g^-1 r g gives x S = g^-1 (r S) g).  When S is
-    closed it is the unique normal Hall pi-subgroup of the group.
+    representative r in S (x = g^-1 r g gives x S = g^-1 (r S) g): one round
+    of ``_class_closure``'s products.  When S is closed it is the unique
+    normal Hall pi-subgroup of the group.
     """
-    group, reps = classes.group, classes.representatives
+    group = classes.group
     inside = _pi_mask(group, pi)
-    members = np.flatnonzero(inside)
-    rows = _rows(reps[inside[reps]], members, lambda a, b: inside[group.mul(a, b)])
-    return Subgroup(group, members) if all(row.all() for _, row in rows) else None
+    rows = _class_products(classes, inside[classes.representatives])
+    return Subgroup(group, np.flatnonzero(inside)) if all(inside[row].all() for row in rows) else None
 
 
 @dataclass(frozen=True)

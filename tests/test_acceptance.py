@@ -70,7 +70,7 @@ def test_criterion_2_identity_suite(corpus, group_data):
             product = 1
             for p in primes_of(g.order):
                 u_p_p = pi_part(u_pi(data.degree_frequency, (p,)), (p,))
-                assert u_p_p == g.order // p_residual(g, p).order, (data.name, p)
+                assert u_p_p == g.order // p_residual(data.classes, p).order, (data.name, p)
                 s_p = s_pi_size(data.classes, (p,))
                 assert pi_part(hypercentre(data.classes, data.centre).order, (p,)) == pi_part(s_p, (p,)), (data.name, p)
                 product *= u_p_p

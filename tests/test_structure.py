@@ -4,19 +4,22 @@ import gc
 import itertools
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from degclass import group as groups
+from degclass import structure
 from degclass.arith import pi_sets, primes_of, valuation
 from degclass.chardeg import class_algebra
-from degclass.corpus import builtin_corpus
+from degclass.corpus import builtin_corpus, parse_corpus
 from degclass.families import standard_group
 from degclass.group import build_group, direct_product
 from degclass.metrics import is_pi_number
 from degclass.perm import parse_cycles
+from degclass.report import run_report
 from degclass.structure import (
     DirectProductWitness,
     Subgroup,
@@ -224,7 +227,7 @@ def test_nilpotent_residual_intersection_identity(corpus):
         index_primes = primes_of(g.order // der.order)
         members = frozenset(range(g.order))
         for p in index_primes:
-            members &= as_set(p_residual(g, p).members)
+            members &= as_set(p_residual(cs, p).members)
         assert as_set(k.members) == members
 
 
@@ -233,17 +236,17 @@ def test_nilpotent_residual_intersection_identity(corpus):
 
 def test_residual_examples():
     s3 = standard_group("symmetric", 3)
-    assert p_residual(s3, 2).order == 3  # O^2(S3) = A3
+    assert p_residual(conjugacy_classes(s3), 2).order == 3  # O^2(S3) = A3
     a4 = standard_group("alternating", 4)
-    assert p_residual(a4, 3).order == 4  # O^3(A4) = V4
+    assert p_residual(conjugacy_classes(a4), 3).order == 4  # O^3(A4) = V4
     q8 = standard_group("quaternion", 8)
-    assert p_residual(q8, 2).order == 1  # O^p of a p-group is trivial
+    assert p_residual(conjugacy_classes(q8), 2).order == 1  # O^p of a p-group is trivial
     assert p_prime_residual(q8, 2).order == 8
 
 
 def test_residual_rejects_composite():
     with pytest.raises(ValueError, match="not prime"):
-        p_residual(standard_group("symmetric", 3), 4)
+        p_residual(conjugacy_classes(standard_group("symmetric", 3)), 4)
 
 
 def test_sylow_examples():
@@ -421,20 +424,60 @@ def mul_cells(monkeypatch):
 
 def test_series_steps_gather_class_orbits_not_all_pairs(mul_cells):
     # a commutator step reads c[x] = r^-1 x, one gather of |G| cells, and
-    # closes the classes that meet it: 1115 cells for G' on S6, far below
-    # x^-1 Cl(x) for every x, sum |K|^2 = 71412 cells
+    # closes the union K of the classes that meet it; S6 has r^2 = 121 <=
+    # |G| = 720, so K grows to K K through the rows r K, r the
+    # representatives of K's classes, (classes in K) x |K| cells a round.
+    # G' = A6 (6 classes) is closed in one round: 720 + 6 * 360 = 2880
+    # cells, far below x^-1 Cl(x) for every x, sum |K|^2 = 71412 cells
     g = standard_group("symmetric", 6)
     cs = conjugacy_classes(g)
     z, der = centre(g), derived_subgroup(cs)
-    # series steps: G' in one; K_3 = K_2 = A6 in one; Z_2 = Z_1 = 1 in one
-    for steps, run in [
-        (1, lambda: derived_subgroup(cs)),
-        (1, lambda: lower_central_last(cs, der)),
-        (1, lambda: hypercentre(cs, z)),
+    der_classes = len(set(cs.class_index[der.members].tolist()))
+    all_pairs = sum(size**2 for size in cs.sizes.tolist())
+    assert (len(cs), der.order, der_classes, all_pairs) == (11, 360, 6, 71412)
+    one_round = g.order + der_classes * der.order
+    # series steps: G' in one round; K_3 = K_2 = A6 in one; Z_2 = Z_1 = 1 in one step
+    for bound, run in [
+        (one_round, lambda: derived_subgroup(cs)),
+        (one_round, lambda: lower_central_last(cs, der)),
+        (2 * g.order, lambda: hypercentre(cs, z)),
     ]:
         mul_cells[0] = 0
         run()
-        assert 0 < mul_cells[0] <= 2 * g.order * steps
+        assert 0 < mul_cells[0] <= bound < all_pairs / 20
+
+
+PERFBENCH_CORPORA = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "corpus").glob("*.txt"))
+
+
+def test_union_closure_routes_agree_on_every_corpus_seed(monkeypatch):
+    # every union of classes a verify closes (G', K_inf, [N, G], O^p) on the
+    # builtin corpus and the perfbench corpora, closed by both routes: grown
+    # from classes and by Dimino's algorithm, which the size rule r^2 <= |G|
+    # chooses between, against the image-tuple closure of Dimino's seeds,
+    # which lie in K and close over all of K
+    seeds = {}
+    union_closure = structure._union_closure
+
+    def spy(classes, kept):
+        seeds.setdefault((id(classes), kept.tobytes()), (classes, kept.copy()))
+        return union_closure(classes, kept)
+
+    monkeypatch.setattr(structure, "_union_closure", spy)
+    for records in [builtin_corpus(), *(parse_corpus(path.read_text()) for path in PERFBENCH_CORPORA)]:
+        run_report(records)
+    routes = {len(classes) ** 2 <= classes.group.order for classes, _ in seeds.values()}
+    assert len(seeds) > 100 and routes == {True, False}
+    for classes, kept in seeds.values():
+        g = classes.group
+        members = np.flatnonzero(kept[classes.class_index])
+        by_classes, by_dimino = structure._class_closure(classes, kept), _closure(g, members)
+        assert as_set(by_classes.members) == as_set(by_dimino.members)
+        assert as_set(by_classes.generators) == as_set(by_classes.members)
+        assert as_set(by_dimino.generators) <= frozenset(members.tolist())
+        expected = oracles.closure_of(g.degree, [g.elements[i].images for i in by_dimino.generators])
+        assert {g.elements[i].images for i in members} <= expected
+        assert {g.elements[i].images for i in by_classes.members} == expected
 
 
 def test_enumeration_cap_fits_one_block():
@@ -477,7 +520,7 @@ def test_classes_gather_two_cells_per_generator_and_element(mul_cells):
 def test_subgroup_equality_is_set_equality():
     g = standard_group("symmetric", 3)
     a = pi_elements_subgroup(conjugacy_classes(g), (3,))
-    b = p_residual(g, 2)
+    b = p_residual(conjugacy_classes(g), 2)
     assert as_set(a.members) == as_set(b.members)
     assert a == b
 
@@ -614,7 +657,7 @@ def test_series_and_centre_match_reference(with_reference):
     # [N, G] for every normal N the series and the residuals give
     normals = [Subgroup(g, np.arange(g.order)), derived_subgroup(cs), centre(g)]
     normals += [lower_central_last(cs, normals[1]), hypercentre(cs, normals[2])]
-    normals += [f(g, p) for p in primes_of(g.order) for f in (p_residual, p_prime_residual)]
+    normals += [sub for p in primes_of(g.order) for sub in (p_residual(cs, p), p_prime_residual(g, p))]
     for sub in normals:
         expected = ref.commutator_closure(as_set(sub.members), ref.everyone)
         assert as_set(commutator_subgroup_of(sub, cs).members) == expected
@@ -635,7 +678,7 @@ def test_prime_oracles_match_reference(with_reference):
         for sub in (syl, p_prime_residual(g, p)):
             assert ref.closure(sub.generators.tolist()) == as_set(sub.members)
             assert as_set(centralizer(g, sub.generators).members) == ref.centralizer(as_set(sub.members))
-        assert as_set(p_residual(g, p).members) == ref.p_residual(p)
+        assert as_set(p_residual(cs, p).members) == ref.p_residual(p)
         assert as_set(p_prime_residual(g, p).members) == ref.p_prime_residual(p)
         assert q_r_elements_commute(cs, p) == ref.q_r_elements_commute(p)
         assert is_direct_product_p(cs, p).holds == (not ref.direct_product_failure(p))
