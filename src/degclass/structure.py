@@ -93,11 +93,10 @@ def _commutator_closure(classes: ConjugacyClassSet, c: np.ndarray, members: np.n
     return _union_closure(classes, meets)
 
 
-def _class_products(classes: ConjugacyClassSet, kept: np.ndarray) -> Iterator[np.ndarray]:
+def _class_products(classes: ConjugacyClassSet, kept: np.ndarray, members: np.ndarray) -> Iterator[np.ndarray]:
     """The rows r K, a block at a time, for K the union of the kept classes
-    (a mask over the classes) and r the representatives of those classes:
-    K K is the union of the classes these rows meet."""
-    members = np.flatnonzero(kept[classes.class_index])
+    (a mask over the classes) with these members and r the representatives
+    of those classes: K K is the union of the classes these rows meet."""
     return (row for _, row in _rows(classes.representatives[kept], members, classes.group.mul))
 
 
@@ -119,11 +118,12 @@ def _class_closure(classes: ConjugacyClassSet, kept: np.ndarray) -> Subgroup:
     kept = kept.copy()
     kept[cls[group.identity_index]] = True
     while True:
+        members = np.flatnonzero(kept[cls])
         grown = kept.copy()
-        for row in _class_products(classes, kept):
+        for row in _class_products(classes, kept, members):
             grown[cls[row]] = True
-        if np.array_equal(grown, kept):
-            return Subgroup(group, np.flatnonzero(kept[cls]))
+        if np.count_nonzero(grown) == np.count_nonzero(kept):
+            return Subgroup(group, members)
         kept = grown
 
 
@@ -417,8 +417,9 @@ def pi_elements_subgroup(classes: ConjugacyClassSet, pi: Iterable[int]) -> Optio
     """
     group = classes.group
     inside = _pi_mask(group, pi)
-    rows = _class_products(classes, inside[classes.representatives])
-    return Subgroup(group, np.flatnonzero(inside)) if all(inside[row].all() for row in rows) else None
+    members = np.flatnonzero(inside)
+    rows = _class_products(classes, inside[classes.representatives], members)
+    return Subgroup(group, members) if all(inside[row].all() for row in rows) else None
 
 
 @dataclass(frozen=True)
